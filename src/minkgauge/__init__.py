@@ -13,7 +13,7 @@ from .body import (Ball, Body, BodyError, HPolytope, Product, Reflected, Scaled,
                    Sum, SupportOracle, Translated, VPolytope, contains, dim,
                    hull2d, inscribed_ball, interior_point, simplify, support,
                    validate, vertex_candidates)
-from .lp import LPResult, LPStatus, NumericalError, lp_solve
+from .lp import LPResult, LPStatus, NumericalError
 from .geometry import (HausdorffResult, WidthResult, central_symm,
                        chord_witness_dir, diameter, far_radius, global_width,
                        hausdorff, max_chord, polygon_vertices, sphere_dirs,

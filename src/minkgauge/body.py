@@ -208,7 +208,7 @@ def support(K, v) -> float:
     if isinstance(K, VPolytope):
         return float(np.max(K.vertices @ v))
     if isinstance(K, HPolytope):
-        res = lp.lp_solve(v, K.A, K.b, sense="max")
+        res = lp.solve(v, A_ub=K.A, b_ub=K.b, sense="max")
         if res.status is lp.LPStatus.UNBOUNDED:
             raise BodyError("halfspace system is unbounded in the queried direction")
         if res.status is lp.LPStatus.INFEASIBLE:
@@ -653,7 +653,7 @@ def validate(K):
             e = np.zeros(d)
             e[k] = 1.0
             for s in (e, -e):
-                res = lp.lp_solve(s, K.A, K.b, sense="max")
+                res = lp.solve(s, A_ub=K.A, b_ub=K.b, sense="max")
                 if res.status is lp.LPStatus.UNBOUNDED:
                     raise BodyError("halfspace system is unbounded")
                 if res.status is lp.LPStatus.INFEASIBLE:

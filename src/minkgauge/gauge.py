@@ -6,19 +6,22 @@ general it is the supremum over directions v of the normalized functional
     t(K, v, x) = (2 <v, x> - h(K, v) + h(K, -v)) / w(K, v),
 
 which is 0 at a symmetry center, 1 on the boundary, and grows linearly far
-away.  Level sets K^lam = {x : alpha <= lam} have two exact polytope
-constructions, used here both for computation and as cross-checks:
+away.  Level sets K^lam = {x : alpha <= lam} have two exact descriptions:
 
-* lam <= 1: erode each tight facet row inward by (1 - lam) * w(K, a_i) / 2,
-* lam >= 1: the points ((lam+1) u - (lam-1) w) / 2 over vertex pairs (u, w)
-  generate K^lam, equivalently K^lam = (lam+1)/2 K + (lam-1)/2 (-K).
+* lam <= 1: the erosion ((1+lam)/2) K - ((1-lam)/2)(-K) (Minkowski
+  difference); on a facet system it erodes each tight row inward by
+  (1 - lam) * w(K, a_i) / 2,
+* lam >= 1: the sum (lam+1)/2 K + (lam-1)/2 (-K), generated by the points
+  ((lam+1) u - (lam-1) w) / 2 over vertex pairs (u, w).
 
 In dimensions 1 and 2 the supremum defining alpha is attained on the facet
 normals of K and their negations (between consecutive merged-fan normals the
 functional t is a monotone ratio of sinusoids), so alpha is closed form for
 planar polytopes at every point, inside or out.  In higher dimension the
-closed form is exact only on the membership branch (alpha <= 1) and exterior
-points go through bisection on the sum construction.
+facet closed form is exact only inside K.  Elsewhere alpha is the least lam
+with x in K^lam: writing each copy of K in the sum or the erosion in
+perspective form makes that one LP in lam, and the duals of its coupling
+rows give the witness direction.
 """
 
 from __future__ import annotations
@@ -30,13 +33,10 @@ from scipy import optimize
 
 from . import lp
 from .body import (Ball, BodyError, HPolytope, Product, SupportOracle, VPolytope,
-                   as_vector, dim, encoding_feasible, halfspaces, hull2d,
-                   inscribed_ball, interior_point, lp_encoding, simplify, support,
-                   vertex_candidates)
+                   as_vector, contains, dim, halfspaces, hull2d, lp_encoding,
+                   simplify, support, vertex_candidates)
 from .geometry import _exact_points, sphere_dirs, vertices2d
 
-BISECT_TOL = 1e-10
-BISECT_MAX_ITER = 60
 T_MEMBER_TOL = 1e-9
 
 
@@ -46,7 +46,7 @@ class GaugeResult:
 
     alpha: float
     witness_dir: np.ndarray
-    method: str            # closed_form | lp_bisection | sampled
+    method: str            # closed_form | lp | sampled
     tol: float
 
 
@@ -132,49 +132,67 @@ def _t_values(profile, x):
 
 
 # ---------------------------------------------------------------------------
-# membership in level sets (independent of the alpha search paths)
+# the level bodies as linear programs in lam
 
 
-def _ball_level_membership(K, x, lam, tol):
-    return float(np.linalg.norm(x - K.center)) <= lam * K.radius + tol * max(1.0, K.radius)
+def _scaled_copies(e, coefs):
+    """Rows for u_k in (a_k lam + b_k) U, one copy per (a_k, b_k), over the
+    columns [lam, u_1, u_2, ...], U being the encoded body.
+
+    This is the perspective form of each copy: the encoding bounds are
+    homogeneous (free or nonnegative), so only the right-hand sides scale.
+    """
+    a, b = np.array(coefs, dtype=float).T
+    k = a.size
+    return (np.hstack([-np.kron(a, e.b_ub)[:, None], np.kron(np.eye(k), e.A_ub)]),
+            np.kron(b, e.b_ub),
+            np.hstack([-np.kron(a, e.b_eq)[:, None], np.kron(np.eye(k), e.A_eq)]),
+            np.kron(b, e.b_eq),
+            [(None, None)] + e.bounds * k)
 
 
-def _schneider_membership(K, x, lam, tol):
-    # x in (lam+1)/2 K + (lam-1)/2 (-K), the sum form, valid for lam >= 1
+def _level_lp(K, x, lo, hi):
+    """Minimize lam in [lo, hi] subject to x in K^lam, as one LP.
+
+    Outside K (lo >= 1) this is the sum form x in (lam+1)/2 K + (lam-1)/2 (-K),
+    two copies coupled by P (u_1 - u_2) = x - q.  Inside K (hi <= 1) it is
+    the erosion: x - (1-lam)/2 v_j in (1+lam)/2 K for every vertex v_j, one
+    copy each.  Returns the LP result and the duals of the coupling rows
+    summed over copies, the gradient of the optimal lam in x.
+    """
     e = lp_encoding(K)
     if e is None:
-        raise BodyError("sum-form membership needs a linearly encodable body")
-    d = x.size
-    return encoding_feasible([e, e],
-                             [np.eye(d) * (lam + 1.0) / 2.0,
-                              -np.eye(d) * (lam - 1.0) / 2.0], x)
+        raise BodyError("level-set LP needs a linearly encodable body")
+    if lo >= 1.0:
+        A_ub, b_ub, A_eq, b_eq, bounds = _scaled_copies(e, [(0.5, 0.5), (0.5, -0.5)])
+        C = np.hstack([np.zeros((x.size, 1)), e.P, -e.P])
+        rhs = x - e.q
+    else:
+        V = vertex_candidates(K)
+        if V is None:
+            raise BodyError("level-set LP inside the body needs vertex access")
+        V = np.unique(V, axis=0)
+        A_ub, b_ub, A_eq, b_eq, bounds = _scaled_copies(e, [(0.5, 0.5)] * len(V))
+        C = np.hstack([((e.q - V) / 2.0).reshape(-1, 1), np.kron(np.eye(len(V)), e.P)])
+        rhs = (x - (e.q + V) / 2.0).ravel()
+    bounds[0] = (lo, hi)
+    c = np.zeros(C.shape[1])
+    c[0] = 1.0
+    res = lp.solve(c, A_ub=A_ub if b_ub.size else None, b_ub=b_ub if b_ub.size else None,
+                   A_eq=np.vstack([A_eq, C]), b_eq=np.concatenate([b_eq, rhs]),
+                   bounds=bounds)
+    if not res.optimal:
+        return res, None
+    return res, res.eq_duals[b_eq.size:].reshape(-1, x.size).sum(axis=0)
 
 
-def _erosion_membership_vonly(K, x, lam, tol):
-    # x + (1-lam) C(K) inside K, checked on the generators of C(K)
-    V = vertex_candidates(K)
-    if V is None:
-        raise BodyError("erosion membership needs vertex or facet access")
-    e = lp_encoding(K)
-    C = np.unique((V[:, None, :] - V[None, :, :]).reshape(-1, V.shape[1]), axis=0) / 2.0
-    for c in C:
-        p = x + (1.0 - lam) * c
-        pad = np.vstack([e.A_eq, e.P])
-        rhs = np.concatenate([e.b_eq, p - e.q])
-        if not lp.feasible(A_ub=e.A_ub if e.A_ub.size else None,
-                           b_ub=e.b_ub if e.b_ub.size else None,
-                           A_eq=pad, b_eq=rhs, bounds=e.bounds):
-            return False
-    return True
-
-
-def _level_membership(K, x, lam, tol=T_MEMBER_TOL, profile=None):
+def _level_membership(K, x, lam, tol=T_MEMBER_TOL):
     """Exact membership x in K^lam for polytopal bodies and balls."""
     K = simplify(K)
     if lam < 0:
         return False
     if isinstance(K, Ball):
-        return _ball_level_membership(K, x, lam, tol)
+        return float(np.linalg.norm(x - K.center)) <= lam * K.radius + tol * max(1.0, K.radius)
     if isinstance(K, Product):
         at = 0
         for f in K.factors:
@@ -186,23 +204,22 @@ def _level_membership(K, x, lam, tol=T_MEMBER_TOL, profile=None):
     if isinstance(K, SupportOracle):
         raise BodyError("level membership is not available for support oracles")
     if lam <= 1.0:
-        profile = profile if profile is not None else facet_profile(K)
+        profile = facet_profile(K)
         if profile is not None:
             return bool(np.max(_t_values(profile, x)) <= lam + tol)
-        return _erosion_membership_vonly(K, x, lam, tol)
-    return _schneider_membership(K, x, lam, tol)
+    return _level_lp(K, x, lam + tol, lam + tol)[0].optimal
 
 
 # ---------------------------------------------------------------------------
 # alpha
 
 
-def alpha(K, x, method="auto") -> GaugeResult:
+def alpha(K, x) -> GaugeResult:
     """Gauge value alpha(K, x) with witness direction.
 
-    method="auto" picks the exact closed form whenever the representation
-    admits one and falls back to bisection or sampling; method="bisect"
-    forces the bisection path (used by the cross-check suites).
+    The facet closed form answers whenever it is exact (planar bodies, and
+    points inside bodies with facet access); other polytopal bodies take the
+    level-set LP, balls their closed form, support oracles direction sampling.
     """
     K = simplify(K)
     x = as_vector(x, dim(K))
@@ -212,33 +229,32 @@ def alpha(K, x, method="auto") -> GaugeResult:
         wdir = gap / r if r > 0 else np.eye(K.center.size)[0]
         return GaugeResult(r / K.radius, wdir, "closed_form", 1e-12)
     if isinstance(K, Product):
-        return _alpha_product(K, x, method)
+        return _alpha_product(K, x)
     if isinstance(K, SupportOracle):
         return _alpha_sampled(K, x)
-    profile = facet_profile(K)
-    if method == "auto" and profile is not None:
+    # above the plane the facet maximum is exact only inside K, and for
+    # halfspace bodies the profile itself costs two LPs per facet
+    planar = x.size <= 2
+    hs = None if planar else halfspaces(K)
+    profile = facet_profile(K) if planar or (hs is not None and contains(K, x)) else None
+    if profile is not None:
         tv = _t_values(profile, x)
         i = int(np.argmax(np.abs(tv)))
         a0 = float(abs(tv[i]))
-        d = x.size
-        if d <= 2 or a0 <= 1.0 + 1e-12:
+        if planar or a0 <= 1.0 + 1e-12:
             A = profile[0]
             w = A[i] * np.sign(tv[i]) if tv[i] != 0 else A[i]
             return GaugeResult(a0, w / np.linalg.norm(w), "closed_form", 1e-12)
-        return _alpha_bisect(K, x, profile, lo=1.0)
-    if profile is not None:
-        return _alpha_bisect(K, x, profile, lo=0.0)
-    # vertex-only body in dimension >= 3
-    if vertex_candidates(K) is not None:
-        return _alpha_bisect(K, x, None, lo=0.0)
-    raise BodyError(f"alpha unsupported for {type(K).__name__}")
+    if planar or (hs is None and vertex_candidates(K) is None):
+        raise BodyError(f"alpha unsupported for {type(K).__name__}")
+    return _alpha_lp(K, x)
 
 
-def _alpha_product(K, x, method):
+def _alpha_product(K, x):
     best, parts, at = None, [], 0
     for f in K.factors:
         k = dim(f)
-        r = alpha(f, x[at:at + k], method)
+        r = alpha(f, x[at:at + k])
         parts.append((r, at, k))
         if best is None or r.alpha > best[0].alpha:
             best = (r, at, k)
@@ -246,84 +262,33 @@ def _alpha_product(K, x, method):
     r, at, k = best
     wdir = np.zeros(x.size)
     wdir[at:at + k] = r.witness_dir
-    rank = {"closed_form": 0, "lp_bisection": 1, "sampled": 2}
+    rank = {"closed_form": 0, "lp": 1, "sampled": 2}
     meth = max((p[0].method for p in parts), key=lambda m: rank[m])
     return GaugeResult(r.alpha, wdir, meth, max(p[0].tol for p in parts))
 
 
-def _alpha_bisect(K, x, profile, lo=0.0):
-    """Bisection on lam with the exact level-set membership tests."""
-    ball = inscribed_ball(K)
-    if ball is not None:
-        c, r = ball
-        hi = 1.0 + 2.0 * float(np.linalg.norm(x - c)) / r
-    else:
-        hi = 2.0
-        while not _level_membership(K, x, hi, profile=profile) and hi < 1e18:
-            hi *= 2.0
-    if _level_membership(K, x, lo, profile=profile):
-        hi = lo
-    it = 0
-    while hi - lo > BISECT_TOL and it < BISECT_MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        if _level_membership(K, x, mid, profile=profile):
-            hi = mid
-        else:
-            lo = mid
-        it += 1
-    val = 0.5 * (lo + hi)
-    wdir, wtol = _witness_for(K, x, val, profile)
-    # the membership oracle is LP feasibility, fuzzy at solver tolerance times
-    # problem scale; the bracket width alone would overstate the precision
-    tol = max(0.5 * (hi - lo) + 1e-9, wtol, 1e-8 * max(1.0, abs(val)))
-    return GaugeResult(val, wdir, "lp_bisection", tol)
+def _alpha_lp(K, x):
+    """alpha as the least lam with x in K^lam; the witness is the LP dual.
 
-
-def _witness_for(K, x, val, profile):
-    """Direction approximating the sup; exact when a facet row attains it."""
-    cands = []
-    if profile is not None:
-        A = profile[0]
-        tv = _t_values(profile, x)
-        i = int(np.argmax(np.abs(tv)))
-        cands.append(A[i] * (np.sign(tv[i]) or 1.0))
-    c = interior_point(K)
-    if np.linalg.norm(x - c) > 1e-12:
-        cands.append(x - c)
-    V = vertex_candidates(K)
-    if V is not None and val > 1.0 and V.shape[0] ** 2 <= 40000:
-        v_sep = _separating_direction(V, x, val)
-        if v_sep is not None:
-            cands.append(v_sep)
-    best_v, best_t = None, -np.inf
-    for v in cands:
-        nv = np.linalg.norm(v)
-        if nv < 1e-12:
-            continue
-        t = t_func(K, v, x)
-        if t > best_t:
-            best_v, best_t = v / nv, t
-    refined = _ascend_t(K, x, best_v)
-    if refined is not None and refined[1] > best_t:
-        best_v, best_t = refined
-    return best_v, max(0.0, val - best_t)
-
-
-def _separating_direction(V, x, val, shrink=1e-7):
-    # max-margin direction between K and the almost-critical shrunk copy
-    rho = (val - 1.0) / (val + 1.0) * (1.0 - shrink)
-    M = x + rho * (V - x)
-    D = (M[:, None, :] - V[None, :, :]).reshape(-1, V.shape[1])
-    n = V.shape[1]
-    A_ub = np.hstack([-D, np.ones((D.shape[0], 1))])
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    res = lp.solve(c, A_ub=A_ub, b_ub=np.zeros(D.shape[0]),
-                   bounds=[(-1, 1)] * n + [(None, None)], sense="max")
-    if not res.optimal or res.value <= 0:
-        return None
-    v = res.x[:n]
-    return v if np.linalg.norm(v) > 1e-12 else None
+    The sum-form LP answers outside K.  When it stops at lam = 1 the point is
+    in K (up to solver tolerance) and the erosion LP answers, if K has
+    vertex access; it is infeasible only for points on the boundary within
+    tolerance, where the sum-form value 1 stands.
+    """
+    res, y = _level_lp(K, x, 1.0, None)
+    if not res.optimal:
+        raise lp.NumericalError(f"sum-form LP ended with status {res.status.value}")
+    if res.value <= 1.0 + lp.FEAS_TOL and vertex_candidates(K) is not None:
+        inner, y_in = _level_lp(K, x, 0.0, 1.0)
+        if inner.optimal:
+            res, y = inner, y_in
+    val = float(res.value)
+    ny = float(np.linalg.norm(y))
+    wdir = y / ny if ny > 0 else np.eye(x.size)[0]
+    # the value is exact up to the solver's feasibility tolerance times the
+    # problem scale; the witness is checked against it directly
+    feas = lp.FEAS_TOL * max(1.0, float(np.max(np.abs(x)))) * (1.0 + float(np.abs(y).sum()))
+    return GaugeResult(val, wdir, "lp", max(0.0, val - t_func(K, wdir, x)) + feas)
 
 
 def _ascend_t(K, x, v0):
@@ -477,8 +442,9 @@ def alpha_inf(K, seed=101) -> SymmetryReport:
 
 def _critical_dim(A, hp, hm, w, lam, seed, extra_point=None, rank_tol=1e-7):
     d = A.shape[1]
-    scale = max(1.0, float(np.max(np.abs(hp))), float(np.max(np.abs(hm))))
-    b_face = hp - hm + w * lam + 1e-9 * scale
+    # slack relative to each row's width: an absolute slack opens a sliver
+    # longer than rank_tol on thin bodies and fakes a dimension
+    b_face = hp - hm + w * (lam + 1e-9)
     rng = np.random.default_rng(seed)
     pts = [] if extra_point is None else [extra_point]
     for _ in range(2 * d + 1):

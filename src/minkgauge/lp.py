@@ -15,6 +15,8 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import linprog
 
+FEAS_TOL = 1e-10   # HiGHS primal and dual feasibility tolerance
+
 
 class NumericalError(RuntimeError):
     """Raised when an iterative routine fails to converge or conditioning breaks down."""
@@ -31,6 +33,7 @@ class LPResult:
     status: LPStatus
     value: float | None
     x: np.ndarray | None
+    eq_duals: np.ndarray | None = None   # d value / d b_eq at an optimum
 
     @property
     def optimal(self) -> bool:
@@ -75,24 +78,16 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(None, None), se
 
     res = linprog(sign * c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                   bounds=bounds, method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
+                  options={"primal_feasibility_tolerance": FEAS_TOL,
+                           "dual_feasibility_tolerance": FEAS_TOL})
     if res.status == 0:
-        return LPResult(LPStatus.OPTIMAL, sign * res.fun, np.asarray(res.x, dtype=float))
+        return LPResult(LPStatus.OPTIMAL, sign * res.fun, np.asarray(res.x, dtype=float),
+                        sign * np.asarray(res.eqlin.marginals, dtype=float))
     if res.status == 2:
         return LPResult(LPStatus.INFEASIBLE, None, None)
     if res.status == 3:
         return LPResult(LPStatus.UNBOUNDED, None, None)
     raise NumericalError(f"LP solver failed: {res.message}")
-
-
-def lp_solve(objective, A, b, sense="max"):
-    """Optimize a linear objective over the halfspace system A x <= b.
-
-    Returns an LPResult; status distinguishes an empty system (infeasible)
-    from an unbounded objective direction.
-    """
-    return solve(objective, A_ub=A, b_ub=b, sense=sense)
 
 
 def feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(None, None)):

@@ -186,7 +186,8 @@ def _beta_bisect(K, x):
         raise BodyError("beta needs facet or vertex data")
 
     def fits(lam):
-        return all(contains(K, x - lam * (u - x)) for u in gens)
+        # no membership slack: the bracket converges to the slack, not to beta
+        return all(contains(K, x - lam * (u - x), tol=0.0) for u in gens)
 
     lo, hi = 0.0, 1.0
     if fits(1.0):

@@ -113,7 +113,7 @@ def test_prism_critical_segment_and_codimension_equality():
     body = rep.critical_body.body
     seg = VPolytope(np.array([[2 / 3, 2 / 3, -1 / 3], [2 / 3, 2 / 3, 1 / 3]]))
     for sgn in (1.0, -1.0):
-        res = lp.lp_solve(np.array([0.0, 0.0, sgn]), body.A, body.b, sense="max")
+        res = lp.solve(np.array([0.0, 0.0, sgn]), A_ub=body.A, b_ub=body.b, sense="max")
         npt.assert_allclose(res.x, [2 / 3, 2 / 3, sgn / 3.0], atol=1e-6)
     for u in sphere_dirs(3, 200, 7):
         assert abs(support(body, u) - support(seg, u)) <= 1e-6

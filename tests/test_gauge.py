@@ -3,13 +3,14 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minkgauge import (Ball, BodyError, Scaled, Translated, VPolytope, alpha,
                        alpha_inf, central_symm, centroid, contains, global_width,
-                       level_set, make_simplex, max_chord, sphere_dirs, support,
-                       t_func)
+                       level_set, lp, make_box, make_simplex, max_chord, rho,
+                       sphere_dirs, support, t_func)
 from minkgauge.body import Sum, encoding_feasible, lp_encoding
+from minkgauge.gauge import _alpha_lp
 from minkgauge.shapes import random_polygon
 
 from conftest import (polygons, polygons_with_exterior, polygons_with_interior,
@@ -95,11 +96,12 @@ def test_alpha_above_one_outside(pair):
 @given(polygons_with_interior())
 @settings(max_examples=25)
 def test_bisection_agrees_with_closed_form_inside(pair):
+    # the level-set LP against the facet closed form, both exact in the plane
     K, x = pair
-    a = alpha(K, x, method="auto")
-    b = alpha(K, x, method="bisect")
+    a = alpha(K, x)
+    b = _alpha_lp(K, x)
     assert a.method == "closed_form"
-    assert b.method == "lp_bisection"
+    assert b.method == "lp"
     npt.assert_allclose(b.alpha, a.alpha, atol=max(b.tol, 1e-8))
 
 
@@ -107,9 +109,60 @@ def test_bisection_agrees_with_closed_form_inside(pair):
 @settings(max_examples=25)
 def test_bisection_agrees_with_closed_form_outside(pair):
     K, x = pair
-    a = alpha(K, x, method="auto")
-    b = alpha(K, x, method="bisect")
+    a = alpha(K, x)
+    b = _alpha_lp(K, x)
     npt.assert_allclose(b.alpha, a.alpha, atol=max(b.tol, 1e-8) * max(1.0, a.alpha))
+
+
+@pytest.fixture
+def lp_solves(monkeypatch):
+    """List that grows by one entry per call into the LP solver."""
+    calls = []
+    solver = lp.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solver(*args, **kwargs)
+    monkeypatch.setattr(lp, "linprog", counted)
+    return calls
+
+
+def test_cube_exterior_alpha_is_one_lp(lp_solves):
+    res = alpha(make_box(-np.ones(3), np.ones(3)), np.array([2.0, 0.5, 0.3]))
+    assert res.method == "lp"
+    npt.assert_allclose(res.alpha, 2.0, atol=1e-9)
+    # the level-set LP plus the two support LPs of the witness check
+    assert len(lp_solves) <= 3
+
+
+def _vertex_polytope_cases(d):
+    rng = np.random.default_rng(d)
+    for n in (d + 3, 12, 40):
+        V = rng.normal(size=(n, d))
+        inside = 0.8 * V.mean(axis=0) + 0.2 * rng.dirichlet(np.ones(n)) @ V
+        yield VPolytope(V), inside
+        yield VPolytope(V), 3.0 * rng.normal(size=d)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_vertex_polytope_alpha_lp_count(d, lp_solves):
+    for K, x in _vertex_polytope_cases(d):
+        lp_solves.clear()
+        assert alpha(K, x).method == "lp"
+        # the sum-form LP, then the erosion LP for points inside
+        assert len(lp_solves) <= 2
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_vertex_polytope_alpha_witness(d):
+    for K, x in _vertex_polytope_cases(d):
+        res = alpha(K, x)
+        assert res.tol <= 1e-8 * max(1.0, res.alpha)
+        assert t_func(K, res.witness_dir, x) >= res.alpha - res.tol
+        if not contains(K, x):
+            # independent value: rho's disjointness bisection
+            r = rho(K, x)
+            npt.assert_allclose(res.alpha, (1.0 + r) / (1.0 - r), rtol=1e-7)
 
 
 @given(polygons_with_interior(), st.integers(min_value=0, max_value=2**31 - 1))
@@ -266,6 +319,10 @@ def test_alpha_inf_triangle(paper_triangle):
 
 
 @given(polygons())
+@example(VPolytope(np.array([[0.71323133, -0.62463754], [0.38920372, -0.51077244],
+                             [0.53300466, -0.56456237]])))
+@example(VPolytope(np.array([[0.33605391, -0.00582587], [-0.11217584, 0.76702521],
+                             [0.15092365, 0.31036128]])))
 @settings(max_examples=20)
 def test_alpha_inf_planar_klee_codimension(K):
     rep = alpha_inf(K)

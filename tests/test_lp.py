@@ -93,6 +93,6 @@ def test_chebyshev_center_zero_row_rejected():
 
 def test_lp_solve_over_halfspaces():
     A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    res = lp.lp_solve(np.array([1.0, 2.0]), A, np.ones(4), sense="max")
+    res = lp.solve(np.array([1.0, 2.0]), A_ub=A, b_ub=np.ones(4), sense="max")
     assert res.status is lp.LPStatus.OPTIMAL
     npt.assert_allclose(res.value, 3.0, atol=1e-9)

@@ -9,7 +9,7 @@ sup-type ratios can only undershoot their true values.
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minkgauge import (Ball, BodyError, HPolytope, SupportOracle, VPolytope,
                        alpha, beta, brute_force_alpha, chord, contains,
@@ -103,6 +103,9 @@ def test_beta_alpha_identity(pair):
 
 
 @given(polygons_with_interior())
+@example((VPolytope(np.array([[-0.66161445, -0.44867061], [-0.36686684, 0.7156432],
+                              [-0.39705902, 0.6156009]])),
+          np.array([-0.45480039, 0.37309105])))
 @settings(max_examples=20)
 def test_beta_bisection_route_agrees(pair):
     K, x = pair

@@ -1,5 +1,8 @@
 """Shape constructors and the JSON body schema."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -187,3 +190,41 @@ def test_roundtrip_support_agreement(spec):
     K2 = parse_body(serialize_body(K))
     for u in sphere_dirs(dim(K), 100, 17):
         npt.assert_allclose(support(K2, u), support(K, u), atol=1e-9)
+
+
+TRIANGLE_SPEC = {"kind": "vpolytope", "vertices": [[0, 0], [1, 0], [0, 1]]}
+README_SPECS = {
+    "vpolytope": TRIANGLE_SPEC,
+    "hpolytope": {"kind": "hpolytope", "A": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                  "b": [1, 1, 1, 1]},
+    "ball": {"kind": "ball", "center": [0, 0], "radius": 1},
+    "box": {"kind": "box", "low": [0, 0], "high": [1, 2]},
+    "simplex": {"kind": "simplex", "dim": 3},
+    "regular_polygon": {"kind": "regular_polygon", "n": 5, "radius": 2,
+                        "center": [1, 0], "phase": 0.1},
+    "half_disc_approx": {"kind": "half_disc_approx", "n": 16},
+    "sobczyk_prism": {"kind": "sobczyk_prism"},
+    "weighted_l2_ball": {"kind": "weighted_l2_ball", "dim": 8, "mode": "ii"},
+    "scaled": {"kind": "scaled", "factor": 2, "body": TRIANGLE_SPEC},
+    "translated": {"kind": "translated", "offset": [1, 1], "body": TRIANGLE_SPEC},
+    "reflected": {"kind": "reflected", "body": TRIANGLE_SPEC},
+    "sum": {"kind": "sum", "terms": [TRIANGLE_SPEC, TRIANGLE_SPEC]},
+    "product": {"kind": "product",
+                "factors": [TRIANGLE_SPEC, {"kind": "box", "low": [0], "high": [1]}]},
+}
+
+
+def _readme_schema_fields():
+    """kind -> field names, read from the README's body schema table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Body JSON schema", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` *\|(.*)\|$", section, flags=re.MULTILINE)
+    return {kind: set(re.findall(r"`(\w+)`", fields)) for kind, fields in rows}
+
+
+def test_readme_schema_rows_parse():
+    fields = _readme_schema_fields()
+    assert set(fields) == set(README_SPECS)
+    for kind, spec in README_SPECS.items():
+        assert set(spec) - {"kind"} == fields[kind], kind
+        parse_body(spec)
