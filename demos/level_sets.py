@@ -9,8 +9,8 @@ K + (lambda - 1) C where C is the central symmetrization.
 
 import numpy as np
 
-from minkgauge import (VPolytope, Scaled, alpha, central_symm, contains,
-                       hausdorff, level_set, support, sphere_dirs)
+from minkgauge import (VPolytope, alpha, central_symm, contains, hausdorff,
+                       homothety, level_set, support, sphere_dirs)
 
 T = VPolytope(np.array([[10.0, 10.0], [16.0, 10.0], [10.0, 16.0]]))
 
@@ -46,5 +46,5 @@ print(f"(K^1.5)^2.0 vs K^3.0 hausdorff = {hausdorff(A, B).value:.2e}")
 # and the family stays centered: distance to the scaled symmetrization
 # is bounded independent of lambda
 for lam in (1.0, 2.0, 4.0):
-    d = hausdorff(level_set(T, lam).body, Scaled(C, lam)).value
+    d = hausdorff(level_set(T, lam).body, homothety(C, lam)).value
     print(f"delta(K^{lam}, {lam} C) = {d:.6f}")

@@ -9,10 +9,9 @@ The package computes, for a convex body K in R^d and a point x:
 * Chebyshev-type polynomial growth and derivative bounds driven by alpha.
 """
 
-from .body import (Ball, Body, BodyError, HPolytope, Product, Reflected, Scaled,
-                   Sum, SupportOracle, Translated, VPolytope, contains, dim,
-                   hull2d, inscribed_ball, interior_point, simplify, support,
-                   validate, vertex_candidates)
+from .body import (Ball, Body, BodyError, HPolytope, Product, Sum, SupportOracle,
+                   VPolytope, contains, dim, homothety, hull2d, inscribed_ball,
+                   interior_point, support, validate, vertex_candidates)
 from .lp import LPResult, LPStatus, NumericalError
 from .geometry import (HausdorffResult, WidthResult, central_symm,
                        chord_witness_dir, diameter, far_radius, global_width,
@@ -24,9 +23,8 @@ from .ratios import (Chord, RatioReport, beta, brute_force_alpha, chord,
                      minkowski_phi, ratio_functionals, rho)
 from .cheb import (BernsteinReport, ChebyshevReport, LeadingGrowthReport,
                    Polynomial, bernstein_bound, cheb_T, cheb_T_prime,
-                   cheb_T_product, cheb_growth, compose_cheb,
-                   extremal_polynomial, leading_growth, poly_eval, poly_grad,
-                   t_polynomial)
+                   cheb_growth, compose_cheb, extremal_polynomial,
+                   leading_growth, poly_eval, poly_grad, t_polynomial)
 from .shapes import (SchemaError, make_ball, make_box, make_half_disc,
                      make_regular_polygon, make_simplex, make_sobczyk_prism,
                      make_weighted_l2_ball, parse_body, random_polygon,

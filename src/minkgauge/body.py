@@ -1,10 +1,11 @@
 """Convex body representations and the operations that depend on them.
 
 A body is one of the variants below.  Polytopes carry an exact vertex or
-halfspace description; composite variants (sums, products, affine images)
-are evaluated lazily through recursion.  ``SupportOracle`` wraps a black-box
-support function for bodies with no finite description, and every routine
-that has to fall back to sampling on such a body says so in its result.
+halfspace description; composite variants (sums and products) are evaluated
+lazily through recursion.  ``SupportOracle`` wraps a black-box support
+function for bodies with no finite description, and every routine that has
+to fall back to sampling on such a body says so in its result.  The image
+of a body under x -> s x + z (``homothety``) is again a body of its kind.
 
 Conventions used throughout the package:
 
@@ -120,67 +121,45 @@ class Sum:
             raise BodyError("sum needs at least one term")
 
 
-@dataclass(frozen=True, eq=False)
-class Scaled:
-    body: "Body"
-    factor: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "factor", float(self.factor))
-        if not self.factor > 0:
-            raise BodyError("scale factor must be positive; compose with Reflected for negation")
+Body = Union[HPolytope, VPolytope, Ball, SupportOracle, Product, Sum]
 
 
-@dataclass(frozen=True, eq=False)
-class Translated:
-    body: "Body"
-    offset: np.ndarray
+def homothety(K, s, z=None):
+    """The image s K + z of K under x -> s x + z, as a body of K's kind.
 
-    def __post_init__(self):
-        object.__setattr__(self, "offset", as_vector(self.offset))
-
-
-@dataclass(frozen=True, eq=False)
-class Reflected:
-    """The point reflection -K of the wrapped body through the origin."""
-
-    body: "Body"
-
-
-Body = Union[HPolytope, VPolytope, Ball, SupportOracle,
-             Product, Sum, Scaled, Translated, Reflected]
-
-
-def simplify(K):
-    """Collapse affine images and sums of balls into Ball closed forms.
-
-    Purely representational: the returned body is the same point set, but
-    downstream code can hit its Ball fast paths.
+    ``s`` is a nonzero scalar (s = -1 is the point reflection) and ``z`` an
+    optional offset.  Polytopes and balls map their data; a support oracle
+    gets h'(v) = h(s v) + <z, v>; a sum maps every term and moves the first
+    by z; a product maps each factor with its own block of z.
     """
-    if isinstance(K, Scaled):
-        inner = simplify(K.body)
-        if isinstance(inner, Ball):
-            return Ball(K.factor * inner.center, K.factor * inner.radius)
-        return Scaled(inner, K.factor)
-    if isinstance(K, Translated):
-        inner = simplify(K.body)
-        if isinstance(inner, Ball):
-            return Ball(inner.center + K.offset, inner.radius)
-        return Translated(inner, K.offset)
-    if isinstance(K, Reflected):
-        inner = simplify(K.body)
-        if isinstance(inner, Ball):
-            return Ball(-inner.center, inner.radius)
-        return Reflected(inner)
+    s = float(s)
+    if s == 0.0 or not np.isfinite(s):
+        raise BodyError("homothety factor must be finite and nonzero")
+    d = dim(K)
+    z = np.zeros(d) if z is None else as_vector(z, d)
+    if isinstance(K, VPolytope):
+        return VPolytope(s * K.vertices + z)
+    if isinstance(K, HPolytope):
+        A = np.sign(s) * K.A
+        return HPolytope(A, abs(s) * K.b + A @ z)
+    if isinstance(K, Ball):
+        return Ball(s * K.center + z, abs(s) * K.radius)
+    if isinstance(K, SupportOracle):
+        h = K.h
+        return SupportOracle(lambda v: h(s * np.asarray(v, dtype=float)) + float(z @ v),
+                             s * K.center + z, abs(s) * K.inner_radius,
+                             abs(s) * K.outer_radius, label=f"homothety of {K.label}")
     if isinstance(K, Sum):
-        terms = tuple(simplify(T) for T in K.terms)
-        if all(isinstance(T, Ball) for T in terms):
-            return Ball(np.sum([T.center for T in terms], axis=0),
-                        sum(T.radius for T in terms))
-        return Sum(terms)
+        return Sum(tuple(homothety(T, s, z if i == 0 else None)
+                         for i, T in enumerate(K.terms)))
     if isinstance(K, Product):
-        return Product(tuple(simplify(f) for f in K.factors))
-    return K
+        factors, at = [], 0
+        for f in K.factors:
+            k = dim(f)
+            factors.append(homothety(f, s, z[at:at + k]))
+            at += k
+        return Product(tuple(factors))
+    raise BodyError(f"not a body: {K!r}")
 
 
 def dim(K) -> int:
@@ -195,10 +174,6 @@ def dim(K) -> int:
         return sum(dim(f) for f in K.factors)
     if isinstance(K, Sum):
         return dim(K.terms[0])
-    if isinstance(K, (Scaled, Reflected)):
-        return dim(K.body)
-    if isinstance(K, Translated):
-        return K.offset.size
     raise BodyError(f"not a body: {K!r}")
 
 
@@ -227,12 +202,6 @@ def support(K, v) -> float:
             out += support(f, v[at:at + k])
             at += k
         return out
-    if isinstance(K, Scaled):
-        return K.factor * support(K.body, v)
-    if isinstance(K, Translated):
-        return support(K.body, v) + float(K.offset @ v)
-    if isinstance(K, Reflected):
-        return support(K.body, -v)
     raise BodyError(f"not a body: {K!r}")
 
 
@@ -271,7 +240,7 @@ def vertex_candidates(K):
     """A finite set of points whose convex hull is K, or None.
 
     The set may contain redundant points.  Exists exactly for the polytopal
-    variants: V-polytopes and sums/products/affine images built from them.
+    variants: V-polytopes and sums/products built from them.
     """
     if isinstance(K, VPolytope):
         return K.vertices.copy()
@@ -293,15 +262,6 @@ def vertex_candidates(K):
             right = np.tile(p, (acc.shape[0], 1))
             acc = np.hstack([left, right])
         return acc
-    if isinstance(K, Scaled):
-        v = vertex_candidates(K.body)
-        return None if v is None else K.factor * v
-    if isinstance(K, Translated):
-        v = vertex_candidates(K.body)
-        return None if v is None else v + K.offset
-    if isinstance(K, Reflected):
-        v = vertex_candidates(K.body)
-        return None if v is None else -v
     return None
 
 
@@ -336,7 +296,7 @@ def _simplex_halfspaces(V):
 def halfspaces(K):
     """Exact halfspace description (A, b) of K, or None when unavailable.
 
-    Covers H-polytopes and their affine images / products, plus V-polytopes
+    Covers H-polytopes and their products, plus V-polytopes
     in dimension <= 2 (via the hull) and simplices in any dimension.  The
     returned b is tight (each row supports the body) whenever the system
     was derived from vertex data.
@@ -372,24 +332,6 @@ def halfspaces(K):
             rows_b.append(b)
             at += k
         return np.vstack(rows_A), np.concatenate(rows_b)
-    if isinstance(K, Scaled):
-        hs = halfspaces(K.body)
-        if hs is None:
-            return None
-        A, b = hs
-        return A, K.factor * b
-    if isinstance(K, Translated):
-        hs = halfspaces(K.body)
-        if hs is None:
-            return None
-        A, b = hs
-        return A, b + A @ K.offset
-    if isinstance(K, Reflected):
-        hs = halfspaces(K.body)
-        if hs is None:
-            return None
-        A, b = hs
-        return -A, b
     if isinstance(K, Sum):
         V = vertex_candidates(K)
         if V is not None and V.shape[1] <= 2:
@@ -468,22 +410,6 @@ def lp_encoding(K):
                 row += e.P.shape[0]
                 col += e.n
         return Encoding(n, Aub, bub, Aeq, beq, bounds, P, q)
-    if isinstance(K, Scaled):
-        e = lp_encoding(K.body)
-        if e is None:
-            return None
-        return Encoding(e.n, e.A_ub, e.b_ub, e.A_eq, e.b_eq, e.bounds,
-                        K.factor * e.P, K.factor * e.q)
-    if isinstance(K, Translated):
-        e = lp_encoding(K.body)
-        if e is None:
-            return None
-        return Encoding(e.n, e.A_ub, e.b_ub, e.A_eq, e.b_eq, e.bounds, e.P, e.q + K.offset)
-    if isinstance(K, Reflected):
-        e = lp_encoding(K.body)
-        if e is None:
-            return None
-        return Encoding(e.n, e.A_ub, e.b_ub, e.A_eq, e.b_eq, e.bounds, -e.P, -e.q)
     return None
 
 
@@ -538,12 +464,6 @@ def contains(K, x, tol=MEMBERSHIP_TOL):
                 return False
             at += k
         return True
-    if isinstance(K, Translated):
-        return contains(K.body, x - K.offset, tol)
-    if isinstance(K, Scaled):
-        return contains(K.body, x / K.factor, tol / K.factor)
-    if isinstance(K, Reflected):
-        return contains(K.body, -x, tol)
     hs = halfspaces(K)
     if hs is not None:
         A, b = hs
@@ -583,12 +503,6 @@ def interior_point(K):
         return np.concatenate([interior_point(f) for f in K.factors])
     if isinstance(K, Sum):
         return np.sum([interior_point(T) for T in K.terms], axis=0)
-    if isinstance(K, Scaled):
-        return K.factor * interior_point(K.body)
-    if isinstance(K, Translated):
-        return interior_point(K.body) + K.offset
-    if isinstance(K, Reflected):
-        return -interior_point(K.body)
     V = vertex_candidates(K)
     if V is not None:
         return np.unique(V, axis=0).mean(axis=0)
@@ -617,15 +531,6 @@ def inscribed_ball(K):
         if any(p is None for p in parts):
             return None
         return np.sum([p[0] for p in parts], axis=0), max(p[1] for p in parts)
-    if isinstance(K, Scaled):
-        p = inscribed_ball(K.body)
-        return None if p is None else (K.factor * p[0], K.factor * p[1])
-    if isinstance(K, Translated):
-        p = inscribed_ball(K.body)
-        return None if p is None else (p[0] + K.offset, p[1])
-    if isinstance(K, Reflected):
-        p = inscribed_ball(K.body)
-        return None if p is None else (-p[0], p[1])
     hs = halfspaces(K)
     if hs is not None:
         c, r = lp.chebyshev_center(*hs)
@@ -688,9 +593,6 @@ def validate(K):
             raise BodyError("sum terms must share a dimension")
         for T in K.terms:
             validate(T)
-        return
-    if isinstance(K, (Scaled, Translated, Reflected)):
-        validate(K.body)
         return
     raise BodyError(f"not a body: {K!r}")
 

@@ -18,8 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .body import (BodyError, as_vector, dim, simplify, support,
-                   vertex_candidates)
+from .body import BodyError, as_vector, dim, support, vertex_candidates
 from .gauge import alpha, t_func
 from .geometry import chord_witness_dir, global_width, max_chord
 
@@ -37,20 +36,6 @@ def cheb_T(n, x):
         return float(np.cos(n * np.arccos(x)))
     s = np.sqrt(x * x - 1.0)
     return float(0.5 * ((x + s) ** n + (x - s) ** n))
-
-
-def cheb_T_product(n, x):
-    """Product form 2^(n-1) prod (x - cos((2j-1) pi / 2n)): cross-check path.
-
-    Grows error with n; kept for validating the branch formulas, not for use.
-    """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if n == 0:
-        return 1.0
-    j = np.arange(1, n + 1)
-    roots = np.cos((2 * j - 1) * np.pi / (2 * n))
-    return float(2.0 ** (n - 1) * np.prod(float(x) - roots))
 
 
 def cheb_T_prime(n, x):
@@ -224,7 +209,6 @@ def cheb_growth(K, x, n, n_samples=10000, seed=29):
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    K = simplify(K)
     res = alpha(K, x)
     a = res.alpha
     v = res.witness_dir
@@ -258,7 +242,6 @@ def leading_growth(K, v, n):
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    K = simplify(K)
     v = as_vector(v, dim(K))
     if not np.any(v):
         raise BodyError("direction must be nonzero")
@@ -292,7 +275,6 @@ def bernstein_bound(K, x, n, norm_bound=1.0):
         raise ValueError("degree must be >= 1")
     if norm_bound <= 0.0:
         raise ValueError("norm bound must be positive")
-    K = simplify(K)
     a = alpha(K, x).alpha
     if a >= 1.0:
         raise BodyError("bernstein bound needs an interior point (alpha < 1)")

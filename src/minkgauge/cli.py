@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .body import BodyError, dim
+from .body import BodyError, dim, homothety
 from .cheb import (bernstein_bound, cheb_growth, cheb_T_prime, leading_growth,
                    poly_eval, poly_grad, t_polynomial)
 from .gauge import alpha, alpha_inf, level_set
@@ -268,8 +268,7 @@ def _cmd_experiment_deltabound(ns):
         if ls.empty:
             rows.append({"lambda": lam, "empty": True})
             continue
-        from .body import Scaled
-        delta = hausdorff(ls.body, Scaled(C, lam))
+        delta = hausdorff(ls.body, homothety(C, lam))
         rows.append({"lambda": lam, "empty": False, "delta": delta.value,
                      "exact": delta.exact, "ratio_to_bound": delta.value / bound})
     filled = [r["ratio_to_bound"] for r in rows if not r["empty"]]

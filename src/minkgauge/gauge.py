@@ -30,11 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
+from scipy.spatial import ConvexHull, QhullError
 
 from . import lp
 from .body import (Ball, BodyError, HPolytope, Product, SupportOracle, VPolytope,
                    as_vector, contains, dim, halfspaces, hull2d, lp_encoding,
-                   simplify, support, vertex_candidates)
+                   support, vertex_candidates)
 from .geometry import _exact_points, sphere_dirs, vertices2d
 
 T_MEMBER_TOL = 1e-9
@@ -156,9 +157,9 @@ def _level_lp(K, x, lo, hi):
 
     Outside K (lo >= 1) this is the sum form x in (lam+1)/2 K + (lam-1)/2 (-K),
     two copies coupled by P (u_1 - u_2) = x - q.  Inside K (hi <= 1) it is
-    the erosion: x - (1-lam)/2 v_j in (1+lam)/2 K for every vertex v_j, one
-    copy each.  Returns the LP result and the duals of the coupling rows
-    summed over copies, the gradient of the optimal lam in x.
+    the erosion: x - (1-lam)/2 v_j in (1+lam)/2 K for every extreme point
+    v_j, one copy each.  Returns the LP result and the duals of the coupling
+    rows summed over copies, the gradient of the optimal lam in x.
     """
     e = lp_encoding(K)
     if e is None:
@@ -172,6 +173,14 @@ def _level_lp(K, x, lo, hi):
         if V is None:
             raise BodyError("level-set LP inside the body needs vertex access")
         V = np.unique(V, axis=0)
+        # the constraints of non-extreme candidates (most of a Minkowski
+        # sum's) are implied by the extreme ones; a flat set keeps them all
+        d = V.shape[1]
+        if d >= 2 and len(V) > d + 1:
+            try:
+                V = V[ConvexHull(V).vertices]
+            except QhullError:
+                pass
         A_ub, b_ub, A_eq, b_eq, bounds = _scaled_copies(e, [(0.5, 0.5)] * len(V))
         C = np.hstack([((e.q - V) / 2.0).reshape(-1, 1), np.kron(np.eye(len(V)), e.P)])
         rhs = (x - (e.q + V) / 2.0).ravel()
@@ -188,7 +197,6 @@ def _level_lp(K, x, lo, hi):
 
 def _level_membership(K, x, lam, tol=T_MEMBER_TOL):
     """Exact membership x in K^lam for polytopal bodies and balls."""
-    K = simplify(K)
     if lam < 0:
         return False
     if isinstance(K, Ball):
@@ -221,7 +229,6 @@ def alpha(K, x) -> GaugeResult:
     points inside bodies with facet access); other polytopal bodies take the
     level-set LP, balls their closed form, support oracles direction sampling.
     """
-    K = simplify(K)
     x = as_vector(x, dim(K))
     if isinstance(K, Ball):
         gap = x - K.center
@@ -344,7 +351,6 @@ def level_set(K, lam) -> LevelSet:
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError("level must be a finite nonnegative number")
     lam = float(lam)
-    K = simplify(K)
     if isinstance(K, Ball):
         if lam == 0:
             return LevelSet(lam, VPolytope(K.center[None, :]), False, K)
@@ -409,7 +415,6 @@ def alpha_inf(K, seed=101) -> SymmetryReport:
     affine rank of LP optima under random objectives; it is an estimate,
     not a certificate.
     """
-    K = simplify(K)
     if isinstance(K, Ball):
         c = K.center.copy()
         return SymmetryReport(0.0, 1.0, c, VPolytope(c[None, :]), 0, 1.0)
@@ -461,7 +466,6 @@ def _critical_dim(A, hp, hm, w, lam, seed, extra_point=None, rank_tol=1e-7):
 
 
 def _level_dim_estimate(f, lam, seed):
-    f = simplify(f)
     if isinstance(f, Ball):
         return dim(f) if lam > 1e-12 else 0
     if isinstance(f, Product):
@@ -491,19 +495,11 @@ def _alpha_inf_product(K, seed):
 
 def centroid(K):
     """Center of mass, exact for planar polytopes, simplices, balls, boxes
-    as interval products, and products/affine images of these."""
-    from .body import Reflected, Scaled, Sum, Translated
-    K = simplify(K)
+    as interval products, and products of these."""
     if isinstance(K, Ball):
         return K.center.copy()
     if isinstance(K, Product):
         return np.concatenate([centroid(f) for f in K.factors])
-    if isinstance(K, Scaled):
-        return K.factor * centroid(K.body)
-    if isinstance(K, Translated):
-        return centroid(K.body) + K.offset
-    if isinstance(K, Reflected):
-        return -centroid(K.body)
     d = dim(K)
     if d == 1:
         hi = support(K, np.ones(1))

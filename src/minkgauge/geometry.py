@@ -14,10 +14,9 @@ import numpy as np
 from scipy import optimize
 
 from . import lp
-from .body import (Ball, BodyError, HPolytope, Product, Reflected, Scaled, Sum,
-                   SupportOracle, Translated, VPolytope, as_vector, contains, dim,
-                   halfspaces, hull2d, lp_encoding, simplify, support,
-                   vertex_candidates)
+from .body import (Ball, BodyError, Product, Sum, SupportOracle, VPolytope,
+                   as_vector, dim, halfspaces, homothety, hull2d, lp_encoding,
+                   support, vertex_candidates)
 
 
 class WidthResult(NamedTuple):
@@ -56,7 +55,6 @@ def _exact_points(K):
 
 def central_symm(K):
     """Central symmetrization (K + (-K)) / 2, an origin-symmetric body."""
-    K = simplify(K)
     if isinstance(K, Ball):
         return Ball(np.zeros(dim(K)), K.radius)
     V = _exact_points(K)
@@ -69,7 +67,7 @@ def central_symm(K):
             except BodyError:
                 pass
         return VPolytope(diffs)
-    return Sum((Scaled(K, 0.5), Scaled(Reflected(K), 0.5)))
+    return Sum((homothety(K, 0.5), homothety(K, -0.5)))
 
 
 def sphere_dirs(d, n, seed=0):
@@ -125,7 +123,6 @@ def max_chord(K, v) -> float:
     v = as_vector(v, dim(K))
     if not np.any(v):
         raise ValueError("direction must be nonzero")
-    K = simplify(K)
     if isinstance(K, Ball):
         return 2.0 * K.radius / float(np.linalg.norm(v))
     if dim(K) == 1 and not isinstance(K, SupportOracle):
@@ -140,12 +137,6 @@ def max_chord(K, v) -> float:
                 out = min(out, max_chord(f, block))
             at += k
         return float(out)
-    if isinstance(K, (Translated,)):
-        return max_chord(K.body, v)
-    if isinstance(K, Reflected):
-        return max_chord(K.body, -v)
-    if isinstance(K, Scaled):
-        return K.factor * max_chord(K.body, v)
     e = lp_encoding(K)
     if e is not None:
         # variables (u1, u2, t): P u2 + q = P u1 + q + t v, maximize t
@@ -219,7 +210,6 @@ def diameter(K) -> float:
     the maximal width over directions, which is how the multi-start fallback
     computes it for oracles (a certified lower bound).
     """
-    K = simplify(K)
     if isinstance(K, Ball):
         return 2.0 * K.radius
     if isinstance(K, Product):
@@ -242,7 +232,6 @@ def far_radius(K) -> float:
     H-polytopes and oracles the maximum of h over unit directions is taken
     by multi-start search (a certified lower bound).
     """
-    K = simplify(K)
     if isinstance(K, Ball):
         return float(np.linalg.norm(K.center)) + K.radius
     if isinstance(K, Product):
@@ -409,7 +398,6 @@ def hausdorff(K, M, n_dirs=4096, seed=0) -> HausdorffResult:
     """
     if dim(K) != dim(M):
         raise BodyError("bodies must share a dimension")
-    K, M = simplify(K), simplify(M)
     if isinstance(K, Ball) and isinstance(M, Ball):
         v = float(np.linalg.norm(K.center - M.center)) + abs(K.radius - M.radius)
         return HausdorffResult(v, True)
@@ -460,7 +448,7 @@ def chord_witness_dir(K, v):
         return None
     v = as_vector(v, 2)
     tau = max_chord(K, v)
-    C = simplify(central_symm(K))
+    C = central_symm(K)
     pts = _exact_points(C)
     if pts is None:
         return None

@@ -22,7 +22,7 @@ import numpy as np
 
 from .body import (Ball, BodyError, Product, SupportOracle, as_vector,
                    contains, dim, encoding_feasible, halfspaces, lp_encoding,
-                   simplify, support, vertex_candidates)
+                   support, vertex_candidates)
 from .gauge import alpha, facet_profile, t_func
 from .geometry import sphere_dirs
 from .lp import NumericalError, solve
@@ -53,7 +53,6 @@ def chord(K, x, v):
     variants are ray-shot with two LPs.  Endpoints follow the naming
     convention of Chord (ties keep the orientation along -v first).
     """
-    K = simplify(K)
     d = dim(K)
     x = as_vector(x, d)
     v = as_vector(v, d)
@@ -138,7 +137,6 @@ def beta(K, x):
     direction minimum (an upper bound of the true value).  Vanishes on
     the boundary, 1 at a symmetry center.
     """
-    K = simplify(K)
     x = as_vector(x, dim(K))
     if not contains(K, x, tol=1e-7):
         raise BodyError("beta is defined for x in K")
@@ -210,7 +208,6 @@ def rho(K, x):
     distinguish touching from crossing, which only matters on a measure
     zero set of factors and is covered by the bisection tolerance.
     """
-    K = simplify(K)
     x = as_vector(x, dim(K))
     if contains(K, x, tol=-1e-9):
         raise BodyError("rho is defined for x outside K")
@@ -265,7 +262,6 @@ def ratio_functionals(K, x, n_lines=64, seed=0):
     """
     if n_lines < 1:
         raise BodyError("n_lines must be >= 1")
-    K = simplify(K)
     d = dim(K)
     x = as_vector(x, d)
     inside = contains(K, x)
@@ -327,7 +323,6 @@ def brute_force_alpha(K, x, n_dirs=1024, seed=0):
     A guaranteed lower bound on alpha; the anti-regression oracle for
     the closed-form and bisection paths.
     """
-    K = simplify(K)
     d = dim(K)
     x = as_vector(x, d)
     dirs = list(sphere_dirs(d, n_dirs, seed)) if n_dirs > 0 else []

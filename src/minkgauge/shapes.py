@@ -2,16 +2,18 @@
 
 The schema is what the command line accepts: a tagged union on "kind" with
 nested bodies for the composite kinds.  ``parse_body`` validates eagerly and
-raises SchemaError with a field path; ``serialize_body`` inverts it up to
-semantic equality (two descriptions of the same point set).
+raises SchemaError with a field path; the affine kinds (scaled, translated,
+reflected) parse to bodies of their inner kind, and a sum of balls to one
+ball.  ``serialize_body`` inverts it up to semantic equality (two
+descriptions of the same point set).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .body import (Ball, BodyError, HPolytope, Product, Reflected, Scaled, Sum,
-                   SupportOracle, Translated, VPolytope, hull2d, validate)
+from .body import (Ball, BodyError, HPolytope, Product, Sum, SupportOracle,
+                   VPolytope, dim, homothety, hull2d, validate)
 
 
 class SchemaError(BodyError):
@@ -210,16 +212,27 @@ def _parse_kind(kind, spec, path):
         terms = _need(spec, "terms", path)
         if not isinstance(terms, list) or not terms:
             raise SchemaError(f"{path}.terms", "expected a nonempty array")
-        return Sum(tuple(parse_body(t, f"{path}.terms[{i}]", check=False)
-                         for i, t in enumerate(terms)))
-    if kind == "scaled":
-        return Scaled(parse_body(_need(spec, "body", path), f"{path}.body", check=False),
-                      _num(_need(spec, "factor", path), f"{path}.factor"))
-    if kind == "translated":
-        return Translated(parse_body(_need(spec, "body", path), f"{path}.body", check=False),
-                          _vec(_need(spec, "offset", path), f"{path}.offset"))
-    if kind == "reflected":
-        return Reflected(parse_body(_need(spec, "body", path), f"{path}.body", check=False))
+        terms = tuple(parse_body(t, f"{path}.terms[{i}]", check=False)
+                      for i, t in enumerate(terms))
+        if (all(isinstance(T, Ball) for T in terms)
+                and len({T.center.size for T in terms}) == 1):
+            return Ball(np.sum([T.center for T in terms], axis=0),
+                        sum(T.radius for T in terms))
+        return Sum(terms)
+    if kind in ("scaled", "translated", "reflected"):
+        K = parse_body(_need(spec, "body", path), f"{path}.body", check=False)
+        if kind == "reflected":
+            return homothety(K, -1.0)
+        if kind == "scaled":
+            s = _num(_need(spec, "factor", path), f"{path}.factor")
+            if not (np.isfinite(s) and s > 0):
+                raise SchemaError(f"{path}.factor", "must be finite and positive")
+            return homothety(K, s)
+        z = _vec(_need(spec, "offset", path), f"{path}.offset")
+        if z.size != dim(K):
+            raise SchemaError(f"{path}.offset",
+                              f"has dimension {z.size}, the body has {dim(K)}")
+        return homothety(K, 1.0, z)
     if kind == "regular_polygon":
         n = _intval(_need(spec, "n", path), f"{path}.n")
         radius = _num(spec.get("radius", 1.0), f"{path}.radius")
@@ -249,13 +262,6 @@ def serialize_body(K):
         return {"kind": "product", "factors": [serialize_body(f) for f in K.factors]}
     if isinstance(K, Sum):
         return {"kind": "sum", "terms": [serialize_body(t) for t in K.terms]}
-    if isinstance(K, Scaled):
-        return {"kind": "scaled", "body": serialize_body(K.body), "factor": K.factor}
-    if isinstance(K, Translated):
-        return {"kind": "translated", "body": serialize_body(K.body),
-                "offset": K.offset.tolist()}
-    if isinstance(K, Reflected):
-        return {"kind": "reflected", "body": serialize_body(K.body)}
     if isinstance(K, SupportOracle):
         if K.label.startswith("weighted_l2_ball:"):
             parts = dict(p.split("=", 1) for p in K.label.split(":")[1:])

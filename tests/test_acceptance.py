@@ -17,11 +17,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from minkgauge import (Ball, Product, Scaled, Sum, VPolytope, alpha, alpha_inf,
+from minkgauge import (Ball, Product, Sum, VPolytope, alpha, alpha_inf,
                        beta, bernstein_bound, centroid, central_symm, cheb_T,
                        cheb_T_prime, cheb_growth, compose_cheb, contains,
                        diameter, extremal_polynomial, far_radius, global_width,
-                       hausdorff, leading_growth, level_set, make_half_disc,
+                       hausdorff, homothety, leading_growth, level_set, make_half_disc,
                        make_regular_polygon, make_simplex, make_sobczyk_prism,
                        make_weighted_l2_ball, max_chord, poly_eval, poly_grad,
                        ratio_functionals, rho, sphere_dirs, support,
@@ -293,7 +293,7 @@ def test_bounds_suite():
         C = central_symm(K)
         bound = far_radius(K) - global_width(K).value / 2.0
         for lam in (1.0, 1.5, 3.0):
-            res = hausdorff(level_set(K, lam).body, Scaled(C, lam))
+            res = hausdorff(level_set(K, lam).body, homothety(C, lam))
             assert res.exact
             assert res.value <= bound + 1e-9
 
@@ -301,7 +301,7 @@ def test_bounds_suite():
     B = Ball(np.array([a_off, 0.0]), 0.6)
     CB = Ball(np.zeros(2), 0.6)
     for lam in (0.5, 1.0, 2.0):
-        res = hausdorff(level_set(B, lam).body, Scaled(CB, lam))
+        res = hausdorff(level_set(B, lam).body, homothety(CB, lam))
         assert res.exact
         npt.assert_allclose(res.value, a_off, atol=1e-9)
     print("PASS bounds: Lipschitz, chordwise Lipschitz, growth, linear limit, "

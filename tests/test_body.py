@@ -1,7 +1,8 @@
 """Body representations: support functions, membership, transforms, encodings.
 
-The support function is the single source of truth here; every wrapper type
-is tested by comparing its support values against the hand-expanded formula.
+The support function is the single source of truth here; every body kind's
+homothety is tested by comparing its support values against the hand-expanded
+formula.
 """
 
 import numpy as np
@@ -9,10 +10,11 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minkgauge import (Ball, BodyError, HPolytope, Product, Reflected, Scaled,
-                       Sum, SupportOracle, Translated, VPolytope, contains, dim,
-                       hull2d, inscribed_ball, interior_point, simplify,
-                       support, vertex_candidates, width_dir)
+from minkgauge import (Ball, BodyError, HPolytope, Product, Sum, SupportOracle,
+                       VPolytope, alpha, contains, dim, homothety, hull2d,
+                       inscribed_ball, interior_point, make_box,
+                       make_weighted_l2_ball, parse_body, support,
+                       vertex_candidates, width_dir)
 from minkgauge.body import Encoding, encoding_feasible, halfspaces, lp_encoding, validate
 from minkgauge.geometry import central_symm, sphere_dirs
 
@@ -85,27 +87,59 @@ def test_hull2d_rejects_degenerate_input():
         hull2d(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
 
 
-# transform wrappers: support identities
+# homothety: support identity and affine invariance of alpha
 
 
-def test_scaled_support():
-    K = Scaled(SQ, 2.5)
-    for u in sphere_dirs(2, 16, 3):
-        npt.assert_allclose(support(K, u), 2.5 * support(SQ, u), atol=1e-12)
+HOMOTHETY_KINDS = ("vpolytope", "hpolytope", "ball", "product", "sum", "oracle")
 
 
-def test_translated_support():
-    z = np.array([3.0, -1.0])
-    K = Translated(SQ, z)
-    for u in sphere_dirs(2, 16, 4):
-        npt.assert_allclose(support(K, u), support(SQ, u) + float(u @ z), atol=1e-12)
+def _homothety_body(kind, d, rng):
+    if kind == "vpolytope":
+        return VPolytope(rng.normal(size=(d + 3, d)))
+    if kind == "hpolytope":
+        A = np.vstack([np.eye(d), -np.eye(d), rng.normal(size=(2, d))])
+        return HPolytope(A, rng.uniform(0.5, 1.5, size=2 * d + 2))
+    if kind == "ball":
+        return Ball(rng.normal(size=d), rng.uniform(0.5, 2.0))
+    if kind == "product":
+        seg = VPolytope(np.sort(rng.normal(size=(2, 1)), axis=0))
+        if d == 1:
+            return Product((seg,))
+        return Product((seg, make_box(-rng.uniform(0.5, 1.5, size=d - 1),
+                                      rng.uniform(0.5, 1.5, size=d - 1))))
+    if kind == "sum":
+        return Sum((VPolytope(rng.normal(size=(d + 2, d))),
+                    VPolytope(rng.normal(size=(d + 2, d)))))
+    return make_weighted_l2_ball(d, "i")
 
 
-def test_reflected_support():
-    T = VPolytope(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
-    K = Reflected(T)
-    for u in sphere_dirs(2, 16, 5):
-        npt.assert_allclose(support(K, u), support(T, -u), atol=1e-12)
+@pytest.mark.parametrize("s", [-2.5, -1.0, 0.5, 3.0])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", HOMOTHETY_KINDS)
+def test_homothety_support(kind, d, s):
+    rng = np.random.default_rng(100 * d + HOMOTHETY_KINDS.index(kind))
+    K = _homothety_body(kind, d, rng)
+    z = rng.normal(size=d)
+    H = homothety(K, s, z)
+    assert type(H) is type(K)
+    validate(H)
+    for u in sphere_dirs(d, 16, 3):
+        npt.assert_allclose(support(H, u), support(K, s * u) + float(u @ z),
+                            rtol=1e-9, atol=1e-9)
+    if kind == "oracle":
+        return
+    c = interior_point(K)
+    for x in (c + 0.1 * rng.normal(size=d), c + 3.0 * rng.normal(size=d)):
+        r, rh = alpha(K, x), alpha(H, s * x + z)
+        assert abs(rh.alpha - r.alpha) <= r.tol + rh.tol
+
+
+def test_homothety_rejects_bad_maps():
+    for s in (0.0, np.inf, np.nan):
+        with pytest.raises(BodyError):
+            homothety(SQ, s)
+    with pytest.raises(BodyError):
+        homothety(SQ, 1.0, np.zeros(3))
 
 
 def test_sum_support_is_additive():
@@ -124,14 +158,22 @@ def test_product_support_splits_blocks():
 
 
 def test_simplify_collapses_wrappers():
-    K = Translated(Scaled(SQ, 2.0), np.array([1.0, 0.0]))
-    S = simplify(K)
+    z = np.array([1.0, 0.0])
+    K = homothety(homothety(SQ, 2.0), -1.0, z)
+    assert isinstance(K, VPolytope)
     for u in sphere_dirs(2, 32, 7):
-        npt.assert_allclose(support(S, u), support(K, u), atol=1e-10)
+        npt.assert_allclose(support(K, u), 2.0 * support(SQ, -u) + float(u @ z),
+                            atol=1e-10)
+    B = parse_body({"kind": "sum", "terms": [
+        {"kind": "ball", "center": [1, 0], "radius": 0.5},
+        {"kind": "ball", "center": [0, 2], "radius": 1.5}]})
+    assert isinstance(B, Ball)
+    npt.assert_allclose(B.center, [1.0, 2.0], atol=0.0)
+    assert B.radius == 2.0
 
 
 def test_vertex_candidates_roundtrip():
-    V = vertex_candidates(Scaled(SQ, 2.0))
+    V = vertex_candidates(homothety(SQ, 2.0))
     assert V is not None
     assert np.max(np.abs(V)) == pytest.approx(2.0, abs=1e-12)
     assert vertex_candidates(SQ_H) is None

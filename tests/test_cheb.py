@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minkgauge import (Ball, BodyError, Polynomial, VPolytope, alpha,
-                       bernstein_bound, cheb_T, cheb_T_prime, cheb_T_product,
-                       cheb_growth, compose_cheb, extremal_polynomial,
-                       leading_growth, make_simplex, poly_eval, poly_grad,
-                       sphere_dirs, t_func, t_polynomial)
+                       bernstein_bound, cheb_T, cheb_T_prime, cheb_growth,
+                       compose_cheb, extremal_polynomial, leading_growth,
+                       make_simplex, poly_eval, poly_grad, t_func, t_polynomial)
 from minkgauge.cheb import DEGREE_CAP
 
 from conftest import polygons_with_interior, unit_dirs
@@ -43,6 +42,16 @@ def test_cheb_T_branch_continuity():
             lo = cheb_T(n, s * (1.0 - 1e-13))
             hi = cheb_T(n, s * (1.0 + 1e-13))
             npt.assert_allclose(lo, hi, atol=1e-10)
+
+
+def cheb_T_product(n, x):
+    """Product form 2^(n-1) prod (x - cos((2j-1) pi / 2n)), the reference for
+    the branch formulas; its error grows with n."""
+    if n == 0:
+        return 1.0
+    j = np.arange(1, n + 1)
+    roots = np.cos((2 * j - 1) * np.pi / (2 * n))
+    return float(2.0 ** (n - 1) * np.prod(float(x) - roots))
 
 
 @given(st.integers(min_value=1, max_value=30),

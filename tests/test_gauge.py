@@ -4,12 +4,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
-from minkgauge import (Ball, BodyError, Scaled, Translated, VPolytope, alpha,
-                       alpha_inf, central_symm, centroid, contains, global_width,
-                       level_set, lp, make_box, make_simplex, max_chord, rho,
-                       sphere_dirs, support, t_func)
-from minkgauge.body import Sum, encoding_feasible, lp_encoding
+from minkgauge import (Ball, BodyError, VPolytope, alpha, alpha_inf,
+                       central_symm, centroid, contains, global_width,
+                       homothety, level_set, lp, make_box, make_simplex,
+                       max_chord, rho, sphere_dirs, support, t_func)
+from minkgauge import gauge
+from minkgauge.body import (Sum, encoding_feasible, interior_point, lp_encoding,
+                            vertex_candidates)
 from minkgauge.gauge import _alpha_lp
 from minkgauge.shapes import random_polygon
 
@@ -153,6 +156,31 @@ def test_vertex_polytope_alpha_lp_count(d, lp_solves):
         assert len(lp_solves) <= 2
 
 
+def test_sum_interior_alpha_erodes_extreme_points_only(monkeypatch):
+    rng = np.random.default_rng(0)
+    K = Sum((VPolytope(rng.normal(size=(12, 3))), VPolytope(rng.normal(size=(12, 3)))))
+    x = interior_point(K)
+    n = lp_encoding(K).n
+    copies = []
+    solver = lp.linprog
+
+    def counted(c, *args, **kwargs):
+        copies.append((len(c) - 1) // n)      # columns: lam, then n per copy
+        return solver(c, *args, **kwargs)
+    monkeypatch.setattr(lp, "linprog", counted)
+    pruned = alpha(K, x)
+    extreme = len(ConvexHull(vertex_candidates(K)).vertices)
+    assert pruned.alpha < 1.0
+    assert copies[-1] == extreme <= 35
+
+    def no_hull(points):
+        raise QhullError("pruning disabled")
+    monkeypatch.setattr(gauge, "ConvexHull", no_hull)
+    full = alpha(K, x)
+    assert copies[-1] == 144
+    npt.assert_allclose(pruned.alpha, full.alpha, atol=1e-12)
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_vertex_polytope_alpha_witness(d):
     for K, x in _vertex_polytope_cases(d):
@@ -226,7 +254,7 @@ def test_level_set_dilation_is_minkowski_sum(paper_triangle):
     lam = 2.5
     L = level_set(paper_triangle, lam)
     C = central_symm(paper_triangle)
-    M = Sum((paper_triangle, Scaled(C, lam - 1.0)))
+    M = Sum((paper_triangle, homothety(C, lam - 1.0)))
     for u in sphere_dirs(2, 256, 29):
         npt.assert_allclose(support(L.body, u), support(M, u), atol=1e-9)
 
@@ -342,7 +370,7 @@ def test_minimizer_not_worse_than_centroid(K):
 
 def test_alpha_inf_translation_invariant(paper_triangle):
     z = np.array([-7.0, 3.0])
-    rep = alpha_inf(Translated(paper_triangle, z))
+    rep = alpha_inf(homothety(paper_triangle, 1.0, z))
     npt.assert_allclose(rep.alpha_inf, 1.0 / 3.0, atol=1e-9)
     npt.assert_allclose(rep.minimizer, np.array([12.0, 12.0]) + z, atol=1e-6)
 

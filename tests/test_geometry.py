@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from minkgauge import (Ball, SupportOracle, VPolytope, central_symm,
                        chord_witness_dir, diameter, dim, far_radius,
-                       global_width, hausdorff, inscribed_ball, max_chord,
-                       polygon_vertices, sphere_dirs, support, width_dir)
-from minkgauge.body import Scaled, Translated
+                       global_width, hausdorff, homothety, inscribed_ball,
+                       max_chord, polygon_vertices, sphere_dirs, support,
+                       width_dir)
 from minkgauge.geometry import vertices2d
 
 from conftest import polygon_pairs, polygons, unit_dirs
@@ -113,7 +113,7 @@ def test_hausdorff_identical_bodies(paper_triangle):
 
 def test_hausdorff_translation_distance(unit_square):
     z = np.array([3.0, 4.0])
-    res = hausdorff(unit_square, Translated(unit_square, z))
+    res = hausdorff(unit_square, homothety(unit_square, 1.0, z))
     assert res.exact
     npt.assert_allclose(res.value, 5.0, atol=1e-9)
 
@@ -125,7 +125,7 @@ def test_hausdorff_balls_closed_form():
 
 
 def test_hausdorff_nested_squares(unit_square):
-    res = hausdorff(unit_square, Scaled(unit_square, 2.0))
+    res = hausdorff(unit_square, homothety(unit_square, 2.0))
     assert res.exact
     npt.assert_allclose(res.value, np.sqrt(2.0), atol=1e-9)
 
@@ -192,7 +192,7 @@ def test_sphere_dirs_unit_and_nested():
 @given(polygons(), st.floats(min_value=0.1, max_value=4.0))
 @settings(max_examples=30)
 def test_geometry_scales(K, t):
-    S = Scaled(K, t)
+    S = homothety(K, t)
     npt.assert_allclose(global_width(S).value, t * global_width(K).value, atol=1e-8)
     npt.assert_allclose(diameter(S), t * diameter(K), rtol=1e-9, atol=1e-9)
 

@@ -1,5 +1,6 @@
 """Shape constructors and the JSON body schema."""
 
+import json
 import re
 from pathlib import Path
 
@@ -8,11 +9,12 @@ import numpy.testing as npt
 import pytest
 
 from minkgauge import (Ball, BodyError, HPolytope, Product, SchemaError,
-                       SupportOracle, VPolytope, contains, dim, make_ball,
-                       make_box, make_half_disc, make_regular_polygon,
-                       make_simplex, make_sobczyk_prism, make_weighted_l2_ball,
-                       parse_body, random_polygon, serialize_body, sphere_dirs,
-                       support)
+                       SupportOracle, VPolytope, contains, dim, homothety,
+                       make_ball, make_box, make_half_disc,
+                       make_regular_polygon, make_simplex, make_sobczyk_prism,
+                       make_weighted_l2_ball, parse_body, random_polygon,
+                       serialize_body, sphere_dirs, support)
+from minkgauge.cli import run
 
 
 def test_simplex_vertices():
@@ -173,6 +175,8 @@ def test_serialize_rejects_plain_oracle():
     o = SupportOracle(lambda v: float(np.linalg.norm(v)), np.zeros(2), 1.0, 1.0)
     with pytest.raises(BodyError):
         serialize_body(o)
+    with pytest.raises(BodyError):
+        serialize_body(homothety(make_weighted_l2_ball(4), 2.0))
 
 
 @pytest.mark.parametrize("spec", [
@@ -184,10 +188,14 @@ def test_serialize_rejects_plain_oracle():
     {"kind": "sum", "terms": [{"kind": "ball", "center": [0, 0], "radius": 1},
                               {"kind": "simplex", "dim": 2}]},
     {"kind": "scaled", "body": {"kind": "simplex", "dim": 2}, "factor": 0.5},
+    {"kind": "translated", "body": {"kind": "box", "low": [0], "high": [2]}, "offset": [1]},
+    {"kind": "reflected", "body": {"kind": "simplex", "dim": 3}},
 ])
 def test_roundtrip_support_agreement(spec):
     K = parse_body(spec)
-    K2 = parse_body(serialize_body(K))
+    flat = serialize_body(K)
+    assert "body" not in flat
+    K2 = parse_body(flat)
     for u in sphere_dirs(dim(K), 100, 17):
         npt.assert_allclose(support(K2, u), support(K, u), atol=1e-9)
 
@@ -212,6 +220,21 @@ README_SPECS = {
     "product": {"kind": "product",
                 "factors": [TRIANGLE_SPEC, {"kind": "box", "low": [0], "high": [1]}]},
 }
+
+
+@pytest.mark.parametrize("spec, path", [
+    ({"kind": "translated", "offset": [1, 2, 3], "body": TRIANGLE_SPEC}, "body.offset"),
+    ({"kind": "scaled", "factor": -1, "body": TRIANGLE_SPEC}, "body.factor"),
+    ({"kind": "product", "factors": [
+        {"kind": "scaled", "factor": float("inf"), "body": TRIANGLE_SPEC}]},
+     "body.factors[0].factor"),
+])
+def test_parse_affine_kind_names_the_field(spec, path, capsys):
+    with pytest.raises(SchemaError) as exc:
+        parse_body(spec)
+    assert exc.value.path == path
+    assert run(["width", "--body", json.dumps(spec)]) == 2
+    assert json.loads(capsys.readouterr().err)["message"].startswith(f"{path}: ")
 
 
 def _readme_schema_fields():
