@@ -11,7 +11,7 @@ import numpy as np
 
 from minkgauge import (VPolytope, alpha, bernstein_bound, cheb_T,
                        cheb_growth, extremal_polynomial, leading_growth,
-                       poly_eval, poly_grad)
+                       poly_eval)
 
 interval = VPolytope(np.array([[-1.0], [1.0]]))
 

@@ -10,7 +10,7 @@ gauge it needs no distinguished center point.
 
 import numpy as np
 
-from minkgauge import VPolytope, alpha, level_set, make_box, t_func
+from minkgauge import VPolytope, alpha, make_box, t_func
 
 T = VPolytope(np.array([[10.0, 10.0], [16.0, 10.0], [10.0, 16.0]]))
 

@@ -18,7 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -85,6 +85,11 @@ class SupportOracle:
     ``center`` together with ``inner_radius <= outer_radius`` must satisfy
     B(center, inner) <= K <= B(center, outer); the sandwich is what keeps the
     sampling fallbacks honest.
+
+    ``h_many`` is optional: the same function as ``h``, vectorised, mapping an
+    (n, d) array of directions to the n support values of its rows.  Batched
+    evaluation (``support_many``) calls it once per batch; without it,
+    ``h`` is looped over the rows.
     """
 
     h: Callable[[np.ndarray], float]
@@ -92,6 +97,7 @@ class SupportOracle:
     inner_radius: float
     outer_radius: float
     label: str = "oracle"
+    h_many: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center))
@@ -145,10 +151,12 @@ def homothety(K, s, z=None):
     if isinstance(K, Ball):
         return Ball(s * K.center + z, abs(s) * K.radius)
     if isinstance(K, SupportOracle):
-        h = K.h
+        h, h_many = K.h, K.h_many
         return SupportOracle(lambda v: h(s * np.asarray(v, dtype=float)) + float(z @ v),
                              s * K.center + z, abs(s) * K.inner_radius,
-                             abs(s) * K.outer_radius, label=f"homothety of {K.label}")
+                             abs(s) * K.outer_radius, label=f"homothety of {K.label}",
+                             h_many=None if h_many is None
+                             else (lambda D: h_many(s * D) + D @ z))
     if isinstance(K, Sum):
         return Sum(tuple(homothety(T, s, z if i == 0 else None)
                          for i, T in enumerate(K.terms)))
@@ -200,6 +208,49 @@ def support(K, v) -> float:
         for f in K.factors:
             k = dim(f)
             out += support(f, v[at:at + k])
+            at += k
+        return out
+    raise BodyError(f"not a body: {K!r}")
+
+
+def support_many(K, D) -> np.ndarray:
+    """Support values h(K, v) for every row v of an (n, d) direction array.
+
+    D is validated once; polytopes, balls and oracles with ``h_many`` are
+    evaluated as one array operation, sums and products recurse once per
+    batch.  H-polytopes still solve one LP per row.
+    """
+    D = np.asarray(D, dtype=float)
+    d = dim(K)
+    if D.ndim != 2 or D.shape[1] != d:
+        raise BodyError(f"direction array has shape {D.shape}, expected (n, {d})")
+    if not np.all(np.isfinite(D)):
+        raise BodyError("direction array contains non-finite entries")
+    return _support_rows(K, D)
+
+
+def _support_rows(K, D):
+    if isinstance(K, VPolytope):
+        return (D @ K.vertices.T).max(axis=1)
+    if isinstance(K, HPolytope):
+        return np.array([support(K, v) for v in D])
+    if isinstance(K, Ball):
+        return D @ K.center + K.radius * np.linalg.norm(D, axis=1)
+    if isinstance(K, SupportOracle):
+        if K.h_many is None:
+            return np.array([float(K.h(v)) for v in D])
+        out = np.asarray(K.h_many(D), dtype=float)
+        if out.shape != (D.shape[0],):
+            raise BodyError(f"oracle h_many returned shape {out.shape}, "
+                            f"expected ({D.shape[0]},)")
+        return out
+    if isinstance(K, Sum):
+        return sum(_support_rows(T, D) for T in K.terms)
+    if isinstance(K, Product):
+        out, at = np.zeros(D.shape[0]), 0
+        for f in K.factors:
+            k = dim(f)
+            out += _support_rows(f, D[:, at:at + k])
             at += k
         return out
     raise BodyError(f"not a body: {K!r}")
@@ -489,10 +540,7 @@ def _oracle_contains(K, x, tol, n_dirs=512, seed=7):
     gap = x - K.center
     if np.linalg.norm(gap) > 1e-12:
         dirs = np.vstack([dirs, gap / np.linalg.norm(gap)])
-    for v in dirs:
-        if v @ x > K.h(v) + tol:
-            return False
-    return True
+    return not np.any(dirs @ x > support_many(K, dirs) + tol)
 
 
 def interior_point(K):
@@ -601,10 +649,13 @@ def _probe_oracle(K, n=16, seed=11):
     # spot-check sublinearity and the declared ball sandwich
     rng = np.random.default_rng(seed)
     d = K.center.size
+    probes, values = [], []
     for _ in range(n):
         u = rng.normal(size=d)
         v = rng.normal(size=d)
         hu, hv, huv = K.h(u), K.h(v), K.h(u + v)
+        probes.append(u)
+        values.append(hu)
         scale = max(1.0, abs(hu) + abs(hv))
         if huv > hu + hv + 1e-7 * scale:
             raise BodyError("oracle support function is not sublinear")
@@ -616,3 +667,9 @@ def _probe_oracle(K, n=16, seed=11):
             raise BodyError("oracle violates its declared inner ball")
         if centered > K.outer_radius * nu + 1e-7 * scale:
             raise BodyError("oracle violates its declared outer ball")
+    if K.h_many is not None:
+        many = np.asarray(K.h_many(np.array(probes)), dtype=float)
+        values = np.array(values)
+        if many.shape != values.shape or np.any(
+                np.abs(many - values) > 1e-9 * np.maximum(1.0, np.abs(values))):
+            raise BodyError("oracle h_many disagrees with h")

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .body import BodyError, as_vector, dim, support, vertex_candidates
-from .gauge import alpha, t_func
+from .gauge import alpha
 from .geometry import chord_witness_dir, global_width, max_chord
 
 DEGREE_CAP = 64
@@ -135,16 +135,30 @@ def poly_grad(p, x):
     return g
 
 
-def t_polynomial(K, v):
-    """The layer coordinate t(K, v, .) as a degree-1 Polynomial."""
-    d = dim(K)
-    v = as_vector(v, d)
+def _layer_coordinate(K, v):
+    """(g, c0) with t(K, v, y) = g . y + c0, from two support calls."""
+    v = as_vector(v, dim(K))
     hp = support(K, v)
     hm = support(K, -v)
     w = hp + hm
     if w <= 0.0:
         raise BodyError("degenerate direction: zero width")
-    return Polynomial.affine(2.0 * v / w, (hm - hp) / w)
+    return 2.0 * v / w, (hm - hp) / w
+
+
+def _slab_evaluator(K, v, n):
+    """y -> T_n(t(K, v, y)), with the slab coordinate built once."""
+    g, c0 = _layer_coordinate(K, v)
+    d = g.size
+
+    def evaluator(y):
+        return cheb_T(n, float(g @ as_vector(y, d)) + c0)
+    return evaluator
+
+
+def t_polynomial(K, v):
+    """The layer coordinate t(K, v, .) as a degree-1 Polynomial."""
+    return Polynomial.affine(*_layer_coordinate(K, v))
 
 
 def compose_cheb(n, p):
@@ -214,9 +228,7 @@ def cheb_growth(K, x, n, n_samples=10000, seed=29):
     v = res.witness_dir
     growth = cheb_T(n, a) if a > 1.0 else 1.0
 
-    def evaluator(y, _K=K, _v=v, _n=n):
-        return cheb_T(_n, t_func(_K, _v, y))
-
+    evaluator = _slab_evaluator(K, v, n)
     samples = _body_samples(K, n_samples, seed)
     sup_check = max(abs(evaluator(s)) for s in samples)
     tol = res.tol * abs(cheb_T_prime(n, max(a, 1.0))) + 1e-12
@@ -248,10 +260,7 @@ def leading_growth(K, v, n):
     tau = max_chord(K, v)
     value = 2.0 ** (2 * n - 1) / tau ** n
     wdir = chord_witness_dir(K, v)
-    evaluator = None
-    if wdir is not None:
-        def evaluator(y, _K=K, _w=wdir, _n=n):
-            return cheb_T(_n, t_func(_K, _w, y))
+    evaluator = None if wdir is None else _slab_evaluator(K, wdir, n)
     return LeadingGrowthReport(n, float(value), float(tau), wdir, evaluator)
 
 

@@ -4,7 +4,9 @@ Bodies come in as JSON (a file path or an inline document starting with
 "{"), queries go out as JSON on stdout with 12 significant digits, grids
 as CSV.  Exit codes: 0 success, 2 bad input, 3 numerical failure.  Every
 sampled computation takes a seed and defaults are fixed, so identical
-invocations produce identical bytes.
+invocations produce identical bytes.  Counts that size the work (directions,
+lines, samples, queries, degrees, grid rows) are capped by the MAX_*
+constants below; a larger request exits 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .body import BodyError, dim, homothety
 from .cheb import (bernstein_bound, cheb_growth, cheb_T_prime, leading_growth,
                    poly_eval, poly_grad, t_polynomial)
 from .gauge import alpha, alpha_inf, level_set
-from .geometry import (central_symm, diameter, far_radius, global_width,
-                       hausdorff, max_chord, width_dir)
+from .geometry import (central_symm, far_radius, global_width, hausdorff,
+                       max_chord, width_dir)
 from .lp import NumericalError
 from .ratios import (SAMPLING_SIDES, beta, brute_force_alpha, ratio_functionals,
                      rho)
@@ -30,8 +32,31 @@ from .body import support as support_fn
 from .geometry import sphere_dirs
 
 
+# Caps on the work one invocation may ask for.  Sampled routes allocate
+# (n, d) direction arrays in one go; grid evaluates alpha steps^d times.
+MAX_N_DIRS = 65536
+MAX_N_LINES = 4096
+MAX_N_SAMPLES = 100000
+MAX_N_QUERIES = 10000
+MAX_SWEEP_DEGREE = 64
+MAX_GRID_ROWS = 100000
+
+
 class _UsageError(ValueError):
     pass
+
+
+def _capped_int(name, cap):
+    """argparse type: an integer no larger than the named cap."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"{value} exceeds the limit {name} = {cap}")
+        return value
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -244,6 +269,9 @@ def _cmd_grid(ns):
         raise _UsageError("--low/--high must match the body dimension")
     if ns.steps < 2:
         raise _UsageError("--steps must be >= 2")
+    if ns.steps ** d > MAX_GRID_ROWS:
+        raise _UsageError(f"--steps {ns.steps} in dimension {d} gives {ns.steps}^{d} rows, "
+                          f"above the limit MAX_GRID_ROWS = {MAX_GRID_ROWS}")
     axes = [np.linspace(lo[i], hi[i], ns.steps) for i in range(d)]
     print(",".join([f"x{i + 1}" for i in range(d)] + ["alpha"]))
     for idx in np.ndindex(*(ns.steps,) * d):
@@ -342,26 +370,27 @@ def _build_parser():
 
     sp = cmd("hausdorff", _cmd_hausdorff, help="distance between two bodies")
     sp.add_argument("--body2", required=True)
-    sp.add_argument("--n-dirs", type=int, default=4096)
+    sp.add_argument("--n-dirs", type=_capped_int("MAX_N_DIRS", MAX_N_DIRS), default=4096)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = cmd("oracle-check", _cmd_oracle_check,
              help="cross-validate the gauge on one instance")
     sp.add_argument("--point", required=True)
-    sp.add_argument("--n-dirs", type=int, default=4096)
-    sp.add_argument("--n-lines", type=int, default=128)
+    sp.add_argument("--n-dirs", type=_capped_int("MAX_N_DIRS", MAX_N_DIRS), default=4096)
+    sp.add_argument("--n-lines", type=_capped_int("MAX_N_LINES", MAX_N_LINES), default=128)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = cmd("ratios", _cmd_ratios, help="chord ratio functionals")
     sp.add_argument("--point", required=True)
-    sp.add_argument("--n-lines", type=int, default=64)
+    sp.add_argument("--n-lines", type=_capped_int("MAX_N_LINES", MAX_N_LINES), default=64)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = cmd("cheb-growth", _cmd_cheb_growth,
              help="pointwise polynomial growth at an exterior point")
     sp.add_argument("--point", required=True)
     sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--n-samples", type=int, default=10000)
+    sp.add_argument("--n-samples", type=_capped_int("MAX_N_SAMPLES", MAX_N_SAMPLES),
+                    default=10000)
     sp.add_argument("--seed", type=int, default=29)
 
     sp = cmd("cheb-leading", _cmd_cheb_leading,
@@ -386,8 +415,10 @@ def _build_parser():
 
     sp = cmd("experiment-conjecture", _cmd_experiment_conjecture,
              help="search for violations of the conjectured gradient bound")
-    sp.add_argument("--n-queries", type=int, default=100)
-    sp.add_argument("--max-degree", type=int, default=6)
+    sp.add_argument("--n-queries", type=_capped_int("MAX_N_QUERIES", MAX_N_QUERIES),
+                    default=100)
+    sp.add_argument("--max-degree", type=_capped_int("MAX_SWEEP_DEGREE", MAX_SWEEP_DEGREE),
+                    default=6)
     sp.add_argument("--seed", type=int, default=11)
 
     return p

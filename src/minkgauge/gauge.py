@@ -29,14 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.spatial import ConvexHull, QhullError
 
 from . import lp
 from .body import (Ball, BodyError, HPolytope, Product, SupportOracle, VPolytope,
                    as_vector, contains, dim, halfspaces, hull2d, lp_encoding,
                    support, vertex_candidates)
-from .geometry import _exact_points, sphere_dirs, vertices2d
+from .geometry import (_exact_points, _multistart_sphere, _support_pm, sphere_dirs,
+                       vertices2d)
 
 T_MEMBER_TOL = 1e-9
 
@@ -91,6 +91,16 @@ def t_func(K, v, x) -> float:
     hp = support(K, v)
     hm = support(K, -v)
     return (2.0 * float(v @ x) - hp + hm) / (hp + hm)
+
+
+def t_many(K, D, x) -> np.ndarray:
+    """t(K, v, x) for every row v of an (n, d) direction array, batched."""
+    x = as_vector(x, dim(K))
+    D = np.asarray(D, dtype=float)
+    if D.ndim == 2 and not np.all(np.any(D, axis=1)):
+        raise ValueError("directions must be nonzero")
+    hp, hm = _support_pm(K, D)
+    return (2.0 * (D @ x) - hp + hm) / (hp + hm)
 
 
 def facet_profile(K):
@@ -298,43 +308,19 @@ def _alpha_lp(K, x):
     return GaugeResult(val, wdir, "lp", max(0.0, val - t_func(K, wdir, x)) + feas)
 
 
-def _ascend_t(K, x, v0):
-    if v0 is None:
-        return None
-    d = x.size
-
-    def neg_t(v):
-        nv = np.linalg.norm(v)
-        if nv < 1e-9:
-            return np.inf
-        return -t_func(K, v / nv, x)
-
-    res = optimize.minimize(neg_t, v0, method="Nelder-Mead",
-                            options={"maxiter": 200 * d, "xatol": 1e-10, "fatol": 1e-12})
-    v = np.asarray(res.x, dtype=float)
-    nv = np.linalg.norm(v)
-    if nv < 1e-9:
-        return None
-    return v / nv, -float(res.fun)
-
-
 def _alpha_sampled(K, x, n_dirs=2048, n_polish=16, seed=13):
-    """Certified lower bound on alpha for support oracles, via direction search."""
-    d = x.size
-    dirs = [sphere_dirs(d, n_dirs, seed)]
+    """Certified lower bound on alpha for support oracles, via direction search.
+
+    Every reported value is t at an evaluated direction, so it never exceeds
+    alpha; tol is the gain of the polish over the prepass, at least 1e-7.
+    """
+    C = [sphere_dirs(x.size, n_dirs, seed)]
     gap = x - K.center
     if np.linalg.norm(gap) > 1e-12:
-        dirs.append((gap / np.linalg.norm(gap))[None, :])
-    U = np.vstack(dirs)
-    vals = np.array([t_func(K, u, x) for u in U])
-    order = np.argsort(vals)[::-1]
-    best_v, best_t = U[order[0]], float(vals[order[0]])
-    pre = best_t
-    for idx in order[:n_polish]:
-        r = _ascend_t(K, x, U[idx])
-        if r is not None and r[1] > best_t:
-            best_v, best_t = r
-    return GaugeResult(best_t, best_v, "sampled", max(1e-7, best_t - pre))
+        C.append((gap / np.linalg.norm(gap))[None, :])
+    v, best, pre = _multistart_sphere(lambda D: t_many(K, D, x), np.vstack(C),
+                                      sense="max", n_starts=n_polish)
+    return GaugeResult(float(best), v, "sampled", max(1e-7, float(best - pre)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,12 @@ Planar bodies get exact answers (the relevant extrema over directions are
 attained on known finite candidate sets).  In dimension three and higher the
 direction sweeps fall back to seeded multi-start optimization and the result
 carries an ``exact`` flag set to False.
+
+The multi-start search works on batched objectives: a function of an (n, d)
+array of unit directions, evaluated through ``support_many``.  The dense
+prepass is one call; each L-BFGS-B step of the polish is one call on the
+iterate and its d forward-difference neighbours (scipy's default absolute
+step), handed to the optimizer as value and gradient together.
 """
 
 from __future__ import annotations
@@ -16,7 +22,10 @@ from scipy import optimize
 from . import lp
 from .body import (Ball, BodyError, Product, Sum, SupportOracle, VPolytope,
                    as_vector, dim, halfspaces, homothety, hull2d, lp_encoding,
-                   support, vertex_candidates)
+                   support, support_many, vertex_candidates)
+
+# L-BFGS-B's default absolute forward-difference step
+FD_STEP = 1e-8
 
 
 class WidthResult(NamedTuple):
@@ -82,34 +91,59 @@ def _axis_dirs(d):
     return np.vstack([E, -E])
 
 
-def _multistart_sphere(f, d, sense="min", n_starts=64, seed=0, extra_starts=None):
-    """Optimize f over unit directions: dense prepass plus local polish.
+def _support_pm(K, U):
+    """h(K, u) and h(K, -u) for every row u of U, from one batched call."""
+    H = support_many(K, np.vstack([U, -U]))
+    return H[:len(U)], H[len(U):]
 
-    Returns (best unit direction, best value).  Deterministic for fixed seed.
-    """
-    sign = 1.0 if sense == "min" else -1.0
 
-    def g(v):
-        nv = np.linalg.norm(v)
-        if nv < 1e-12:
-            return np.inf
-        return sign * f(v / nv)
+def _widths(K, U):
+    hp, hm = _support_pm(K, U)
+    return hp + hm
 
+
+def _sphere_starts(d, seed, extra_starts=None):
+    """Seeded unit directions, the coordinate axes, and any extra starts."""
     cands = [sphere_dirs(d, max(256, 32 * d), seed), _axis_dirs(d)]
     if extra_starts is not None and len(extra_starts):
         E = np.atleast_2d(np.asarray(extra_starts, dtype=float))
-        E = E / np.linalg.norm(E, axis=1, keepdims=True)
-        cands.append(E)
-    C = np.vstack(cands)
-    vals = np.array([g(v) for v in C])
+        cands.append(E / np.linalg.norm(E, axis=1, keepdims=True))
+    return np.vstack(cands)
+
+
+def _multistart_sphere(f, C, sense="min", n_starts=64):
+    """Optimize a batched f over unit directions: prepass over C, local polish.
+
+    f maps an (n, d) array of unit rows to their n values.  The n_starts best
+    rows of C start L-BFGS-B on v -> f(v / |v|).  Returns (best unit
+    direction, best value, best prepass value); deterministic for fixed C.
+    """
+    sign = 1.0 if sense == "min" else -1.0
+
+    def g(V):
+        nv = np.linalg.norm(V, axis=1)
+        out = np.full(len(V), np.inf)
+        ok = nv >= 1e-12
+        if np.any(ok):
+            out[ok] = sign * np.asarray(f(V[ok] / nv[ok, None]), dtype=float)
+        return out
+
+    def value_and_grad(v):
+        # forward differences over the step as represented, like scipy's
+        steps = v + FD_STEP * np.eye(v.size)
+        vals = g(np.vstack([v, steps]))
+        with np.errstate(invalid="ignore"):
+            return vals[0], (vals[1:] - vals[0]) / (np.diag(steps) - v)
+
+    vals = g(C)
     order = np.argsort(vals)
     best_v, best = C[order[0]], vals[order[0]]
+    pre = best
     for idx in order[:n_starts]:
-        res = optimize.minimize(g, C[idx], method="L-BFGS-B")
+        res = optimize.minimize(value_and_grad, C[idx], method="L-BFGS-B", jac=True)
         if res.fun < best:
             best, best_v = res.fun, np.asarray(res.x, dtype=float)
-    best_v = best_v / np.linalg.norm(best_v)
-    return best_v, sign * best
+    return best_v / np.linalg.norm(best_v), sign * best, sign * pre
 
 
 def max_chord(K, v) -> float:
@@ -163,15 +197,15 @@ def max_chord(K, v) -> float:
             raise lp.NumericalError(f"chord LP ended with status {res.status}")
         return res.value
     # oracle fallback: tau = inf over u with <u,v> > 0 of w(K, u)/<u, v>
-    d = v.size
-
-    def ratio(u):
-        s = float(u @ v)
-        if s <= 1e-12:
-            return np.inf
-        return width_dir(K, u) / s
-    _, val = _multistart_sphere(ratio, d, sense="min", n_starts=32, seed=5,
-                                extra_starts=[v])
+    def ratio(U):
+        s = U @ v
+        out = np.full(len(U), np.inf)
+        ok = s > 1e-12
+        if np.any(ok):
+            out[ok] = _widths(K, U[ok]) / s[ok]
+        return out
+    _, val, _ = _multistart_sphere(ratio, _sphere_starts(v.size, 5, [v]),
+                                   sense="min", n_starts=32)
     return val
 
 
@@ -198,8 +232,8 @@ def global_width(K, n_starts=64, seed=0) -> WidthResult:
     hs = halfspaces(K)
     if hs is not None:
         extra = hs[0]
-    v, val = _multistart_sphere(lambda u: width_dir(K, u), d, sense="min",
-                                n_starts=n_starts, seed=seed, extra_starts=extra)
+    v, val, _ = _multistart_sphere(lambda U: _widths(K, U), _sphere_starts(d, seed, extra),
+                                   sense="min", n_starts=n_starts)
     return WidthResult(float(val), v, False)
 
 
@@ -220,8 +254,8 @@ def diameter(K) -> float:
             V = hull2d(V)
         D = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=2)
         return float(D.max())
-    _, val = _multistart_sphere(lambda u: width_dir(K, u), dim(K), sense="max",
-                                n_starts=32, seed=3)
+    _, val, _ = _multistart_sphere(lambda U: _widths(K, U), _sphere_starts(dim(K), 3),
+                                   sense="max", n_starts=32)
     return float(val)
 
 
@@ -239,8 +273,8 @@ def far_radius(K) -> float:
     V = _exact_points(K)
     if V is not None:
         return float(np.max(np.linalg.norm(V, axis=1)))
-    _, val = _multistart_sphere(lambda u: support(K, u), dim(K), sense="max",
-                                n_starts=32, seed=4)
+    _, val, _ = _multistart_sphere(lambda U: support_many(K, U), _sphere_starts(dim(K), 4),
+                                   sense="max", n_starts=32)
     return float(val)
 
 
@@ -425,7 +459,7 @@ def hausdorff(K, M, n_dirs=4096, seed=0) -> HausdorffResult:
                     f"hausdorff cross-check failed: {by_def} vs {by_support}")
             return HausdorffResult(by_def, True)
     dirs = sphere_dirs(dim(K), n_dirs, seed)
-    best = max(abs(support(K, u) - support(M, u)) for u in dirs)
+    best = np.max(np.abs(support_many(K, dirs) - support_many(M, dirs)))
     return HausdorffResult(float(best), False)
 
 

@@ -22,9 +22,9 @@ import numpy as np
 
 from .body import (Ball, BodyError, Product, SupportOracle, as_vector,
                    contains, dim, encoding_feasible, halfspaces, lp_encoding,
-                   support, vertex_candidates)
-from .gauge import alpha, facet_profile, t_func
-from .geometry import sphere_dirs
+                   vertex_candidates)
+from .gauge import alpha, facet_profile, t_many
+from .geometry import _support_pm, sphere_dirs
 from .lp import NumericalError, solve
 
 BISECT_TOL = 1e-10
@@ -164,18 +164,16 @@ def _beta_rows(A, hp, hm, x):
     num = hp - A @ x
     den = A @ x + hm
     # den > 0 for interior x; boundary rows force the minimum to 0 anyway
-    vals = [max(n, 0.0) / d for n, d in zip(num, den) if d > 1e-12]
-    if not vals:
+    ok = den > 1e-12
+    if not np.any(ok):
         raise NumericalError("degenerate reflected-containment system")
-    return min(min(vals), 1.0)
+    return min(float(np.min(np.maximum(num[ok], 0.0) / den[ok])), 1.0)
 
 
 def _beta_sampled(K, x, n_dirs=2048, seed=7):
     d = dim(K)
     dirs = sphere_dirs(d, n_dirs, seed)
-    hp = np.array([support(K, v) for v in dirs])
-    hm = np.array([support(K, -v) for v in dirs])
-    return _beta_rows(dirs, hp, hm, x)
+    return _beta_rows(dirs, *_support_pm(K, dirs), x)
 
 
 def _beta_bisect(K, x):
@@ -325,11 +323,10 @@ def brute_force_alpha(K, x, n_dirs=1024, seed=0):
     """
     d = dim(K)
     x = as_vector(x, d)
-    dirs = list(sphere_dirs(d, n_dirs, seed)) if n_dirs > 0 else []
+    dirs = [sphere_dirs(d, n_dirs, seed)] if n_dirs > 0 else []
     hs = halfspaces(K)
     if hs is not None:
-        dirs.extend(hs[0])
-        dirs.extend(-hs[0])
+        dirs.extend([hs[0], -hs[0]])
     if not dirs:
         raise BodyError("no directions to sample")
-    return max(t_func(K, v, x) for v in dirs)
+    return float(np.max(t_many(K, np.vstack(dirs), x)))

@@ -87,7 +87,8 @@ WEIGHT_MODES = ("i", "ii")
 def make_weighted_l2_ball(d=64, mode="i"):
     """Ellipsoid sum w_n x_n^2 <= 1, mode "i": w_n = 1 + 1/n, "ii": 2 - 1/n.
 
-    Returned as a SupportOracle with h(v) = sqrt(sum v_n^2 / w_n).  Family
+    Returned as a SupportOracle with h(v) = sqrt(sum v_n^2 / w_n), and the
+    same formula row-wise as ``h_many``.  Family
     "i" has diameter 2 / sqrt(1 + 1/d) increasing toward 2; family "ii" has
     minimal width 2 / sqrt(2 - 1/d) decreasing toward sqrt(2).  Neither
     limit is attained at any finite truncation, which is what these bodies
@@ -100,12 +101,17 @@ def make_weighted_l2_ball(d=64, mode="i"):
     n = np.arange(1, d + 1, dtype=float)
     w = 1.0 + 1.0 / n if mode == "i" else 2.0 - 1.0 / n
 
-    def h(v, _inv=1.0 / w):
+    inv = 1.0 / w
+
+    def h(v):
         v = np.asarray(v, dtype=float)
-        return float(np.sqrt(np.sum(v * v * _inv)))
+        return float(np.sqrt(np.sum(v * v * inv)))
+
+    def h_many(D):
+        return np.sqrt((D * D) @ inv)
 
     return SupportOracle(h, np.zeros(d), 1.0 / np.sqrt(2.0), 1.0,
-                         label=f"weighted_l2_ball:dim={d}:mode={mode}")
+                         label=f"weighted_l2_ball:dim={d}:mode={mode}", h_many=h_many)
 
 
 def random_polygon(n, seed, radius=1.0, center=(0.0, 0.0)):
@@ -138,7 +144,13 @@ def _need(obj, key, path):
 def _num(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        out = float(value)
+    except OverflowError:          # integers beyond the float range
+        out = np.inf
+    if not np.isfinite(out):
+        raise SchemaError(path, "expected a finite number")
+    return out
 
 
 def _intval(value, path):

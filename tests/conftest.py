@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from minkgauge import VPolytope
-from minkgauge.shapes import random_polygon
+from minkgauge import SupportOracle, VPolytope
+from minkgauge.shapes import make_weighted_l2_ball, random_polygon
 
 settings.register_profile(
     "suite",
@@ -65,6 +65,26 @@ def unit_dirs(draw, d=2):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=d)
     return v / np.linalg.norm(v)
+
+
+def counted_oracle(d, mode="i"):
+    """Weighted l2 ball whose scalar and vectorised h count their calls.
+
+    Returns (oracle, counts) with counts = {"h": rows seen by the scalar h,
+    "h_many": calls of the vectorised one}.
+    """
+    K = make_weighted_l2_ball(d, mode)
+    counts = {"h": 0, "h_many": 0}
+
+    def h(v):
+        counts["h"] += 1
+        return K.h(v)
+
+    def h_many(D):
+        counts["h_many"] += 1
+        return K.h_many(D)
+    return SupportOracle(h, K.center, K.inner_radius, K.outer_radius,
+                         label=K.label, h_many=h_many), counts
 
 
 @pytest.fixture

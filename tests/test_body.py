@@ -14,7 +14,7 @@ from minkgauge import (Ball, BodyError, HPolytope, Product, Sum, SupportOracle,
                        VPolytope, alpha, contains, dim, homothety, hull2d,
                        inscribed_ball, interior_point, make_box,
                        make_weighted_l2_ball, parse_body, support,
-                       vertex_candidates, width_dir)
+                       support_many, vertex_candidates, width_dir)
 from minkgauge.body import Encoding, encoding_feasible, halfspaces, lp_encoding, validate
 from minkgauge.geometry import central_symm, sphere_dirs
 
@@ -132,6 +132,48 @@ def test_homothety_support(kind, d, s):
     for x in (c + 0.1 * rng.normal(size=d), c + 3.0 * rng.normal(size=d)):
         r, rh = alpha(K, x), alpha(H, s * x + z)
         assert abs(rh.alpha - r.alpha) <= r.tol + rh.tol
+
+
+def _scalar_oracle(K):
+    """The same oracle without its vectorised support function."""
+    return SupportOracle(K.h, K.center, K.inner_radius, K.outer_radius, label=K.label)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", HOMOTHETY_KINDS + ("oracle_scalar",))
+def test_support_many_matches_rowwise_support(kind, d):
+    rng = np.random.default_rng(10 * d + len(kind))
+    K = _homothety_body(kind.removesuffix("_scalar"), d, rng)
+    if kind == "oracle_scalar":
+        K = _scalar_oracle(K)
+    assert isinstance(K, SupportOracle) == kind.startswith("oracle")
+    if kind.startswith("oracle"):
+        assert (K.h_many is None) == (kind == "oracle_scalar")
+    D = np.vstack([sphere_dirs(d, 24, 5), 3.0 * rng.normal(size=(8, d))])
+    for body in (K, homothety(K, -1.5, rng.normal(size=d))):
+        got = support_many(body, D)
+        want = np.array([support(body, v) for v in D])
+        assert got.shape == (len(D),)
+        npt.assert_allclose(got, want, rtol=1e-12,
+                            atol=1e-12 * max(1.0, float(np.max(np.abs(want)))))
+
+
+def test_support_many_rejects_bad_directions():
+    for K in (SQ, SQ_H, make_weighted_l2_ball(2, "i")):
+        with pytest.raises(BodyError):
+            support_many(K, np.ones((3, 3)))
+        with pytest.raises(BodyError):
+            support_many(K, np.ones(2))
+        with pytest.raises(BodyError):
+            support_many(K, np.array([[1.0, 0.0], [np.nan, 1.0]]))
+
+
+def test_validate_rejects_disagreeing_h_many():
+    K = make_weighted_l2_ball(3, "i")
+    bad = SupportOracle(K.h, K.center, K.inner_radius, K.outer_radius,
+                        h_many=lambda D: 1.01 * K.h_many(D))
+    with pytest.raises(BodyError):
+        validate(bad)
 
 
 def test_homothety_rejects_bad_maps():

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from minkgauge import (Ball, BodyError, Polynomial, VPolytope, alpha,
                        bernstein_bound, cheb_T, cheb_T_prime, cheb_growth,
-                       compose_cheb, extremal_polynomial, leading_growth,
-                       make_simplex, poly_eval, poly_grad, t_func, t_polynomial)
+                       compose_cheb, extremal_polynomial, leading_growth, lp,
+                       make_box, make_simplex, poly_eval, poly_grad, t_func,
+                       t_polynomial)
 from minkgauge.cheb import DEGREE_CAP
 
 from conftest import polygons_with_interior, unit_dirs
@@ -202,6 +203,41 @@ def test_cheb_growth_extremal_is_admissible(pair, n):
     assert rep.sup_norm_check <= 1.0 + 1e-9
     npt.assert_allclose(rep.extremal_eval(x), rep.growth,
                         atol=rep.witness_tol + 1e-9 * max(1.0, rep.growth))
+
+
+@pytest.fixture
+def lp_solves(monkeypatch):
+    """List that grows by one entry per call into the LP solver."""
+    calls = []
+    solver = lp.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solver(*args, **kwargs)
+    monkeypatch.setattr(lp, "linprog", counted)
+    return calls
+
+
+def test_cheb_growth_lp_count_is_independent_of_samples(lp_solves):
+    box = make_box([-1.0, -1.0], [1.0, 1.0])
+    x = np.array([2.5, 0.3])
+    counts = []
+    for n_samples in (10, 1000):
+        lp_solves.clear()
+        rep = cheb_growth(box, x, 3, n_samples=n_samples)
+        counts.append(len(lp_solves))
+        assert rep.sup_norm_check <= 1.0 + 1e-9
+        npt.assert_allclose(rep.extremal_eval(x), rep.growth, rtol=1e-9)
+    assert counts[0] == counts[1]
+
+
+def test_leading_growth_evaluator_solves_no_lps(lp_solves):
+    box = make_box([-1.0, -2.0], [1.0, 2.0])
+    rep = leading_growth(box, np.array([1.0, 0.5]), 3)
+    lp_solves.clear()
+    vals = [rep.extremal_eval(y) for y in np.random.default_rng(2).uniform(-1, 1, (50, 2))]
+    assert not lp_solves
+    assert max(abs(v) for v in vals) <= 1.0 + 1e-9
 
 
 def test_leading_growth_interval_exact():

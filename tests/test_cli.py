@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from minkgauge import cli
 from minkgauge.cli import run
 
 SQUARE = json.dumps({"kind": "box", "low": [-1, -1], "high": [1, 1]})
@@ -209,6 +210,46 @@ def test_grid_rejects_single_step(capsys):
                                     "--high", "1,1", "--steps", "1"])
     assert code == 2
     assert err["error"] == "input"
+
+
+CUBE = json.dumps({"kind": "box", "low": [-1, -1, -1], "high": [1, 1, 1]})
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["hausdorff", "--body", SQUARE, "--body2", SQUARE, "--n-dirs"], "MAX_N_DIRS"),
+    (["oracle-check", "--body", SQUARE, "--point", "0,0", "--n-dirs"], "MAX_N_DIRS"),
+    (["oracle-check", "--body", SQUARE, "--point", "0,0", "--n-lines"], "MAX_N_LINES"),
+    (["ratios", "--body", SQUARE, "--point", "0,0", "--n-lines"], "MAX_N_LINES"),
+    (["cheb-growth", "--body", SQUARE, "--point", "2,0", "--degree", "2", "--n-samples"],
+     "MAX_N_SAMPLES"),
+    (["experiment-conjecture", "--body", SQUARE, "--n-queries"], "MAX_N_QUERIES"),
+    (["experiment-conjecture", "--body", SQUARE, "--max-degree"], "MAX_SWEEP_DEGREE"),
+])
+def test_count_caps_reject_one_over(argv, cap, capsys, monkeypatch):
+    def no_work(ns):
+        raise AssertionError("capped work started")
+    monkeypatch.setattr(cli, "_load_body", no_work)
+    limit = getattr(cli, cap)
+    code, out, err = run_err(capsys, argv + [str(limit + 1)])
+    assert code == 2 and out == ""
+    assert err["error"] == "input"
+    assert f"{cap} = {limit}" in err["message"]
+
+
+@pytest.mark.parametrize("body, d", [(SQUARE, 2), (CUBE, 3)])
+def test_grid_rows_cap_rejects_one_over(body, d, capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("grid started evaluating")
+    monkeypatch.setattr(cli, "alpha", no_work)
+    steps = 2
+    while (steps + 1) ** d <= cli.MAX_GRID_ROWS:
+        steps += 1
+    assert steps ** d <= cli.MAX_GRID_ROWS < (steps + 1) ** d
+    low, high = ",".join(["-1"] * d), ",".join(["1"] * d)
+    code, out, err = run_err(capsys, ["grid", "--body", body, "--low", low, "--high", high,
+                                      "--steps", str(steps + 1)])
+    assert code == 2 and out == ""
+    assert f"MAX_GRID_ROWS = {cli.MAX_GRID_ROWS}" in err["message"]
 
 
 def test_experiment_deltabound(capsys):

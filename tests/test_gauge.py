@@ -6,17 +6,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
-from minkgauge import (Ball, BodyError, VPolytope, alpha, alpha_inf,
-                       central_symm, centroid, contains, global_width,
-                       homothety, level_set, lp, make_box, make_simplex,
-                       max_chord, rho, sphere_dirs, support, t_func)
+from minkgauge import (Ball, BodyError, VPolytope, alpha, alpha_inf, beta,
+                       brute_force_alpha, central_symm, centroid, contains,
+                       global_width, hausdorff, homothety, level_set, lp,
+                       make_box, make_simplex, make_weighted_l2_ball, max_chord,
+                       rho, sphere_dirs, support, t_func, t_many)
 from minkgauge import gauge
 from minkgauge.body import (Sum, encoding_feasible, interior_point, lp_encoding,
                             vertex_candidates)
 from minkgauge.gauge import _alpha_lp
-from minkgauge.shapes import random_polygon
 
-from conftest import (polygons, polygons_with_exterior, polygons_with_interior,
+from conftest import (counted_oracle, polygons, polygons_with_exterior, polygons_with_interior,
                       unit_dirs)
 
 
@@ -191,6 +191,49 @@ def test_vertex_polytope_alpha_witness(d):
             # independent value: rho's disjointness bisection
             r = rho(K, x)
             npt.assert_allclose(res.alpha, (1.0 + r) / (1.0 - r), rtol=1e-7)
+
+
+def _weighted_alpha(mode, x):
+    # alpha of the centred ellipsoid sum w_n x_n^2 <= 1 is its norm
+    n = np.arange(1, x.size + 1)
+    w = 1.0 + 1.0 / n if mode == "i" else 2.0 - 1.0 / n
+    return float(np.sqrt(np.sum(w * x * x)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_sampled_alpha_is_one_sided(d):
+    rng = np.random.default_rng(d)
+    for mode in ("i", "ii"):
+        K = make_weighted_l2_ball(d, mode)
+        for level in (0.4, 1.0, 2.5):
+            u = rng.normal(size=d)
+            x = level * u / _weighted_alpha(mode, u)
+            a = _weighted_alpha(mode, x)
+            res = alpha(K, x)
+            assert res.method == "sampled"
+            assert 0.95 * a <= res.alpha <= a * (1.0 + 1e-9)
+            assert t_func(K, res.witness_dir, x) >= res.alpha - res.tol
+
+
+def test_sampled_routes_make_no_scalar_oracle_calls():
+    K, counts = counted_oracle(4)
+    x = np.array([0.3, -0.2, 0.1, 0.4])
+    res = alpha(K, x)
+    beta(K, x)
+    brute_force_alpha(K, 2.0 * x)
+    hausdorff(K, Ball(np.zeros(4), 0.8), n_dirs=256)
+    assert counts["h"] == 0
+    assert counts["h_many"] > 0
+    npt.assert_allclose(res.alpha, _weighted_alpha("i", x), rtol=1e-9)
+
+
+def test_t_many_matches_t_func(paper_triangle):
+    D = np.vstack([sphere_dirs(2, 32, 4), 5.0 * sphere_dirs(2, 4, 5)])
+    x = np.array([11.0, 13.0])
+    npt.assert_allclose(t_many(paper_triangle, D, x),
+                        [t_func(paper_triangle, v, x) for v in D], rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError):
+        t_many(paper_triangle, np.vstack([D, np.zeros(2)]), x)
 
 
 @given(polygons_with_interior(), st.integers(min_value=0, max_value=2**31 - 1))

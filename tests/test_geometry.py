@@ -15,9 +15,10 @@ from minkgauge import (Ball, SupportOracle, VPolytope, central_symm,
                        global_width, hausdorff, homothety, inscribed_ball,
                        max_chord, polygon_vertices, sphere_dirs, support,
                        width_dir)
+from minkgauge import geometry
 from minkgauge.geometry import vertices2d
 
-from conftest import polygon_pairs, polygons, unit_dirs
+from conftest import counted_oracle, polygon_pairs, polygons, unit_dirs
 
 
 HEX_VERTICES = {(3.0, 0.0), (0.0, 3.0), (-3.0, 0.0), (0.0, -3.0), (3.0, -3.0), (-3.0, 3.0)}
@@ -158,6 +159,37 @@ def test_hausdorff_sampled_is_monotone_lower_bound(pair):
         assert res.value <= exact + 1e-9
         assert res.value >= prev - 1e-12  # nested direction family
         prev = res.value
+
+
+def test_oracle_sweeps_are_batched_and_tight():
+    # semi-axes of sum w_n x_n^2 <= 1 with w = (2, 3/2, 4/3): 1/sqrt(w)
+    K, counts = counted_oracle(3)
+    axes = 1.0 / np.sqrt([2.0, 1.5, 4.0 / 3.0])
+    v = np.array([1.0, 1.0, 0.0])
+    tau = 2.0 / np.sqrt(2.0 * 1.0 + 1.5 * 1.0)   # v / tau is on the boundary
+    npt.assert_allclose(max_chord(K, v), tau, rtol=1e-6)
+    npt.assert_allclose(global_width(K).value, 2.0 * axes.min(), rtol=1e-6)
+    npt.assert_allclose(diameter(K), 2.0 * axes.max(), rtol=1e-6)
+    npt.assert_allclose(far_radius(K), axes.max(), rtol=1e-6)
+    assert counts["h"] == 0
+
+
+def test_multistart_polish_is_one_call_per_step(monkeypatch):
+    K, counts = counted_oracle(5)
+    runs = []
+    minimize = geometry.optimize.minimize
+
+    def recorded(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        runs.append((kwargs, res.nfev))
+        return res
+    monkeypatch.setattr(geometry.optimize, "minimize", recorded)
+    far_radius(K)
+    assert len(runs) == 32
+    assert all(kw["method"] == "L-BFGS-B" and kw["jac"] is True for kw, _ in runs)
+    # one prepass call, then one call per polish evaluation
+    assert counts["h_many"] == 1 + sum(nfev for _, nfev in runs)
+    assert counts["h"] == 0
 
 
 def test_interval_hausdorff():

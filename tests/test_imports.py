@@ -1,0 +1,42 @@
+"""No program file imports a name it never uses.
+
+No linter ships with the test dependencies, so this is a plain ``ast`` scan:
+every name an import statement binds must appear as a name somewhere else in
+the same file.  Package ``__init__`` modules re-export on purpose and are
+skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted(
+    [p for p in (ROOT / "src" / "minkgauge").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "demos").glob("*.py"))
+    + list((ROOT / "tests").glob("*.py")))
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_scan_finds_an_unused_import():
+    src = "import os\nfrom numpy import array, zeros as z\nprint(array)\n"
+    assert unused_imports(src) == [(1, "os"), (2, "z")]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

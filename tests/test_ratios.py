@@ -12,8 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from minkgauge import (Ball, BodyError, HPolytope, SupportOracle, VPolytope,
-                       alpha, beta, brute_force_alpha, chord, contains,
-                       far_radius, inscribed_ball, minkowski_phi,
+                       alpha, beta, brute_force_alpha, chord, far_radius, inscribed_ball, minkowski_phi,
                        ratio_functionals, rho, support)
 from minkgauge.ratios import SAMPLING_SIDES
 

@@ -237,6 +237,23 @@ def test_parse_affine_kind_names_the_field(spec, path, capsys):
     assert json.loads(capsys.readouterr().err)["message"].startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("spec, path", [
+    ({"kind": "ball", "center": [float("nan"), 0], "radius": 1}, "body.center[0]"),
+    ({"kind": "translated", "offset": [0, float("inf")], "body": TRIANGLE_SPEC},
+     "body.offset[1]"),
+    ({"kind": "ball", "center": [0, 0], "radius": float("-inf")}, "body.radius"),
+    ({"kind": "hpolytope", "A": [[1, 0], [-1, 0], [0, 10 ** 400]], "b": [1, 1, 1]},
+     "body.A[2][1]"),
+])
+def test_parse_non_finite_number_names_the_field(spec, path, capsys):
+    with pytest.raises(SchemaError) as exc:
+        parse_body(spec)
+    assert exc.value.path == path
+    assert run(["width", "--body", json.dumps(spec)]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message == f"{path}: expected a finite number"
+
+
 def _readme_schema_fields():
     """kind -> field names, read from the README's body schema table."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
