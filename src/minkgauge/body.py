@@ -1,8 +1,9 @@
 """Convex body representations and the operations that depend on them.
 
 A body is one of the variants below.  Polytopes carry an exact vertex or
-halfspace description; composite variants (sums and products) are evaluated
-lazily through recursion.  ``SupportOracle`` wraps a black-box support
+halfspace description, and H-polytopes prepare their vertices once, on
+first use; composite variants (sums and products) are evaluated lazily
+through recursion.  ``SupportOracle`` wraps a black-box support
 function for bodies with no finite description, and every routine that has
 to fall back to sampling on such a body says so in its result.  The image
 of a body under x -> s x + z (``homothety``) is again a body of its kind.
@@ -19,11 +20,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
-from scipy.spatial import ConvexHull
-from scipy.spatial import QhullError
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from . import lp
 
@@ -43,18 +44,90 @@ def as_vector(x, d=None):
     return v
 
 
+# H-polytopes above this dimension keep the LP routes: their vertex count
+# grows like m^(d/2) in the number m of facets
+MAX_VERTEX_DIM = 4
+VERTEX_TOL = 1e-9      # A v <= b slack of a prepared vertex, relative
+
+
 @dataclass(frozen=True, eq=False)
 class HPolytope:
-    """Bounded intersection of halfspaces A x <= b."""
+    """Bounded intersection of halfspaces A x <= b.
+
+    A and b are private read-only copies, so the two cached derived values
+    stay valid: the Chebyshev centre (one LP) and the vertex array.
+    """
 
     A: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.atleast_2d(np.asarray(self.A, dtype=float)))
-        object.__setattr__(self, "b", np.atleast_1d(np.asarray(self.b, dtype=float)))
-        if self.A.shape[0] != self.b.size:
+        A = np.atleast_2d(np.array(self.A, dtype=float))
+        b = np.atleast_1d(np.array(self.b, dtype=float))
+        if A.shape[0] != b.size:
             raise BodyError("A and b row counts differ")
+        A.setflags(write=False)
+        b.setflags(write=False)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
+
+    @cached_property
+    def chebyshev(self):
+        """(centre, radius) of the largest inscribed ball, from one LP.
+
+        Raises lp.NumericalError for empty or unbounded systems (not cached).
+        """
+        c, r = lp.chebyshev_center(self.A, self.b)
+        c.setflags(write=False)
+        return c, r
+
+    @cached_property
+    def vertices(self):
+        """Extreme points as a read-only (n, d) array, or None.
+
+        None when the system is empty, unbounded or flat, when Qhull fails,
+        and above MAX_VERTEX_DIM; such bodies keep the LP routes.
+        """
+        return _halfspace_vertices(self)
+
+
+def _halfspace_vertices(K):
+    A, b = K.A, K.b
+    d = A.shape[1]
+    if d > MAX_VERTEX_DIM or not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        return None
+    if d == 1:
+        a = A[:, 0]
+        up, down = a > 0, a < 0
+        if not (up.any() and down.any()) or np.any(b[a == 0] < 0):
+            return None
+        lo, hi = np.max(b[down] / a[down]), np.min(b[up] / a[up])
+        if not lo < hi:
+            return None
+        V = np.array([[lo], [hi]])
+    else:
+        try:
+            c, r = K.chebyshev
+        except (lp.NumericalError, ValueError):     # empty, unbounded, a zero row
+            return None
+        if r <= 1e-9:
+            return None
+        try:
+            # Qhull's halfspace format is [A, -b] for A x - b <= 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                hs = HalfspaceIntersection(np.hstack([A, -b[:, None]]), c)
+            V = hs.intersections
+            # the system is bounded iff the origin is inside the dual hull
+            if not np.all(np.isfinite(V)) or np.any(hs.dual_equations[:, -1] >= 0):
+                return None
+            V = V[ConvexHull(V).vertices]
+        except QhullError:
+            return None
+    slack = VERTEX_TOL * max(1.0, float(np.max(np.abs(V)))) * np.linalg.norm(A, axis=1)
+    if np.any(A @ V.T > (b + slack)[:, None]):
+        return None
+    V.setflags(write=False)
+    return V
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,6 +264,8 @@ def support(K, v) -> float:
     if isinstance(K, VPolytope):
         return float(np.max(K.vertices @ v))
     if isinstance(K, HPolytope):
+        if K.vertices is not None:
+            return float(np.max(K.vertices @ v))
         res = lp.solve(v, A_ub=K.A, b_ub=K.b, sense="max")
         if res.status is lp.LPStatus.UNBOUNDED:
             raise BodyError("halfspace system is unbounded in the queried direction")
@@ -218,7 +293,7 @@ def support_many(K, D) -> np.ndarray:
 
     D is validated once; polytopes, balls and oracles with ``h_many`` are
     evaluated as one array operation, sums and products recurse once per
-    batch.  H-polytopes still solve one LP per row.
+    batch.  H-polytopes without prepared vertices solve one LP per row.
     """
     D = np.asarray(D, dtype=float)
     d = dim(K)
@@ -233,6 +308,8 @@ def _support_rows(K, D):
     if isinstance(K, VPolytope):
         return (D @ K.vertices.T).max(axis=1)
     if isinstance(K, HPolytope):
+        if K.vertices is not None:
+            return (D @ K.vertices.T).max(axis=1)
         return np.array([support(K, v) for v in D])
     if isinstance(K, Ball):
         return D @ K.center + K.radius * np.linalg.norm(D, axis=1)
@@ -290,11 +367,15 @@ def _affine_rank(P, tol=1e-9):
 def vertex_candidates(K):
     """A finite set of points whose convex hull is K, or None.
 
-    The set may contain redundant points.  Exists exactly for the polytopal
-    variants: V-polytopes and sums/products built from them.
+    The set may contain redundant points.  Exists for V-polytopes, for
+    H-polytopes with prepared vertices (bounded and full-dimensional, in
+    dimension at most MAX_VERTEX_DIM; the array is read-only), and for
+    sums and products built from them.
     """
     if isinstance(K, VPolytope):
         return K.vertices.copy()
+    if isinstance(K, HPolytope):
+        return K.vertices
     if isinstance(K, Sum):
         parts = [vertex_candidates(T) for T in K.terms]
         if any(p is None for p in parts):
@@ -551,11 +632,9 @@ def interior_point(K):
         return np.concatenate([interior_point(f) for f in K.factors])
     if isinstance(K, Sum):
         return np.sum([interior_point(T) for T in K.terms], axis=0)
-    V = vertex_candidates(K)
-    if V is not None:
-        return np.unique(V, axis=0).mean(axis=0)
-    c, _ = lp.chebyshev_center(K.A, K.b)
-    return c
+    if isinstance(K, HPolytope):
+        return K.chebyshev[0].copy()
+    return np.unique(K.vertices, axis=0).mean(axis=0)
 
 
 def inscribed_ball(K):
@@ -579,6 +658,9 @@ def inscribed_ball(K):
         if any(p is None for p in parts):
             return None
         return np.sum([p[0] for p in parts], axis=0), max(p[1] for p in parts)
+    if isinstance(K, HPolytope):
+        c, r = K.chebyshev
+        return (c.copy(), r) if r > 0 else None
     hs = halfspaces(K)
     if hs is not None:
         c, r = lp.chebyshev_center(*hs)
@@ -602,16 +684,14 @@ def validate(K):
         norms = np.linalg.norm(K.A, axis=1)
         if np.any(norms == 0):
             raise BodyError("halfspace system has a zero row")
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = 1.0
-            for s in (e, -e):
-                res = lp.solve(s, A_ub=K.A, b_ub=K.b, sense="max")
-                if res.status is lp.LPStatus.UNBOUNDED:
-                    raise BodyError("halfspace system is unbounded")
-                if res.status is lp.LPStatus.INFEASIBLE:
-                    raise BodyError("halfspace system is empty")
-        _, r = lp.chebyshev_center(K.A, K.b)
+        # every coordinate and its negation maximized as one stacked LP
+        status, _ = lp.solve_stacked(np.vstack([np.eye(d), -np.eye(d)]),
+                                     A_ub=K.A, b_ub=K.b, sense="max")
+        if status is lp.LPStatus.UNBOUNDED:
+            raise BodyError("halfspace system is unbounded")
+        if status is lp.LPStatus.INFEASIBLE:
+            raise BodyError("halfspace system is empty")
+        _, r = K.chebyshev
         if r <= 1e-9:
             raise BodyError("halfspace system has empty interior")
         return

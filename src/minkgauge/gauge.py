@@ -35,8 +35,7 @@ from . import lp
 from .body import (Ball, BodyError, HPolytope, Product, SupportOracle, VPolytope,
                    as_vector, contains, dim, halfspaces, hull2d, lp_encoding,
                    support, vertex_candidates)
-from .geometry import (_exact_points, _multistart_sphere, _support_pm, sphere_dirs,
-                       vertices2d)
+from .geometry import _exact_points, _multistart_sphere, _support_pm, sphere_dirs
 
 T_MEMBER_TOL = 1e-9
 
@@ -55,9 +54,9 @@ class GaugeResult:
 class LevelSet:
     """The set {x : alpha(K, x) <= lam} with an explicit representation.
 
-    ``body`` is an HPolytope (lam <= 1), a VPolytope (lam >= 1 with vertex
-    access), a Ball, or a SupportOracle description; it may be lower
-    dimensional.  ``empty`` marks lam below the symmetry constant of K.
+    ``body`` is an HPolytope (lam <= 1), a VPolytope (lam >= 1), a Ball,
+    or a Product of these; it may be lower dimensional.  ``empty`` marks lam
+    below the symmetry constant of K.
     """
 
     lam: float
@@ -116,25 +115,20 @@ def facet_profile(K):
         lo = -support(K, -np.ones(1))
         A = np.array([[1.0], [-1.0]])
         return A, np.array([hi, -lo]), np.array([-lo, hi])
-    V = vertex_candidates(K)
-    hs = halfspaces(K)
     if d == 2:
-        if V is None and hs is None:
+        V = vertex_candidates(K)
+        if V is None:
             return None
-        W = hull2d(V) if V is not None else hull2d(vertices2d(*hs))
+        W = hull2d(V)
         edges = np.roll(W, -1, axis=0) - W
         A = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
         M = A @ W.T
         return A, M.max(axis=1), (-M).max(axis=1)
+    hs = halfspaces(K)
     if hs is None:
         return None
-    A, b = hs
-    if V is not None:
-        M = A @ V.T
-        return A, M.max(axis=1), (-M).max(axis=1)
-    hp = np.array([support(K, a) for a in A])
-    hm = np.array([support(K, -a) for a in A])
-    return A, hp, hm
+    A = hs[0]
+    return (A, *_support_pm(K, A))
 
 
 def _t_values(profile, x):
@@ -249,8 +243,7 @@ def alpha(K, x) -> GaugeResult:
         return _alpha_product(K, x)
     if isinstance(K, SupportOracle):
         return _alpha_sampled(K, x)
-    # above the plane the facet maximum is exact only inside K, and for
-    # halfspace bodies the profile itself costs two LPs per facet
+    # above the plane the facet maximum is exact only inside K
     planar = x.size <= 2
     hs = None if planar else halfspaces(K)
     profile = facet_profile(K) if planar or (hs is not None and contains(K, x)) else None
@@ -331,8 +324,8 @@ def level_set(K, lam) -> LevelSet:
     """Construct K^lam = {x : alpha(K, x) <= lam} explicitly.
 
     lam <= 1 erodes the tight facet system (the result may be empty or lower
-    dimensional); lam >= 1 builds the sum form from vertex pairs, falling
-    back to a support-function description when only facets are available.
+    dimensional); lam >= 1 builds the sum form from vertex pairs, which
+    H-polytopes take from their prepared vertices.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError("level must be a finite nonnegative number")
@@ -352,40 +345,25 @@ def level_set(K, lam) -> LevelSet:
             raise BodyError("erosion level set needs facet access")
         A, hp, hm = profile
         b = (1.0 + lam) / 2.0 * hp - (1.0 - lam) / 2.0 * hm
+        body = HPolytope(A, b)
         try:
-            _, r = lp.chebyshev_center(A, b)
+            _, r = body.chebyshev
         except lp.NumericalError:
             return LevelSet(lam, None, True, K)
         if r < -1e-12:
             return LevelSet(lam, None, True, K)
-        return LevelSet(lam, HPolytope(A, b), False, K)
-    V = vertex_candidates(K)
-    if V is None and dim(K) <= 2:
-        V = _exact_points(K)
-    if V is not None:
-        pairs = ((1.0 + lam) * V[:, None, :] - (lam - 1.0) * V[None, :, :]) / 2.0
-        pts = pairs.reshape(-1, V.shape[1])
-        if V.shape[1] == 2 and pts.shape[0] >= 3:
-            try:
-                pts = hull2d(pts)
-            except BodyError:
-                pass
-        return LevelSet(lam, VPolytope(np.unique(pts, axis=0)), False, K)
-    hs = halfspaces(K)
-    if hs is not None:
-        c0, r0 = lp.chebyshev_center(*hs)
-        hi = np.array([support(K, e) for e in np.eye(dim(K))])
-        lo = np.array([-support(K, -e) for e in np.eye(dim(K))])
-        R = float(np.linalg.norm(np.maximum(np.abs(hi), np.abs(lo))))
-
-        def h_lam(v, _K=K, _lam=lam):
-            return (_lam + 1.0) / 2.0 * support(_K, v) + (_lam - 1.0) / 2.0 * support(_K, -v)
-
-        body = SupportOracle(h_lam, c0, r0 * lam if lam >= 1 else r0,
-                             R * lam + float(np.linalg.norm(c0)) * (lam + 1.0),
-                             label=f"level-set lam={lam:g}")
         return LevelSet(lam, body, False, K)
-    raise BodyError("level set needs polytope or ball structure")
+    V = _exact_points(K)
+    if V is None:
+        raise BodyError("level set needs polytope or ball structure")
+    pairs = ((1.0 + lam) * V[:, None, :] - (lam - 1.0) * V[None, :, :]) / 2.0
+    pts = pairs.reshape(-1, V.shape[1])
+    if V.shape[1] == 2 and pts.shape[0] >= 3:
+        try:
+            pts = hull2d(pts)
+        except BodyError:
+            pass
+    return LevelSet(lam, VPolytope(np.unique(pts, axis=0)), False, K)
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +414,13 @@ def _critical_dim(A, hp, hm, w, lam, seed, extra_point=None, rank_tol=1e-7):
     # slack relative to each row's width: an absolute slack opens a sliver
     # longer than rank_tol on thin bodies and fakes a dimension
     b_face = hp - hm + w * (lam + 1e-9)
-    rng = np.random.default_rng(seed)
+    # 2d + 1 seeded objectives over the face, stacked into one LP: one
+    # block-diagonal copy of the face per objective
+    obj = np.random.default_rng(seed).normal(size=(2 * d + 1, d))
+    status, X = lp.solve_stacked(obj, A_ub=2.0 * A, b_ub=b_face)
     pts = [] if extra_point is None else [extra_point]
-    for _ in range(2 * d + 1):
-        obj = rng.normal(size=d)
-        r = lp.solve(obj, A_ub=2.0 * A, b_ub=b_face, sense="min")
-        if r.optimal:
-            pts.append(r.x)
+    if status is lp.LPStatus.OPTIMAL:
+        pts.extend(X)
     if not pts:
         return 0
     P = np.array(pts)
@@ -493,11 +471,9 @@ def centroid(K):
         return np.array([0.5 * (lo + hi)])
     if d == 2:
         V = vertex_candidates(K)
-        hs = halfspaces(K) if V is None else None
-        if V is None and hs is None:
+        if V is None:
             raise BodyError("centroid needs polygon access in the plane")
-        W = hull2d(V) if V is not None else hull2d(vertices2d(*hs))
-        return _polygon_centroid(W)
+        return _polygon_centroid(hull2d(V))
     V = vertex_candidates(K)
     if V is not None:
         U = np.unique(V, axis=0)

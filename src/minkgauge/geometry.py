@@ -50,16 +50,9 @@ def width_dir(K, v) -> float:
 def _exact_points(K):
     """A finite generating point set for K when one can be had exactly."""
     V = vertex_candidates(K)
-    if V is not None:
-        return V
-    d = dim(K)
-    if d == 1:
+    if V is None and dim(K) == 1:
         return _interval_points(K).reshape(2, 1)
-    if d == 2:
-        hs = halfspaces(K)
-        if hs is not None:
-            return vertices2d(*hs)
-    return None
+    return V
 
 
 def central_symm(K):
@@ -220,14 +213,12 @@ def global_width(K, n_starts=64, seed=0) -> WidthResult:
     if d == 1:
         w = width_dir(K, np.ones(1))
         return WidthResult(float(w), np.ones(1), True)
-    if d == 2:
-        P = polygon_vertices(central_symm(K)) if _planar_vertexable(K) else None
-        if P is not None:
-            A, b = _edge_system(P)
-            norms = np.linalg.norm(A, axis=1)
-            vals = 2.0 * b / norms
-            i = int(np.argmin(vals))
-            return WidthResult(float(vals[i]), A[i] / norms[i], True)
+    if d == 2 and vertex_candidates(K) is not None:
+        A, b = _edge_system(polygon_vertices(central_symm(K)))
+        norms = np.linalg.norm(A, axis=1)
+        vals = 2.0 * b / norms
+        i = int(np.argmin(vals))
+        return WidthResult(float(vals[i]), A[i] / norms[i], True)
     extra = None
     hs = halfspaces(K)
     if hs is not None:
@@ -262,9 +253,10 @@ def diameter(K) -> float:
 def far_radius(K) -> float:
     """sup of the euclidean norm over K: the reach from the origin.
 
-    Exact for vertex-accessible bodies, balls and products of such; for
-    H-polytopes and oracles the maximum of h over unit directions is taken
-    by multi-start search (a certified lower bound).
+    Exact for vertex-accessible bodies (H-polytopes through their prepared
+    vertices), balls and products of such; for the rest the maximum of h
+    over unit directions is taken by multi-start search (a certified lower
+    bound).
     """
     if isinstance(K, Ball):
         return float(np.linalg.norm(K.center)) + K.radius
@@ -282,51 +274,17 @@ def far_radius(K) -> float:
 # planar helpers
 
 
-def _planar_vertexable(K):
-    if dim(K) != 2:
-        return False
-    if vertex_candidates(K) is not None:
-        return True
-    return halfspaces(K) is not None
-
-
 def polygon_vertices(K):
-    """Hull-ordered (CCW) vertices of a planar body, exact.
+    """Hull-ordered (CCW) vertices of a planar body with vertex access, exact.
 
-    Accepts vertex-accessible bodies and H-polytopes (whose vertices are
-    enumerated from facet intersections).
+    H-polytopes qualify through their prepared vertices.
     """
     if dim(K) != 2:
         raise BodyError("polygon_vertices needs a planar body")
     V = vertex_candidates(K)
-    if V is not None:
-        return hull2d(V)
-    hs = halfspaces(K)
-    if hs is None:
+    if V is None:
         raise BodyError("planar body without polygon access")
-    return hull2d(vertices2d(*hs))
-
-
-def vertices2d(A, b, feas_tol=1e-7):
-    """Vertices of a planar halfspace system from pairwise facet intersections."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    m = A.shape[0]
-    norms = np.linalg.norm(A, axis=1)
-    scale = max(1.0, float(np.max(np.abs(b) / np.maximum(norms, 1e-30))))
-    pts = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            M = np.vstack([A[i], A[j]])
-            det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-            if abs(det) <= 1e-12 * norms[i] * norms[j]:
-                continue
-            p = np.linalg.solve(M, np.array([b[i], b[j]]))
-            if np.all(A @ p <= b + feas_tol * scale * np.maximum(norms, 1.0)):
-                pts.append(p)
-    if not pts:
-        raise BodyError("halfspace system has no planar vertices")
-    return np.array(pts)
+    return hull2d(V)
 
 
 def _edge_system(P):

@@ -16,6 +16,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 FEAS_TOL = 1e-10   # HiGHS primal and dual feasibility tolerance
+# largest block-diagonal constraint matrix solve_stacked builds, in entries;
+# its size grows with the square of the number of stacked copies
+STACK_ENTRIES = 1 << 18
 
 
 class NumericalError(RuntimeError):
@@ -88,6 +91,37 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(None, None), se
     if res.status == 3:
         return LPResult(LPStatus.UNBOUNDED, None, None)
     raise NumericalError(f"LP solver failed: {res.message}")
+
+
+def solve_stacked(C, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(None, None),
+                  sense="min"):
+    """Optimize each objective row of C over the same system.
+
+    The copies go into block-diagonal LPs, as many per LP as keep the stacked
+    matrix under STACK_ENTRIES (all of them for small systems).  The blocks
+    are separable, so each returns its own optimum.  Returns (status, X):
+    X holds one optimal point per row of C, or is None and status is the
+    first non-optimal one.
+    """
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    k, n = C.shape
+    rows = sum(0 if A is None else np.shape(A)[0] for A in (A_ub, A_eq))
+    per = max(1, int(np.sqrt(STACK_ENTRIES / max(1, rows * n))))
+    X = []
+    for at in range(0, k, per):
+        j = min(per, k - at)
+        I = np.eye(j)
+        res = solve(C[at:at + j].ravel(),
+                    A_ub=None if A_ub is None else np.kron(I, A_ub),
+                    b_ub=None if A_ub is None else np.tile(b_ub, j),
+                    A_eq=None if A_eq is None else np.kron(I, A_eq),
+                    b_eq=None if A_eq is None else np.tile(b_eq, j),
+                    bounds=bounds * j if isinstance(bounds, list) else bounds,
+                    sense=sense)
+        if not res.optimal:
+            return res.status, None
+        X.append(res.x.reshape(j, n))
+    return LPStatus.OPTIMAL, np.vstack(X)
 
 
 def feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(None, None)):

@@ -1,12 +1,12 @@
 """Chord and homothety ratios that reproduce the gauge independently.
 
-Every function here avoids the facet-maximum and bisection paths of the
-gauge module on purpose: beta uses reflected-copy containment, rho uses
-an LP disjointness bisection, and the chord ratios (sigma, nu, omega,
-gamma_sq, mu) come straight from line intersections.  The test suite
-holds these against alpha through the classical identities, so a bug in
-either side shows up as a broken identity rather than two computations
-agreeing on the same mistake.
+Every function here avoids the facet-maximum and level-set LP paths of
+the gauge module on purpose: beta uses reflected-copy containment, rho
+the least factor at which a homothet of K about x meets K (one LP), and
+the chord ratios (sigma, nu, omega, gamma_sq, mu) come straight from line
+intersections.  The test suite holds these against alpha through the
+classical identities, so a bug in either side shows up as a broken
+identity rather than two computations agreeing on the same mistake.
 
 Chord conventions: for a line through x meeting the body in a segment
 [a, b], endpoints are named so that ||x - b|| <= ||x - a||.  Sampled
@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .body import (Ball, BodyError, Product, SupportOracle, as_vector,
-                   contains, dim, encoding_feasible, halfspaces, lp_encoding,
-                   vertex_candidates)
-from .gauge import alpha, facet_profile, t_many
+                   contains, dim, halfspaces, lp_encoding, vertex_candidates)
+from .gauge import _scaled_copies, alpha, facet_profile, t_many
 from .geometry import _support_pm, sphere_dirs
-from .lp import NumericalError, solve
+from .lp import LPStatus, NumericalError, solve, solve_stacked
 
 BISECT_TOL = 1e-10
 BISECT_MAX_ITER = 60
@@ -113,21 +112,19 @@ def _lp_interval(K, x, v):
     enc = lp_encoding(K)
     if enc is None:
         raise BodyError("chord needs a polytope-backed body")
-    n = enc.n
+    # variables (u, t) with P u + q = x + t v; t maximized and minimized in
+    # one stacked LP
     Aub = np.hstack([enc.A_ub, np.zeros((enc.A_ub.shape[0], 1))])
     Aeq = np.vstack([np.hstack([enc.A_eq, np.zeros((enc.A_eq.shape[0], 1))]),
                      np.hstack([enc.P, -v[:, None]])])
     beq = np.concatenate([enc.b_eq, x - enc.q])
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    bounds = list(enc.bounds) + [(None, None)]
-    hi = solve(c, Aub, enc.b_ub, Aeq, beq, bounds, sense="max")
-    if not hi.optimal:
+    C = np.zeros((2, enc.n + 1))
+    C[:, -1] = (1.0, -1.0)
+    status, X = solve_stacked(C, Aub, enc.b_ub, Aeq, beq, list(enc.bounds) + [(None, None)],
+                              sense="max")
+    if status is not LPStatus.OPTIMAL:
         return None
-    lo = solve(c, Aub, enc.b_ub, Aeq, beq, bounds, sense="min")
-    if not lo.optimal:
-        return None
-    return lo.value, hi.value
+    return X[1, -1], X[0, -1]
 
 
 def beta(K, x):
@@ -202,37 +199,35 @@ def _beta_bisect(K, x):
 def rho(K, x):
     """Sup of factors t for which x + t(K - x) misses K (exterior x).
 
-    Bisection on t with an exact LP disjointness test; the LP cannot
-    distinguish touching from crossing, which only matters on a measure
-    zero set of factors and is covered by the bisection tolerance.
+    One LP: the least t in [0, 1] at which the homothet meets K, i.e. some
+    y in K equals x + t (z - x) with z in K.  With w = t z, a perspective
+    copy of K in which only the right-hand sides scale, the coupling
+    P u - P w + t (x - q) = x - q is linear in (t, u, w).
     """
     x = as_vector(x, dim(K))
-    if contains(K, x, tol=-1e-9):
-        raise BodyError("rho is defined for x outside K")
     if isinstance(K, Ball):
+        if contains(K, x, tol=-1e-9):
+            raise BodyError("rho is defined for x outside K")
         delta = np.linalg.norm(x - K.center)
         return (delta - K.radius) / (delta + K.radius)
-    enc = lp_encoding(K)
-    if enc is None:
+    e = lp_encoding(K)
+    if e is None:
         raise BodyError("rho needs a polytope-backed body")
-    d = dim(K)
-
-    def meets(lam):
-        # some y in K equals x + lam (z - x) with z in K
-        rhs = (1.0 - lam) * x
-        return encoding_feasible([enc, enc],
-                                 [np.eye(d), -lam * np.eye(d)], rhs)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if meets(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    A_ub, b_ub, A_eq, b_eq, bounds = _scaled_copies(e, [(0.0, 1.0), (1.0, 0.0)])
+    C = np.hstack([(x - e.q)[:, None], e.P, -e.P])
+    bounds[0] = (0.0, 1.0)
+    c = np.zeros(C.shape[1])
+    c[0] = 1.0
+    res = solve(c, A_ub=A_ub if b_ub.size else None, b_ub=b_ub if b_ub.size else None,
+                A_eq=np.vstack([A_eq, C]), b_eq=np.concatenate([b_eq, x - e.q]),
+                bounds=bounds)
+    if not res.optimal:
+        raise NumericalError(f"rho LP ended with status {res.status.value}")
+    t = float(res.value)
+    # t = 0 exactly when x is in K; the boundary keeps its rho of 0
+    if t <= 1e-9 and contains(K, x, tol=-1e-9):
+        raise BodyError("rho is defined for x outside K")
+    return t
 
 
 @dataclass

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from minkgauge import SupportOracle, VPolytope
+from minkgauge import SupportOracle, VPolytope, lp
 from minkgauge.shapes import make_weighted_l2_ball, random_polygon
 
 settings.register_profile(
@@ -85,6 +85,20 @@ def counted_oracle(d, mode="i"):
         return K.h_many(D)
     return SupportOracle(h, K.center, K.inner_radius, K.outer_radius,
                          label=K.label, h_many=h_many), counts
+
+
+@pytest.fixture
+def lp_solves(monkeypatch):
+    """List that grows by one entry per call into the LP solver, the entry
+    being the call's number of LP columns."""
+    calls = []
+    solver = lp.linprog
+
+    def counted(c, *args, **kwargs):
+        calls.append(len(c))
+        return solver(c, *args, **kwargs)
+    monkeypatch.setattr(lp, "linprog", counted)
+    return calls
 
 
 @pytest.fixture

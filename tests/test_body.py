@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from minkgauge import (Ball, BodyError, HPolytope, Product, Sum, SupportOracle,
                        VPolytope, alpha, contains, dim, homothety, hull2d,
-                       inscribed_ball, interior_point, make_box,
+                       inscribed_ball, interior_point, lp, make_box,
                        make_weighted_l2_ball, parse_body, support,
                        support_many, vertex_candidates, width_dir)
 from minkgauge.body import Encoding, encoding_feasible, halfspaces, lp_encoding, validate
@@ -218,7 +218,85 @@ def test_vertex_candidates_roundtrip():
     V = vertex_candidates(homothety(SQ, 2.0))
     assert V is not None
     assert np.max(np.abs(V)) == pytest.approx(2.0, abs=1e-12)
-    assert vertex_candidates(SQ_H) is None
+    corners = sorted(map(tuple, vertex_candidates(SQ_H)))
+    npt.assert_allclose(corners, sorted(map(tuple, SQ.vertices)), atol=1e-12)
+
+
+# prepared vertices of H-polytopes
+
+
+def _lp_support(K, v):
+    # the LP route that H-polytopes without prepared vertices keep
+    return lp.solve(v, A_ub=K.A, b_ub=K.b, sense="max").value
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hbox_support_solves_no_lp_after_preparation(d, lp_solves):
+    rng = np.random.default_rng(d)
+    lo = rng.uniform(-2.0, 0.0, d)
+    B = make_box(lo, lo + rng.uniform(0.5, 3.0, d))
+    validate(B)
+    assert B.vertices.shape == (2 ** d, d)
+    D = np.vstack([np.eye(d), -np.eye(d), rng.normal(size=(64, d))])
+    lp_solves.clear()
+    one = np.array([support(B, v) for v in D])
+    many = support_many(B, D)
+    assert not lp_solves
+    want = np.array([_lp_support(B, v) for v in D])
+    npt.assert_allclose(one, want, rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(many, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hpolytope_vertices_match_the_lp_route(d):
+    rng = np.random.default_rng(20 + d)
+    for _ in range(5):
+        K = _homothety_body("hpolytope", d, rng)
+        V = K.vertices
+        norms = np.linalg.norm(K.A, axis=1)
+        assert np.all(K.A @ V.T <= (K.b + 1e-12 * norms)[:, None])
+        for v in np.vstack([K.A, rng.normal(size=(16, d))]):
+            npt.assert_allclose(support(K, v), _lp_support(K, v), rtol=1e-9, atol=1e-12)
+
+
+def test_hpolytope_without_vertices_keeps_lp_routes():
+    unbounded = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]), np.ones(3))
+    empty = HPolytope(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
+    flat = HPolytope(np.vstack([np.eye(2), -np.eye(2)]), np.array([1.0, 0.0, 1.0, 0.0]))
+    high = make_box(-np.ones(5), np.ones(5))
+    for K in (unbounded, empty, flat, high):
+        assert K.vertices is None
+        assert vertex_candidates(K) is None
+    with pytest.raises(BodyError, match="unbounded"):
+        support(unbounded, np.array([0.0, 1.0]))
+    with pytest.raises(BodyError, match="empty"):
+        support(empty, np.ones(1))
+    npt.assert_allclose(support(flat, np.ones(2)), 1.0, atol=1e-12)
+    npt.assert_allclose(support_many(high, np.ones((2, 5))), [5.0, 5.0], atol=1e-12)
+
+
+def test_hpolytope_data_is_private_and_read_only():
+    A = np.vstack([np.eye(2), -np.eye(2)])
+    b = np.ones(4)
+    K = HPolytope(A, b)
+    A[0, 0], b[0] = 5.0, 9.0
+    assert K.A[0, 0] == 1.0 and K.b[0] == 1.0
+    for arr in (K.A, K.b, K.vertices, K.chebyshev[0]):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_validate_hpolytope_prepares_with_two_lps(lp_solves):
+    B = make_box(-np.ones(3), np.array([1.0, 2.0, 3.0]))
+    validate(B)
+    # one stacked boundedness LP, one Chebyshev centre shared from then on
+    assert len(lp_solves) == 2
+    lp_solves.clear()
+    assert B.vertices.shape == (8, 3)
+    c, r = inscribed_ball(B)
+    npt.assert_allclose(interior_point(B), c)
+    assert r == pytest.approx(1.0, abs=1e-9)
+    assert not lp_solves
 
 
 def test_halfspaces_derived_for_planar_vpolytope():
@@ -279,12 +357,16 @@ def test_validate_accepts_bodies():
 
 
 def test_validate_rejects_unbounded():
-    with pytest.raises(BodyError):
+    with pytest.raises(BodyError, match="halfspace system is unbounded"):
         validate(HPolytope(np.array([[1.0, 0.0]]), np.array([1.0])))
+    # bounded in every coordinate but one, which the stacked LP must still catch
+    with pytest.raises(BodyError, match="halfspace system is unbounded"):
+        validate(HPolytope(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                     [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]), np.ones(5)))
 
 
 def test_validate_rejects_empty():
-    with pytest.raises(BodyError):
+    with pytest.raises(BodyError, match="halfspace system is empty"):
         validate(HPolytope(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0])))
 
 

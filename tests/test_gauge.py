@@ -9,8 +9,9 @@ from scipy.spatial import ConvexHull, QhullError
 from minkgauge import (Ball, BodyError, VPolytope, alpha, alpha_inf, beta,
                        brute_force_alpha, central_symm, centroid, contains,
                        global_width, hausdorff, homothety, level_set, lp,
-                       make_box, make_simplex, make_weighted_l2_ball, max_chord,
-                       rho, sphere_dirs, support, t_func, t_many)
+                       make_box, make_simplex, make_sobczyk_prism,
+                       make_weighted_l2_ball, max_chord, random_polygon, rho,
+                       sphere_dirs, support, support_many, t_func, t_many, validate)
 from minkgauge import gauge
 from minkgauge.body import (Sum, encoding_feasible, interior_point, lp_encoding,
                             vertex_candidates)
@@ -117,25 +118,73 @@ def test_bisection_agrees_with_closed_form_outside(pair):
     npt.assert_allclose(b.alpha, a.alpha, atol=max(b.tol, 1e-8) * max(1.0, a.alpha))
 
 
-@pytest.fixture
-def lp_solves(monkeypatch):
-    """List that grows by one entry per call into the LP solver."""
-    calls = []
-    solver = lp.linprog
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solver(*args, **kwargs)
-    monkeypatch.setattr(lp, "linprog", counted)
-    return calls
-
-
 def test_cube_exterior_alpha_is_one_lp(lp_solves):
     res = alpha(make_box(-np.ones(3), np.ones(3)), np.array([2.0, 0.5, 0.3]))
     assert res.method == "lp"
     npt.assert_allclose(res.alpha, 2.0, atol=1e-9)
-    # the level-set LP plus the two support LPs of the witness check
-    assert len(lp_solves) <= 3
+    # the level-set LP plus the box's one-time vertex preparation (its
+    # Chebyshev centre); the witness check's support values need no LP
+    assert len(lp_solves) <= 2
+
+
+def test_cube_interior_alpha_solves_no_lp_after_preparation(lp_solves):
+    C = make_box(-np.ones(3), np.ones(3))
+    validate(C)
+    lp_solves.clear()
+    for x in ([0.2, -0.5, 0.1], [0.0, 0.0, 0.9], [-0.3, 0.3, 0.3]):
+        res = alpha(C, np.array(x))
+        assert res.method == "closed_form"
+        npt.assert_allclose(res.alpha, np.max(np.abs(x)), atol=1e-12)
+    assert not lp_solves
+
+
+def test_hbox_level_set_above_one_is_a_vertex_body(lp_solves):
+    L = level_set(make_box(-np.ones(3), np.ones(3)), 2.0)
+    assert isinstance(L.body, VPolytope)
+    D = sphere_dirs(3, 64, 5)
+    lp_solves.clear()
+    h = support_many(L.body, D)
+    assert not lp_solves
+    # the cube is origin-symmetric, so its level body at 2 is the cube doubled
+    npt.assert_allclose(h, 2.0 * np.abs(D).sum(axis=1), rtol=1e-12)
+
+
+def test_alpha_inf_on_validated_box_is_two_lps(lp_solves):
+    lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 3.0, 2.5])
+    B = make_box(lo, hi)
+    validate(B)
+    lp_solves.clear()
+    rep = alpha_inf(B)
+    # the symmetry LP and one stacked LP for the critical-set samples
+    assert len(lp_solves) == 2
+    assert rep.alpha_inf <= 1e-9
+    npt.assert_allclose(rep.minimizer, (lo + hi) / 2.0, atol=1e-9)
+    assert rep.critical_dim_estimate == 0
+
+
+def _critical_dim_separately(A, hp, hm, w, lam, seed, extra_point, rank_tol=1e-7):
+    # the critical-set samples as one LP per objective, the route the stacked
+    # LP replaced
+    d = A.shape[1]
+    rng = np.random.default_rng(seed)
+    pts = [extra_point]
+    for _ in range(2 * d + 1):
+        r = lp.solve(rng.normal(size=d), A_ub=2.0 * A, b_ub=hp - hm + w * (lam + 1e-9))
+        if r.optimal:
+            pts.append(r.x)
+    P = np.array(pts)
+    return int(np.sum(np.linalg.svd(P - P.mean(axis=0), compute_uv=False) > rank_tol))
+
+
+@pytest.mark.parametrize("make", [make_sobczyk_prism, lambda: make_simplex(3),
+                                  lambda: make_box(-np.ones(4), np.ones(4)),
+                                  lambda: random_polygon(7, 3)])
+def test_stacked_critical_dim_matches_separate_lps(make):
+    K = make()
+    rep = alpha_inf(K, seed=5)
+    A, hp, hm = gauge.facet_profile(K)
+    want = _critical_dim_separately(A, hp, hm, hp + hm, rep.alpha_inf, 5, rep.minimizer)
+    assert rep.critical_dim_estimate == want
 
 
 def _vertex_polytope_cases(d):
@@ -156,28 +205,24 @@ def test_vertex_polytope_alpha_lp_count(d, lp_solves):
         assert len(lp_solves) <= 2
 
 
-def test_sum_interior_alpha_erodes_extreme_points_only(monkeypatch):
+def test_sum_interior_alpha_erodes_extreme_points_only(monkeypatch, lp_solves):
     rng = np.random.default_rng(0)
     K = Sum((VPolytope(rng.normal(size=(12, 3))), VPolytope(rng.normal(size=(12, 3)))))
     x = interior_point(K)
     n = lp_encoding(K).n
-    copies = []
-    solver = lp.linprog
 
-    def counted(c, *args, **kwargs):
-        copies.append((len(c) - 1) // n)      # columns: lam, then n per copy
-        return solver(c, *args, **kwargs)
-    monkeypatch.setattr(lp, "linprog", counted)
+    def copies():
+        return (lp_solves[-1] - 1) // n       # columns: lam, then n per copy
     pruned = alpha(K, x)
     extreme = len(ConvexHull(vertex_candidates(K)).vertices)
     assert pruned.alpha < 1.0
-    assert copies[-1] == extreme <= 35
+    assert copies() == extreme <= 35
 
     def no_hull(points):
         raise QhullError("pruning disabled")
     monkeypatch.setattr(gauge, "ConvexHull", no_hull)
     full = alpha(K, x)
-    assert copies[-1] == 144
+    assert copies() == 144
     npt.assert_allclose(pruned.alpha, full.alpha, atol=1e-12)
 
 

@@ -10,13 +10,12 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minkgauge import (Ball, SupportOracle, VPolytope, central_symm,
+from minkgauge import (Ball, HPolytope, SupportOracle, VPolytope, central_symm,
                        chord_witness_dir, diameter, dim, far_radius,
                        global_width, hausdorff, homothety, inscribed_ball,
                        max_chord, polygon_vertices, sphere_dirs, support,
                        width_dir)
 from minkgauge import geometry
-from minkgauge.geometry import vertices2d
 
 from conftest import counted_oracle, polygon_pairs, polygons, unit_dirs
 
@@ -200,9 +199,9 @@ def test_interval_hausdorff():
     npt.assert_allclose(res.value, 3.0, atol=1e-12)
 
 
-def test_vertices2d_recovers_square(unit_square):
+def test_hpolytope_vertices_recover_square():
     A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    V = vertices2d(A, np.ones(4))
+    V = HPolytope(A, np.ones(4)).vertices
     got = {(round(float(a), 9), round(float(b), 9)) for a, b in V}
     want = {(1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)}
     assert got == want

@@ -55,6 +55,33 @@ def test_solve_rejects_nonfinite_objective():
         lp.solve([np.inf])
 
 
+def test_solve_stacked_matches_one_lp_per_objective(monkeypatch, lp_solves):
+    rng = np.random.default_rng(0)
+    A = np.vstack([np.eye(3), -np.eye(3), rng.normal(size=(4, 3))])
+    b = np.concatenate([np.ones(6), rng.uniform(1.0, 2.0, 4)])
+    C = rng.normal(size=(7, 3))
+    want = np.array([lp.solve(c, A_ub=A, b_ub=b).x for c in C])
+    lp_solves.clear()
+    status, X = lp.solve_stacked(C, A_ub=A, b_ub=b)
+    assert status is lp.LPStatus.OPTIMAL
+    assert len(lp_solves) == 1
+    npt.assert_allclose(X, want, atol=1e-9)
+    # a budget of two copies per LP splits the seven objectives over four LPs
+    monkeypatch.setattr(lp, "STACK_ENTRIES", 4 * A.size)
+    lp_solves.clear()
+    status, X = lp.solve_stacked(C, A_ub=A, b_ub=b)
+    assert len(lp_solves) == 4
+    npt.assert_allclose(X, want, atol=1e-9)
+
+
+def test_solve_stacked_reports_the_first_failing_status():
+    # x <= 1 bounds the first objective only; the second is unbounded
+    status, X = lp.solve_stacked(np.eye(2), A_ub=[[1.0, 0.0]], b_ub=[1.0], sense="max")
+    assert status is lp.LPStatus.UNBOUNDED and X is None
+    status, X = lp.solve_stacked(np.eye(1), A_ub=[[1.0], [-1.0]], b_ub=[-1.0, -1.0])
+    assert status is lp.LPStatus.INFEASIBLE and X is None
+
+
 def test_feasible():
     assert lp.feasible([[1.0]], [1.0])
     assert not lp.feasible([[1.0], [-1.0]], [-1.0, -1.0])

@@ -11,9 +11,12 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from minkgauge import (Ball, BodyError, HPolytope, SupportOracle, VPolytope,
-                       alpha, beta, brute_force_alpha, chord, far_radius, inscribed_ball, minkowski_phi,
-                       ratio_functionals, rho, support)
+from minkgauge import (Ball, BodyError, HPolytope, Product, SupportOracle, VPolytope,
+                       alpha, beta, brute_force_alpha, chord, contains, dim, far_radius,
+                       inscribed_ball,
+                       make_box, minkowski_phi, random_polygon, ratio_functionals, rho,
+                       support)
+from minkgauge.body import encoding_feasible, lp_encoding
 from minkgauge.ratios import SAMPLING_SIDES
 
 from conftest import polygons_with_exterior, polygons_with_interior
@@ -59,6 +62,22 @@ def test_chord_halfspace_and_vertex_routes_agree():
         ch, cv = chord(SQ_H, x, v), chord(SQ, x, v)
         npt.assert_allclose(np.asarray(ch.a), np.asarray(cv.a), atol=1e-7)
         npt.assert_allclose(np.asarray(ch.b), np.asarray(cv.b), atol=1e-7)
+
+
+def test_chord_lp_route_is_one_lp(lp_solves):
+    # the cube by its vertices has no halfspace rows in R^3, so both chord
+    # ends come from one stacked LP; the H cube clips its rows directly
+    corners = np.array(np.meshgrid([-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0])).reshape(3, -1).T
+    V, H = VPolytope(corners), make_box(-np.ones(3), np.ones(3))
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        x, v = rng.uniform(-0.9, 0.9, size=3), rng.normal(size=3)
+        lp_solves.clear()
+        cv = chord(V, x, v)
+        assert len(lp_solves) == 1
+        ch = chord(H, x, v)
+        npt.assert_allclose(cv.a, ch.a, atol=1e-9)
+        npt.assert_allclose(cv.b, ch.b, atol=1e-9)
 
 
 def test_chord_rejects_plain_oracle():
@@ -140,6 +159,43 @@ def test_rho_ball_closed_form():
 def test_rho_inside_raises():
     with pytest.raises(BodyError):
         rho(SQ, np.zeros(2))
+
+
+def _rho_bisect(K, x):
+    # the bisection on t with an LP disjointness test that rho replaced,
+    # kept as an independent cross-check
+    enc, d = lp_encoding(K), dim(K)
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if encoding_feasible([enc, enc], [np.eye(d), -mid * np.eye(d)], (1.0 - mid) * x):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _rho_bodies(d, rng):
+    lo = rng.uniform(-2.0, 0.0, d)
+    A = np.vstack([np.eye(d), -np.eye(d), rng.normal(size=(3, d))])
+    yield VPolytope(rng.normal(size=(d + 5, d)))
+    yield HPolytope(A, np.concatenate([lo + 2.0, -lo, rng.uniform(1.0, 2.0, 3)]))
+    yield Product((random_polygon(6, d), make_box(lo[2:] - 1.0, lo[2:] + 1.0))) if d > 2 \
+        else Product((make_box(lo[:1], lo[:1] + 1.0), VPolytope(rng.normal(size=(2, 1)))))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rho_is_one_lp_and_matches_the_bisection(d, lp_solves):
+    rng = np.random.default_rng(40 + d)
+    for K in _rho_bodies(d, rng):
+        for _ in range(3):
+            x = 6.0 * rng.normal(size=d)
+            if contains(K, x):
+                continue
+            lp_solves.clear()
+            r = rho(K, x)
+            assert len(lp_solves) == 1
+            npt.assert_allclose(r, _rho_bisect(K, x), atol=1e-9)
 
 
 @given(polygons_with_exterior())
@@ -253,6 +309,14 @@ def test_brute_force_matches_alpha_in_the_plane(pair):
     K, x = pair
     npt.assert_allclose(brute_force_alpha(K, x, n_dirs=64), alpha(K, x).alpha,
                         atol=1e-10)
+
+
+def test_brute_force_on_h_box_solves_at_most_one_lp(lp_solves):
+    box = make_box([-1.0, -1.0], [1.0, 1.0])
+    got = brute_force_alpha(box, np.array([3.0, 0.0]), n_dirs=1024)
+    # the box's one-time vertex preparation; every support value is a matrix max
+    assert len(lp_solves) <= 1
+    npt.assert_allclose(got, 3.0, atol=1e-12)
 
 
 def test_brute_force_lower_bounds_alpha_elsewhere():
