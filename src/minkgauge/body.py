@@ -3,7 +3,10 @@
 A body is one of the variants below.  Polytopes carry an exact vertex or
 halfspace description, and H-polytopes prepare their vertices once, on
 first use; composite variants (sums and products) are evaluated lazily
-through recursion.  ``SupportOracle`` wraps a black-box support
+through recursion.  Vertex bodies (V-polytopes and polytopal sums) in
+dimensions 2 to MAX_VERTEX_DIM get their facet rows from one Qhull hull
+of their vertex candidates, so every polytope there has both
+descriptions.  ``SupportOracle`` wraps a black-box support
 function for bodies with no finite description, and every routine that has
 to fall back to sampling on such a body says so in its result.  The image
 of a body under x -> s x + z (``homothety``) is again a body of its kind.
@@ -44,8 +47,9 @@ def as_vector(x, d=None):
     return v
 
 
-# H-polytopes above this dimension keep the LP routes: their vertex count
-# grows like m^(d/2) in the number m of facets
+# Polytopes above this dimension keep the LP routes: the vertex count of an
+# H-polytope grows like m^(d/2) in its number m of facets, and the facet
+# count of a V-polytope like n^(d/2) in its number n of vertices
 MAX_VERTEX_DIM = 4
 VERTEX_TOL = 1e-9      # A v <= b slack of a prepared vertex, relative
 
@@ -120,9 +124,9 @@ def _halfspace_vertices(K):
             # the system is bounded iff the origin is inside the dual hull
             if not np.all(np.isfinite(V)) or np.any(hs.dual_equations[:, -1] >= 0):
                 return None
-            V = V[ConvexHull(V).vertices]
         except QhullError:
             return None
+        V = extreme_points(V)
     slack = VERTEX_TOL * max(1.0, float(np.max(np.abs(V)))) * np.linalg.norm(A, axis=1)
     if np.any(A @ V.T > (b + slack)[:, None]):
         return None
@@ -132,13 +136,17 @@ def _halfspace_vertices(K):
 
 @dataclass(frozen=True, eq=False)
 class VPolytope:
-    """Convex hull of finitely many points (redundant points allowed)."""
+    """Convex hull of finitely many points (redundant points allowed).
+
+    The vertex array is a private read-only copy, like HPolytope's data.
+    """
 
     vertices: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices",
-                           np.atleast_2d(np.asarray(self.vertices, dtype=float)))
+        V = np.atleast_2d(np.array(self.vertices, dtype=float))
+        V.setflags(write=False)
+        object.__setattr__(self, "vertices", V)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,14 +272,7 @@ def support(K, v) -> float:
     if isinstance(K, VPolytope):
         return float(np.max(K.vertices @ v))
     if isinstance(K, HPolytope):
-        if K.vertices is not None:
-            return float(np.max(K.vertices @ v))
-        res = lp.solve(v, A_ub=K.A, b_ub=K.b, sense="max")
-        if res.status is lp.LPStatus.UNBOUNDED:
-            raise BodyError("halfspace system is unbounded in the queried direction")
-        if res.status is lp.LPStatus.INFEASIBLE:
-            raise BodyError("halfspace system is empty")
-        return res.value
+        return float(_support_rows(K, v[None, :])[0])
     if isinstance(K, Ball):
         return float(K.center @ v + K.radius * np.linalg.norm(v))
     if isinstance(K, SupportOracle):
@@ -293,7 +294,8 @@ def support_many(K, D) -> np.ndarray:
 
     D is validated once; polytopes, balls and oracles with ``h_many`` are
     evaluated as one array operation, sums and products recurse once per
-    batch.  H-polytopes without prepared vertices solve one LP per row.
+    batch.  H-polytopes without prepared vertices maximise every row over
+    their system in one stacked LP (``lp.solve_stacked``).
     """
     D = np.asarray(D, dtype=float)
     d = dim(K)
@@ -310,7 +312,14 @@ def _support_rows(K, D):
     if isinstance(K, HPolytope):
         if K.vertices is not None:
             return (D @ K.vertices.T).max(axis=1)
-        return np.array([support(K, v) for v in D])
+        status, X = lp.solve_stacked(D, A_ub=K.A, b_ub=K.b, sense="max")
+        if status is lp.LPStatus.UNBOUNDED:
+            raise BodyError("halfspace system is unbounded in the queried direction")
+        if status is lp.LPStatus.INFEASIBLE:
+            raise BodyError("halfspace system is empty")
+        if X is None:
+            raise lp.NumericalError(f"support LP ended with status {status.value}")
+        return np.sum(D * X, axis=1)
     if isinstance(K, Ball):
         return D @ K.center + K.radius * np.linalg.norm(D, axis=1)
     if isinstance(K, SupportOracle):
@@ -364,17 +373,31 @@ def _affine_rank(P, tol=1e-9):
     scale = max(1.0, float(s[0]) if s.size else 1.0)
     return int(np.sum(s > tol * scale))
 
+
+def extreme_points(V):
+    """The extreme points of a finite point set, as a new (k, d) array.
+
+    Qhull's hull vertices (counterclockwise in the plane); the two end
+    points in dimension one; every distinct point of a set Qhull calls flat.
+    """
+    V = np.unique(V, axis=0)
+    if V.shape[1] == 1:
+        return V[[0, -1]] if len(V) > 1 else V      # unique rows are sorted
+    try:
+        return V[ConvexHull(V).vertices]
+    except QhullError:
+        return V
+
+
 def vertex_candidates(K):
     """A finite set of points whose convex hull is K, or None.
 
     The set may contain redundant points.  Exists for V-polytopes, for
     H-polytopes with prepared vertices (bounded and full-dimensional, in
-    dimension at most MAX_VERTEX_DIM; the array is read-only), and for
-    sums and products built from them.
+    dimension at most MAX_VERTEX_DIM), and for sums and products built
+    from them.  A polytope's own array is returned, read-only.
     """
-    if isinstance(K, VPolytope):
-        return K.vertices.copy()
-    if isinstance(K, HPolytope):
+    if isinstance(K, (VPolytope, HPolytope)):
         return K.vertices
     if isinstance(K, Sum):
         parts = [vertex_candidates(T) for T in K.terms]
@@ -404,52 +427,18 @@ def _interval_halfspaces(V):
     return np.array([[1.0], [-1.0]]), np.array([hi, -lo])
 
 
-def _simplex_halfspaces(V):
-    # n = d+1 affinely independent points: one facet per omitted vertex
-    n, d = V.shape
-    centroid = V.mean(axis=0)
-    scale = max(1.0, float(np.max(np.abs(V))))
-    A, b = [], []
-    for i in range(n):
-        F = np.delete(V, i, axis=0)
-        base = F[0]
-        # unit normal orthogonal to the facet's spanning directions
-        _, _, vt = np.linalg.svd(F[1:] - base)
-        normal = vt[-1]
-        if normal @ (V[i] - base) > 0:
-            normal = -normal
-        A.append(normal)
-        b.append(normal @ base)
-        if normal @ (centroid - base) > -1e-12 * scale:
-            raise BodyError("simplex points are affinely dependent")
-    return np.array(A), np.array(b)
-
-
 def halfspaces(K):
-    """Exact halfspace description (A, b) of K, or None when unavailable.
+    """Halfspace rows (A, b) of K, or None when unavailable.
 
-    Covers H-polytopes and their products, plus V-polytopes
-    in dimension <= 2 (via the hull) and simplices in any dimension.  The
-    returned b is tight (each row supports the body) whenever the system
-    was derived from vertex data.
+    H-polytopes return their own read-only rows and products stack their
+    factors' rows.  Vertex bodies (V-polytopes and sums of polytopes) take
+    the facets of the hull of their vertex candidates: the two end points
+    in dimension one, Qhull's facet rows (unit normals, tight b) in
+    dimensions 2 to MAX_VERTEX_DIM.  A flat candidate set, and anything
+    above that dimension, has None.
     """
     if isinstance(K, HPolytope):
-        return K.A.copy(), K.b.copy()
-    if isinstance(K, VPolytope):
-        V = K.vertices
-        d = V.shape[1]
-        if d == 1:
-            return _interval_halfspaces(V)
-        if d == 2:
-            W = hull2d(V)
-            edges = np.roll(W, -1, axis=0) - W
-            A = np.stack([edges[:, 1], -edges[:, 0]], axis=1)   # outward for CCW order
-            b = np.sum(A * W, axis=1)
-            return A, b
-        uniq = np.unique(V, axis=0)
-        if uniq.shape[0] == d + 1 and _affine_rank(uniq) == d:
-            return _simplex_halfspaces(uniq)
-        return None
+        return K.A, K.b
     if isinstance(K, Product):
         parts = [halfspaces(f) for f in K.factors]
         if any(p is None for p in parts):
@@ -464,12 +453,21 @@ def halfspaces(K):
             rows_b.append(b)
             at += k
         return np.vstack(rows_A), np.concatenate(rows_b)
-    if isinstance(K, Sum):
-        V = vertex_candidates(K)
-        if V is not None and V.shape[1] <= 2:
-            return halfspaces(VPolytope(V))
+    V = vertex_candidates(K) if isinstance(K, (VPolytope, Sum)) else None
+    if V is None or V.shape[1] > MAX_VERTEX_DIM:
         return None
-    return None
+    if V.shape[1] == 1:
+        return _interval_halfspaces(V)
+    try:
+        E = ConvexHull(V).equations
+    except QhullError:
+        return None
+    # Qhull's rows n.x + c <= 0 have unit outward normals and pass through
+    # their facet's vertices, so b = -c is tight; the triangulated output
+    # repeats a facet once per simplex, and rounding merges the copies
+    _, keep = np.unique(np.round(E, 10), axis=0, return_index=True)
+    E = E[np.sort(keep)]
+    return E[:, :-1], -E[:, -1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,15 @@ away.  Level sets K^lam = {x : alpha <= lam} have two exact descriptions:
 * lam >= 1: the sum (lam+1)/2 K + (lam-1)/2 (-K), generated by the points
   ((lam+1) u - (lam-1) w) / 2 over vertex pairs (u, w).
 
-In dimensions 1 and 2 the supremum defining alpha is attained on the facet
-normals of K and their negations (between consecutive merged-fan normals the
-functional t is a monotone ratio of sinusoids), so alpha is closed form for
-planar polytopes at every point, inside or out.  In higher dimension the
-facet closed form is exact only inside K.  Elsewhere alpha is the least lam
-with x in K^lam: writing each copy of K in the sum or the erosion in
-perspective form makes that one LP in lam, and the duals of its coupling
-rows give the witness direction.
+Every polytope in dimension at most ``body.MAX_VERTEX_DIM`` has facet rows
+(``body.halfspaces``), and alpha(K, x) is the maximum of |t(K, a_i, x)| over
+them wherever that maximum is exact.  In dimensions 1 and 2 it is exact at
+every point, inside or out (between consecutive merged-fan normals the
+functional t is a monotone ratio of sinusoids).  In higher dimension it is
+exact inside K, which is where it is at most 1.  Elsewhere alpha is the
+least lam with x in K^lam: writing each copy of K in the sum or the erosion
+in perspective form makes that one LP in lam, and the duals of its
+coupling rows give the witness direction.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from . import lp
 from .body import (Ball, BodyError, HPolytope, Product, SupportOracle, VPolytope,
-                   as_vector, contains, dim, halfspaces, hull2d, lp_encoding,
+                   as_vector, dim, extreme_points, halfspaces, hull2d, lp_encoding,
                    support, vertex_candidates)
 from .geometry import _exact_points, _multistart_sphere, _support_pm, sphere_dirs
 
@@ -105,25 +105,16 @@ def t_many(K, D, x) -> np.ndarray:
 def facet_profile(K):
     """Tight facet data (A, hplus, hminus) or None.
 
-    hplus/hminus are the support values in the row directions and their
-    negations, so each row is supporting.  For planar and one-dimensional
-    bodies the rows are the canonical hull facets.
+    A holds the rows of ``halfspaces(K)`` (the two unit rows in dimension
+    one), and hplus/hminus are the support values in the row directions
+    and their negations, so each row is supporting.  None when K has no
+    rows.
     """
-    d = dim(K)
-    if d == 1:
+    if dim(K) == 1:
         hi = support(K, np.ones(1))
         lo = -support(K, -np.ones(1))
         A = np.array([[1.0], [-1.0]])
         return A, np.array([hi, -lo]), np.array([-lo, hi])
-    if d == 2:
-        V = vertex_candidates(K)
-        if V is None:
-            return None
-        W = hull2d(V)
-        edges = np.roll(W, -1, axis=0) - W
-        A = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
-        M = A @ W.T
-        return A, M.max(axis=1), (-M).max(axis=1)
     hs = halfspaces(K)
     if hs is None:
         return None
@@ -176,15 +167,9 @@ def _level_lp(K, x, lo, hi):
         V = vertex_candidates(K)
         if V is None:
             raise BodyError("level-set LP inside the body needs vertex access")
-        V = np.unique(V, axis=0)
         # the constraints of non-extreme candidates (most of a Minkowski
-        # sum's) are implied by the extreme ones; a flat set keeps them all
-        d = V.shape[1]
-        if d >= 2 and len(V) > d + 1:
-            try:
-                V = V[ConvexHull(V).vertices]
-            except QhullError:
-                pass
+        # sum's) are implied by the extreme ones
+        V = extreme_points(V)
         A_ub, b_ub, A_eq, b_eq, bounds = _scaled_copies(e, [(0.5, 0.5)] * len(V))
         C = np.hstack([((e.q - V) / 2.0).reshape(-1, 1), np.kron(np.eye(len(V)), e.P)])
         rhs = (x - (e.q + V) / 2.0).ravel()
@@ -230,7 +215,7 @@ def alpha(K, x) -> GaugeResult:
     """Gauge value alpha(K, x) with witness direction.
 
     The facet closed form answers whenever it is exact (planar bodies, and
-    points inside bodies with facet access); other polytopal bodies take the
+    points inside bodies with facet rows); other polytopal bodies take the
     level-set LP, balls their closed form, support oracles direction sampling.
     """
     x = as_vector(x, dim(K))
@@ -243,19 +228,18 @@ def alpha(K, x) -> GaugeResult:
         return _alpha_product(K, x)
     if isinstance(K, SupportOracle):
         return _alpha_sampled(K, x)
-    # above the plane the facet maximum is exact only inside K
-    planar = x.size <= 2
-    hs = None if planar else halfspaces(K)
-    profile = facet_profile(K) if planar or (hs is not None and contains(K, x)) else None
+    profile = facet_profile(K)
     if profile is not None:
         tv = _t_values(profile, x)
         i = int(np.argmax(np.abs(tv)))
         a0 = float(abs(tv[i]))
-        if planar or a0 <= 1.0 + 1e-12:
+        # above the plane the facet maximum is exact only inside K, which is
+        # exactly where it is at most 1
+        if x.size <= 2 or a0 <= 1.0 + 1e-12:
             A = profile[0]
             w = A[i] * np.sign(tv[i]) if tv[i] != 0 else A[i]
             return GaugeResult(a0, w / np.linalg.norm(w), "closed_form", 1e-12)
-    if planar or (hs is None and vertex_candidates(K) is None):
+    if x.size <= 2 or (profile is None and vertex_candidates(K) is None):
         raise BodyError(f"alpha unsupported for {type(K).__name__}")
     return _alpha_lp(K, x)
 
@@ -325,7 +309,8 @@ def level_set(K, lam) -> LevelSet:
 
     lam <= 1 erodes the tight facet system (the result may be empty or lower
     dimensional); lam >= 1 builds the sum form from vertex pairs, which
-    H-polytopes take from their prepared vertices.
+    H-polytopes take from their prepared vertices, and keeps its extreme
+    points.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError("level must be a finite nonnegative number")
@@ -357,13 +342,7 @@ def level_set(K, lam) -> LevelSet:
     if V is None:
         raise BodyError("level set needs polytope or ball structure")
     pairs = ((1.0 + lam) * V[:, None, :] - (lam - 1.0) * V[None, :, :]) / 2.0
-    pts = pairs.reshape(-1, V.shape[1])
-    if V.shape[1] == 2 and pts.shape[0] >= 3:
-        try:
-            pts = hull2d(pts)
-        except BodyError:
-            pass
-    return LevelSet(lam, VPolytope(np.unique(pts, axis=0)), False, K)
+    return LevelSet(lam, VPolytope(extreme_points(pairs.reshape(-1, V.shape[1]))), False, K)
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +352,11 @@ def level_set(K, lam) -> LevelSet:
 def alpha_inf(K, seed=101) -> SymmetryReport:
     """Minimum of the gauge over x: the symmetry constant and critical set.
 
-    Exact LP path for bodies with facet access (planar vertex bodies are
-    converted); products recurse onto their factors when no merged facet
-    system exists.  The critical set's dimension is estimated from the
-    affine rank of LP optima under random objectives; it is an estimate,
-    not a certificate.
+    One LP over the facet rows of ``halfspaces(K)``, which every polytope in
+    dimension at most ``body.MAX_VERTEX_DIM`` has; products recurse onto
+    their factors when no merged facet system exists.  The critical set's
+    dimension is estimated from the affine rank of LP optima under random
+    objectives; it is an estimate, not a certificate.
     """
     if isinstance(K, Ball):
         c = K.center.copy()

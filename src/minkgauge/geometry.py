@@ -1,8 +1,9 @@
 """Metric quantities of convex bodies: widths, chords, diameter, Hausdorff.
 
-Planar bodies get exact answers (the relevant extrema over directions are
-attained on known finite candidate sets).  In dimension three and higher the
-direction sweeps fall back to seeded multi-start optimization and the result
+Polytopes in dimension at most ``body.MAX_VERTEX_DIM`` get exact widths:
+the relevant extrema over directions are attained on the facet normals of
+the central symmetrization.  Support oracles, and polytopes above that
+dimension, fall back to seeded multi-start direction sweeps, and the result
 carries an ``exact`` flag set to False.
 
 The multi-start search works on batched objectives: a function of an (n, d)
@@ -21,8 +22,8 @@ from scipy import optimize
 
 from . import lp
 from .body import (Ball, BodyError, Product, Sum, SupportOracle, VPolytope,
-                   as_vector, dim, halfspaces, homothety, hull2d, lp_encoding,
-                   support, support_many, vertex_candidates)
+                   as_vector, dim, extreme_points, halfspaces, homothety, hull2d,
+                   lp_encoding, support, support_many, vertex_candidates)
 
 # L-BFGS-B's default absolute forward-difference step
 FD_STEP = 1e-8
@@ -62,13 +63,7 @@ def central_symm(K):
     V = _exact_points(K)
     if V is not None:
         diffs = (V[:, None, :] - V[None, :, :]).reshape(-1, V.shape[1]) / 2.0
-        diffs = np.unique(diffs, axis=0)
-        if V.shape[1] == 2 and diffs.shape[0] > 3:
-            try:
-                diffs = hull2d(diffs)
-            except BodyError:
-                pass
-        return VPolytope(diffs)
+        return VPolytope(extreme_points(diffs))
     return Sum((homothety(K, 0.5), homothety(K, -0.5)))
 
 
@@ -205,16 +200,19 @@ def max_chord(K, v) -> float:
 def global_width(K, n_starts=64, seed=0) -> WidthResult:
     """Minimal width over all directions, with the minimizing direction.
 
-    Exact in dimensions 1 and 2 (the minimum over unit directions of the
-    symmetrization's support is attained at one of its edge normals); a
-    flagged multi-start upper bound otherwise.
+    Exact wherever the central symmetrization C has facet rows (every
+    polytope in dimension at most MAX_VERTEX_DIM): C is origin-symmetric
+    with w(K, u) = 2 h(C, u), so the minimal width is twice the least
+    b_i / |a_i| over its facets.  A flagged multi-start upper bound
+    otherwise.
     """
     d = dim(K)
     if d == 1:
         w = width_dir(K, np.ones(1))
         return WidthResult(float(w), np.ones(1), True)
-    if d == 2 and vertex_candidates(K) is not None:
-        A, b = _edge_system(polygon_vertices(central_symm(K)))
+    hs = halfspaces(central_symm(K))
+    if hs is not None:
+        A, b = hs
         norms = np.linalg.norm(A, axis=1)
         vals = 2.0 * b / norms
         i = int(np.argmin(vals))
@@ -241,8 +239,7 @@ def diameter(K) -> float:
         return float(np.sqrt(sum(diameter(f) ** 2 for f in K.factors)))
     V = _exact_points(K)
     if V is not None:
-        if V.shape[1] == 2 and V.shape[0] > 64:
-            V = hull2d(V)
+        V = extreme_points(V)
         D = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=2)
         return float(D.max())
     _, val, _ = _multistart_sphere(lambda U: _widths(K, U), _sphere_starts(dim(K), 3),
@@ -431,26 +428,19 @@ def chord_witness_dir(K, v):
     """Direction v* pairing the maximal chord with a width: planar bodies only.
 
     The point (tau/2) v lies on the boundary of the central symmetrization;
-    the outward normal of the edge through it satisfies
+    the outward normal of its facet row through it satisfies
     w(K, v*) = tau(K, v) <v*, v>, the inequality-to-equality witness that
     turns the chord bound into an attained width.  Returns None outside
-    dimension two or when no polygonal symmetrization is available.
+    dimension two or when the symmetrization has no facet rows.
     """
     if dim(K) != 2:
         return None
     v = as_vector(v, 2)
     tau = max_chord(K, v)
-    C = central_symm(K)
-    pts = _exact_points(C)
-    if pts is None:
+    hs = halfspaces(central_symm(K))
+    if hs is None:
         return None
-    try:
-        P = hull2d(pts)
-    except BodyError:
-        return None
-    A, b = _edge_system(P)
-    p = 0.5 * tau * v
-    margins = (A @ p - b) / np.linalg.norm(A, axis=1)
-    row = int(np.argmax(margins))
-    n = A[row]
-    return n / np.linalg.norm(n)
+    A, b = hs
+    norms = np.linalg.norm(A, axis=1)
+    row = int(np.argmax((A @ (0.5 * tau * v) - b) / norms))
+    return A[row] / norms[row]

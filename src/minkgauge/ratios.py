@@ -21,13 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .body import (Ball, BodyError, Product, SupportOracle, as_vector,
-                   contains, dim, halfspaces, lp_encoding, vertex_candidates)
+                   contains, dim, extreme_points, halfspaces, lp_encoding,
+                   vertex_candidates)
 from .gauge import _scaled_copies, alpha, facet_profile, t_many
 from .geometry import _support_pm, sphere_dirs
 from .lp import LPStatus, NumericalError, solve, solve_stacked
-
-BISECT_TOL = 1e-10
-BISECT_MAX_ITER = 60
 
 # Which side of the true value a sampled extremum sits on: "upper" means
 # the reported number is >= the true infimum, "lower" that it is <= the
@@ -130,16 +128,12 @@ def _lp_interval(K, x, v):
 def beta(K, x):
     """Largest factor of the reflected copy -t(K - x) + x that stays in K.
 
-    Exact one-pass formula when facet data exists; otherwise a sampled
-    direction minimum (an upper bound of the true value).  Vanishes on
-    the boundary, 1 at a symmetry center.
+    Exact one-pass formula on the facet rows where K has them; one LP on
+    its extreme points for the other polytopal bodies; for support oracles
+    a sampled direction minimum (an upper bound of the true value).
+    Vanishes on the boundary, 1 at a symmetry center.
     """
     x = as_vector(x, dim(K))
-    if not contains(K, x, tol=1e-7):
-        raise BodyError("beta is defined for x in K")
-    if isinstance(K, Ball):
-        delta = np.linalg.norm(x - K.center)
-        return (K.radius - delta) / (K.radius + delta)
     if isinstance(K, Product):
         off = 0
         vals = []
@@ -148,13 +142,18 @@ def beta(K, x):
             vals.append(beta(f, x[off:off + df]))
             off += df
         return min(vals)
+    if not isinstance(K, (Ball, SupportOracle)):
+        prof = facet_profile(K)
+        if prof is None:
+            return _beta_lp(K, x)
+    if not contains(K, x, tol=1e-7):
+        raise BodyError("beta is defined for x in K")
+    if isinstance(K, Ball):
+        delta = np.linalg.norm(x - K.center)
+        return (K.radius - delta) / (K.radius + delta)
     if isinstance(K, SupportOracle):
         return _beta_sampled(K, x)
-    prof = facet_profile(K)
-    if prof is not None:
-        A, hp, hm = prof
-        return _beta_rows(A, hp, hm, x)
-    return _beta_bisect(K, x)
+    return _beta_rows(*prof, x)
 
 
 def _beta_rows(A, hp, hm, x):
@@ -173,27 +172,29 @@ def _beta_sampled(K, x, n_dirs=2048, seed=7):
     return _beta_rows(dirs, *_support_pm(K, dirs), x)
 
 
-def _beta_bisect(K, x):
-    gens = vertex_candidates(K)
-    if gens is None:
+def _beta_lp(K, x):
+    """beta as one LP: the largest lam in [0, 1] with x - lam (u_j - x) in K
+    for every extreme point u_j of K, one unscaled copy of K per u_j coupled
+    by P w_j + q + lam (u_j - x) = x.  Infeasible exactly when x is not in K.
+    """
+    e, gens = lp_encoding(K), vertex_candidates(K)
+    if e is None or gens is None:
         raise BodyError("beta needs facet or vertex data")
-
-    def fits(lam):
-        # no membership slack: the bracket converges to the slack, not to beta
-        return all(contains(K, x - lam * (u - x), tol=0.0) for u in gens)
-
-    lo, hi = 0.0, 1.0
-    if fits(1.0):
-        return 1.0
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    U = extreme_points(gens)
+    A_ub, b_ub, A_eq, b_eq, bounds = _scaled_copies(e, [(0.0, 1.0)] * len(U))
+    C = np.hstack([(U - x).reshape(-1, 1), np.kron(np.eye(len(U)), e.P)])
+    bounds[0] = (0.0, 1.0)
+    c = np.zeros(C.shape[1])
+    c[0] = 1.0
+    res = solve(c, A_ub=A_ub if b_ub.size else None, b_ub=b_ub if b_ub.size else None,
+                A_eq=np.vstack([A_eq, C]),
+                b_eq=np.concatenate([b_eq, np.tile(x - e.q, len(U))]),
+                bounds=bounds, sense="max")
+    if res.status is LPStatus.INFEASIBLE:
+        raise BodyError("beta is defined for x in K")
+    if not res.optimal:
+        raise NumericalError(f"beta LP ended with status {res.status.value}")
+    return float(res.value)
 
 
 def rho(K, x):
@@ -314,7 +315,7 @@ def brute_force_alpha(K, x, n_dirs=1024, seed=0):
     """Plain max of t over sampled directions plus facet normals of +-K.
 
     A guaranteed lower bound on alpha; the anti-regression oracle for
-    the closed-form and bisection paths.
+    the closed-form and LP paths.
     """
     d = dim(K)
     x = as_vector(x, d)

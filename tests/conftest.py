@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from minkgauge import SupportOracle, VPolytope, lp
+from minkgauge import HPolytope, SupportOracle, VPolytope, body, lp
+from minkgauge.body import Sum, vertex_candidates
 from minkgauge.shapes import make_weighted_l2_ball, random_polygon
 
 settings.register_profile(
@@ -59,6 +60,44 @@ def polygons_with_exterior(draw):
     return K, (h + margin) * u
 
 
+POLYTOPE_KINDS = ("vpolytope", "hpolytope", "sum")
+
+
+def seeded_polytope(kind, d, rng):
+    """A full-dimensional polytope in R^d of one of POLYTOPE_KINDS.
+
+    V-polytopes hull d + 1 to 12 Gaussian points; H-polytopes cut a box with
+    a few random rows; sums add two small V-polytopes.
+    """
+    c = rng.uniform(-2.0, 2.0, d)
+    if kind == "vpolytope":
+        return VPolytope(c + rng.normal(size=(int(rng.integers(d + 1, 13)), d)))
+    if kind == "hpolytope":
+        A = np.vstack([np.eye(d), -np.eye(d), rng.normal(size=(int(rng.integers(0, 5)), d))])
+        return HPolytope(A, rng.uniform(0.5, 2.0, len(A)) + A @ c)
+    return Sum((VPolytope(c + rng.normal(size=(int(rng.integers(d + 1, 7)), d))),
+                VPolytope(0.5 * rng.normal(size=(int(rng.integers(d + 1, 7)), d)))))
+
+
+@st.composite
+def polytopes(draw, d_min=2, d_max=4):
+    """V-polytopes, H-polytopes and sums of V-polytopes in d_min..d_max."""
+    kind = draw(st.sampled_from(POLYTOPE_KINDS))
+    d = draw(st.integers(min_value=d_min, max_value=d_max))
+    seed = draw(st.integers(min_value=0, max_value=MAX_SEED))
+    return seeded_polytope(kind, d, np.random.default_rng(seed))
+
+
+@st.composite
+def polytopes_with_interior(draw, d_min=2, d_max=4):
+    """(polytope, strictly interior point), pulled toward the candidates' mean."""
+    K = draw(polytopes(d_min, d_max))
+    seed = draw(st.integers(min_value=0, max_value=MAX_SEED))
+    V = vertex_candidates(K)
+    w = np.random.default_rng(seed).dirichlet(np.full(len(V), 0.8))
+    return K, 0.9 * (w @ V) + 0.1 * V.mean(axis=0)
+
+
 @st.composite
 def unit_dirs(draw, d=2):
     seed = draw(st.integers(min_value=0, max_value=MAX_SEED))
@@ -98,6 +137,21 @@ def lp_solves(monkeypatch):
         calls.append(len(c))
         return solver(c, *args, **kwargs)
     monkeypatch.setattr(lp, "linprog", counted)
+    return calls
+
+
+@pytest.fixture
+def qhull_calls(monkeypatch):
+    """List that grows by one entry per Qhull hull that ``minkgauge.body``
+    builds (extreme points, facet rows, planar hulls), the entry being the
+    number of points."""
+    calls = []
+    hull = body.ConvexHull
+
+    def counted(points, *args, **kwargs):
+        calls.append(len(points))
+        return hull(points, *args, **kwargs)
+    monkeypatch.setattr(body, "ConvexHull", counted)
     return calls
 
 

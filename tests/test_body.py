@@ -275,6 +275,17 @@ def test_hpolytope_without_vertices_keeps_lp_routes():
     npt.assert_allclose(support_many(high, np.ones((2, 5))), [5.0, 5.0], atol=1e-12)
 
 
+def test_hpolytope_without_vertices_supports_rows_in_one_lp(lp_solves):
+    rng = np.random.default_rng(6)
+    high = make_box(-np.ones(5), np.arange(1.0, 6.0))
+    validate(high)
+    D = rng.normal(size=(20, 5))
+    lp_solves.clear()
+    h = support_many(high, D)
+    assert len(lp_solves) == 1
+    npt.assert_allclose(h, [_lp_support(high, v) for v in D], rtol=1e-9, atol=1e-12)
+
+
 def test_hpolytope_data_is_private_and_read_only():
     A = np.vstack([np.eye(2), -np.eye(2)])
     b = np.ones(4)
@@ -282,6 +293,20 @@ def test_hpolytope_data_is_private_and_read_only():
     A[0, 0], b[0] = 5.0, 9.0
     assert K.A[0, 0] == 1.0 and K.b[0] == 1.0
     for arr in (K.A, K.b, K.vertices, K.chebyshev[0]):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_vpolytope_data_is_private_and_read_only():
+    V = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    K = VPolytope(V)
+    V[1, 0] = 7.0
+    assert K.vertices[1, 0] == 1.0
+    assert vertex_candidates(K) is K.vertices
+    with pytest.raises(ValueError):
+        K.vertices[0, 0] = 5.0
+    A, b = halfspaces(SQ_H)
+    for arr in (A, b):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 

@@ -103,6 +103,15 @@ def test_levelset_dilation_of_symmetric_box(capsys):
     assert got == {(2.0, 2.0), (2.0, -2.0), (-2.0, -2.0), (-2.0, 2.0)}
 
 
+def test_levelset_prints_extreme_points_only(capsys):
+    cube = json.dumps({"kind": "box", "low": [-1, -1, -1], "high": [1, 1, 1]})
+    rec = run_json(capsys, ["levelset", "--body", cube, "--lambda", "2"])
+    V = rec["body"]["vertices"]
+    assert len(V) == 8
+    assert {tuple(v) for v in V} == {(a, b, c) for a in (-2.0, 2.0) for b in (-2.0, 2.0)
+                                     for c in (-2.0, 2.0)}
+
+
 def test_tau_and_width(capsys):
     rec = run_json(capsys, ["tau", "--body", SQUARE, "--dir", "1,0"])
     assert rec["tau"] == 2.0

@@ -1,5 +1,7 @@
 """The gauge alpha(K, x), its level sets, and the symmetry report."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,7 +14,7 @@ from minkgauge import (Ball, BodyError, VPolytope, alpha, alpha_inf, beta,
                        make_box, make_simplex, make_sobczyk_prism,
                        make_weighted_l2_ball, max_chord, random_polygon, rho,
                        sphere_dirs, support, support_many, t_func, t_many, validate)
-from minkgauge import gauge
+from minkgauge import body, gauge
 from minkgauge.body import (Sum, encoding_feasible, interior_point, lp_encoding,
                             vertex_candidates)
 from minkgauge.gauge import _alpha_lp
@@ -149,6 +151,14 @@ def test_hbox_level_set_above_one_is_a_vertex_body(lp_solves):
     npt.assert_allclose(h, 2.0 * np.abs(D).sum(axis=1), rtol=1e-12)
 
 
+def test_level_set_above_one_keeps_extreme_points():
+    corners = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+    for K in (make_box(-np.ones(3), np.ones(3)), VPolytope(corners)):
+        L = level_set(K, 2.0)
+        # of the 64 vertex-pair points, the 8 corners of the doubled cube
+        assert sorted(map(tuple, L.body.vertices)) == sorted(map(tuple, 2.0 * corners))
+
+
 def test_alpha_inf_on_validated_box_is_two_lps(lp_solves):
     lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 3.0, 2.5])
     B = make_box(lo, hi)
@@ -199,13 +209,38 @@ def _vertex_polytope_cases(d):
 @pytest.mark.parametrize("d", [3, 4])
 def test_vertex_polytope_alpha_lp_count(d, lp_solves):
     for K, x in _vertex_polytope_cases(d):
+        inside = contains(K, x)
         lp_solves.clear()
-        assert alpha(K, x).method == "lp"
-        # the sum-form LP, then the erosion LP for points inside
-        assert len(lp_solves) <= 2
+        res = alpha(K, x)
+        if inside:
+            # the facet closed form on the Qhull rows
+            assert res.method == "closed_form"
+            assert not lp_solves
+        else:
+            # the sum-form LP
+            assert res.method == "lp"
+            assert len(lp_solves) <= 2
+
+
+@pytest.mark.parametrize("d, n", [(3, 12), (4, 30)])
+def test_vertex_polytope_interior_alpha_is_one_hull(d, n, lp_solves, qhull_calls):
+    rng = np.random.default_rng(d)
+    V = rng.normal(size=(n, d))
+    K = VPolytope(V)
+    for _ in range(3):
+        x = 0.8 * V.mean(axis=0) + 0.2 * rng.dirichlet(np.ones(n)) @ V
+        lp_solves.clear()
+        qhull_calls.clear()
+        res = alpha(K, x)
+        assert res.method == "closed_form"
+        assert not lp_solves
+        assert qhull_calls == [n]
+        npt.assert_allclose(res.alpha, _alpha_lp(K, x).alpha, atol=1e-8)
+        assert t_func(K, res.witness_dir, x) >= res.alpha - 1e-12
 
 
 def test_sum_interior_alpha_erodes_extreme_points_only(monkeypatch, lp_solves):
+    # the erosion LP behind the closed form, called directly
     rng = np.random.default_rng(0)
     K = Sum((VPolytope(rng.normal(size=(12, 3))), VPolytope(rng.normal(size=(12, 3)))))
     x = interior_point(K)
@@ -213,15 +248,16 @@ def test_sum_interior_alpha_erodes_extreme_points_only(monkeypatch, lp_solves):
 
     def copies():
         return (lp_solves[-1] - 1) // n       # columns: lam, then n per copy
-    pruned = alpha(K, x)
+    pruned = _alpha_lp(K, x)
     extreme = len(ConvexHull(vertex_candidates(K)).vertices)
     assert pruned.alpha < 1.0
     assert copies() == extreme <= 35
+    npt.assert_allclose(pruned.alpha, alpha(K, x).alpha, atol=1e-8)
 
     def no_hull(points):
         raise QhullError("pruning disabled")
-    monkeypatch.setattr(gauge, "ConvexHull", no_hull)
-    full = alpha(K, x)
+    monkeypatch.setattr(body, "ConvexHull", no_hull)
+    full = _alpha_lp(K, x)
     assert copies() == 144
     npt.assert_allclose(pruned.alpha, full.alpha, atol=1e-12)
 

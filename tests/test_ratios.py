@@ -6,6 +6,8 @@ Sampled quantities are one sided: inf-type ratios can only overshoot and
 sup-type ratios can only undershoot their true values.
 """
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,7 +18,7 @@ from minkgauge import (Ball, BodyError, HPolytope, Product, SupportOracle, VPoly
                        inscribed_ball,
                        make_box, minkowski_phi, random_polygon, ratio_functionals, rho,
                        support)
-from minkgauge.body import encoding_feasible, lp_encoding
+from minkgauge.body import encoding_feasible, lp_encoding, vertex_candidates
 from minkgauge.ratios import SAMPLING_SIDES
 
 from conftest import polygons_with_exterior, polygons_with_interior
@@ -65,19 +67,21 @@ def test_chord_halfspace_and_vertex_routes_agree():
 
 
 def test_chord_lp_route_is_one_lp(lp_solves):
-    # the cube by its vertices has no halfspace rows in R^3, so both chord
-    # ends come from one stacked LP; the H cube clips its rows directly
-    corners = np.array(np.meshgrid([-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0])).reshape(3, -1).T
-    V, H = VPolytope(corners), make_box(-np.ones(3), np.ones(3))
+    # the cube by its vertices has Qhull facet rows in R^3 and clips them
+    # like the H cube; in R^5 it has none, so both chord ends come from one
+    # stacked LP
     rng = np.random.default_rng(4)
-    for _ in range(10):
-        x, v = rng.uniform(-0.9, 0.9, size=3), rng.normal(size=3)
-        lp_solves.clear()
-        cv = chord(V, x, v)
-        assert len(lp_solves) == 1
-        ch = chord(H, x, v)
-        npt.assert_allclose(cv.a, ch.a, atol=1e-9)
-        npt.assert_allclose(cv.b, ch.b, atol=1e-9)
+    for d, lps in ((3, 0), (5, 1)):
+        corners = np.array(list(itertools.product([-1.0, 1.0], repeat=d)))
+        V, H = VPolytope(corners), make_box(-np.ones(d), np.ones(d))
+        for _ in range(10):
+            x, v = rng.uniform(-0.9, 0.9, size=d), rng.normal(size=d)
+            lp_solves.clear()
+            cv = chord(V, x, v)
+            assert len(lp_solves) == lps
+            ch = chord(H, x, v)
+            npt.assert_allclose(cv.a, ch.a, atol=1e-9)
+            npt.assert_allclose(cv.b, ch.b, atol=1e-9)
 
 
 def test_chord_rejects_plain_oracle():
@@ -120,6 +124,29 @@ def test_beta_alpha_identity(pair):
     npt.assert_allclose(a, (1.0 - b) / (1.0 + b), atol=1e-8)
 
 
+def _beta_bisect(K, x):
+    # the bisection on lam with one containment test per generator that the
+    # beta LP replaced, kept as an independent cross-check; no membership
+    # slack, so the bracket converges to beta and not to the slack
+    gens = vertex_candidates(K)
+
+    def fits(lam):
+        return all(contains(K, x - lam * (u - x), tol=0.0) for u in gens)
+
+    lo, hi = 0.0, 1.0
+    if fits(1.0):
+        return 1.0
+    for _ in range(60):
+        if hi - lo <= 1e-10:
+            break
+        mid = 0.5 * (lo + hi)
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 @given(polygons_with_interior())
 @example((VPolytope(np.array([[-0.66161445, -0.44867061], [-0.36686684, 0.7156432],
                               [-0.39705902, 0.6156009]])),
@@ -128,11 +155,24 @@ def test_beta_alpha_identity(pair):
 def test_beta_bisection_route_agrees(pair):
     K, x = pair
     exact = beta(K, x)
-    # strip the facet data so beta falls back to the reflected-containment
-    # bisection; vertices alone drive that route
-    from minkgauge.ratios import _beta_bisect
     approx = _beta_bisect(K, x)
     npt.assert_allclose(approx, exact, atol=1e-7)
+
+
+def test_beta_without_facet_rows_is_one_lp(lp_solves):
+    # a vertex body above MAX_VERTEX_DIM has no facet rows
+    rng = np.random.default_rng(5)
+    V = rng.normal(size=(12, 5))
+    K = VPolytope(V)
+    for _ in range(3):
+        x = 0.8 * V.mean(axis=0) + 0.2 * rng.dirichlet(np.ones(12)) @ V
+        a = alpha(K, x).alpha
+        lp_solves.clear()
+        b = beta(K, x)
+        assert len(lp_solves) == 1
+        npt.assert_allclose(b, (1.0 - a) / (1.0 + a), atol=1e-8)
+    with pytest.raises(BodyError, match="defined for x in K"):
+        beta(K, 10.0 * np.ones(5))
 
 
 def test_beta_sampled_route_is_upper():
@@ -284,8 +324,10 @@ def test_exterior_sampling_sides(pair, seed):
     rep = ratio_functionals(K, x, n_lines=48, seed=seed)
     if rep.n_chords == 0:
         return
+    # slack relative to alpha: far points reach alpha ~ 1e4, where an
+    # absolute 1e-9 is below the float resolution of mu
     assert rep.sigma >= (a - 1.0) / (a + 1.0) - 1e-9
-    assert rep.mu >= a - 1e-9
+    assert rep.mu >= a - 1e-9 * max(1.0, a)
 
 
 @given(polygons_with_interior(), st.integers(min_value=0, max_value=2**31 - 1))
