@@ -4,7 +4,9 @@ The degree-n growth at x is T_n(alpha(K, x)) and the extremal polynomial is
 T_n composed with the affine layer coordinate t(K, v*, .) of the witness
 direction: |t| <= 1 on K keeps the sup norm at 1, while t(x) = alpha pushes
 the value at x to the maximum.  The leading-coefficient growth in a fixed
-direction v is 2^(2n-1) / tau(K, v)^n with tau the maximal chord.
+direction v is 2^(2n-1) / tau(K, v)^n with tau the maximal chord, twice
+where the ray {t v} leaves the central symmetrization C; where C has
+facet rows, the row that stops the ray is the witness direction.
 
 Everything here works through a tiny explicit Polynomial type (a dict from
 exponent multi-indices to coefficients) so gradients are exact and the
@@ -20,7 +22,7 @@ import numpy as np
 
 from .body import BodyError, as_vector, dim, support, vertex_candidates
 from .gauge import alpha
-from .geometry import chord_witness_dir, global_width, max_chord
+from .geometry import _max_chord, global_width
 
 DEGREE_CAP = 64
 
@@ -247,19 +249,19 @@ class LeadingGrowthReport:
 def leading_growth(K, v, n):
     """Largest leading coefficient in direction v: 2^(2n-1) / tau(K, v)^n.
 
-    In the plane the witness direction v* (the edge normal of the central
-    symmetrization at the maximal-chord midpoint) is attached, together with
-    the evaluator of T_n(t(K, v*, .)) whose directional leading coefficient
-    attains the value.
+    Where the central symmetrization has facet rows, the witness direction
+    v* (the facet normal of the central symmetrization at the maximal-chord
+    midpoint, found with tau from the same symmetrization) is attached,
+    together with the evaluator of T_n(t(K, v*, .)) whose directional
+    leading coefficient attains the value.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     v = as_vector(v, dim(K))
     if not np.any(v):
         raise BodyError("direction must be nonzero")
-    tau = max_chord(K, v)
+    tau, wdir = _max_chord(K, v)
     value = 2.0 ** (2 * n - 1) / tau ** n
-    wdir = chord_witness_dir(K, v)
     evaluator = None if wdir is None else _slab_evaluator(K, wdir, n)
     return LeadingGrowthReport(n, float(value), float(tau), wdir, evaluator)
 

@@ -282,7 +282,7 @@ def _alpha_lp(K, x):
     # the value is exact up to the solver's feasibility tolerance times the
     # problem scale; the witness is checked against it directly
     feas = lp.FEAS_TOL * max(1.0, float(np.max(np.abs(x)))) * (1.0 + float(np.abs(y).sum()))
-    return GaugeResult(val, wdir, "lp", max(0.0, val - t_func(K, wdir, x)) + feas)
+    return GaugeResult(val, wdir, "lp", max(0.0, val - t_many(K, wdir[None, :], x)[0]) + feas)
 
 
 def _alpha_sampled(K, x, n_dirs=2048, n_polish=16, seed=13):

@@ -1,10 +1,13 @@
 """Metric quantities of convex bodies: widths, chords, diameter, Hausdorff.
 
-Polytopes in dimension at most ``body.MAX_VERTEX_DIM`` get exact widths:
-the relevant extrema over directions are attained on the facet normals of
-the central symmetrization.  Support oracles, and polytopes above that
-dimension, fall back to seeded multi-start direction sweeps, and the result
-carries an ``exact`` flag set to False.
+Polytopes in dimension at most ``body.MAX_VERTEX_DIM`` get exact widths and
+maximal chords from the facet rows of the central symmetrization C: the
+width extrema are attained on its facet normals, and the maximal chord in
+direction v is twice where the ray {t v} leaves C.  Every chord question
+is a section of a body by lines, answered by one routine batched over the
+line directions (``_line_sections``).  Support oracles, and widths of
+polytopes above that dimension, fall back to seeded multi-start direction
+sweeps, and a width found so carries an ``exact`` flag set to False.
 
 The multi-start search works on batched objectives: a function of an (n, d)
 array of unit directions, evaluated through ``support_many``.  The dense
@@ -21,7 +24,7 @@ import numpy as np
 from scipy import optimize
 
 from . import lp
-from .body import (Ball, BodyError, Product, Sum, SupportOracle, VPolytope,
+from .body import (MAX_VERTEX_DIM, Ball, BodyError, Product, Sum, VPolytope,
                    as_vector, dim, extreme_points, halfspaces, homothety, hull2d,
                    lp_encoding, support, support_many, vertex_candidates)
 
@@ -57,11 +60,17 @@ def _exact_points(K):
 
 
 def central_symm(K):
-    """Central symmetrization (K + (-K)) / 2, an origin-symmetric body."""
+    """Central symmetrization (K + (-K)) / 2, an origin-symmetric body.
+
+    Exact point sets in dimension at most MAX_VERTEX_DIM give the extreme
+    points of their halved differences.  Above it, where no facet rows are
+    built, C stays the sum of the two halves, as for bodies without exact
+    points: the Qhull prune there costs seconds from R^7 on.
+    """
     if isinstance(K, Ball):
         return Ball(np.zeros(dim(K)), K.radius)
     V = _exact_points(K)
-    if V is not None:
+    if V is not None and V.shape[1] <= MAX_VERTEX_DIM:
         diffs = (V[:, None, :] - V[None, :, :]).reshape(-1, V.shape[1]) / 2.0
         return VPolytope(extreme_points(diffs))
     return Sum((homothety(K, 0.5), homothety(K, -0.5)))
@@ -134,22 +143,89 @@ def _multistart_sphere(f, C, sense="min", n_starts=64):
     return best_v / np.linalg.norm(best_v), sign * best, sign * pre
 
 
+def _line_sections(K, x, D):
+    """Sections of K by the lines {x + t v}, one per row v of D: (lo, hi).
+
+    Both are arrays of parameters t, NaN where a line misses K.  Facet rows
+    are clipped for every line in one array operation (rows parallel to a
+    line within 1e-12 only decide whether it misses); a ball solves its
+    quadratic; other encodable bodies take one stacked LP per line, for the
+    largest and least t.  Bodies without an encoding (support oracles, sums
+    with ball terms) raise BodyError.
+    """
+    if isinstance(K, Ball):
+        # |x + t v - c|^2 = r^2, standard quadratic
+        u = x - K.center
+        aa = np.linalg.norm(D, axis=1) ** 2
+        bb = 2.0 * (D @ u)
+        disc = bb * bb - 4.0 * aa * (float(u @ u) - K.radius ** 2)
+        root = np.sqrt(np.where(disc > 0.0, disc, np.nan))
+        return (-bb - root) / (2 * aa), (-bb + root) / (2 * aa)
+    hs = halfspaces(K)
+    if hs is not None:
+        return _clip_sections(*hs, x, D)
+    enc = lp_encoding(K)
+    if enc is None:
+        raise BodyError("chord needs a polytope-backed body")
+    # variables (u, t) with P u + q = x + t v
+    Aub = np.hstack([enc.A_ub, np.zeros((enc.A_ub.shape[0], 1))])
+    Aeq = np.hstack([enc.A_eq, np.zeros((enc.A_eq.shape[0], 1))])
+    beq = np.concatenate([enc.b_eq, x - enc.q])
+    C = np.zeros((2, enc.n + 1))
+    C[:, -1] = (1.0, -1.0)
+    lo, hi = np.full(len(D), np.nan), np.full(len(D), np.nan)
+    for k, v in enumerate(D):
+        Aeq_v = np.vstack([Aeq, np.hstack([enc.P, -v[:, None]])])
+        status, X = lp.solve_stacked(C, Aub, enc.b_ub, Aeq_v, beq,
+                                     list(enc.bounds) + [(None, None)], sense="max")
+        if status is lp.LPStatus.OPTIMAL:
+            lo[k], hi[k] = X[1, -1], X[0, -1]
+    return lo, hi
+
+
+def _clip_sections(A, b, x, D):
+    den = D @ A.T
+    num = b - A @ x
+    par = np.abs(den) <= 1e-12 * np.outer(np.linalg.norm(D, axis=1), np.linalg.norm(A, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = num / den
+    hi = np.where(~par & (den > 0.0), t, np.inf).min(axis=1)
+    lo = np.where(~par & (den < 0.0), t, -np.inf).max(axis=1)
+    miss = np.any(par & (num < 0.0), axis=1) | ~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi))
+    return np.where(miss, np.nan, lo), np.where(miss, np.nan, hi)
+
+
+def _row_exit(A, b, v):
+    """Where the ray {t v} leaves {y : A y <= b} with b > 0, and the unit
+    row that stops it."""
+    hi = _clip_sections(A, b, np.zeros(v.size), v[None, :])[1][0]
+    i = int(np.argmax((A @ v) / b))
+    return float(hi), A[i] / np.linalg.norm(A[i])
+
+
 def max_chord(K, v) -> float:
     """Longest translation parameter tau(K, v) = sup {t : K and K + t v intersect}.
 
-    Equals twice the exit parameter of the ray {t v} from the central
-    symmetrization.  Exact (one LP) for all linearly encodable bodies; for
-    support oracles the infimum formula tau = inf_u w(K, u)/<u, v> is
-    approximated over a direction sweep.
+    Twice where the ray {t v} leaves the central symmetrization C: a clip of
+    C's facet rows (no LP) for every polytope in dimension at most
+    MAX_VERTEX_DIM, closed form for balls, one LP for the other linearly
+    encodable bodies.  Products whose C has no facet rows take the least
+    chord over their factors; support oracles approximate the infimum
+    formula tau = inf_u w(K, u)/<u, v> over a direction sweep.
     """
     v = as_vector(v, dim(K))
     if not np.any(v):
         raise ValueError("direction must be nonzero")
-    if isinstance(K, Ball):
-        return 2.0 * K.radius / float(np.linalg.norm(v))
-    if dim(K) == 1 and not isinstance(K, SupportOracle):
-        # every chord of an interval is the interval itself
-        return (support(K, np.ones(1)) + support(K, -np.ones(1))) / abs(float(v[0]))
+    return _max_chord(K, v)[0]
+
+
+def _max_chord(K, v):
+    """(tau(K, v), the unit facet row of C that sets it or None), from one C."""
+    C = central_symm(K)
+    hs = halfspaces(C)
+    if hs is not None:
+        hi, row = _row_exit(*hs, v)
+        return 2.0 * hi, row
     if isinstance(K, Product):
         out, at = np.inf, 0
         for f in K.factors:
@@ -158,33 +234,18 @@ def max_chord(K, v) -> float:
             if np.any(block):
                 out = min(out, max_chord(f, block))
             at += k
-        return float(out)
-    e = lp_encoding(K)
-    if e is not None:
-        # variables (u1, u2, t): P u2 + q = P u1 + q + t v, maximize t
-        n = 2 * e.n + 1
-        d = v.size
-        A_eq = np.zeros((e.A_eq.shape[0] * 2 + d, n))
-        b_eq = np.concatenate([e.b_eq, e.b_eq, np.zeros(d)])
-        A_eq[:e.A_eq.shape[0], :e.n] = e.A_eq
-        A_eq[e.A_eq.shape[0]:2 * e.A_eq.shape[0], e.n:2 * e.n] = e.A_eq
-        A_eq[2 * e.A_eq.shape[0]:, :e.n] = e.P
-        A_eq[2 * e.A_eq.shape[0]:, e.n:2 * e.n] = -e.P
-        A_eq[2 * e.A_eq.shape[0]:, -1] = v
-        A_ub = np.zeros((e.A_ub.shape[0] * 2, n))
-        A_ub[:e.A_ub.shape[0], :e.n] = e.A_ub
-        A_ub[e.A_ub.shape[0]:, e.n:2 * e.n] = e.A_ub
-        b_ub = np.concatenate([e.b_ub, e.b_ub])
-        c = np.zeros(n)
-        c[-1] = 1.0
-        res = lp.solve(c, A_ub=A_ub if A_ub.size else None,
-                       b_ub=b_ub if b_ub.size else None,
-                       A_eq=A_eq, b_eq=b_eq,
-                       bounds=e.bounds + e.bounds + [(0, None)], sense="max")
-        if not res.optimal:
-            raise lp.NumericalError(f"chord LP ended with status {res.status}")
-        return res.value
-    # oracle fallback: tau = inf over u with <u,v> > 0 of w(K, u)/<u, v>
+        return float(out), None
+    try:
+        hi = _line_sections(C, np.zeros(v.size), v[None, :])[1][0]
+    except BodyError:           # no encoding: support oracles, sums with ball terms
+        return _swept_chord(K, v), None
+    if np.isnan(hi):
+        raise lp.NumericalError("chord LP ended without a section")
+    return 2.0 * float(hi), None
+
+
+def _swept_chord(K, v):
+    """tau = inf over u with <u, v> > 0 of w(K, u)/<u, v>, over a sweep."""
     def ratio(U):
         s = U @ v
         out = np.full(len(U), np.inf)
@@ -425,22 +486,16 @@ def _interval_points(K):
 
 
 def chord_witness_dir(K, v):
-    """Direction v* pairing the maximal chord with a width: planar bodies only.
+    """Direction v* pairing the maximal chord with a width.
 
-    The point (tau/2) v lies on the boundary of the central symmetrization;
-    the outward normal of its facet row through it satisfies
+    The point (tau/2) v lies on the boundary of the central symmetrization
+    C; the unit facet row of C that stops the ray {t v} there satisfies
     w(K, v*) = tau(K, v) <v*, v>, the inequality-to-equality witness that
-    turns the chord bound into an attained width.  Returns None outside
-    dimension two or when the symmetrization has no facet rows.
+    turns the chord bound into an attained width.  None where C has no
+    facet rows (support oracles, balls, polytopes above MAX_VERTEX_DIM).
     """
-    if dim(K) != 2:
-        return None
-    v = as_vector(v, 2)
-    tau = max_chord(K, v)
+    v = as_vector(v, dim(K))
+    if not np.any(v):
+        raise ValueError("direction must be nonzero")
     hs = halfspaces(central_symm(K))
-    if hs is None:
-        return None
-    A, b = hs
-    norms = np.linalg.norm(A, axis=1)
-    row = int(np.argmax((A @ (0.5 * tau * v) - b) / norms))
-    return A[row] / norms[row]
+    return None if hs is None else _row_exit(*hs, v)[1]

@@ -24,8 +24,8 @@ from .body import (Ball, BodyError, Product, SupportOracle, as_vector,
                    contains, dim, extreme_points, halfspaces, lp_encoding,
                    vertex_candidates)
 from .gauge import _scaled_copies, alpha, facet_profile, t_many
-from .geometry import _support_pm, sphere_dirs
-from .lp import LPStatus, NumericalError, solve, solve_stacked
+from .geometry import _line_sections, _support_pm, sphere_dirs
+from .lp import LPStatus, NumericalError, solve
 
 # Which side of the true value a sampled extremum sits on: "upper" means
 # the reported number is >= the true infimum, "lower" that it is <= the
@@ -46,83 +46,29 @@ class Chord:
 def chord(K, x, v):
     """Intersect the line {x + t v} with K; None if empty or a point.
 
-    Halfspace representations are clipped row by row; other polytope
-    variants are ray-shot with two LPs.  Endpoints follow the naming
-    convention of Chord (ties keep the orientation along -v first).
+    The one-line case of the section routine behind every chord here:
+    facet rows are clipped, a ball solves its quadratic, other polytopal
+    bodies take one stacked LP.  Endpoints follow the naming convention of
+    Chord (ties keep the orientation along -v first).
     """
     d = dim(K)
     x = as_vector(x, d)
     v = as_vector(v, d)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
+    if not np.any(v):
         raise BodyError("chord direction must be nonzero")
-    if isinstance(K, Ball):
-        # |x + t v - c|^2 = r^2, standard quadratic
-        u = x - K.center
-        aa = nv * nv
-        bb = 2.0 * float(u @ v)
-        cc = float(u @ u) - K.radius ** 2
-        disc = bb * bb - 4.0 * aa * cc
-        if disc <= 0.0:
-            return None
-        root = np.sqrt(disc)
-        lo, hi = (-bb - root) / (2 * aa), (-bb + root) / (2 * aa)
-    elif isinstance(K, SupportOracle):
-        raise BodyError("chord needs a polytope-backed body")
-    else:
-        interval = _clip_interval(K, x, v)
-        if interval is None:
-            return None
-        lo, hi = interval
-    if (hi - lo) * nv <= 1e-9:
-        return None
-    pa, pb = x + lo * v, x + hi * v
-    if np.linalg.norm(pa - x) < np.linalg.norm(pb - x):
-        pa, pb = pb, pa
-    return Chord(pa, pb, v)
+    a, b = _chords(K, x, v[None, :])
+    return Chord(a[0], b[0], v) if len(a) else None
 
 
-def _clip_interval(K, x, v):
-    hs = halfspaces(K)
-    if hs is None:
-        return _lp_interval(K, x, v)
-    A, b = hs
-    den = A @ v
-    num = b - A @ x
-    scale = np.linalg.norm(A, axis=1) * np.linalg.norm(v)
-    lo, hi = -np.inf, np.inf
-    for de, nu, sc in zip(den, num, scale):
-        if abs(de) <= 1e-12 * sc:
-            if nu < 0.0:
-                return None
-            continue
-        t = nu / de
-        if de > 0.0:
-            hi = min(hi, t)
-        else:
-            lo = max(lo, t)
-    if not np.isfinite(lo) or not np.isfinite(hi) or lo > hi:
-        return None
-    return lo, hi
-
-
-def _lp_interval(K, x, v):
-    enc = lp_encoding(K)
-    if enc is None:
-        raise BodyError("chord needs a polytope-backed body")
-    # variables (u, t) with P u + q = x + t v; t maximized and minimized in
-    # one stacked LP
-    Aub = np.hstack([enc.A_ub, np.zeros((enc.A_ub.shape[0], 1))])
-    Aeq = np.vstack([np.hstack([enc.A_eq, np.zeros((enc.A_eq.shape[0], 1))]),
-                     np.hstack([enc.P, -v[:, None]])])
-    beq = np.concatenate([enc.b_eq, x - enc.q])
-    C = np.zeros((2, enc.n + 1))
-    C[:, -1] = (1.0, -1.0)
-    status, X = solve_stacked(C, Aub, enc.b_ub, Aeq, beq, list(enc.bounds) + [(None, None)],
-                              sense="max")
-    if status is not LPStatus.OPTIMAL:
-        return None
-    return X[1, -1], X[0, -1]
+def _chords(K, x, D):
+    """Endpoints (a, b) of the chords through x along the rows of D, named
+    as in Chord; lines that miss K or touch it in a point are dropped."""
+    lo, hi = _line_sections(K, x, D)
+    keep = (hi - lo) * np.linalg.norm(D, axis=1) > 1e-9
+    a = x + lo[keep, None] * D[keep]
+    b = x + hi[keep, None] * D[keep]
+    swap = (np.linalg.norm(a - x, axis=1) < np.linalg.norm(b - x, axis=1))[:, None]
+    return np.where(swap, b, a), np.where(swap, a, b)
 
 
 def beta(K, x):
@@ -142,17 +88,20 @@ def beta(K, x):
             vals.append(beta(f, x[off:off + df]))
             off += df
         return min(vals)
-    if not isinstance(K, (Ball, SupportOracle)):
-        prof = facet_profile(K)
-        if prof is None:
-            return _beta_lp(K, x)
-    if not contains(K, x, tol=1e-7):
-        raise BodyError("beta is defined for x in K")
-    if isinstance(K, Ball):
+    if isinstance(K, (Ball, SupportOracle)):
+        if not contains(K, x, tol=1e-7):
+            raise BodyError("beta is defined for x in K")
+        if isinstance(K, SupportOracle):
+            return _beta_sampled(K, x)
         delta = np.linalg.norm(x - K.center)
         return (K.radius - delta) / (K.radius + delta)
-    if isinstance(K, SupportOracle):
-        return _beta_sampled(K, x)
+    prof = facet_profile(K)
+    if prof is None:
+        return _beta_lp(K, x)
+    # membership on the tight rows, with the slack of contains(K, x, tol=1e-7)
+    A, hp, _ = prof
+    if np.any(A @ x > hp + 1e-7 * np.maximum(np.linalg.norm(A, axis=1), 1.0)):
+        raise BodyError("beta is defined for x in K")
     return _beta_rows(*prof, x)
 
 
@@ -263,45 +212,27 @@ def ratio_functionals(K, x, n_lines=64, seed=0):
     dirs = []
     gens = vertex_candidates(K)
     if gens is not None:
-        for u in gens:
-            w = u - x
-            n = np.linalg.norm(w)
-            if n > 1e-12:
-                dirs.append(w / n)
+        W = gens - x
+        n = np.linalg.norm(W, axis=1)
+        dirs.append(W[n > 1e-12] / n[n > 1e-12, None])
     hs = halfspaces(K)
     if hs is not None:
-        dirs.extend(r / np.linalg.norm(r) for r in hs[0])
-    dirs.extend(sphere_dirs(d, n_lines, seed))
+        dirs.append(hs[0] / np.linalg.norm(hs[0], axis=1, keepdims=True))
+    dirs.append(sphere_dirs(d, n_lines, seed))
 
-    sigma = gamma_sq = mu = np.inf
-    nu = omega = -np.inf
-    n_chords = 0
-    for v in dirs:
-        c = chord(K, x, v)
-        if c is None:
-            continue
-        n_chords += 1
-        p = float(np.linalg.norm(c.a - x))
-        q = float(np.linalg.norm(c.b - x))
-        length = float(np.linalg.norm(c.a - c.b))
-        sigma = min(sigma, q / p)
-        if inside:
-            nu = max(nu, (p - q) / (p + q))
-            omega = max(omega, p / (p + q))
-            gamma_sq = min(gamma_sq, 4.0 * p * q / (p + q) ** 2)
-        else:
-            mu = min(mu, (p + q) / length)
-
-    if n_chords == 0:
+    a, b = _chords(K, x, np.vstack(dirs))
+    p = np.linalg.norm(a - x, axis=1)
+    q = np.linalg.norm(b - x, axis=1)
+    if len(a) == 0:
         return RatioReport(None, None, None, None, None, inside, 0)
     return RatioReport(
-        sigma=float(sigma),
-        nu=float(nu) if inside else None,
-        omega=float(omega) if inside else None,
-        gamma_sq=float(gamma_sq) if inside else None,
-        mu=None if inside else float(mu),
+        sigma=float(np.min(q / p)),
+        nu=float(np.max((p - q) / (p + q))) if inside else None,
+        omega=float(np.max(p / (p + q))) if inside else None,
+        gamma_sq=float(np.min(4.0 * p * q / (p + q) ** 2)) if inside else None,
+        mu=None if inside else float(np.min((p + q) / np.linalg.norm(a - b, axis=1))),
         point_in_body=inside,
-        n_chords=n_chords,
+        n_chords=len(a),
     )
 
 

@@ -10,6 +10,7 @@ from minkgauge import (Ball, BodyError, Polynomial, VPolytope, alpha,
                        compose_cheb, extremal_polynomial, leading_growth,
                        make_box, make_simplex, poly_eval, poly_grad, t_func,
                        t_polynomial)
+from minkgauge.body import vertex_candidates
 from minkgauge.cheb import DEGREE_CAP
 
 from conftest import polygons_with_interior, unit_dirs
@@ -226,6 +227,16 @@ def test_leading_growth_evaluator_solves_no_lps(lp_solves):
     vals = [rep.extremal_eval(y) for y in np.random.default_rng(2).uniform(-1, 1, (50, 2))]
     assert not lp_solves
     assert max(abs(v) for v in vals) <= 1.0 + 1e-9
+
+
+def test_leading_growth_clips_rows_without_lp(lp_solves):
+    T = VPolytope(np.array([[10.0, 10.0], [16.0, 10.0], [10.0, 16.0]]))
+    box = make_box([-1.0, -2.0], [1.0, 2.0])
+    vertex_candidates(box)               # the box prepares its vertices once
+    lp_solves.clear()
+    for K in (T, box):
+        assert leading_growth(K, np.array([1.0, 0.5]), 3).witness_dir is not None
+    assert not lp_solves
 
 
 def test_leading_growth_interval_exact():

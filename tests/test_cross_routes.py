@@ -10,17 +10,19 @@ import json
 
 import numpy as np
 import numpy.testing as npt
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from minkgauge import (HPolytope, VPolytope, alpha, alpha_inf, bernstein_bound, beta,
-                       brute_force_alpha, dim, global_width, make_box)
+                       brute_force_alpha, dim, global_width, make_box, max_chord)
 from minkgauge.body import halfspaces, interior_point, vertex_candidates
 from minkgauge.cli import run
 from minkgauge.gauge import _alpha_lp
 from minkgauge.geometry import _multistart_sphere, _sphere_starts, _widths
 from minkgauge.ratios import _beta_lp
 
-from conftest import POLYTOPE_KINDS, polytopes_with_interior, seeded_polytope
+from conftest import (MAX_SEED, POLYTOPE_KINDS, polytopes, polytopes_with_interior,
+                      seeded_polytope)
+from test_geometry import _two_copy_chord_lp
 
 
 @given(polytopes_with_interior())
@@ -49,6 +51,13 @@ def test_brute_force_lower_bounds_alpha(pair):
 def test_facet_beta_matches_the_lp(pair):
     K, x = pair
     npt.assert_allclose(beta(K, x), _beta_lp(K, x), atol=1e-9)
+
+
+@given(polytopes(), st.integers(min_value=0, max_value=MAX_SEED))
+@settings(max_examples=30)
+def test_max_chord_matches_the_two_copy_lp(K, seed):
+    v = np.random.default_rng(seed).normal(size=dim(K))
+    npt.assert_allclose(max_chord(K, v), _two_copy_chord_lp(K, v), rtol=1e-9)
 
 
 def _sampled_width(K):

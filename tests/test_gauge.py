@@ -129,6 +129,15 @@ def test_cube_exterior_alpha_is_one_lp(lp_solves):
     assert len(lp_solves) <= 2
 
 
+def test_box_exterior_alpha_in_r5_is_three_lps(lp_solves):
+    # no prepared vertices above MAX_VERTEX_DIM: the facet profile's support
+    # values, the level-set LP and the witness check are one LP each
+    res = alpha(make_box(-np.ones(5), np.ones(5)), np.array([2.0, 0.5, 0.3, 0.0, -0.4]))
+    assert res.method == "lp"
+    npt.assert_allclose(res.alpha, 2.0, atol=1e-9)
+    assert len(lp_solves) == 3
+
+
 def test_cube_interior_alpha_solves_no_lp_after_preparation(lp_solves):
     C = make_box(-np.ones(3), np.ones(3))
     validate(C)

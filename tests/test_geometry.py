@@ -5,19 +5,23 @@ global width 3*sqrt(2), diameter 6*sqrt(2), farthest point norm sqrt(356),
 symmetrization a hexagon with vertices (+-3,0),(0,+-3),(3,-3),(-3,3).
 """
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minkgauge import (Ball, HPolytope, SupportOracle, VPolytope, central_symm,
+from minkgauge import (Ball, HPolytope, Product, SupportOracle, VPolytope, central_symm,
                        chord_witness_dir, diameter, dim, far_radius,
                        global_width, hausdorff, homothety, inscribed_ball,
                        max_chord, polygon_vertices, sphere_dirs, support,
                        width_dir)
-from minkgauge import geometry
+from minkgauge import geometry, lp
+from minkgauge.body import lp_encoding, vertex_candidates
 
-from conftest import counted_oracle, polygon_pairs, polygons, unit_dirs
+from conftest import (MAX_SEED, POLYTOPE_KINDS, counted_oracle, polygon_pairs, polygons,
+                      polytopes, seeded_polytope, unit_dirs)
 
 
 HEX_VERTICES = {(3.0, 0.0), (0.0, 3.0), (-3.0, 0.0), (0.0, -3.0), (3.0, -3.0), (-3.0, 3.0)}
@@ -82,10 +86,12 @@ def test_width_is_twice_symmetrization_inradius(K):
     npt.assert_allclose(global_width(K).value, 2.0 * r, atol=1e-9)
 
 
-@given(polygons(), unit_dirs())
-@settings(max_examples=30)
-def test_chord_witness_pairs_width_with_chord(K, u):
+@given(st.one_of(polygons(), polytopes(3, 4)), st.integers(min_value=0, max_value=MAX_SEED))
+@settings(max_examples=40)
+def test_chord_witness_pairs_width_with_chord(K, seed):
     # the witness normal v* turns tau(K,u) into the attained width w(K,v*)
+    u = np.random.default_rng(seed).normal(size=dim(K))
+    u /= np.linalg.norm(u)
     vstar = chord_witness_dir(K, u)
     assert vstar is not None
     npt.assert_allclose(np.linalg.norm(vstar), 1.0, atol=1e-12)
@@ -94,9 +100,68 @@ def test_chord_witness_pairs_width_with_chord(K, u):
                         atol=1e-6 * max(1.0, tau))
 
 
-def test_chord_witness_needs_the_plane():
-    tet = VPolytope(np.vstack([np.zeros(3), np.eye(3)]))
-    assert chord_witness_dir(tet, np.array([1.0, 0.0, 0.0])) is None
+def test_chord_witness_needs_facet_rows():
+    # the symmetrization of the cube in R^5 and of a ball have no facet rows
+    cube = VPolytope(np.array(list(itertools.product([-1.0, 1.0], repeat=5))))
+    assert chord_witness_dir(cube, np.arange(1.0, 6.0)) is None
+    assert chord_witness_dir(Ball(np.ones(3), 2.0), np.array([1.0, 0.0, 0.0])) is None
+
+
+def _two_copy_chord_lp(K, v):
+    # the LP that max_chord solved before the clip of the symmetrization's
+    # rows, kept as an independent reference: variables (u1, u2, t) with
+    # P u2 + q = P u1 + q + t v, t maximized
+    e = lp_encoding(K)
+    n, d = 2 * e.n + 1, v.size
+    m_eq, m_ub = e.A_eq.shape[0], e.A_ub.shape[0]
+    A_eq = np.zeros((2 * m_eq + d, n))
+    A_eq[:m_eq, :e.n] = e.A_eq
+    A_eq[m_eq:2 * m_eq, e.n:2 * e.n] = e.A_eq
+    A_eq[2 * m_eq:, :e.n] = e.P
+    A_eq[2 * m_eq:, e.n:2 * e.n] = -e.P
+    A_eq[2 * m_eq:, -1] = v
+    A_ub = np.zeros((2 * m_ub, n))
+    A_ub[:m_ub, :e.n] = e.A_ub
+    A_ub[m_ub:, e.n:2 * e.n] = e.A_ub
+    c = np.zeros(n)
+    c[-1] = 1.0
+    res = lp.solve(c, A_ub=A_ub if A_ub.size else None,
+                   b_ub=np.concatenate([e.b_ub, e.b_ub]) if A_ub.size else None,
+                   A_eq=A_eq, b_eq=np.concatenate([e.b_eq, e.b_eq, np.zeros(d)]),
+                   bounds=e.bounds + e.bounds + [(0, None)], sense="max")
+    assert res.optimal
+    return res.value
+
+
+def _seeded_chord_bodies(rng):
+    for d in (1, 2, 3, 4, 5):
+        for kind in POLYTOPE_KINDS:
+            yield seeded_polytope(kind, d, rng)
+    for d1, d2 in ((1, 1), (2, 1), (2, 2), (3, 2)):
+        yield Product((seeded_polytope("vpolytope", d1, rng),
+                       seeded_polytope("hpolytope", d2, rng)))
+
+
+def test_max_chord_matches_the_two_copy_lp():
+    rng = np.random.default_rng(12)
+    for K in _seeded_chord_bodies(rng):
+        for v in rng.normal(size=(3, dim(K))):
+            npt.assert_allclose(max_chord(K, v), _two_copy_chord_lp(K, v), rtol=1e-9)
+
+
+def test_max_chord_clips_rows_without_lp(lp_solves):
+    rng = np.random.default_rng(13)
+    for d, kind in itertools.product((1, 2, 3, 4), POLYTOPE_KINDS):
+        K = seeded_polytope(kind, d, rng)
+        vertex_candidates(K)             # an H-polytope prepares its vertices once
+        lp_solves.clear()
+        max_chord(K, rng.normal(size=d))
+        assert not lp_solves
+    # no facet rows in R^5: one stacked LP on the symmetrization
+    cube = VPolytope(np.array(list(itertools.product([-1.0, 1.0], repeat=5))))
+    lp_solves.clear()
+    npt.assert_allclose(max_chord(cube, np.array([1.0, 0.0, 0.0, 0.0, 0.0])), 2.0, rtol=1e-9)
+    assert len(lp_solves) == 1
 
 
 @given(polygons(), unit_dirs())

@@ -18,10 +18,12 @@ from minkgauge import (Ball, BodyError, HPolytope, Product, SupportOracle, VPoly
                        inscribed_ball,
                        make_box, minkowski_phi, random_polygon, ratio_functionals, rho,
                        support)
-from minkgauge.body import encoding_feasible, lp_encoding, vertex_candidates
-from minkgauge.ratios import SAMPLING_SIDES
+from minkgauge.body import encoding_feasible, halfspaces, lp_encoding, vertex_candidates
+from minkgauge.geometry import sphere_dirs
+from minkgauge.ratios import SAMPLING_SIDES, _beta_lp
 
-from conftest import polygons_with_exterior, polygons_with_interior
+from conftest import (POLYTOPE_KINDS, polygons_with_exterior, polygons_with_interior,
+                      seeded_polytope)
 
 
 SQ = VPolytope(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]]))
@@ -173,6 +175,23 @@ def test_beta_without_facet_rows_is_one_lp(lp_solves):
         npt.assert_allclose(b, (1.0 - a) / (1.0 + a), atol=1e-8)
     with pytest.raises(BodyError, match="defined for x in K"):
         beta(K, 10.0 * np.ones(5))
+
+
+def test_facet_beta_is_one_hull(qhull_calls):
+    # membership is read off the facet profile, whose rows are the one hull
+    rng = np.random.default_rng(3)
+    V = rng.normal(size=(12, 3))
+    K = VPolytope(V)
+    for _ in range(3):
+        x = 0.8 * V.mean(axis=0) + 0.2 * rng.dirichlet(np.ones(12)) @ V
+        qhull_calls.clear()
+        b = beta(K, x)
+        assert qhull_calls == [12]
+        npt.assert_allclose(b, _beta_lp(K, x), atol=1e-9)
+    qhull_calls.clear()
+    with pytest.raises(BodyError, match="defined for x in K"):
+        beta(K, 10.0 * np.ones(3))
+    assert qhull_calls == [12]
 
 
 def test_beta_sampled_route_is_upper():
@@ -338,6 +357,60 @@ def test_more_lines_tighten_the_interior_report(pair, seed):
     big = ratio_functionals(K, x, n_lines=64, seed=seed)
     assert big.sigma <= small.sigma + 1e-12
     assert big.nu >= small.nu - 1e-12
+
+
+def _ratios_by_chord(K, x, n_lines, seed):
+    # the per-line loop that ratio_functionals replaced: the same direction
+    # family, one public chord call per line; one row of ratios per chord
+    dirs = []
+    for u in vertex_candidates(K):
+        if np.linalg.norm(u - x) > 1e-12:
+            dirs.append((u - x) / np.linalg.norm(u - x))
+    hs = halfspaces(K)
+    if hs is not None:
+        dirs.extend(r / np.linalg.norm(r) for r in hs[0])
+    dirs.extend(sphere_dirs(dim(K), n_lines, seed))
+    rows = []
+    for v in dirs:
+        c = chord(K, x, v)
+        if c is not None:
+            p, q = np.linalg.norm(c.a - x), np.linalg.norm(c.b - x)
+            rows.append((q / p, (p - q) / (p + q), p / (p + q), 4.0 * p * q / (p + q) ** 2,
+                         (p + q) / np.linalg.norm(c.a - c.b)))
+    return np.array(rows)
+
+
+def test_ratio_report_equals_the_per_chord_loop():
+    rng = np.random.default_rng(14)
+    bodies = [seeded_polytope(kind, d, rng)
+              for d, kind in itertools.product((2, 3, 4), POLYTOPE_KINDS)]
+    bodies.append(VPolytope(rng.normal(size=(8, 5))))    # no rows: one LP per line
+    for K in bodies:
+        V = vertex_candidates(K)
+        c = V.mean(axis=0)
+        # the centre, and a point beyond a vertex: the lines to the vertices cut K
+        for x in (c, 3.0 * V[0] - 2.0 * c):
+            rep = ratio_functionals(K, x, n_lines=16, seed=3)
+            rows = _ratios_by_chord(K, x, 16, 3)
+            assert rep.n_chords == len(rows) > 0
+            got = [rep.sigma, rep.nu, rep.omega, rep.gamma_sq, rep.mu]
+            want = [rows[:, 0].min(), rows[:, 1].max(), rows[:, 2].max(), rows[:, 3].min(),
+                    rows[:, 4].min()]
+            for i, (g, w) in enumerate(zip(got, want)):
+                if rep.point_in_body == (i < 4):
+                    npt.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+                elif i:
+                    assert g is None
+
+
+def test_ratio_report_hull_count_is_independent_of_lines(qhull_calls):
+    K = random_polygon(9, 4)
+    counts = []
+    for n_lines in (16, 128):
+        qhull_calls.clear()
+        ratio_functionals(K, np.zeros(2), n_lines=n_lines, seed=0)
+        counts.append(len(qhull_calls))
+    assert counts[0] == counts[1] <= 3
 
 
 # brute force cross-check
