@@ -577,6 +577,11 @@ def encoding_feasible(encs, couplings, rhs):
 MEMBERSHIP_TOL = 1e-9
 
 
+def rows_contain(A, b, x, tol=MEMBERSHIP_TOL):
+    """Membership of x in {y : A y <= b}, each row relaxed by tol max(|a_i|, 1)."""
+    return bool(np.all(A @ x <= b + tol * np.maximum(np.linalg.norm(A, axis=1), 1.0)))
+
+
 def contains(K, x, tol=MEMBERSHIP_TOL):
     """Membership test x in K, exact for polytopal variants.
 
@@ -596,9 +601,7 @@ def contains(K, x, tol=MEMBERSHIP_TOL):
         return True
     hs = halfspaces(K)
     if hs is not None:
-        A, b = hs
-        norms = np.linalg.norm(A, axis=1)
-        return bool(np.all(A @ x <= b + tol * np.maximum(norms, 1.0)))
+        return rows_contain(*hs, x, tol)
     e = lp_encoding(K)
     if e is not None:
         d = x.size

@@ -96,7 +96,8 @@ def _clean(obj):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.12g}")
+        # + 0.0 turns a negative zero into 0.0
+        return float(f"{float(obj):.12g}") + 0.0
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, np.ndarray):

@@ -11,9 +11,12 @@ sweeps, and a width found so carries an ``exact`` flag set to False.
 
 The multi-start search works on batched objectives: a function of an (n, d)
 array of unit directions, evaluated through ``support_many``.  The dense
-prepass is one call; each L-BFGS-B step of the polish is one call on the
-iterate and its d forward-difference neighbours (scipy's default absolute
-step), handed to the optimizer as value and gradient together.
+prepass is one call.  The best starts then descend together, each with its
+own BFGS inverse Hessian and Armijo step (Nocedal & Wright, Numerical
+Optimization, 2006, ch. 3 and 6), and are put back on the unit sphere after
+every accepted step (a retraction, as in Absil, Mahony & Sepulchre,
+Optimization Algorithms on Matrix Manifolds, 2008).  Each iteration is one
+call on the trial points and their d forward-difference neighbours.
 """
 
 from __future__ import annotations
@@ -21,15 +24,24 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
 from . import lp
 from .body import (MAX_VERTEX_DIM, Ball, BodyError, Product, Sum, VPolytope,
                    as_vector, dim, extreme_points, halfspaces, homothety, hull2d,
                    lp_encoding, support, support_many, vertex_candidates)
 
-# L-BFGS-B's default absolute forward-difference step
+# absolute forward-difference step of the direction search (scipy's default
+# for finite-difference gradients)
 FD_STEP = 1e-8
+# a start of the search stops once an accepted step lowers f by at most this
+# much relative to max(|f|, 1): L-BFGS-B's default factr * eps
+SWEEP_FTOL = 1e7 * np.finfo(float).eps
+# bound on the search's iterations, each one batched call of the objective
+SWEEP_MAX_ITER = 200
+# Armijo sufficient-decrease constant, and the weak Wolfe curvature constant
+# (Nocedal & Wright (3.6)) under which an accepted step counts as too short
+ARMIJO_C1 = 1e-4
+WOLFE_C2 = 0.9
 
 
 class WidthResult(NamedTuple):
@@ -71,9 +83,24 @@ def central_symm(K):
         return Ball(np.zeros(dim(K)), K.radius)
     V = _exact_points(K)
     if V is not None and V.shape[1] <= MAX_VERTEX_DIM:
-        diffs = (V[:, None, :] - V[None, :, :]).reshape(-1, V.shape[1]) / 2.0
-        return VPolytope(extreme_points(diffs))
+        return VPolytope(extreme_points(_halved_differences(V)))
     return Sum((homothety(K, 0.5), homothety(K, -0.5)))
+
+
+def _halved_differences(V):
+    return (V[:, None, :] - V[None, :, :]).reshape(-1, V.shape[1]) / 2.0
+
+
+def _symm_rows(K):
+    """Facet rows (A, b) of the central symmetrization C, or None.
+
+    The rows of ``halfspaces(central_symm(K))`` from one hull of the
+    unpruned halved differences, where that expression builds two.
+    """
+    V = _exact_points(K)
+    if V is None or V.shape[1] > MAX_VERTEX_DIM:
+        return None
+    return halfspaces(VPolytope(_halved_differences(V)))
 
 
 def sphere_dirs(d, n, seed=0):
@@ -109,11 +136,18 @@ def _sphere_starts(d, seed, extra_starts=None):
 
 
 def _multistart_sphere(f, C, sense="min", n_starts=64):
-    """Optimize a batched f over unit directions: prepass over C, local polish.
+    """Optimize a batched f over unit directions: prepass over C, local descent.
 
     f maps an (n, d) array of unit rows to their n values.  The n_starts best
-    rows of C start L-BFGS-B on v -> f(v / |v|).  Returns (best unit
-    direction, best value, best prepass value); deterministic for fixed C.
+    rows of C descend together on v -> f(v / |v|), each by its own BFGS
+    quasi-Newton steps with Armijo backtracking, and every iteration is one
+    call of f on the trial points and their forward-difference neighbours.
+    Accepted points go back onto the unit sphere.  A start stops when an
+    accepted step lowers f by at most SWEEP_FTOL relative, when its step
+    vanishes or when its gradient is not finite; at most SWEEP_MAX_ITER
+    iterations run.  The best value is one f took, so a sampled bound stays
+    one-sided.  Returns (best unit direction, best value, best prepass
+    value); deterministic for fixed C.
     """
     sign = 1.0 if sense == "min" else -1.0
 
@@ -125,21 +159,74 @@ def _multistart_sphere(f, C, sense="min", n_starts=64):
             out[ok] = sign * np.asarray(f(V[ok] / nv[ok, None]), dtype=float)
         return out
 
-    def value_and_grad(v):
-        # forward differences over the step as represented, like scipy's
-        steps = v + FD_STEP * np.eye(v.size)
-        vals = g(np.vstack([v, steps]))
-        with np.errstate(invalid="ignore"):
-            return vals[0], (vals[1:] - vals[0]) / (np.diag(steps) - v)
-
     vals = g(C)
-    order = np.argsort(vals)
+    order = np.argsort(vals)[:n_starts]
     best_v, best = C[order[0]], vals[order[0]]
     pre = best
-    for idx in order[:n_starts]:
-        res = optimize.minimize(value_and_grad, C[idx], method="L-BFGS-B", jac=True)
-        if res.fun < best:
-            best, best_v = res.fun, np.asarray(res.x, dtype=float)
+    X = C[order] / np.linalg.norm(C[order], axis=1, keepdims=True)
+    m, d = X.shape
+    E = np.eye(d)
+    F, G, P = vals[order], np.zeros((m, d)), np.zeros((m, d))
+    H = np.tile(E, (m, 1, 1))
+    fresh = np.ones(m, dtype=bool)      # H is the unscaled identity
+    step = np.zeros(m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(SWEEP_MAX_ITER):
+            if not len(X):
+                break
+            T = X + step[:, None] * P
+            # forward differences over the step as represented, like scipy's
+            vals = g(np.vstack([T, (T[:, None, :] + FD_STEP * E).reshape(-1, d)]))
+            Ft = vals[:len(T)]
+            Gt = (vals[len(T):].reshape(-1, d) - Ft[:, None]) / ((T + FD_STEP) - T)
+            slope = np.einsum("ij,ij->i", G, P)
+            # the first trials are the starts themselves, taken as they are
+            acc = (Ft <= F + ARMIJO_C1 * step * slope) | (it == 0)
+            scale = np.maximum(np.maximum(np.abs(F), np.abs(Ft)), 1.0)
+            small = acc & (F - Ft <= SWEEP_FTOL * scale) & (it > 0)
+            # an accepted step along which f still falls steeply (the weak
+            # Wolfe curvature test fails) makes the next one at least twice as long
+            reach = np.where(np.einsum("ij,ij->i", Gt, P) < WOLFE_C2 * slope,
+                             2.0 * step * np.linalg.norm(P, axis=1), 0.0)
+            # BFGS where the accepted step has positive curvature (Nocedal &
+            # Wright (6.17)); a first update scales the identity by s.y / y.y (6.20)
+            S, Y = T - X, Gt - G
+            sy = np.einsum("ij,ij->i", S, Y)
+            upd = acc & (sy > 0.0) & np.all(np.isfinite(Y), axis=1)
+            Hs = H * np.where(fresh, sy / np.einsum("ij,ij->i", Y, Y), 1.0)[:, None, None]
+            Hy = np.einsum("kij,kj->ki", Hs, Y)
+            r = 1.0 / sy
+            c = r * (1.0 + r * np.einsum("ij,ij->i", Y, Hy))
+            SHy = r[:, None, None] * np.einsum("ki,kj->kij", S, Hy)
+            SS = np.einsum("ki,kj->kij", S, S)
+            Hn = Hs + c[:, None, None] * SS - SHy - SHy.transpose(0, 2, 1)
+            H = np.where(upd[:, None, None], Hn, H)
+            fresh &= ~upd
+            # accepted points go back onto the sphere: at v / n, f(v / |v|) has
+            # gradient n g and inverse Hessian H / n^2
+            n = np.linalg.norm(T, axis=1)
+            X = np.where(acc[:, None], T / n[:, None], X)
+            F = np.where(acc, Ft, F)
+            G = np.where(acc[:, None], Gt * n[:, None], G)
+            H = np.where(acc[:, None, None], H / (n * n)[:, None, None], H)
+            # the next direction; one that does not descend restarts from -G
+            D = -np.einsum("kij,kj->ki", H, G)
+            reset = acc & ~(np.einsum("ij,ij->i", D, G) < 0.0)
+            H = np.where(reset[:, None, None], E, H)
+            fresh |= reset
+            D = np.where(reset[:, None], -G, D)
+            gn = np.linalg.norm(D, axis=1)
+            P = np.where(acc[:, None], D, P)
+            # a steepest-descent step first tries unit length, as L-BFGS-B's
+            # first step does, a quasi-Newton step its full length
+            step = np.where(acc, np.maximum(np.where(fresh, 1.0, gn), reach) / gn, 0.5 * step)
+            i = int(np.argmin(F))
+            if F[i] < best:
+                best_v, best = X[i], F[i]
+            stop = small | (acc & ~np.all(np.isfinite(G), axis=1)) | ~(
+                step * np.linalg.norm(P, axis=1) > np.finfo(float).eps)
+            if np.any(stop):
+                X, F, G, P, H, step, fresh = (a[~stop] for a in (X, F, G, P, H, step, fresh))
     return best_v / np.linalg.norm(best_v), sign * best, sign * pre
 
 
@@ -221,8 +308,7 @@ def max_chord(K, v) -> float:
 
 def _max_chord(K, v):
     """(tau(K, v), the unit facet row of C that sets it or None), from one C."""
-    C = central_symm(K)
-    hs = halfspaces(C)
+    hs = _symm_rows(K)
     if hs is not None:
         hi, row = _row_exit(*hs, v)
         return 2.0 * hi, row
@@ -236,7 +322,7 @@ def _max_chord(K, v):
             at += k
         return float(out), None
     try:
-        hi = _line_sections(C, np.zeros(v.size), v[None, :])[1][0]
+        hi = _line_sections(central_symm(K), np.zeros(v.size), v[None, :])[1][0]
     except BodyError:           # no encoding: support oracles, sums with ball terms
         return _swept_chord(K, v), None
     if np.isnan(hi):
@@ -271,7 +357,7 @@ def global_width(K, n_starts=64, seed=0) -> WidthResult:
     if d == 1:
         w = width_dir(K, np.ones(1))
         return WidthResult(float(w), np.ones(1), True)
-    hs = halfspaces(central_symm(K))
+    hs = _symm_rows(K)
     if hs is not None:
         A, b = hs
         norms = np.linalg.norm(A, axis=1)
@@ -497,5 +583,5 @@ def chord_witness_dir(K, v):
     v = as_vector(v, dim(K))
     if not np.any(v):
         raise ValueError("direction must be nonzero")
-    hs = halfspaces(central_symm(K))
+    hs = _symm_rows(K)
     return None if hs is None else _row_exit(*hs, v)[1]

@@ -22,9 +22,9 @@ import numpy as np
 
 from .body import (Ball, BodyError, Product, SupportOracle, as_vector,
                    contains, dim, extreme_points, halfspaces, lp_encoding,
-                   vertex_candidates)
+                   rows_contain, vertex_candidates)
 from .gauge import _scaled_copies, alpha, facet_profile, t_many
-from .geometry import _line_sections, _support_pm, sphere_dirs
+from .geometry import _clip_sections, _line_sections, _support_pm, sphere_dirs
 from .lp import LPStatus, NumericalError, solve
 
 # Which side of the true value a sampled extremum sits on: "upper" means
@@ -56,14 +56,14 @@ def chord(K, x, v):
     v = as_vector(v, d)
     if not np.any(v):
         raise BodyError("chord direction must be nonzero")
-    a, b = _chords(K, x, v[None, :])
+    a, b = _chords(x, v[None, :], *_line_sections(K, x, v[None, :]))
     return Chord(a[0], b[0], v) if len(a) else None
 
 
-def _chords(K, x, D):
-    """Endpoints (a, b) of the chords through x along the rows of D, named
-    as in Chord; lines that miss K or touch it in a point are dropped."""
-    lo, hi = _line_sections(K, x, D)
+def _chords(x, D, lo, hi):
+    """Endpoints (a, b) of the chords through x along the rows of D, from
+    the sections (lo, hi) of their lines, named as in Chord; lines that
+    miss the body or touch it in a point are dropped."""
     keep = (hi - lo) * np.linalg.norm(D, axis=1) > 1e-9
     a = x + lo[keep, None] * D[keep]
     b = x + hi[keep, None] * D[keep]
@@ -207,7 +207,9 @@ def ratio_functionals(K, x, n_lines=64, seed=0):
         raise BodyError("n_lines must be >= 1")
     d = dim(K)
     x = as_vector(x, d)
-    inside = contains(K, x)
+    # K's rows are built once: membership, facet normals and the sections
+    hs = halfspaces(K)
+    inside = contains(K, x) if hs is None else rows_contain(*hs, x)
 
     dirs = []
     gens = vertex_candidates(K)
@@ -215,12 +217,13 @@ def ratio_functionals(K, x, n_lines=64, seed=0):
         W = gens - x
         n = np.linalg.norm(W, axis=1)
         dirs.append(W[n > 1e-12] / n[n > 1e-12, None])
-    hs = halfspaces(K)
     if hs is not None:
         dirs.append(hs[0] / np.linalg.norm(hs[0], axis=1, keepdims=True))
     dirs.append(sphere_dirs(d, n_lines, seed))
+    D = np.vstack(dirs)
 
-    a, b = _chords(K, x, np.vstack(dirs))
+    sections = _line_sections(K, x, D) if hs is None else _clip_sections(*hs, x, D)
+    a, b = _chords(x, D, *sections)
     p = np.linalg.norm(a - x, axis=1)
     q = np.linalg.norm(b - x, axis=1)
     if len(a) == 0:

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from minkgauge import (Ball, BodyError, Polynomial, VPolytope, alpha,
                        bernstein_bound, cheb_T, cheb_T_prime, cheb_growth,
-                       compose_cheb, extremal_polynomial, leading_growth,
-                       make_box, make_simplex, poly_eval, poly_grad, t_func,
-                       t_polynomial)
+                       compose_cheb, dim, extremal_polynomial, leading_growth,
+                       make_box, make_simplex, poly_eval, poly_grad, random_polygon,
+                       t_func, t_polynomial)
 from minkgauge.body import vertex_candidates
-from minkgauge.cheb import DEGREE_CAP
+from minkgauge.cheb import DEGREE_CAP, _body_samples
 
 from conftest import polygons_with_interior, unit_dirs
 
@@ -204,6 +204,17 @@ def test_cheb_growth_extremal_is_admissible(pair, n):
     assert rep.sup_norm_check <= 1.0 + 1e-9
     npt.assert_allclose(rep.extremal_eval(x), rep.growth,
                         atol=rep.witness_tol + 1e-9 * max(1.0, rep.growth))
+
+
+def test_sup_norm_check_equals_the_scalar_loop():
+    bodies = [random_polygon(n, seed) for n, seed in ((5, 0), (8, 1), (12, 2))]
+    bodies.append(make_box([-1.0, -2.0, -1.0], [1.0, 2.0, 3.0]))
+    for K in bodies:
+        x = 3.0 * np.ones(dim(K))
+        for n in range(1, 9):
+            rep = cheb_growth(K, x, n, n_samples=300, seed=4)
+            loop = max(abs(rep.extremal_eval(y)) for y in _body_samples(K, 300, 4))
+            npt.assert_allclose(rep.sup_norm_check, loop, rtol=1e-12, atol=1e-12)
 
 
 def test_cheb_growth_lp_count_is_independent_of_samples(lp_solves):

@@ -170,6 +170,15 @@ def test_cheb_leading_command(capsys):
     assert rec["tau"] == 2.0
 
 
+def test_cheb_leading_prints_no_negative_zero(capsys):
+    box = json.dumps({"kind": "box", "low": [-1, -1, -1], "high": [1, 2, 3]})
+    argv = ["cheb-leading", "--body", box, "--dir", "1,1,0", "--degree", "2"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["witness_dir"] == [1.0, 0.0, 0.0]
+    assert "-0.0" not in out
+
+
 def test_bernstein_command_reports_but_never_asserts_conjecture(capsys):
     rec = run_json(capsys, ["bernstein", "--body", SQUARE, "--point", "0,0",
                             "--degree", "2"])

@@ -73,13 +73,23 @@ def test_exact_width_is_below_the_sampled_sweep():
         w = global_width(K)
         assert w.exact
         # attained in the returned direction, and never above the sweep,
-        # which stops up to 7e-6 short of the minimum on the thin
+        # which stops up to 3.3e-7 short of the minimum on the thin
         # six-vertex body in R^4
         npt.assert_allclose(_widths(K, w.direction[None, :])[0], w.value, rtol=1e-12)
         sampled = _sampled_width(K)
         assert w.value <= sampled + 1e-12
         npt.assert_allclose(w.value, sampled, rtol=1e-5)
         assert bernstein_bound(K, interior_point(K), 3).width_exact
+
+
+def test_sampled_sweep_is_tight_on_polytopes():
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for d, kind in itertools.product((3, 4), POLYTOPE_KINDS):
+            K = seeded_polytope(kind, d, rng)
+            w = global_width(K).value
+            sampled = _sampled_width(K)
+            assert w - 1e-12 <= sampled <= w * (1.0 + 1e-6)
 
 
 def _cube(d):

@@ -11,14 +11,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import optimize
 
 from minkgauge import (Ball, HPolytope, Product, SupportOracle, VPolytope, central_symm,
                        chord_witness_dir, diameter, dim, far_radius,
                        global_width, hausdorff, homothety, inscribed_ball,
                        max_chord, polygon_vertices, sphere_dirs, support,
                        width_dir)
-from minkgauge import geometry, lp
+from minkgauge import alpha, gauge, geometry, lp
 from minkgauge.body import lp_encoding, vertex_candidates
+from minkgauge.cheb import leading_growth
+from minkgauge.shapes import make_weighted_l2_ball
 
 from conftest import (MAX_SEED, POLYTOPE_KINDS, counted_oracle, polygon_pairs, polygons,
                       polytopes, seeded_polytope, unit_dirs)
@@ -239,21 +242,90 @@ def test_oracle_sweeps_are_batched_and_tight():
 
 
 def test_multistart_polish_is_one_call_per_step(monkeypatch):
+    # the prepass is one batched call; every iteration of the descent is one
+    # more, on the live starts and their d forward-difference neighbours
     K, counts = counted_oracle(5)
-    runs = []
-    minimize = geometry.optimize.minimize
+    rows = []
+    search = geometry._multistart_sphere
 
-    def recorded(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        runs.append((kwargs, res.nfev))
-        return res
-    monkeypatch.setattr(geometry.optimize, "minimize", recorded)
+    def recorded(f, C, *args, **kwargs):
+        def counted(U):
+            rows.append(len(U))
+            return f(U)
+        return search(counted, C, *args, **kwargs)
+    monkeypatch.setattr(geometry, "_multistart_sphere", recorded)
     far_radius(K)
-    assert len(runs) == 32
-    assert all(kw["method"] == "L-BFGS-B" and kw["jac"] is True for kw, _ in runs)
-    # one prepass call, then one call per polish evaluation
-    assert counts["h_many"] == 1 + sum(nfev for _, nfev in runs)
+    iterations = rows[1:]
+    assert rows[0] == len(geometry._sphere_starts(5, 4))
+    assert iterations[0] == 32 * 6
+    assert 1 < len(iterations) <= geometry.SWEEP_MAX_ITER
+    assert all(n % 6 == 0 and n <= 32 * 6 for n in iterations)
+    assert counts["h_many"] == 1 + len(iterations)
     assert counts["h"] == 0
+
+
+def _lbfgsb_sphere(f, C, sense="min", n_starts=64):
+    """The per-start scipy L-BFGS-B search the batched descent replaced."""
+    sign = 1.0 if sense == "min" else -1.0
+
+    def g(V):
+        nv = np.linalg.norm(V, axis=1)
+        out = np.full(len(V), np.inf)
+        ok = nv >= 1e-12
+        if np.any(ok):
+            out[ok] = sign * np.asarray(f(V[ok] / nv[ok, None]), dtype=float)
+        return out
+
+    def value_and_grad(v):
+        steps = v + geometry.FD_STEP * np.eye(v.size)
+        vals = g(np.vstack([v, steps]))
+        with np.errstate(invalid="ignore"):
+            return vals[0], (vals[1:] - vals[0]) / (np.diag(steps) - v)
+
+    vals = g(C)
+    order = np.argsort(vals)
+    best_v, best = C[order[0]], vals[order[0]]
+    pre = best
+    for idx in order[:n_starts]:
+        res = optimize.minimize(value_and_grad, C[idx], method="L-BFGS-B", jac=True)
+        if res.fun < best:
+            best, best_v = res.fun, np.asarray(res.x, dtype=float)
+    return best_v / np.linalg.norm(best_v), sign * best, sign * pre
+
+
+def _oracle_sweeps(K, x, v):
+    """Sampled alpha inside and outside, tau, width, diameter and far radius,
+    each with the sign that makes a larger value a tighter bound."""
+    return np.array([alpha(K, x).alpha, alpha(K, 3.0 * x).alpha, -max_chord(K, v),
+                     -global_width(K).value, diameter(K), far_radius(K)])
+
+
+@pytest.mark.parametrize("mode", ["i", "ii"])
+def test_batched_search_is_as_tight_as_lbfgsb(monkeypatch, mode):
+    rng = np.random.default_rng(21)
+    for d in range(2, 9):
+        K = make_weighted_l2_ball(d, mode)
+        x, v = 0.5 * rng.normal(size=d), rng.normal(size=d)
+        got = _oracle_sweeps(K, x, v)
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "_multistart_sphere", _lbfgsb_sphere)
+            m.setattr(gauge, "_multistart_sphere", _lbfgsb_sphere)
+            ref = _oracle_sweeps(K, x, v)
+        assert np.all(got >= ref - 1e-9 * np.abs(ref)), (d, got - ref)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_difference_body_rows_are_one_hull(d, qhull_calls):
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        K = seeded_polytope("vpolytope", d, rng)
+        v = rng.normal(size=d)
+        n = len(K.vertices)
+        for query in (lambda: max_chord(K, v), lambda: global_width(K),
+                      lambda: leading_growth(K, v, 3)):
+            qhull_calls.clear()
+            query()
+            assert qhull_calls == [n * n]
 
 
 def test_interval_hausdorff():

@@ -40,3 +40,19 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_scipy_optimize_only_gives_linprog_to_lp():
+    # the direction searches are the package's own; only the LP layer uses
+    # scipy.optimize, and only for linprog
+    found = []
+    for path in sorted((ROOT / "src" / "minkgauge").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                found += [(path.name, f"{node.module}.{a.name}") for a in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(path.name, a.name) for a in node.names]
+            elif isinstance(node, ast.Attribute) and node.attr == "optimize":
+                found.append((path.name, "scipy.optimize"))
+    assert [f for f in found if f[1].startswith("scipy.optimize")] == [
+        ("lp.py", "scipy.optimize.linprog")]
