@@ -6,7 +6,10 @@ first use; composite variants (sums and products) are evaluated lazily
 through recursion.  Vertex bodies (V-polytopes and polytopal sums) in
 dimensions 2 to MAX_VERTEX_DIM get their facet rows from one Qhull hull
 of their vertex candidates, so every polytope there has both
-descriptions.  ``SupportOracle`` wraps a black-box support
+descriptions.  Every body keeps the facet rows of its central
+symmetrization (``symm_rows``), built once on first use; they answer the
+gauge, the widths and the maximal chords of polytopes in dimensions 1 to
+MAX_VERTEX_DIM.  ``SupportOracle`` wraps a black-box support
 function for bodies with no finite description, and every routine that has
 to fall back to sampling on such a body says so in its result.  The image
 of a body under x -> s x + z (``homothety``) is again a body of its kind.
@@ -47,6 +50,18 @@ def as_vector(x, d=None):
     return v
 
 
+class _Prepared:
+    """Derived data cached on a body, which is immutable once built."""
+
+    @cached_property
+    def symm_rows(self):
+        """Facet rows (A, b) of the central symmetrization C = (K - K)/2, or None.
+
+        Built on first use by ``_symm_rows`` and kept read-only.
+        """
+        return _symm_rows(self)
+
+
 # Polytopes above this dimension keep the LP routes: the vertex count of an
 # H-polytope grows like m^(d/2) in its number m of facets, and the facet
 # count of a V-polytope like n^(d/2) in its number n of vertices
@@ -55,11 +70,11 @@ VERTEX_TOL = 1e-9      # A v <= b slack of a prepared vertex, relative
 
 
 @dataclass(frozen=True, eq=False)
-class HPolytope:
+class HPolytope(_Prepared):
     """Bounded intersection of halfspaces A x <= b.
 
-    A and b are private read-only copies, so the two cached derived values
-    stay valid: the Chebyshev centre (one LP) and the vertex array.
+    A and b are private read-only copies, so the cached derived values stay
+    valid: the Chebyshev centre (one LP), the vertex array and ``symm_rows``.
     """
 
     A: np.ndarray
@@ -135,7 +150,7 @@ def _halfspace_vertices(K):
 
 
 @dataclass(frozen=True, eq=False)
-class VPolytope:
+class VPolytope(_Prepared):
     """Convex hull of finitely many points (redundant points allowed).
 
     The vertex array is a private read-only copy, like HPolytope's data.
@@ -150,7 +165,7 @@ class VPolytope:
 
 
 @dataclass(frozen=True, eq=False)
-class Ball:
+class Ball(_Prepared):
     center: np.ndarray
     radius: float
 
@@ -160,7 +175,7 @@ class Ball:
 
 
 @dataclass(frozen=True, eq=False)
-class SupportOracle:
+class SupportOracle(_Prepared):
     """Black-box body given by its support function h(v) = max over K of <v, x>.
 
     ``center`` together with ``inner_radius <= outer_radius`` must satisfy
@@ -185,7 +200,7 @@ class SupportOracle:
 
 
 @dataclass(frozen=True, eq=False)
-class Product:
+class Product(_Prepared):
     """Cartesian product; the ambient dimension is the sum of factor dimensions."""
 
     factors: tuple
@@ -197,7 +212,7 @@ class Product:
 
 
 @dataclass(frozen=True, eq=False)
-class Sum:
+class Sum(_Prepared):
     """Minkowski sum of bodies of equal dimension."""
 
     terms: tuple
@@ -468,6 +483,37 @@ def halfspaces(K):
     _, keep = np.unique(np.round(E, 10), axis=0, return_index=True)
     E = E[np.sort(keep)]
     return E[:, :-1], -E[:, -1]
+
+
+def _halved_differences(V):
+    """The points (v - w) / 2 over all ordered pairs of rows of V."""
+    return (V[:, None, :] - V[None, :, :]).reshape(-1, V.shape[1]) / 2.0
+
+
+def _symm_rows(K):
+    """Facet rows of C = (K - K)/2 for ``symm_rows``: unit normals, tight b.
+
+    C is origin-symmetric with h(C, u) = w(K, u) / 2.  In dimension one its
+    rows are the two unit rows at half the width.  Up to MAX_VERTEX_DIM they
+    come from one Qhull hull of the halved differences of K's extreme points
+    (the extreme points of C are among them).  None for bodies without
+    vertex access, above that dimension, and for flat sets.
+    """
+    if dim(K) == 1:
+        half = (support(K, np.ones(1)) + support(K, -np.ones(1))) / 2.0
+        rows = _interval_halfspaces(np.array([-half, half]))
+    else:
+        V = vertex_candidates(K)
+        if V is None or V.shape[1] > MAX_VERTEX_DIM:
+            return None
+        if not isinstance(K, HPolytope):        # prepared vertices are extreme
+            V = extreme_points(V)
+        rows = halfspaces(VPolytope(_halved_differences(V)))
+        if rows is None:
+            return None
+    for a in rows:
+        a.setflags(write=False)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,21 @@ away.  Level sets K^lam = {x : alpha <= lam} have two exact descriptions:
   ((lam+1) u - (lam-1) w) / 2 over vertex pairs (u, w).
 
 Every polytope in dimension at most ``body.MAX_VERTEX_DIM`` has facet rows
-(``body.halfspaces``), and alpha(K, x) is the maximum of |t(K, a_i, x)| over
-them wherever that maximum is exact.  In dimensions 1 and 2 it is exact at
-every point, inside or out (between consecutive merged-fan normals the
-functional t is a monotone ratio of sinusoids).  In higher dimension it is
-exact inside K, which is where it is at most 1.  Elsewhere alpha is the
-least lam with x in K^lam: writing each copy of K in the sum or the erosion
-in perspective form makes that one LP in lam, and the duals of its
-coupling rows give the witness direction.
+(``body.halfspaces``), and so does its central symmetrization
+C = (K - K)/2 (``symm_rows``, built once per body).  The normal fan of C is
+the common refinement of the fans of K and -K (Ziegler, Lectures on
+Polytopes, 1995, 7.2).  On each of its cones h(K, v) and h(K, -v) are
+linear, so t(K, ., x) is a ratio of two linear functions with a positive
+denominator, and its maximum over the cone is on an extreme ray: a facet
+normal of C.  Hence alpha(K, x) is the maximum of |t| over C's rows at every
+point, inside K or out.  K's own rows are fewer and answer first where
+they give the same maximum: inside K, where it is at most 1 and the
+erosions K^lam are cut out by K's rows, and in dimensions 1 and 2 at every
+point (between consecutive merged-fan normals t is a monotone ratio of
+sinusoids).  Bodies without C rows (flat sets, and dimensions above
+``body.MAX_VERTEX_DIM``) take the least lam with x in K^lam: writing each
+copy of K in the sum or the erosion in perspective form makes that one LP
+in lam, and the duals of its coupling rows give the witness direction.
 """
 
 from __future__ import annotations
@@ -127,6 +134,26 @@ def _t_values(profile, x):
     return (2.0 * (A @ x) - hp + hm) / (hp + hm)
 
 
+def _symm_profile(K):
+    """(A, hplus, hminus) of ``facet_profile`` on the unit facet rows of the
+    central symmetrization C (``symm_rows``) in place of K's, or None."""
+    hs = K.symm_rows
+    if hs is None:
+        return None
+    A = hs[0]
+    return (A, *_support_pm(K, A))
+
+
+def _facet_max(profile, x):
+    """The largest |t| over the profile's rows, with the signed unit row that
+    attains it."""
+    tv = _t_values(profile, x)
+    i = int(np.argmax(np.abs(tv)))
+    A = profile[0]
+    w = A[i] * np.sign(tv[i]) if tv[i] != 0 else A[i]
+    return float(abs(tv[i])), w / np.linalg.norm(w)
+
+
 # ---------------------------------------------------------------------------
 # the level bodies as linear programs in lam
 
@@ -185,7 +212,11 @@ def _level_lp(K, x, lo, hi):
 
 
 def _level_membership(K, x, lam, tol=T_MEMBER_TOL):
-    """Exact membership x in K^lam for polytopal bodies and balls."""
+    """Exact membership x in K^lam for polytopal bodies and balls.
+
+    alpha(K, x) <= lam + tol, decided on K's rows for lam <= 1 and on C's
+    rows above; bodies without those rows take the level-set LP.
+    """
     if lam < 0:
         return False
     if isinstance(K, Ball):
@@ -204,6 +235,10 @@ def _level_membership(K, x, lam, tol=T_MEMBER_TOL):
         profile = facet_profile(K)
         if profile is not None:
             return bool(np.max(_t_values(profile, x)) <= lam + tol)
+    else:
+        profile = _symm_profile(K)
+        if profile is not None:
+            return _facet_max(profile, x)[0] <= lam + tol
     return _level_lp(K, x, lam + tol, lam + tol)[0].optimal
 
 
@@ -214,9 +249,12 @@ def _level_membership(K, x, lam, tol=T_MEMBER_TOL):
 def alpha(K, x) -> GaugeResult:
     """Gauge value alpha(K, x) with witness direction.
 
-    The facet closed form answers whenever it is exact (planar bodies, and
-    points inside bodies with facet rows); other polytopal bodies take the
-    level-set LP, balls their closed form, support oracles direction sampling.
+    Closed form on facet rows, with no LP: K's rows in dimensions 1 and 2
+    and at points inside K, the rows of the central symmetrization C at every other
+    point of a polytope that has them (dimension at most MAX_VERTEX_DIM, not
+    flat); the witness is the signed row that attains the maximum.  Other
+    polytopal bodies take the level-set LP, balls their closed form, support
+    oracles direction sampling.
     """
     x = as_vector(x, dim(K))
     if isinstance(K, Ball):
@@ -230,15 +268,16 @@ def alpha(K, x) -> GaugeResult:
         return _alpha_sampled(K, x)
     profile = facet_profile(K)
     if profile is not None:
-        tv = _t_values(profile, x)
-        i = int(np.argmax(np.abs(tv)))
-        a0 = float(abs(tv[i]))
-        # above the plane the facet maximum is exact only inside K, which is
-        # exactly where it is at most 1
+        a0, w = _facet_max(profile, x)
+        # above the plane K's rows give alpha only inside K, which is
+        # exactly where their maximum is at most 1
         if x.size <= 2 or a0 <= 1.0 + 1e-12:
-            A = profile[0]
-            w = A[i] * np.sign(tv[i]) if tv[i] != 0 else A[i]
-            return GaugeResult(a0, w / np.linalg.norm(w), "closed_form", 1e-12)
+            return GaugeResult(a0, w, "closed_form", 1e-12)
+        symm = _symm_profile(K)
+        if symm is not None:
+            a0, w = _facet_max(symm, x)
+            # the rounding of t grows with its value, here above 1
+            return GaugeResult(a0, w, "closed_form", 1e-12 * a0)
     if x.size <= 2 or (profile is None and vertex_candidates(K) is None):
         raise BodyError(f"alpha unsupported for {type(K).__name__}")
     return _alpha_lp(K, x)
@@ -263,6 +302,9 @@ def _alpha_product(K, x):
 
 def _alpha_lp(K, x):
     """alpha as the least lam with x in K^lam; the witness is the LP dual.
+
+    The route of polytopal bodies without C rows (flat sets, dimensions above
+    MAX_VERTEX_DIM); the closed forms are checked against it.
 
     The sum-form LP answers outside K.  When it stops at lam = 1 the point is
     in K (up to solver tolerance) and the erosion LP answers, if K has

@@ -1,9 +1,10 @@
 """Metric quantities of convex bodies: widths, chords, diameter, Hausdorff.
 
 Polytopes in dimension at most ``body.MAX_VERTEX_DIM`` get exact widths and
-maximal chords from the facet rows of the central symmetrization C: the
-width extrema are attained on its facet normals, and the maximal chord in
-direction v is twice where the ray {t v} leaves C.  Every chord question
+maximal chords from the facet rows of the central symmetrization C, which
+every body builds once and keeps (``symm_rows``): the width extrema are
+attained on its facet normals, and the maximal chord in direction v is
+twice where the ray {t v} leaves C.  Every chord question
 is a section of a body by lines, answered by one routine batched over the
 line directions (``_line_sections``).  Support oracles, and widths of
 polytopes above that dimension, fall back to seeded multi-start direction
@@ -27,8 +28,8 @@ import numpy as np
 
 from . import lp
 from .body import (MAX_VERTEX_DIM, Ball, BodyError, Product, Sum, VPolytope,
-                   as_vector, dim, extreme_points, halfspaces, homothety, hull2d,
-                   lp_encoding, support, support_many, vertex_candidates)
+                   _halved_differences, as_vector, dim, extreme_points, halfspaces,
+                   homothety, hull2d, lp_encoding, support, support_many, vertex_candidates)
 
 # absolute forward-difference step of the direction search (scipy's default
 # for finite-difference gradients)
@@ -85,22 +86,6 @@ def central_symm(K):
     if V is not None and V.shape[1] <= MAX_VERTEX_DIM:
         return VPolytope(extreme_points(_halved_differences(V)))
     return Sum((homothety(K, 0.5), homothety(K, -0.5)))
-
-
-def _halved_differences(V):
-    return (V[:, None, :] - V[None, :, :]).reshape(-1, V.shape[1]) / 2.0
-
-
-def _symm_rows(K):
-    """Facet rows (A, b) of the central symmetrization C, or None.
-
-    The rows of ``halfspaces(central_symm(K))`` from one hull of the
-    unpruned halved differences, where that expression builds two.
-    """
-    V = _exact_points(K)
-    if V is None or V.shape[1] > MAX_VERTEX_DIM:
-        return None
-    return halfspaces(VPolytope(_halved_differences(V)))
 
 
 def sphere_dirs(d, n, seed=0):
@@ -308,7 +293,7 @@ def max_chord(K, v) -> float:
 
 def _max_chord(K, v):
     """(tau(K, v), the unit facet row of C that sets it or None), from one C."""
-    hs = _symm_rows(K)
+    hs = K.symm_rows
     if hs is not None:
         hi, row = _row_exit(*hs, v)
         return 2.0 * hi, row
@@ -357,7 +342,7 @@ def global_width(K, n_starts=64, seed=0) -> WidthResult:
     if d == 1:
         w = width_dir(K, np.ones(1))
         return WidthResult(float(w), np.ones(1), True)
-    hs = _symm_rows(K)
+    hs = K.symm_rows
     if hs is not None:
         A, b = hs
         norms = np.linalg.norm(A, axis=1)
@@ -583,5 +568,5 @@ def chord_witness_dir(K, v):
     v = as_vector(v, dim(K))
     if not np.any(v):
         raise ValueError("direction must be nonzero")
-    hs = _symm_rows(K)
+    hs = K.symm_rows
     return None if hs is None else _row_exit(*hs, v)[1]

@@ -99,6 +99,21 @@ def polytopes_with_interior(draw, d_min=2, d_max=4):
 
 
 @st.composite
+def polytopes_with_exterior(draw, d_min=2, d_max=4):
+    """(polytope, exterior point) past the support plane of a random direction
+    u, by a margin relative to the candidates' mean m: <u, x - m> = (1 +
+    margin) (h(K, u) - <u, m>)."""
+    K = draw(polytopes(d_min, d_max))
+    seed = draw(st.integers(min_value=0, max_value=MAX_SEED))
+    margin = draw(st.floats(min_value=0.05, max_value=20.0))
+    V = vertex_candidates(K)
+    u = np.random.default_rng(seed).normal(size=V.shape[1])
+    u /= np.linalg.norm(u)
+    m = V.mean(axis=0)
+    return K, m + (1.0 + margin) * (float(np.max(V @ u)) - float(u @ m)) * u
+
+
+@st.composite
 def unit_dirs(draw, d=2):
     seed = draw(st.integers(min_value=0, max_value=MAX_SEED))
     rng = np.random.default_rng(seed)

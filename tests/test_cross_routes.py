@@ -10,18 +10,19 @@ import json
 
 import numpy as np
 import numpy.testing as npt
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from minkgauge import (HPolytope, VPolytope, alpha, alpha_inf, bernstein_bound, beta,
-                       brute_force_alpha, dim, global_width, make_box, max_chord)
-from minkgauge.body import halfspaces, interior_point, vertex_candidates
+                       brute_force_alpha, dim, global_width, level_set, make_box,
+                       max_chord, rho, t_func)
+from minkgauge.body import extreme_points, halfspaces, interior_point, vertex_candidates
 from minkgauge.cli import run
-from minkgauge.gauge import _alpha_lp
+from minkgauge.gauge import _alpha_lp, _level_lp, _level_membership
 from minkgauge.geometry import _multistart_sphere, _sphere_starts, _widths
 from minkgauge.ratios import _beta_lp
 
-from conftest import (MAX_SEED, POLYTOPE_KINDS, polytopes, polytopes_with_interior,
-                      seeded_polytope)
+from conftest import (MAX_SEED, POLYTOPE_KINDS, polytopes, polytopes_with_exterior,
+                      polytopes_with_interior, seeded_polytope)
 from test_geometry import _two_copy_chord_lp
 
 
@@ -33,6 +34,59 @@ def test_closed_form_alpha_matches_the_lp_inside(pair):
     assert res.method == "closed_form"
     ref = _alpha_lp(K, x)
     assert abs(res.alpha - ref.alpha) <= ref.tol
+
+
+@given(polytopes_with_exterior())
+@settings(max_examples=40)
+def test_exterior_closed_form_matches_the_lp_and_rho(pair):
+    K, x = pair
+    res = alpha(K, x)
+    assert res.method == "closed_form"
+    scale = max(1.0, res.alpha)
+    ref = _alpha_lp(K, x)
+    assert abs(res.alpha - ref.alpha) <= ref.tol * scale
+    assert t_func(K, res.witness_dir, x) >= res.alpha - 1e-12 * scale
+    # rho, an LP of its own, gives alpha through (1 + rho) / (1 - rho)
+    r = rho(K, x)
+    npt.assert_allclose((1.0 + r) / (1.0 - r), res.alpha, rtol=1e-7)
+
+
+@given(polytopes_with_exterior(), st.floats(min_value=-0.5, max_value=0.5))
+@settings(max_examples=40)
+def test_level_membership_above_one_matches_the_lp(pair, s):
+    # levels on both sides of alpha > 1, as near to it as the 1e-7 band
+    K, x = pair
+    a = _alpha_lp(K, x).alpha
+    lam = 1.0 + (a - 1.0) * (1.0 + s)
+    if abs(a - lam) <= 1e-7 * a:
+        return
+    want = _level_lp(K, x, lam, lam)[0].optimal
+    assert level_set(K, lam).contains(x) == want == (a <= lam)
+
+
+@given(K=polytopes(), seed=st.integers(min_value=0, max_value=MAX_SEED))
+@settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow,
+                                                  HealthCheck.function_scoped_fixture])
+def test_difference_rows_serve_repeated_queries_without_lp(lp_solves, qhull_calls, K, seed):
+    # the counters are cleared per example, after the body's preparation
+    V = vertex_candidates(K)         # prepares an H-polytope's vertices
+    n, d = V.shape
+    k = len(extreme_points(V))
+    rng = np.random.default_rng(seed)
+    lp_solves.clear()
+    qhull_calls.clear()
+    for _ in range(3):
+        x = V.mean(axis=0) + 4.0 * rng.normal(size=d)
+        v = rng.normal(size=d)
+        res = alpha(K, x)
+        assert res.method == "closed_form"
+        _level_membership(K, x, 1.0 + rng.uniform(0.1, 4.0))
+        global_width(K)
+        max_chord(K, v)
+    assert not lp_solves
+    # besides K's own hulls (n points), one hull of C's k^2 candidates in all
+    others = [c for c in qhull_calls if c != n]
+    assert others == [k * k] or (not others and k * k == n)
 
 
 @given(polytopes_with_interior())

@@ -15,8 +15,8 @@ from minkgauge import (Ball, BodyError, VPolytope, alpha, alpha_inf, beta,
                        make_weighted_l2_ball, max_chord, random_polygon, rho,
                        sphere_dirs, support, support_many, t_func, t_many, validate)
 from minkgauge import body, gauge
-from minkgauge.body import (Sum, encoding_feasible, interior_point, lp_encoding,
-                            vertex_candidates)
+from minkgauge.body import (Sum, encoding_feasible, halfspaces, interior_point,
+                            lp_encoding, vertex_candidates)
 from minkgauge.gauge import _alpha_lp
 
 from conftest import (counted_oracle, polygons, polygons_with_exterior, polygons_with_interior,
@@ -120,13 +120,25 @@ def test_bisection_agrees_with_closed_form_outside(pair):
     npt.assert_allclose(b.alpha, a.alpha, atol=max(b.tol, 1e-8) * max(1.0, a.alpha))
 
 
-def test_cube_exterior_alpha_is_one_lp(lp_solves):
-    res = alpha(make_box(-np.ones(3), np.ones(3)), np.array([2.0, 0.5, 0.3]))
-    assert res.method == "lp"
-    npt.assert_allclose(res.alpha, 2.0, atol=1e-9)
-    # the level-set LP plus the box's one-time vertex preparation (its
-    # Chebyshev centre); the witness check's support values need no LP
-    assert len(lp_solves) <= 2
+def test_cube_exterior_alpha_is_closed_form(lp_solves, qhull_calls):
+    C = make_box(-np.ones(3), np.ones(3))
+    x = np.array([2.0, 0.5, 0.3])
+    res = alpha(C, x)
+    assert res.method == "closed_form"
+    npt.assert_allclose(res.alpha, 2.0, rtol=1e-12)
+    # the witness is the facet row e_1 of the difference body, attaining alpha
+    npt.assert_allclose(res.witness_dir, [1.0, 0.0, 0.0], atol=1e-12)
+    assert t_func(C, res.witness_dir, x) >= res.alpha - res.tol
+    # at most the box's one-time vertex preparation (its Chebyshev centre)
+    assert len(lp_solves) <= 1
+    # the difference body's rows are kept: a second exterior point on the
+    # same box solves no LP and builds no hull
+    lp_solves.clear()
+    qhull_calls.clear()
+    res = alpha(C, np.array([-0.4, 3.0, 1.0]))
+    assert res.method == "closed_form"
+    npt.assert_allclose(res.alpha, 3.0, rtol=1e-12)
+    assert not lp_solves and not qhull_calls
 
 
 def test_box_exterior_alpha_in_r5_is_three_lps(lp_solves):
@@ -221,14 +233,13 @@ def test_vertex_polytope_alpha_lp_count(d, lp_solves):
         inside = contains(K, x)
         lp_solves.clear()
         res = alpha(K, x)
-        if inside:
-            # the facet closed form on the Qhull rows
-            assert res.method == "closed_form"
-            assert not lp_solves
-        else:
-            # the sum-form LP
-            assert res.method == "lp"
-            assert len(lp_solves) <= 2
+        # the facet closed form, on K's Qhull rows inside K and on those of
+        # the difference body outside, whose signed row is the witness
+        assert res.method == "closed_form"
+        assert not lp_solves
+        A = (halfspaces(K) if inside else K.symm_rows)[0]
+        assert np.max(np.abs(A @ res.witness_dir)) >= 1.0 - 1e-12
+        assert t_func(K, res.witness_dir, x) >= res.alpha - 1e-12 * max(1.0, res.alpha)
 
 
 @pytest.mark.parametrize("d, n", [(3, 12), (4, 30)])

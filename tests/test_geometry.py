@@ -12,6 +12,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
+from scipy.spatial import ConvexHull
 
 from minkgauge import (Ball, HPolytope, Product, SupportOracle, VPolytope, central_symm,
                        chord_witness_dir, diameter, dim, far_radius,
@@ -319,13 +320,17 @@ def test_difference_body_rows_are_one_hull(d, qhull_calls):
     rng = np.random.default_rng(d)
     for _ in range(3):
         K = seeded_polytope("vpolytope", d, rng)
-        v = rng.normal(size=d)
+        V = rng.normal(size=(2, d))
         n = len(K.vertices)
-        for query in (lambda: max_chord(K, v), lambda: global_width(K),
-                      lambda: leading_growth(K, v, 3)):
-            qhull_calls.clear()
-            query()
-            assert qhull_calls == [n * n]
+        k = len(ConvexHull(K.vertices).vertices)
+        qhull_calls.clear()
+        # one hull prunes K to its k extreme points and one hull of their
+        # halved differences gives C's rows, for all three queries together
+        for v in V:
+            max_chord(K, v)
+            global_width(K)
+            leading_growth(K, v, 3)
+        assert qhull_calls == [n, k * k]
 
 
 def test_interval_hausdorff():
