@@ -12,6 +12,7 @@ constants below; a larger request exits 2 before any work starts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -342,7 +343,10 @@ def _cmd_experiment_conjecture(ns):
                     "sharper bound; nothing is asserted either way"}
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: building it costs far
+    more than parsing one command line, and parsing leaves it unchanged."""
     p = _Parser(prog="minkgauge", description=__doc__)
     sub = p.add_subparsers(dest="command", parser_class=_Parser)
 

@@ -57,19 +57,26 @@ class GaugeResult:
     tol: float
 
 
-@dataclass
 class LevelSet:
     """The set {x : alpha(K, x) <= lam} with an explicit representation.
 
     ``body`` is an HPolytope (lam <= 1), a VPolytope (lam >= 1), a Ball,
     or a Product of these; it may be lower dimensional.  ``empty`` marks lam
-    below the symmetry constant of K.
+    below the symmetry constant of K.  Given ``build``, a function of no
+    arguments, the body is built on its first read: above lam = 1 the
+    vertex-pair prune costs more than ``contains``, which reads only the
+    rows of the source body.
     """
 
-    lam: float
-    body: object
-    empty: bool
-    source: object
+    def __init__(self, lam, body, empty, source, build=None):
+        self.lam, self.empty, self.source = lam, empty, source
+        self._body, self._build = body, build
+
+    @property
+    def body(self):
+        if self._build is not None:
+            self._body, self._build = self._build(), None
+        return self._body
 
     def contains(self, x, tol=T_MEMBER_TOL):
         if self.empty:
@@ -350,9 +357,10 @@ def level_set(K, lam) -> LevelSet:
     """Construct K^lam = {x : alpha(K, x) <= lam} explicitly.
 
     lam <= 1 erodes the tight facet system (the result may be empty or lower
-    dimensional); lam >= 1 builds the sum form from vertex pairs, which
+    dimensional); lam > 1 builds the sum form from vertex pairs, which
     H-polytopes take from their prepared vertices, and keeps its extreme
-    points.
+    points.  That body, and a product's, is built when ``body`` is first
+    read.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError("level must be a finite nonnegative number")
@@ -365,7 +373,8 @@ def level_set(K, lam) -> LevelSet:
         parts = [level_set(f, lam) for f in K.factors]
         if any(p.empty for p in parts):
             return LevelSet(lam, None, True, K)
-        return LevelSet(lam, Product(tuple(p.body for p in parts)), False, K)
+        return LevelSet(lam, None, False, K,
+                        build=lambda: Product(tuple(p.body for p in parts)))
     if lam <= 1.0:
         profile = facet_profile(K)
         if profile is None:
@@ -383,8 +392,11 @@ def level_set(K, lam) -> LevelSet:
     V = _exact_points(K)
     if V is None:
         raise BodyError("level set needs polytope or ball structure")
-    pairs = ((1.0 + lam) * V[:, None, :] - (lam - 1.0) * V[None, :, :]) / 2.0
-    return LevelSet(lam, VPolytope(extreme_points(pairs.reshape(-1, V.shape[1]))), False, K)
+
+    def build():
+        pairs = ((1.0 + lam) * V[:, None, :] - (lam - 1.0) * V[None, :, :]) / 2.0
+        return VPolytope(extreme_points(pairs.reshape(-1, V.shape[1])))
+    return LevelSet(lam, None, False, K, build=build)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,21 @@
 """Thin linear-programming layer used by the geometric routines.
 
-Everything here funnels into scipy's HiGHS backend.  The wrapper exists so
-that callers get a uniform result object with an explicit status enum
-(optimal / infeasible / unbounded) instead of scipy's integer codes, and so
-that genuine solver breakdowns surface as ``NumericalError`` rather than a
-silently wrong answer.
+Every LP goes to HiGHS (Huangfu & Hall, *Math. Prog. Comp.* 10, 2018)
+through ``linprog``, the one function here that calls the solver.  It feeds
+the HiGHS core that scipy bundles (``scipy.optimize._highspy._core``)
+directly, with what ``scipy.optimize.linprog(method="highs")`` would pass:
+the same options, the stacked ``[A_ub; A_eq]`` as column-wise nonzeros, the
+same status map and the same post-solve residual check.  It returns the same
+statuses, x, objective and equality duals, bit for bit.  On the small LPs of
+this package scipy's per-call wrapper (an options manager built per option,
+input cleaning, sparse conversion, result assembly) cost several times the
+solve itself.  The name ``linprog`` and its leading ``c`` argument stay, so
+that counters can wrap ``minkgauge.lp.linprog`` and see every solve.
+
+The wrapper exists so that callers get a uniform result object with an
+explicit status enum (optimal / infeasible / unbounded) instead of integer
+codes, and so that genuine solver breakdowns surface as ``NumericalError``
+rather than a silently wrong answer.
 """
 
 from __future__ import annotations
@@ -13,12 +24,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 FEAS_TOL = 1e-10   # HiGHS primal and dual feasibility tolerance
 # largest block-diagonal constraint matrix solve_stacked builds, in entries;
 # its size grows with the square of the number of stacked copies
 STACK_ENTRIES = 1 << 18
+# an "optimal" x may break bounds and constraints by this much (scipy's
+# check: ten times the square root of its default tol 1e-9)
+RESIDUAL_TOL = 10.0 * np.sqrt(1e-9)
 
 
 class NumericalError(RuntimeError):
@@ -43,6 +57,92 @@ class LPResult:
         return self.status is LPStatus.OPTIMAL
 
 
+def _highs_options():
+    opts = highs.HighsOptions()
+    opts.presolve = "on"
+    opts.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.primal_feasibility_tolerance = FEAS_TOL
+    opts.dual_feasibility_tolerance = FEAS_TOL
+    opts.output_flag = False
+    opts.log_to_console = False
+    return opts
+
+
+_OPTIONS = _highs_options()
+
+
+def _bounds(bounds, n):
+    """Per-column (lower, upper) arrays; None means unbounded, and one
+    (lower, upper) pair applies to every column."""
+    B = np.atleast_2d(np.array(bounds, dtype=float))
+    if B.size == 2:
+        B = np.broadcast_to(B.reshape(1, 2), (n, 2))
+    elif B.shape != (n, 2):
+        raise ValueError(f"bounds must be one pair or {n} pairs, got shape {B.shape}")
+    return (np.where(np.isnan(B[:, 0]), -highs.kHighsInf, B[:, 0]),
+            np.where(np.isnan(B[:, 1]), highs.kHighsInf, B[:, 1]))
+
+
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(None, None)):
+    """min c.x subject to A_ub x <= b_ub, A_eq x = b_eq, bounds, by HiGHS.
+
+    Returns the LPResult of the minimisation.  Raises NumericalError for any
+    other solver status (unbounded-or-infeasible included) and for an
+    "optimal" x that breaks a bound or constraint by more than RESIDUAL_TOL.
+    """
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    A_ub = np.empty((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float)
+    A_eq = np.empty((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float)
+    b_ub = np.empty(0) if b_ub is None else np.asarray(b_ub, dtype=float)
+    b_eq = np.empty(0) if b_eq is None else np.asarray(b_eq, dtype=float)
+    lb, ub = _bounds(bounds, n)
+    m_ub = b_ub.size
+    rhs = np.concatenate([b_ub, b_eq])
+    # column-wise nonzeros of [A_ub; A_eq], rows ascending within a column
+    At = np.vstack([A_ub, A_eq]).T
+    nz = At != 0
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(nz.sum(axis=1), out=start[1:])
+
+    model = highs.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = n
+    model.num_row_ = model.a_matrix_.num_row_ = rhs.size
+    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    model.col_cost_ = c
+    model.col_lower_ = lb
+    model.col_upper_ = ub
+    model.row_lower_ = np.concatenate([np.full(m_ub, -highs.kHighsInf), b_eq])
+    model.row_upper_ = rhs
+    model.a_matrix_.start_ = start
+    model.a_matrix_.index_ = np.nonzero(nz)[1].astype(np.int32)
+    model.a_matrix_.value_ = At[nz]
+
+    solver = highs._Highs()   # fresh per solve: no warm start between calls
+    solver.passOptions(_OPTIONS)
+    if solver.passModel(model) == highs.HighsStatus.kError:
+        return LPResult(LPStatus.INFEASIBLE, None, None)
+    ran = solver.run()
+    status = solver.getModelStatus()
+    if status == highs.HighsModelStatus.kOptimal and ran != highs.HighsStatus.kError:
+        sol = solver.getSolution()
+        x = np.array(sol.col_value)
+        fun = solver.getInfo().objective_function_value
+        slack = rhs - np.array(sol.row_value)
+        # every comparison with a NaN is False, so NaNs fail the check too
+        if not (fun == fun and np.all(x >= lb - RESIDUAL_TOL) and np.all(x <= ub + RESIDUAL_TOL)
+                and np.all(slack[:m_ub] >= -RESIDUAL_TOL)
+                and np.all(np.abs(slack[m_ub:]) <= RESIDUAL_TOL)):
+            raise NumericalError("LP solver returned an optimum that breaks its "
+                                 f"constraints by more than {RESIDUAL_TOL:.2e}")
+        return LPResult(LPStatus.OPTIMAL, fun, x, np.array(sol.row_dual)[m_ub:])
+    if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError):
+        return LPResult(LPStatus.INFEASIBLE, None, None)
+    if status == highs.HighsModelStatus.kUnbounded:
+        return LPResult(LPStatus.UNBOUNDED, None, None)
+    raise NumericalError(f"LP solver failed: {solver.modelStatusToString(status)}")
+
+
 def _as_2d(A, n_cols=None):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -57,8 +157,9 @@ def _as_2d(A, n_cols=None):
 def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(None, None), sense="min"):
     """Solve min/max c.x subject to A_ub x <= b_ub, A_eq x = b_eq.
 
-    Variables are free by default (scipy's own default is x >= 0, which is
-    never what the geometry wants unless asked for explicitly).
+    Variables are free by default (scipy.optimize.linprog's default is
+    x >= 0, which is never what the geometry wants unless asked for
+    explicitly).
     """
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if not np.all(np.isfinite(c)):
@@ -79,18 +180,10 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(None, None), se
         if b_eq.size != A_eq.shape[0]:
             raise ValueError("b_eq length does not match A_eq rows")
 
-    res = linprog(sign * c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs",
-                  options={"primal_feasibility_tolerance": FEAS_TOL,
-                           "dual_feasibility_tolerance": FEAS_TOL})
-    if res.status == 0:
-        return LPResult(LPStatus.OPTIMAL, sign * res.fun, np.asarray(res.x, dtype=float),
-                        sign * np.asarray(res.eqlin.marginals, dtype=float))
-    if res.status == 2:
-        return LPResult(LPStatus.INFEASIBLE, None, None)
-    if res.status == 3:
-        return LPResult(LPStatus.UNBOUNDED, None, None)
-    raise NumericalError(f"LP solver failed: {res.message}")
+    res = linprog(sign * c, A_ub, b_ub, A_eq, b_eq, bounds)
+    if res.optimal:
+        res.value, res.eq_duals = sign * res.value, sign * res.eq_duals
+    return res
 
 
 def solve_stacked(C, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(None, None),

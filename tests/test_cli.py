@@ -334,6 +334,28 @@ def test_help_exits_zero(capsys):
     assert "alpha" in out
 
 
+def test_parser_is_built_once_and_parses_each_call_afresh(capsys):
+    # a usage error, a good call, --help and another subcommand, back to back
+    calls = [["alpha", "--body", SQUARE],
+             ["alpha", "--body", SQUARE, "--point", "0.5,0"],
+             ["--help"],
+             ["tau", "--body", TRIANGLE, "--dir", "1,0"],
+             ["alpha", "--body", TRIANGLE, "--point", "12,12"]]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        code = run(argv)
+        fresh.append((code, *capsys.readouterr()))
+    cli._build_parser.cache_clear()
+    reused = []
+    for argv in calls:
+        code = run(argv)
+        reused.append((code, *capsys.readouterr()))
+    assert cli._build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [r[0] for r in reused] == [2, 0, 0, 0, 0]
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "minkgauge.cli", "alpha",
                            "--body", SQUARE, "--point", "0.5,0"],

@@ -15,7 +15,7 @@ from minkgauge import (Ball, BodyError, VPolytope, alpha, alpha_inf, beta,
                        make_weighted_l2_ball, max_chord, random_polygon, rho,
                        sphere_dirs, support, support_many, t_func, t_many, validate)
 from minkgauge import body, gauge
-from minkgauge.body import (Sum, encoding_feasible, halfspaces, interior_point,
+from minkgauge.body import (Product, Sum, encoding_feasible, halfspaces, interior_point,
                             lp_encoding, vertex_candidates)
 from minkgauge.gauge import _alpha_lp
 
@@ -178,6 +178,30 @@ def test_level_set_above_one_keeps_extreme_points():
         L = level_set(K, 2.0)
         # of the 64 vertex-pair points, the 8 corners of the doubled cube
         assert sorted(map(tuple, L.body.vertices)) == sorted(map(tuple, 2.0 * corners))
+
+
+def test_level_set_above_one_builds_its_body_on_first_read(monkeypatch):
+    rng = np.random.default_rng(4)
+    K = VPolytope(rng.normal(size=(9, 3)))
+    M = make_box(-np.ones(2), np.ones(2))
+    points = [rng.normal(size=3) * s for s in (0.5, 2.0, 4.0)]
+    want = [alpha(K, x).alpha <= 2.5 for x in points]
+    prunes = []
+    prune = gauge.extreme_points
+    monkeypatch.setattr(gauge, "extreme_points", lambda P: prunes.append(len(P)) or prune(P))
+    L = level_set(K, 2.5)
+    assert [L.contains(x) for x in points] == want
+    LP = level_set(Product((K, M)), 2.5)
+    assert LP.contains(np.r_[points[0], 0.5, -0.5]) == want[0]
+    assert prunes == []
+    # the first read prunes the 81 vertex-pair points once; later reads reuse it
+    B = L.body
+    assert prunes == [81] and L.body is B
+    pairs = (3.5 * K.vertices[:, None, :] - 1.5 * K.vertices[None, :, :]) / 2.0
+    npt.assert_array_equal(B.vertices, prune(pairs.reshape(-1, 3)))
+    assert isinstance(LP.body, Product) and LP.body is LP.body
+    assert prunes == [81, 81, 16]   # K's pairs again, then the square's
+    assert [f.vertices.shape[0] for f in LP.body.factors] == [len(B.vertices), 4]
 
 
 def test_alpha_inf_on_validated_box_is_two_lps(lp_solves):

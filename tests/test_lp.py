@@ -1,8 +1,12 @@
-"""Linear programming wrapper: statuses, senses, Chebyshev centers."""
+"""Linear programming wrapper: statuses, senses, Chebyshev centers, and the
+direct HiGHS path checked against scipy.optimize.linprog."""
+
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.optimize import linprog as scipy_linprog
 
 from minkgauge import lp
 
@@ -123,3 +127,139 @@ def test_lp_solve_over_halfspaces():
     res = lp.solve(np.array([1.0, 2.0]), A_ub=A, b_ub=np.ones(4), sense="max")
     assert res.status is lp.LPStatus.OPTIMAL
     npt.assert_allclose(res.value, 3.0, atol=1e-9)
+
+
+def test_lp_solves_counts_every_solve_with_its_columns(monkeypatch, lp_solves):
+    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    lp.solve([1.0, 2.0], A_ub=A, b_ub=np.ones(4))
+    assert lp_solves == [2]
+    lp.feasible(A, np.ones(4))
+    assert lp_solves == [2, 2]
+    lp.chebyshev_center(A, np.ones(4))
+    assert lp_solves == [2, 2, 3]
+    # two copies per LP: five objectives go into blocks of 2, 2 and 1
+    monkeypatch.setattr(lp, "STACK_ENTRIES", 4 * A.size)
+    lp_solves.clear()
+    status, X = lp.solve_stacked(np.vstack([np.eye(2), -np.eye(2), [[1.0, 1.0]]]),
+                                 A_ub=A, b_ub=np.ones(4), sense="max")
+    assert status is lp.LPStatus.OPTIMAL and X.shape == (5, 2)
+    assert lp_solves == [4, 4, 2]
+
+
+# --- the direct HiGHS path against scipy.optimize.linprog ---------------------
+
+SCIPY_STATUS = {lp.LPStatus.OPTIMAL: 0, lp.LPStatus.INFEASIBLE: 2, lp.LPStatus.UNBOUNDED: 3}
+
+
+def _random_bounds(rng, n):
+    """Free, nonnegative, or per column free / half-open / closed bounds."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return (None, None)
+    if kind == 1:
+        return (0, None)
+    pairs = []
+    for lo, hi in np.sort(2.0 * rng.normal(size=(n, 2)), axis=1):
+        pairs.append([(None, None), (lo, None), (None, hi), (lo, hi)][rng.integers(4)])
+    return pairs
+
+
+def _sparse_normal(rng, shape):
+    return np.where(rng.random(shape) < 0.3, 0.0, rng.normal(size=shape))
+
+
+def _random_lp(rng, shape):
+    """(c, A_ub, b_ub, A_eq, b_eq, bounds) of one of four shapes: the
+    Chebyshev-centre LP, block-diagonal copies as solve_stacked builds them,
+    a general system, and a general system inside a box around the origin."""
+    if shape == "chebyshev":
+        d, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        A = rng.normal(size=(m, d))
+        if rng.random() < 0.5:
+            A = np.vstack([A, np.eye(d), -np.eye(d)])
+        Aug = np.hstack([A, np.linalg.norm(A, axis=1)[:, None]])
+        return (np.r_[np.zeros(d), -1.0], Aug, rng.normal(size=len(A)) + 0.5, None, None,
+                [(None, None)] * d + [(0, None)])
+    if shape == "stacked":
+        n, m, j = int(rng.integers(1, 4)), int(rng.integers(1, 6)), int(rng.integers(2, 4))
+        A, b = _sparse_normal(rng, (m, n)), rng.normal(size=m) + 1.0
+        A_eq = b_eq = None
+        if rng.random() < 0.4:
+            A_eq = np.kron(np.eye(j), rng.normal(size=(1, n)))
+            b_eq = np.tile(rng.normal(size=1), j)
+        return (rng.normal(size=j * n), np.kron(np.eye(j), A), np.tile(b, j), A_eq, b_eq,
+                (None, None))
+    n, m_ub, m_eq = int(rng.integers(1, 7)), int(rng.integers(0, 9)), int(rng.integers(0, 4))
+    A_ub = _sparse_normal(rng, (m_ub, n)) if m_ub else None
+    b_ub = rng.normal(size=m_ub) + 1.0 if m_ub else None
+    A_eq = _sparse_normal(rng, (m_eq, n)) if m_eq else None
+    b_eq = rng.normal(size=m_eq) if m_eq else None
+    if shape == "boxed":
+        A_ub = np.vstack([np.eye(n), -np.eye(n)] + ([] if A_ub is None else [A_ub]))
+        b_ub = np.concatenate([rng.uniform(1.0, 3.0, 2 * n)] + ([] if b_ub is None else [b_ub]))
+        if m_eq:
+            b_eq = A_eq @ rng.uniform(-0.5, 0.5, n)
+    return rng.normal(size=n), A_ub, b_ub, A_eq, b_eq, _random_bounds(rng, n)
+
+
+def test_direct_highs_matches_scipy_linprog_bit_for_bit():
+    rng = np.random.default_rng(20)
+    seen = Counter()
+    for i in range(400):
+        args = _random_lp(rng, ("chebyshev", "stacked", "general", "boxed")[i % 4])
+        ref = scipy_linprog(*args, method="highs",
+                            options={"primal_feasibility_tolerance": lp.FEAS_TOL,
+                                     "dual_feasibility_tolerance": lp.FEAS_TOL})
+        if ref.status not in (0, 2, 3):
+            with pytest.raises(lp.NumericalError):
+                lp.linprog(*args)
+            continue
+        res = lp.linprog(*args)
+        assert SCIPY_STATUS[res.status] == ref.status, i
+        seen[res.status] += 1
+        if res.optimal:
+            assert np.array_equal(res.x, ref.x), i
+            assert res.value == ref.fun, i
+            assert np.array_equal(res.eq_duals, ref.eqlin.marginals), i
+    # the battery reaches every status the wrapper maps
+    assert min(seen[s] for s in SCIPY_STATUS) >= 50, seen
+
+
+class _UnboundedOrInfeasible(lp.highs._Highs):
+    def getModelStatus(self):
+        return lp.highs.HighsModelStatus.kUnboundedOrInfeasible
+
+
+class _ShiftedColumns(lp.highs._Highs):
+    def getSolution(self):
+        sol = super().getSolution()
+        sol.col_value = [v - 1e-3 for v in sol.col_value]
+        return sol
+
+
+class _ShiftedRows(lp.highs._Highs):
+    def getSolution(self):
+        sol = super().getSolution()
+        sol.row_value = [v + 1e-3 for v in sol.row_value]
+        return sol
+
+
+def test_unmapped_highs_status_raises(monkeypatch):
+    monkeypatch.setattr(lp.highs, "_Highs", _UnboundedOrInfeasible)
+    with pytest.raises(lp.NumericalError, match="infeasible or unbounded"):
+        lp.solve([1.0], A_ub=[[-1.0]], b_ub=[0.0])
+
+
+@pytest.mark.parametrize("fake, system", [
+    # x >= 1 as a bound; the reported x falls 1e-3 below it
+    (_ShiftedColumns, dict(bounds=[(1.0, None)])),
+    # x >= 1 as a row of A_ub; the reported row value breaks b_ub
+    (_ShiftedRows, dict(A_ub=[[-1.0]], b_ub=[-1.0])),
+    # x = 1 as an equality; the reported row value breaks b_eq
+    (_ShiftedRows, dict(A_eq=[[1.0]], b_eq=[1.0])),
+])
+def test_optimum_that_breaks_its_constraints_raises(monkeypatch, fake, system):
+    assert lp.solve([1.0], **system).optimal
+    monkeypatch.setattr(lp.highs, "_Highs", fake)
+    with pytest.raises(lp.NumericalError, match="breaks its constraints"):
+        lp.solve([1.0], **system)
