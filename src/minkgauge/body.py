@@ -4,14 +4,18 @@ A body is one of the variants below.  Polytopes carry an exact vertex or
 halfspace description, and H-polytopes prepare their vertices once, on
 first use; composite variants (sums and products) are evaluated lazily
 through recursion.  Vertex bodies (V-polytopes and polytopal sums) in
-dimensions 2 to MAX_VERTEX_DIM get their facet rows from one Qhull hull
-of their vertex candidates, so every polytope there has both
-descriptions.  Every body keeps the facet rows of its central
-symmetrization (``symm_rows``), built once on first use; they answer the
-gauge, the widths and the maximal chords of polytopes in dimensions 1 to
-MAX_VERTEX_DIM.  ``SupportOracle`` wraps a black-box support
-function for bodies with no finite description, and every routine that has
-to fall back to sampling on such a body says so in its result.  The image
+dimensions 2 to MAX_VERTEX_DIM get their facet rows and their extreme
+points from one Qhull hull of their vertex candidates, so every polytope
+there has both descriptions.  Every body is frozen and keeps what depends
+only on it (``_Prepared``), built once on first use and read-only: its
+extreme points, its facet rows and facet profile, the facet rows of its
+central symmetrization (``symm_rows``) with their profile, and the optimum
+of its symmetry LP.  The rows answer the gauge, the widths and the maximal
+chords of polytopes in dimensions 1 to MAX_VERTEX_DIM, so a reused body
+builds no hull after its first query.  ``SupportOracle`` wraps a
+black-box support function for bodies with no finite description, and
+every routine that has to fall back to sampling on such a body says so in
+its result.  The image
 of a body under x -> s x + z (``homothety``) is again a body of its kind.
 
 Conventions used throughout the package:
@@ -51,7 +55,36 @@ def as_vector(x, d=None):
 
 
 class _Prepared:
-    """Derived data cached on a body, which is immutable once built."""
+    """Derived data cached on a body, which is immutable once built.
+
+    Every value here depends only on the body.  Each is computed on first
+    read and kept, and every array in it is read-only, so a reused body
+    answers from the cache and a caller cannot corrupt it.  A computation
+    that raises is not cached and raises again on the next read.
+
+    ``halfspaces`` and ``gauge.facet_profile`` return ``facet_rows`` and
+    ``profile``; the gauge outside K, level membership above 1, widths and
+    maximal chords read ``symm_rows`` and ``symm_profile``; ``alpha_inf``
+    and the emptiness rule of ``gauge.level_set`` read ``symmetry``; the
+    difference-body rows, the erosion LP and the planar ``centroid`` read
+    ``extreme``.  A V-polytope or polytopal sum gets its facet rows and its
+    extreme points from one hull (``_candidate_hull``).
+    """
+
+    @cached_property
+    def extreme(self):
+        """Extreme points as a read-only (k, d) array, or None (``_extreme``)."""
+        return _extreme(self)
+
+    @cached_property
+    def facet_rows(self):
+        """Read-only facet rows (A, b), or None; ``halfspaces`` returns them."""
+        return _facet_rows(self)
+
+    @cached_property
+    def profile(self):
+        """Read-only (A, hplus, hminus) of ``gauge.facet_profile``, or None."""
+        return _facet_profile(self)
 
     @cached_property
     def symm_rows(self):
@@ -60,6 +93,32 @@ class _Prepared:
         Built on first use by ``_symm_rows`` and kept read-only.
         """
         return _symm_rows(self)
+
+    @cached_property
+    def symm_profile(self):
+        """(A, hplus, hminus) of ``facet_profile`` on the unit facet rows of
+        the central symmetrization (``symm_rows``) in place of K's, or None."""
+        rows = self.symm_rows
+        return None if rows is None else _row_profile(self, rows[0])
+
+    @cached_property
+    def symmetry(self):
+        """(alpha_inf, minimizer) from the symmetry LP on ``profile``, or None.
+
+        None when K has no profile or the LP ends without an optimum.
+        """
+        return _symmetry_lp(self)
+
+    @cached_property
+    def _candidate_hull(self):
+        """(facet rows, extreme points) of a vertex body (``_candidate_hull``)."""
+        return _candidate_hull(self)
+
+
+def _readonly(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays if len(arrays) > 1 else arrays[0]
 
 
 # Polytopes above this dimension keep the LP routes: the vertex count of an
@@ -74,7 +133,8 @@ class HPolytope(_Prepared):
     """Bounded intersection of halfspaces A x <= b.
 
     A and b are private read-only copies, so the cached derived values stay
-    valid: the Chebyshev centre (one LP), the vertex array and ``symm_rows``.
+    valid: the Chebyshev centre (one LP), the vertex array and those of
+    ``_Prepared``.
     """
 
     A: np.ndarray
@@ -450,12 +510,17 @@ def halfspaces(K):
     the facets of the hull of their vertex candidates: the two end points
     in dimension one, Qhull's facet rows (unit normals, tight b) in
     dimensions 2 to MAX_VERTEX_DIM.  A flat candidate set, and anything
-    above that dimension, has None.
+    above that dimension, has None.  The rows are built on the first call
+    and cached on the body (``facet_rows``), read-only.
     """
+    return K.facet_rows
+
+
+def _facet_rows(K):
     if isinstance(K, HPolytope):
         return K.A, K.b
     if isinstance(K, Product):
-        parts = [halfspaces(f) for f in K.factors]
+        parts = [f.facet_rows for f in K.factors]
         if any(p is None for p in parts):
             return None
         dims = [dim(f) for f in K.factors]
@@ -467,22 +532,92 @@ def halfspaces(K):
             rows_A.append(blk)
             rows_b.append(b)
             at += k
-        return np.vstack(rows_A), np.concatenate(rows_b)
-    V = vertex_candidates(K) if isinstance(K, (VPolytope, Sum)) else None
-    if V is None or V.shape[1] > MAX_VERTEX_DIM:
+        return _readonly(np.vstack(rows_A), np.concatenate(rows_b))
+    if not isinstance(K, (VPolytope, Sum)) or dim(K) > MAX_VERTEX_DIM:
         return None
-    if V.shape[1] == 1:
-        return _interval_halfspaces(V)
+    if dim(K) == 1:
+        V = vertex_candidates(K)
+        return None if V is None else _readonly(*_interval_halfspaces(V))
+    hull = K._candidate_hull
+    return None if hull is None else hull[0]
+
+
+def _candidate_hull(K):
+    """(facet rows, extreme points) of a V-polytope or polytopal sum in
+    dimension two or more, from one Qhull hull of its vertex candidates.
+
+    The rows are Qhull's, deduplicated, and None above MAX_VERTEX_DIM and
+    for flat sets (whose extreme points are all their distinct points).  The
+    extreme points come in ``extreme_points`` order: counterclockwise in the
+    plane, sorted rows above it.  None for bodies without candidates.
+    """
+    V = vertex_candidates(K)
+    if V is None:
+        return None
     try:
-        E = ConvexHull(V).equations
+        H = ConvexHull(V)
     except QhullError:
+        return None, _readonly(np.unique(V, axis=0))
+    E = V[H.vertices]
+    if V.shape[1] > 2:
+        E = np.unique(E, axis=0)
+    rows = None
+    if V.shape[1] <= MAX_VERTEX_DIM:
+        # Qhull's rows n.x + c <= 0 have unit outward normals and pass through
+        # their facet's vertices, so b = -c is tight; the triangulated output
+        # repeats a facet once per simplex, and rounding merges the copies
+        Eq = H.equations
+        _, keep = np.unique(np.round(Eq, 10), axis=0, return_index=True)
+        Eq = Eq[np.sort(keep)]
+        rows = _readonly(Eq[:, :-1], -Eq[:, -1])
+    return rows, _readonly(E)
+
+
+def _extreme(K):
+    """K's extreme points: an H-polytope's prepared vertices, the extreme
+    points of the vertex candidates of other polytopal bodies (every
+    distinct point of a flat set), None for the rest."""
+    if isinstance(K, HPolytope):
+        return K.vertices
+    if isinstance(K, (VPolytope, Sum)) and dim(K) > 1:
+        hull = K._candidate_hull
+        return None if hull is None else hull[1]
+    V = vertex_candidates(K)
+    return None if V is None else _readonly(extreme_points(V))
+
+
+def _row_profile(K, A):
+    """(A, hplus, hminus): the support values of K in the rows of A and in
+    their negations, from one batched evaluation."""
+    H = _support_rows(K, np.vstack([A, -A]))
+    return _readonly(A, H[:len(A)], H[len(A):])
+
+
+def _facet_profile(K):
+    if dim(K) == 1:
+        hi = support(K, np.ones(1))
+        lo = -support(K, -np.ones(1))
+        return _readonly(np.array([[1.0], [-1.0]]), np.array([hi, -lo]), np.array([-lo, hi]))
+    rows = K.facet_rows
+    return None if rows is None else _row_profile(K, rows[0])
+
+
+def _symmetry_lp(K):
+    """The symmetry LP of ``gauge.alpha_inf``: the least s with some x in
+    the erosion {A x <= ((1 + s) hplus - (1 - s) hminus) / 2} of K's
+    profile.  Returns (s, x), or None without a profile or an optimum."""
+    profile = K.profile
+    if profile is None:
         return None
-    # Qhull's rows n.x + c <= 0 have unit outward normals and pass through
-    # their facet's vertices, so b = -c is tight; the triangulated output
-    # repeats a facet once per simplex, and rounding merges the copies
-    _, keep = np.unique(np.round(E, 10), axis=0, return_index=True)
-    E = E[np.sort(keep)]
-    return E[:, :-1], -E[:, -1]
+    A, hp, hm = profile
+    d = A.shape[1]
+    M = np.hstack([2.0 * A, -(hp + hm)[:, None]])
+    c = np.zeros(d + 1)
+    c[-1] = 1.0
+    res = lp.solve(c, A_ub=M, b_ub=hp - hm, sense="min")
+    if not res.optimal:
+        return None
+    return float(res.value), _readonly(res.x[:d])
 
 
 def _halved_differences(V):
@@ -496,24 +631,18 @@ def _symm_rows(K):
     C is origin-symmetric with h(C, u) = w(K, u) / 2.  In dimension one its
     rows are the two unit rows at half the width.  Up to MAX_VERTEX_DIM they
     come from one Qhull hull of the halved differences of K's extreme points
-    (the extreme points of C are among them).  None for bodies without
-    vertex access, above that dimension, and for flat sets.
+    (``extreme``; the extreme points of C are among them).  None for bodies
+    without vertex access, above that dimension, and for flat sets.
     """
     if dim(K) == 1:
         half = (support(K, np.ones(1)) + support(K, -np.ones(1))) / 2.0
-        rows = _interval_halfspaces(np.array([-half, half]))
-    else:
-        V = vertex_candidates(K)
-        if V is None or V.shape[1] > MAX_VERTEX_DIM:
-            return None
-        if not isinstance(K, HPolytope):        # prepared vertices are extreme
-            V = extreme_points(V)
-        rows = halfspaces(VPolytope(_halved_differences(V)))
-        if rows is None:
-            return None
-    for a in rows:
-        a.setflags(write=False)
-    return rows
+        return _readonly(*_interval_halfspaces(np.array([-half, half])))
+    if dim(K) > MAX_VERTEX_DIM:
+        return None
+    V = K.extreme
+    if V is None:
+        return None
+    return halfspaces(VPolytope(_halved_differences(V)))
 
 
 # ---------------------------------------------------------------------------

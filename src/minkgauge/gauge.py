@@ -40,11 +40,13 @@ import numpy as np
 
 from . import lp
 from .body import (Ball, BodyError, HPolytope, Product, SupportOracle, VPolytope,
-                   as_vector, dim, extreme_points, halfspaces, hull2d, lp_encoding,
-                   support, vertex_candidates)
+                   as_vector, dim, extreme_points, lp_encoding, support, vertex_candidates)
 from .geometry import _exact_points, _multistart_sphere, _support_pm, sphere_dirs
 
 T_MEMBER_TOL = 1e-9
+# within this distance of alpha_inf(K), a Chebyshev LP decides whether the
+# erosion K^lam is empty; farther away lam < alpha_inf(K) does
+EMPTY_BAND = 1e-7
 
 
 @dataclass
@@ -122,33 +124,15 @@ def facet_profile(K):
     A holds the rows of ``halfspaces(K)`` (the two unit rows in dimension
     one), and hplus/hminus are the support values in the row directions
     and their negations, so each row is supporting.  None when K has no
-    rows.
+    rows.  Built on the first call and cached on the body (``profile``),
+    read-only.
     """
-    if dim(K) == 1:
-        hi = support(K, np.ones(1))
-        lo = -support(K, -np.ones(1))
-        A = np.array([[1.0], [-1.0]])
-        return A, np.array([hi, -lo]), np.array([-lo, hi])
-    hs = halfspaces(K)
-    if hs is None:
-        return None
-    A = hs[0]
-    return (A, *_support_pm(K, A))
+    return K.profile
 
 
 def _t_values(profile, x):
     A, hp, hm = profile
     return (2.0 * (A @ x) - hp + hm) / (hp + hm)
-
-
-def _symm_profile(K):
-    """(A, hplus, hminus) of ``facet_profile`` on the unit facet rows of the
-    central symmetrization C (``symm_rows``) in place of K's, or None."""
-    hs = K.symm_rows
-    if hs is None:
-        return None
-    A = hs[0]
-    return (A, *_support_pm(K, A))
 
 
 def _facet_max(profile, x):
@@ -198,12 +182,11 @@ def _level_lp(K, x, lo, hi):
         C = np.hstack([np.zeros((x.size, 1)), e.P, -e.P])
         rhs = x - e.q
     else:
-        V = vertex_candidates(K)
-        if V is None:
-            raise BodyError("level-set LP inside the body needs vertex access")
         # the constraints of non-extreme candidates (most of a Minkowski
         # sum's) are implied by the extreme ones
-        V = extreme_points(V)
+        V = K.extreme
+        if V is None:
+            raise BodyError("level-set LP inside the body needs vertex access")
         A_ub, b_ub, A_eq, b_eq, bounds = _scaled_copies(e, [(0.5, 0.5)] * len(V))
         C = np.hstack([((e.q - V) / 2.0).reshape(-1, 1), np.kron(np.eye(len(V)), e.P)])
         rhs = (x - (e.q + V) / 2.0).ravel()
@@ -243,7 +226,7 @@ def _level_membership(K, x, lam, tol=T_MEMBER_TOL):
         if profile is not None:
             return bool(np.max(_t_values(profile, x)) <= lam + tol)
     else:
-        profile = _symm_profile(K)
+        profile = K.symm_profile
         if profile is not None:
             return _facet_max(profile, x)[0] <= lam + tol
     return _level_lp(K, x, lam + tol, lam + tol)[0].optimal
@@ -280,7 +263,7 @@ def alpha(K, x) -> GaugeResult:
         # exactly where their maximum is at most 1
         if x.size <= 2 or a0 <= 1.0 + 1e-12:
             return GaugeResult(a0, w, "closed_form", 1e-12)
-        symm = _symm_profile(K)
+        symm = K.symm_profile
         if symm is not None:
             a0, w = _facet_max(symm, x)
             # the rounding of t grows with its value, here above 1
@@ -357,10 +340,13 @@ def level_set(K, lam) -> LevelSet:
     """Construct K^lam = {x : alpha(K, x) <= lam} explicitly.
 
     lam <= 1 erodes the tight facet system (the result may be empty or lower
-    dimensional); lam > 1 builds the sum form from vertex pairs, which
-    H-polytopes take from their prepared vertices, and keeps its extreme
-    points.  That body, and a product's, is built when ``body`` is first
-    read.
+    dimensional).  The erosion is empty exactly when lam < alpha_inf(K),
+    which the body's cached symmetry LP decides; within EMPTY_BAND of
+    alpha_inf, and for bodies whose symmetry LP fails, a Chebyshev LP of
+    the eroded rows does.  lam > 1 builds the sum form from vertex pairs,
+    which H-polytopes take from their prepared vertices, and keeps its
+    extreme points.  That body, and a product's, is built when ``body`` is
+    first read.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError("level must be a finite nonnegative number")
@@ -382,6 +368,10 @@ def level_set(K, lam) -> LevelSet:
         A, hp, hm = profile
         b = (1.0 + lam) / 2.0 * hp - (1.0 - lam) / 2.0 * hm
         body = HPolytope(A, b)
+        sym = K.symmetry
+        if sym is not None and abs(lam - sym[0]) > EMPTY_BAND:
+            empty = lam < sym[0]
+            return LevelSet(lam, None if empty else body, empty, K)
         try:
             _, r = body.chebyshev
         except lp.NumericalError:
@@ -407,10 +397,12 @@ def alpha_inf(K, seed=101) -> SymmetryReport:
     """Minimum of the gauge over x: the symmetry constant and critical set.
 
     One LP over the facet rows of ``halfspaces(K)``, which every polytope in
-    dimension at most ``body.MAX_VERTEX_DIM`` has; products recurse onto
-    their factors when no merged facet system exists.  The critical set's
-    dimension is estimated from the affine rank of LP optima under random
-    objectives; it is an estimate, not a certificate.
+    dimension at most ``body.MAX_VERTEX_DIM`` has; its value and minimiser
+    are cached on the body (``symmetry``), so a reused body solves it once.
+    Products recurse onto their factors when no merged facet system exists.
+    The critical set's dimension is estimated from the affine rank of LP
+    optima under random objectives, one stacked LP per call; it is an
+    estimate, not a certificate.
     """
     if isinstance(K, Ball):
         c = K.center.copy()
@@ -421,23 +413,15 @@ def alpha_inf(K, seed=101) -> SymmetryReport:
     if profile is None:
         raise BodyError("alpha_inf needs facet access (or a product of such bodies)")
     A, hp, hm = profile
-    w = hp + hm
-    m, d = A.shape
-    M = np.hstack([2.0 * A, -w[:, None]])
-    rhs = hp - hm
-    c = np.zeros(d + 1)
-    c[-1] = 1.0
-    res = lp.solve(c, A_ub=M, b_ub=rhs, sense="min")
-    if not res.optimal:
-        raise lp.NumericalError(f"symmetry LP ended with status {res.status}")
-    s_star = float(res.value)
-    x_star = res.x[:d]
+    if K.symmetry is None:
+        raise lp.NumericalError("symmetry LP ended without an optimum")
+    s_star, x_star = K.symmetry
+    if s_star >= 1.0 - 1e-12:
+        raise lp.NumericalError("symmetry LP returned alpha_inf >= 1 for a full body")
     crit = LevelSet(s_star,
                     HPolytope(A, (1.0 + s_star) / 2.0 * hp - (1.0 - s_star) / 2.0 * hm),
                     False, K)
-    dim_est = _critical_dim(A, hp, hm, w, s_star, seed, extra_point=x_star)
-    if s_star >= 1.0 - 1e-12:
-        raise lp.NumericalError("symmetry LP returned alpha_inf >= 1 for a full body")
+    dim_est = _critical_dim(A, hp, hm, hp + hm, s_star, seed, extra_point=x_star)
     klee = (1.0 + s_star) / (1.0 - s_star)
     return SymmetryReport(s_star, 1.0 - s_star, x_star, crit, dim_est, klee)
 
@@ -503,10 +487,12 @@ def centroid(K):
         lo = -support(K, -np.ones(1))
         return np.array([0.5 * (lo + hi)])
     if d == 2:
-        V = vertex_candidates(K)
-        if V is None:
+        # K's cached extreme points run counterclockwise; a flat set has
+        # them but no facet rows
+        V = K.extreme
+        if V is None or K.facet_rows is None:
             raise BodyError("centroid needs polygon access in the plane")
-        return _polygon_centroid(hull2d(V))
+        return _polygon_centroid(V)
     V = vertex_candidates(K)
     if V is not None:
         U = np.unique(V, axis=0)

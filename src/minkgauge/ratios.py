@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .body import (Ball, BodyError, Product, SupportOracle, as_vector,
-                   contains, dim, extreme_points, halfspaces, lp_encoding,
+                   contains, dim, halfspaces, lp_encoding,
                    rows_contain, vertex_candidates)
 from .gauge import _scaled_copies, alpha, facet_profile, t_many
 from .geometry import _clip_sections, _line_sections, _support_pm, sphere_dirs
@@ -126,10 +126,9 @@ def _beta_lp(K, x):
     for every extreme point u_j of K, one unscaled copy of K per u_j coupled
     by P w_j + q + lam (u_j - x) = x.  Infeasible exactly when x is not in K.
     """
-    e, gens = lp_encoding(K), vertex_candidates(K)
-    if e is None or gens is None:
+    e, U = lp_encoding(K), K.extreme
+    if e is None or U is None:
         raise BodyError("beta needs facet or vertex data")
-    U = extreme_points(gens)
     A_ub, b_ub, A_eq, b_eq, bounds = _scaled_copies(e, [(0.0, 1.0)] * len(U))
     C = np.hstack([(U - x).reshape(-1, 1), np.kron(np.eye(len(U)), e.P)])
     bounds[0] = (0.0, 1.0)
