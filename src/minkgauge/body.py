@@ -66,9 +66,11 @@ class _Prepared:
     ``profile``; the gauge outside K, level membership above 1, widths and
     maximal chords read ``symm_rows`` and ``symm_profile``; ``alpha_inf``
     and the emptiness rule of ``gauge.level_set`` read ``symmetry``; the
-    difference-body rows, the erosion LP and the planar ``centroid`` read
-    ``extreme``.  A V-polytope or polytopal sum gets its facet rows and its
-    extreme points from one hull (``_candidate_hull``).
+    difference-body rows, the erosion LP, ``geometry.central_symm``,
+    ``geometry.diameter`` and the planar ``centroid``, ``hausdorff`` and
+    ``polygon_vertices`` read ``extreme``.  A V-polytope or polytopal sum
+    gets its facet rows and its extreme points from one hull
+    (``_candidate_hull``).
     """
 
     @cached_property

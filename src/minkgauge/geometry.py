@@ -18,6 +18,11 @@ Optimization, 2006, ch. 3 and 6), and are put back on the unit sphere after
 every accepted step (a retraction, as in Absil, Mahony & Sepulchre,
 Optimization Algorithms on Matrix Manifolds, 2008).  Each iteration is one
 call on the trial points and their d forward-difference neighbours.
+
+The central symmetrization, the diameter and the planar Hausdorff distance
+read every body's cached extreme points (``extreme``).  A planar pair's
+Hausdorff distance takes two exact routes, each a fixed number of array
+operations over all vertices and edges, and they check each other.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from . import lp
 from .body import (MAX_VERTEX_DIM, Ball, BodyError, Product, Sum, VPolytope,
                    _halved_differences, as_vector, dim, extreme_points, halfspaces,
-                   homothety, hull2d, lp_encoding, support, support_many, vertex_candidates)
+                   homothety, lp_encoding, support, support_many, vertex_candidates)
 
 # absolute forward-difference step of the direction search (scipy's default
 # for finite-difference gradients)
@@ -72,19 +77,30 @@ def _exact_points(K):
     return V
 
 
+def _extreme_points(K):
+    """K's cached extreme points (``extreme``), the two end points of any
+    one-dimensional body, or None."""
+    E = K.extreme
+    if E is None and dim(K) == 1:
+        return _interval_points(K).reshape(2, 1)
+    return E
+
+
 def central_symm(K):
     """Central symmetrization (K + (-K)) / 2, an origin-symmetric body.
 
-    Exact point sets in dimension at most MAX_VERTEX_DIM give the extreme
-    points of their halved differences.  Above it, where no facet rows are
+    Bodies with vertex access in dimension at most MAX_VERTEX_DIM give the
+    extreme points of the halved differences of their k cached extreme
+    points, one hull of k^2 points.  Above it, where no facet rows are
     built, C stays the sum of the two halves, as for bodies without exact
     points: the Qhull prune there costs seconds from R^7 on.
     """
     if isinstance(K, Ball):
         return Ball(np.zeros(dim(K)), K.radius)
-    V = _exact_points(K)
-    if V is not None and V.shape[1] <= MAX_VERTEX_DIM:
-        return VPolytope(extreme_points(_halved_differences(V)))
+    if dim(K) <= MAX_VERTEX_DIM:
+        V = _extreme_points(K)
+        if V is not None:
+            return VPolytope(extreme_points(_halved_differences(V)))
     return Sum((homothety(K, 0.5), homothety(K, -0.5)))
 
 
@@ -369,9 +385,8 @@ def diameter(K) -> float:
         return 2.0 * K.radius
     if isinstance(K, Product):
         return float(np.sqrt(sum(diameter(f) ** 2 for f in K.factors)))
-    V = _exact_points(K)
+    V = _extreme_points(K)
     if V is not None:
-        V = extreme_points(V)
         D = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=2)
         return float(D.max())
     _, val, _ = _multistart_sphere(lambda U: _widths(K, U), _sphere_starts(dim(K), 3),
@@ -402,120 +417,109 @@ def far_radius(K) -> float:
 # ---------------------------------------------------------------------------
 # planar helpers
 
+# a planar extreme-point set is flat (a segment or a point) when twice its
+# shoelace area, taken about its first point, is at most this fraction of its
+# squared extent; rounding leaves a collinear set about 1e-16 of it
+FLAT_TOL = 1e-12
+
+
+def _planar_points(K):
+    """K's vertices, counterclockwise, from its cached ``extreme``; the two
+    end points along their line (or the one point) of a flat K; None for a
+    body without vertex access.  Builds no hull once K has been used."""
+    E = K.extreme
+    if E is None or len(E) < 3:
+        return E
+    R = E[1:] - E[0]
+    area2 = float(np.sum(R[:-1, 0] * R[1:, 1] - R[:-1, 1] * R[1:, 0]))
+    if area2 > FLAT_TOL * float(np.max(np.sum(R * R, axis=1))):
+        return E
+    t = E @ (E[-1] - E[0])
+    return E[[int(np.argmin(t)), int(np.argmax(t))]]
+
 
 def polygon_vertices(K):
-    """Hull-ordered (CCW) vertices of a planar body with vertex access, exact.
+    """Counterclockwise vertices of a planar body with vertex access, exact.
 
-    H-polytopes qualify through their prepared vertices.
+    A copy of the body's cached extreme points; H-polytopes qualify through
+    their prepared vertices.  Flat bodies (segments, points) raise.
     """
     if dim(K) != 2:
         raise BodyError("polygon_vertices needs a planar body")
-    V = vertex_candidates(K)
-    if V is None:
+    W = _planar_points(K)
+    if W is None:
         raise BodyError("planar body without polygon access")
-    return hull2d(V)
+    if len(W) < 3:
+        raise BodyError("flat planar body has no polygon")
+    return W.copy()
 
 
-def _edge_system(P):
-    # outward halfspaces of a CCW-ordered polygon
-    edges = np.roll(P, -1, axis=0) - P
-    A = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
-    b = np.sum(A * P, axis=1)
-    return A, b
+def _vertex_distances(P, W):
+    """Distance from every row of P to the polygon, segment or point whose
+    counterclockwise vertices are the rows of W.
+
+    One clamped point-to-segment array over all (point, edge) pairs, set to
+    0 where the polygon's edge rows put the point inside.
+    """
+    E = np.roll(W, -1, axis=0) - W                   # the edge W_j -> W_j+1
+    L2 = np.sum(E * E, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.einsum("nmk,mk->nm", P[:, None, :] - W, E) / L2
+    t = np.where(L2 > 0.0, np.clip(t, 0.0, 1.0), 0.0)
+    D = np.linalg.norm(P[:, None, :] - (W + t[:, :, None] * E), axis=2).min(axis=1)
+    if len(W) > 2:
+        A = np.stack([E[:, 1], -E[:, 0]], axis=1)   # outward edge normals
+        slack = 1e-12 * np.maximum(np.sqrt(L2), 1.0)
+        D[np.all(P @ A.T <= np.sum(A * W, axis=1) + slack, axis=1)] = 0.0
+    return D
 
 
-def _planar_shape(K):
-    """Unique extreme points of a planar (possibly degenerate) body."""
-    V = _exact_points(K)
-    if V is None:
-        raise BodyError("planar shape needs polytope access")
-    V = np.unique(V, axis=0)
-    if V.shape[0] >= 3:
-        try:
-            return hull2d(V)
-        except BodyError:
-            pass
-    if V.shape[0] > 2:
-        # collinear: keep the two extreme points along the common line
-        t = V @ (V[-1] - V[0])
-        V = V[[int(np.argmin(t)), int(np.argmax(t))]]
-    return V
-
-
-def _point_to_segment(p, a, b):
-    ab = b - a
-    L2 = float(ab @ ab)
-    if L2 == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = float(np.clip((p - a) @ ab / L2, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
-
-
-def _point_to_shape(p, W):
-    n = W.shape[0]
-    if n == 1:
-        return float(np.linalg.norm(p - W[0]))
-    if n == 2:
-        return _point_to_segment(p, W[0], W[1])
-    A, b = _edge_system(W)
-    norms = np.linalg.norm(A, axis=1)
-    if np.all(A @ p <= b + 1e-12 * np.maximum(norms, 1.0)):
-        return 0.0
-    return min(_point_to_segment(p, W[i], W[(i + 1) % n]) for i in range(n))
-
-
-def _fan_angles(W):
-    n = W.shape[0]
-    if n == 1:
+def _normal_angles(W):
+    """Angles of the outward edge normals of counterclockwise vertices W."""
+    if len(W) < 2:
         return np.zeros(0)
-    if n == 2:
-        e = W[1] - W[0]
-        a = np.arctan2(-e[0], e[1])
-        return np.array([a, a + np.pi])
-    A, _ = _edge_system(W)
-    return np.arctan2(A[:, 1], A[:, 0])
+    E = np.roll(W, -1, axis=0) - W
+    return np.arctan2(-E[:, 0], E[:, 1])
 
 
-def _hormander_planar(WK, WM):
-    # sup over the circle of |h_K - h_M|; between consecutive breakpoints of
-    # the merged normal fans the difference is a single sinusoid, so the
-    # extrema are at fan angles or at the sinusoid's own critical angle.
-    angles = np.concatenate([_fan_angles(WK), _fan_angles(WM)])
-    angles = np.unique(np.mod(angles, 2.0 * np.pi))
-    if angles.size == 0:
-        angles = np.array([0.0])
-    cands = list(angles)
-    for k in range(angles.size):
-        a0 = angles[k]
-        a1 = angles[(k + 1) % angles.size] + (2.0 * np.pi if k + 1 == angles.size else 0.0)
-        mid = 0.5 * (a0 + a1)
-        u = np.array([np.cos(mid), np.sin(mid)])
-        p = WK[int(np.argmax(WK @ u))]
-        q = WM[int(np.argmax(WM @ u))]
-        diff = p - q
-        if np.linalg.norm(diff) > 0:
-            phi = np.arctan2(diff[1], diff[0])
-            for cand in (phi, phi + np.pi):
-                c = np.mod(cand, 2.0 * np.pi)
-                if a0 - 1e-12 <= c <= a1 + 1e-12 or a0 - 1e-12 <= c + 2.0 * np.pi <= a1 + 1e-12:
-                    cands.append(c)
-    best = 0.0
-    for th in cands:
-        u = np.array([np.cos(th), np.sin(th)])
-        best = max(best, abs(float(np.max(WK @ u)) - float(np.max(WM @ u))))
-    return best
+def _support_gap(WK, WM):
+    """sup over unit u of |h(K, u) - h(M, u)|, for vertex sets WK and WM.
+
+    On each arc between consecutive angles of the merged edge-normal fan,
+    the supports are attained at fixed vertices p and q, found at the arc's
+    midpoint, so the difference is the sinusoid <p - q, u>.  Its extrema lie
+    at the arc ends or at the angles of +-(p - q) inside the arc.
+    """
+    tau = 2.0 * np.pi
+    a0 = np.unique(np.mod(np.concatenate([_normal_angles(WK), _normal_angles(WM)]), tau))
+    if not a0.size:
+        a0 = np.zeros(1)
+    a1 = np.append(a0[1:], a0[0] + tau)
+    mid = 0.5 * (a0 + a1)
+    U = np.stack([np.cos(mid), np.sin(mid)], axis=1)
+    diff = WK[np.argmax(U @ WK.T, axis=1)] - WM[np.argmax(U @ WM.T, axis=1)]
+    phi = np.arctan2(diff[:, 1], diff[:, 0])
+    c = np.mod(np.stack([phi, phi + np.pi], axis=1), tau)
+    lo, hi = a0[:, None] - 1e-12, a1[:, None] + 1e-12
+    keep = (((lo <= c) & (c <= hi)) | ((lo <= c + tau) & (c + tau <= hi))) \
+        & np.any(diff != 0.0, axis=1)[:, None]
+    th = np.concatenate([a0, c[keep]])
+    H = np.stack([np.cos(th), np.sin(th)], axis=1) @ np.vstack([WK, WM]).T
+    return float(np.max(np.abs(H[:, :len(WK)].max(axis=1) - H[:, len(WK):].max(axis=1))))
 
 
 def hausdorff(K, M, n_dirs=4096, seed=0) -> HausdorffResult:
     """Hausdorff distance between two convex bodies.
 
-    Planar polytopal pairs are computed exactly twice over, by the
-    set-distance definition (vertex-to-body maxima, both directions) and by
-    the support-difference formula over the merged edge-normal fan; the two
-    must agree to within 1e-9 of scale or a NumericalError is raised.  Balls
-    against balls are closed form.  Everything else is a sampled
-    support-difference lower bound over a nested direction family, flagged
-    inexact.
+    Planar pairs with vertex access are computed exactly twice over from
+    their cached extreme points, each route one batch of array operations:
+    by the set-distance definition (the larger of the two vertex-to-body
+    maxima) and by the support-difference formula over the merged
+    edge-normal fan.  The two must agree to within 1e-9 max(1, d_H) or a
+    NumericalError is raised.  Flat planar sets are reduced to their end
+    points.  Intervals and balls against balls are closed form.  Everything
+    else is a sampled support-difference lower bound over a nested
+    direction family, flagged inexact.
     """
     if dim(K) != dim(M):
         raise BodyError("bodies must share a dimension")
@@ -531,17 +535,12 @@ def hausdorff(K, M, n_dirs=4096, seed=0) -> HausdorffResult:
             v = max(abs(WK[0] - WM[0]), abs(WK[1] - WM[1]))
             return HausdorffResult(float(v), True)
     if dim(K) == 2:
-        try:
-            WK, WM = _planar_shape(K), _planar_shape(M)
-        except BodyError:
-            WK = WM = None
-        if WK is not None:
-            d1 = max(_point_to_shape(p, WM) for p in WK)
-            d2 = max(_point_to_shape(q, WK) for q in WM)
-            by_def = max(d1, d2)
-            by_support = _hormander_planar(WK, WM)
-            scale = max(1.0, by_def)
-            if abs(by_def - by_support) > 1e-9 * scale:
+        WK, WM = _planar_points(K), _planar_points(M)
+        if WK is not None and WM is not None:
+            by_def = float(max(_vertex_distances(WK, WM).max(),
+                               _vertex_distances(WM, WK).max()))
+            by_support = _support_gap(WK, WM)
+            if abs(by_def - by_support) > 1e-9 * max(1.0, by_def):
                 raise lp.NumericalError(
                     f"hausdorff cross-check failed: {by_def} vs {by_support}")
             return HausdorffResult(by_def, True)

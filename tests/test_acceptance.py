@@ -28,7 +28,7 @@ from minkgauge import (Ball, Product, Sum, VPolytope, alpha, alpha_inf,
                        t_polynomial)
 from minkgauge import lp
 from minkgauge.body import encoding_feasible, lp_encoding
-from minkgauge.geometry import _hormander_planar, _planar_shape, _point_to_shape
+from minkgauge.geometry import _planar_points, _support_gap, _vertex_distances
 from minkgauge.shapes import random_polygon
 
 TRIANGLE = VPolytope(np.array([[10.0, 10.0], [16.0, 10.0], [10.0, 16.0]]))
@@ -410,10 +410,9 @@ def test_hausdorff_dual_routes_and_sampled_monotonicity():
     for seed in range(100):
         K = seeded_polygon(seed + 4000)
         M = seeded_polygon(seed + 4100)
-        WK, WM = _planar_shape(K), _planar_shape(M)
-        by_def = max(max(_point_to_shape(p, WM) for p in WK),
-                     max(_point_to_shape(q, WK) for q in WM))
-        by_support = _hormander_planar(WK, WM)
+        WK, WM = _planar_points(K), _planar_points(M)
+        by_def = max(_vertex_distances(WK, WM).max(), _vertex_distances(WM, WK).max())
+        by_support = _support_gap(WK, WM)
         gap = abs(by_def - by_support)
         worst = max(worst, gap)
         assert gap <= 1e-9 * max(1.0, by_def)

@@ -6,6 +6,7 @@ exits 2 for input problems, 3 for numerical ones.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -357,9 +358,14 @@ def test_parser_is_built_once_and_parses_each_call_afresh(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the package this test imported, also when pytest
+    # found it through its own pythonpath setting rather than PYTHONPATH
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "minkgauge.cli", "alpha",
                            "--body", SQUARE, "--point", "0.5,0"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["alpha"] == 0.5
 
