@@ -10,9 +10,13 @@ there has both descriptions.  Every body is frozen and keeps what depends
 only on it (``_Prepared``), built once on first use and read-only: its
 extreme points, its facet rows and facet profile, the facet rows of its
 central symmetrization (``symm_rows``) with their profile, and the optimum
-of its symmetry LP.  The rows answer the gauge, the widths and the maximal
-chords of polytopes in dimensions 1 to MAX_VERTEX_DIM, so a reused body
-builds no hull after its first query.  ``SupportOracle`` wraps a
+of its symmetry LP.  The extreme points (``extreme``) are the one finite
+point set that stands for a body wherever one is needed: the two end
+points of every one-dimensional body, the cartesian product of the
+factors' for a product.  The rows answer the gauge, the widths and the
+maximal chords of polytopes in dimensions 1 to MAX_VERTEX_DIM, so a reused
+body builds no hull after its first query.  Qhull is called from this
+module only.  ``SupportOracle`` wraps a
 black-box support function for bodies with no finite description, and
 every routine that has to fall back to sampling on such a body says so in
 its result.  The image
@@ -65,12 +69,13 @@ class _Prepared:
     ``halfspaces`` and ``gauge.facet_profile`` return ``facet_rows`` and
     ``profile``; the gauge outside K, level membership above 1, widths and
     maximal chords read ``symm_rows`` and ``symm_profile``; ``alpha_inf``
-    and the emptiness rule of ``gauge.level_set`` read ``symmetry``; the
-    difference-body rows, the erosion LP, ``geometry.central_symm``,
-    ``geometry.diameter`` and the planar ``centroid``, ``hausdorff`` and
-    ``polygon_vertices`` read ``extreme``.  A V-polytope or polytopal sum
-    gets its facet rows and its extreme points from one hull
-    (``_candidate_hull``).
+    and the emptiness rule of ``gauge.level_set`` read ``symmetry``.
+    Every reader of a finite point set for K reads ``extreme``: the
+    difference-body rows, the LPs, the level body above 1, ``centroid``,
+    ``central_symm``, ``diameter`` and the planar routes; the far radius,
+    chord directions and Chebyshev samples through ``hull_points``.  A
+    V-polytope or polytopal sum gets its facet rows and its extreme points
+    from one hull (``_candidate_hull``).
     """
 
     @cached_property
@@ -486,15 +491,25 @@ def vertex_candidates(K):
         return acc
     if isinstance(K, Product):
         parts = [vertex_candidates(f) for f in K.factors]
-        if any(p is None for p in parts):
-            return None
-        acc = parts[0]
-        for p in parts[1:]:
-            left = np.repeat(acc, p.shape[0], axis=0)
-            right = np.tile(p, (acc.shape[0], 1))
-            acc = np.hstack([left, right])
-        return acc
+        return None if any(p is None for p in parts) else _cartesian(parts)
     return None
+
+
+def hull_points(K):
+    """A point set whose hull is K, for readers that any such set serves:
+    ``extreme`` up to MAX_VERTEX_DIM, the vertex candidates above it, where
+    a fresh body's extreme points cost a hull growing like n^(d/2).  None
+    without vertex access."""
+    return K.extreme if dim(K) <= MAX_VERTEX_DIM else vertex_candidates(K)
+
+
+def _cartesian(parts):
+    """The rows (p_1, ..., p_k) over every choice of one row p_i from each
+    part, the first part varying slowest."""
+    acc = parts[0]
+    for p in parts[1:]:
+        acc = np.hstack([np.repeat(acc, len(p), axis=0), np.tile(p, (len(acc), 1))])
+    return acc
 
 
 def _interval_halfspaces(V):
@@ -576,16 +591,37 @@ def _candidate_hull(K):
 
 
 def _extreme(K):
-    """K's extreme points: an H-polytope's prepared vertices, the extreme
-    points of the vertex candidates of other polytopal bodies (every
-    distinct point of a flat set), None for the rest."""
+    """K's extreme points, the one finite point set that stands for K.
+
+    Every one-dimensional body has its two end points [[lo], [hi]], from two
+    support values.  Above that, an H-polytope has its prepared vertices, a
+    V-polytope or polytopal sum the extreme points of its candidate hull
+    (every distinct point of a flat set), and a product the cartesian
+    product of its factors' extreme points, ext(K1 x K2) = ext K1 x ext K2,
+    with no hull of its own: counterclockwise for two intervals, else in
+    sorted distinct rows.  None for the rest.
+    """
+    if dim(K) == 1:
+        return _readonly(np.array([[-support(K, -np.ones(1))], [support(K, np.ones(1))]]))
     if isinstance(K, HPolytope):
         return K.vertices
-    if isinstance(K, (VPolytope, Sum)) and dim(K) > 1:
+    if isinstance(K, (VPolytope, Sum)):
         hull = K._candidate_hull
         return None if hull is None else hull[1]
-    V = vertex_candidates(K)
-    return None if V is None else _readonly(extreme_points(V))
+    if not isinstance(K, Product):
+        return None
+    parts = [f.extreme for f in K.factors]
+    if any(p is None for p in parts):
+        return None
+    if len(parts) == 1:
+        return parts[0]
+    E = _cartesian(parts)
+    if E.shape[1] == 2 and all(p[0, 0] < p[1, 0] for p in parts):
+        E = E[[0, 2, 3, 1]]       # (lo, lo), (hi, lo), (hi, hi), (lo, hi)
+    else:
+        # a factor with lo == hi repeats rows; a planar product is then flat
+        E = np.unique(E, axis=0)
+    return _readonly(E)
 
 
 def _row_profile(K, A):
@@ -597,8 +633,7 @@ def _row_profile(K, A):
 
 def _facet_profile(K):
     if dim(K) == 1:
-        hi = support(K, np.ones(1))
-        lo = -support(K, -np.ones(1))
+        (lo,), (hi,) = K.extreme
         return _readonly(np.array([[1.0], [-1.0]]), np.array([hi, -lo]), np.array([-lo, hi]))
     rows = K.facet_rows
     return None if rows is None else _row_profile(K, rows[0])
@@ -630,15 +665,11 @@ def _halved_differences(V):
 def _symm_rows(K):
     """Facet rows of C = (K - K)/2 for ``symm_rows``: unit normals, tight b.
 
-    C is origin-symmetric with h(C, u) = w(K, u) / 2.  In dimension one its
-    rows are the two unit rows at half the width.  Up to MAX_VERTEX_DIM they
-    come from one Qhull hull of the halved differences of K's extreme points
-    (``extreme``; the extreme points of C are among them).  None for bodies
+    C is origin-symmetric with h(C, u) = w(K, u) / 2.  Up to MAX_VERTEX_DIM
+    its rows are those of the halved differences of K's extreme points
+    (``extreme``; C's extreme points are among them).  None for bodies
     without vertex access, above that dimension, and for flat sets.
     """
-    if dim(K) == 1:
-        half = (support(K, np.ones(1)) + support(K, -np.ones(1))) / 2.0
-        return _readonly(*_interval_halfspaces(np.array([-half, half])))
     if dim(K) > MAX_VERTEX_DIM:
         return None
     V = K.extreme

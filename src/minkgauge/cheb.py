@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .body import BodyError, as_vector, dim, support, vertex_candidates
+from .body import BodyError, as_vector, dim, hull_points, inscribed_ball, support
 from .gauge import alpha
 from .geometry import _max_chord, global_width
 
@@ -197,18 +197,11 @@ class ChebyshevReport:
 
 def _body_samples(K, n_samples, seed):
     rng = np.random.default_rng(seed)
-    gens = vertex_candidates(K)
-    if gens is None:
-        from .geometry import _exact_points
-        gens = _exact_points(K)
+    gens = hull_points(K)
     if gens is not None:
-        gens = np.asarray(gens, dtype=float)
-        m = gens.shape[0]
-        W = rng.dirichlet(np.full(m, 0.6), size=n_samples)
-        pts = W @ gens
-        return np.vstack([gens, pts])
+        W = rng.dirichlet(np.full(len(gens), 0.6), size=n_samples)
+        return np.vstack([gens, W @ gens])
     # certified inner ball only: valid but conservative samples
-    from .body import inscribed_ball
     ball = inscribed_ball(K)
     if ball is None:
         raise BodyError("cannot sample the body")

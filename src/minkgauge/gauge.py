@@ -41,7 +41,7 @@ import numpy as np
 from . import lp
 from .body import (Ball, BodyError, HPolytope, Product, SupportOracle, VPolytope,
                    as_vector, dim, extreme_points, lp_encoding, support, vertex_candidates)
-from .geometry import _exact_points, _multistart_sphere, _support_pm, sphere_dirs
+from .geometry import _multistart_sphere, _support_pm, sphere_dirs
 
 T_MEMBER_TOL = 1e-9
 # within this distance of alpha_inf(K), a Chebyshev LP decides whether the
@@ -343,10 +343,10 @@ def level_set(K, lam) -> LevelSet:
     dimensional).  The erosion is empty exactly when lam < alpha_inf(K),
     which the body's cached symmetry LP decides; within EMPTY_BAND of
     alpha_inf, and for bodies whose symmetry LP fails, a Chebyshev LP of
-    the eroded rows does.  lam > 1 builds the sum form from vertex pairs,
-    which H-polytopes take from their prepared vertices, and keeps its
-    extreme points.  That body, and a product's, is built when ``body`` is
-    first read.
+    the eroded rows does.  lam > 1 builds the sum form from the k^2 pairs
+    of K's k cached extreme points (``extreme``), the vertices of the sum
+    being among them, and keeps the extreme points of those.  That body,
+    and a product's, is built when ``body`` is first read.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError("level must be a finite nonnegative number")
@@ -379,7 +379,7 @@ def level_set(K, lam) -> LevelSet:
         if r < -1e-12:
             return LevelSet(lam, None, True, K)
         return LevelSet(lam, body, False, K)
-    V = _exact_points(K)
+    V = K.extreme
     if V is None:
         raise BodyError("level set needs polytope or ball structure")
 
@@ -476,16 +476,16 @@ def _alpha_inf_product(K, seed):
 
 def centroid(K):
     """Center of mass, exact for planar polytopes, simplices, balls, boxes
-    as interval products, and products of these."""
+    as interval products, and products of these.
+
+    Read from ``extreme``: the polygon formula in the plane, elsewhere the
+    mean of d + 1 extreme points (a simplex or an interval).
+    """
     if isinstance(K, Ball):
         return K.center.copy()
     if isinstance(K, Product):
         return np.concatenate([centroid(f) for f in K.factors])
     d = dim(K)
-    if d == 1:
-        hi = support(K, np.ones(1))
-        lo = -support(K, -np.ones(1))
-        return np.array([0.5 * (lo + hi)])
     if d == 2:
         # K's cached extreme points run counterclockwise; a flat set has
         # them but no facet rows
@@ -493,11 +493,9 @@ def centroid(K):
         if V is None or K.facet_rows is None:
             raise BodyError("centroid needs polygon access in the plane")
         return _polygon_centroid(V)
-    V = vertex_candidates(K)
-    if V is not None:
-        U = np.unique(V, axis=0)
-        if U.shape[0] == d + 1:
-            return U.mean(axis=0)
+    V = K.extreme
+    if V is not None and len(V) == d + 1:
+        return V.mean(axis=0)
     raise BodyError("centroid supports planar bodies, simplices, balls, and products of these")
 
 

@@ -19,8 +19,9 @@ every accepted step (a retraction, as in Absil, Mahony & Sepulchre,
 Optimization Algorithms on Matrix Manifolds, 2008).  Each iteration is one
 call on the trial points and their d forward-difference neighbours.
 
-The central symmetrization, the diameter and the planar Hausdorff distance
-read every body's cached extreme points (``extreme``).  A planar pair's
+The central symmetrization, the diameter and the Hausdorff distance of
+intervals and planar pairs read every body's cached extreme points
+(``extreme``), the far radius ``body.hull_points``.  A planar pair's
 Hausdorff distance takes two exact routes, each a fixed number of array
 operations over all vertices and edges, and they check each other.
 """
@@ -34,7 +35,7 @@ import numpy as np
 from . import lp
 from .body import (MAX_VERTEX_DIM, Ball, BodyError, Product, Sum, VPolytope,
                    _halved_differences, as_vector, dim, extreme_points, halfspaces,
-                   homothety, lp_encoding, support, support_many, vertex_candidates)
+                   homothety, hull_points, lp_encoding, support, support_many)
 
 # absolute forward-difference step of the direction search (scipy's default
 # for finite-difference gradients)
@@ -69,23 +70,6 @@ def width_dir(K, v) -> float:
     return support(K, v) + support(K, -v)
 
 
-def _exact_points(K):
-    """A finite generating point set for K when one can be had exactly."""
-    V = vertex_candidates(K)
-    if V is None and dim(K) == 1:
-        return _interval_points(K).reshape(2, 1)
-    return V
-
-
-def _extreme_points(K):
-    """K's cached extreme points (``extreme``), the two end points of any
-    one-dimensional body, or None."""
-    E = K.extreme
-    if E is None and dim(K) == 1:
-        return _interval_points(K).reshape(2, 1)
-    return E
-
-
 def central_symm(K):
     """Central symmetrization (K + (-K)) / 2, an origin-symmetric body.
 
@@ -98,7 +82,7 @@ def central_symm(K):
     if isinstance(K, Ball):
         return Ball(np.zeros(dim(K)), K.radius)
     if dim(K) <= MAX_VERTEX_DIM:
-        V = _extreme_points(K)
+        V = K.extreme
         if V is not None:
             return VPolytope(extreme_points(_halved_differences(V)))
     return Sum((homothety(K, 0.5), homothety(K, -0.5)))
@@ -385,7 +369,7 @@ def diameter(K) -> float:
         return 2.0 * K.radius
     if isinstance(K, Product):
         return float(np.sqrt(sum(diameter(f) ** 2 for f in K.factors)))
-    V = _extreme_points(K)
+    V = K.extreme
     if V is not None:
         D = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=2)
         return float(D.max())
@@ -397,16 +381,17 @@ def diameter(K) -> float:
 def far_radius(K) -> float:
     """sup of the euclidean norm over K: the reach from the origin.
 
-    Exact for vertex-accessible bodies (H-polytopes through their prepared
-    vertices), balls and products of such; for the rest the maximum of h
-    over unit directions is taken by multi-start search (a certified lower
-    bound).
+    Exact for balls, products of exact bodies, and every body with a
+    finite point set (``hull_points``: polytopes, H-polytopes through their
+    prepared vertices, and every one-dimensional body), whose largest norm
+    it is; for the rest the maximum of h over unit directions is taken by
+    multi-start search (a certified lower bound).
     """
     if isinstance(K, Ball):
         return float(np.linalg.norm(K.center)) + K.radius
     if isinstance(K, Product):
         return float(np.sqrt(sum(far_radius(f) ** 2 for f in K.factors)))
-    V = _exact_points(K)
+    V = hull_points(K)
     if V is not None:
         return float(np.max(np.linalg.norm(V, axis=1)))
     _, val, _ = _multistart_sphere(lambda U: support_many(K, U), _sphere_starts(dim(K), 4),
@@ -527,13 +512,7 @@ def hausdorff(K, M, n_dirs=4096, seed=0) -> HausdorffResult:
         v = float(np.linalg.norm(K.center - M.center)) + abs(K.radius - M.radius)
         return HausdorffResult(v, True)
     if dim(K) == 1:
-        try:
-            WK, WM = _interval_points(K), _interval_points(M)
-        except BodyError:
-            WK = WM = None
-        if WK is not None:
-            v = max(abs(WK[0] - WM[0]), abs(WK[1] - WM[1]))
-            return HausdorffResult(float(v), True)
+        return HausdorffResult(float(np.max(np.abs(K.extreme - M.extreme))), True)
     if dim(K) == 2:
         WK, WM = _planar_points(K), _planar_points(M)
         if WK is not None and WM is not None:
@@ -547,12 +526,6 @@ def hausdorff(K, M, n_dirs=4096, seed=0) -> HausdorffResult:
     dirs = sphere_dirs(dim(K), n_dirs, seed)
     best = np.max(np.abs(support_many(K, dirs) - support_many(M, dirs)))
     return HausdorffResult(float(best), False)
-
-
-def _interval_points(K):
-    lo = -support(K, -np.ones(1))
-    hi = support(K, np.ones(1))
-    return np.array([lo, hi])
 
 
 def chord_witness_dir(K, v):

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .body import (Ball, BodyError, Product, SupportOracle, as_vector,
-                   contains, dim, halfspaces, lp_encoding,
-                   rows_contain, vertex_candidates)
+                   contains, dim, halfspaces, hull_points, lp_encoding, rows_contain)
 from .gauge import _scaled_copies, alpha, facet_profile, t_many
 from .geometry import _clip_sections, _line_sections, _support_pm, sphere_dirs
 from .lp import LPStatus, NumericalError, solve
@@ -196,10 +195,10 @@ class RatioReport:
 def ratio_functionals(K, x, n_lines=64, seed=0):
     """Extrema of the chord ratios over a finite line family through x.
 
-    The family is every direction toward a vertex, every facet normal,
-    plus n_lines seeded random directions; lines missing the body are
-    skipped.  Fields outside their domain (mu for interior points; nu,
-    omega, gamma_sq for exterior ones) are None, as is everything when
+    The family is every direction toward a vertex (``hull_points``), every
+    facet normal, plus n_lines seeded random directions; lines missing the
+    body are skipped.  Fields outside their domain (mu for interior points;
+    nu, omega, gamma_sq for exterior ones) are None, as is everything when
     no admissible line is found.
     """
     if n_lines < 1:
@@ -211,7 +210,7 @@ def ratio_functionals(K, x, n_lines=64, seed=0):
     inside = contains(K, x) if hs is None else rows_contain(*hs, x)
 
     dirs = []
-    gens = vertex_candidates(K)
+    gens = hull_points(K)
     if gens is not None:
         W = gens - x
         n = np.linalg.norm(W, axis=1)

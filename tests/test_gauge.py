@@ -194,13 +194,16 @@ def test_level_set_above_one_builds_its_body_on_first_read(monkeypatch):
     LP = level_set(Product((K, M)), 2.5)
     assert LP.contains(np.r_[points[0], 0.5, -0.5]) == want[0]
     assert prunes == []
-    # the first read prunes the 81 vertex-pair points once; later reads reuse it
+    # the first read prunes the k^2 pair points of K's k extreme points once;
+    # later reads reuse it
+    E = K.extreme
+    k2 = len(E) ** 2
     B = L.body
-    assert prunes == [81] and L.body is B
-    pairs = (3.5 * K.vertices[:, None, :] - 1.5 * K.vertices[None, :, :]) / 2.0
+    assert prunes == [k2] and L.body is B
+    pairs = (3.5 * E[:, None, :] - 1.5 * E[None, :, :]) / 2.0
     npt.assert_array_equal(B.vertices, prune(pairs.reshape(-1, 3)))
     assert isinstance(LP.body, Product) and LP.body is LP.body
-    assert prunes == [81, 81, 16]   # K's pairs again, then the square's
+    assert prunes == [k2, k2, 16]   # K's pairs again, then the square's
     assert [f.vertices.shape[0] for f in LP.body.factors] == [len(B.vertices), 4]
 
 

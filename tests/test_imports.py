@@ -56,3 +56,19 @@ def test_scipy_optimize_only_gives_linprog_to_lp():
                 found.append((path.name, "scipy.optimize"))
     assert [f for f in found if f[1].startswith("scipy.optimize")] == [
         ("lp.py", "scipy.optimize._highspy._core")]
+
+
+def test_only_body_imports_scipy_spatial():
+    # Qhull stays in one module: every other module takes a body's point set
+    # from its cached ``extreme`` and its rows from ``halfspaces``
+    found = set()
+    for path in sorted((ROOT / "src" / "minkgauge").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            found |= {path.name for n in names if n.startswith("scipy.spatial")}
+    assert found == {"body.py"}

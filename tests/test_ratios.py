@@ -366,9 +366,10 @@ def test_more_lines_tighten_the_interior_report(pair, seed):
 
 def _ratios_by_chord(K, x, n_lines, seed):
     # the per-line loop that ratio_functionals replaced: the same direction
-    # family, one public chord call per line; one row of ratios per chord
+    # family (toward every extreme point, along every facet normal, then the
+    # seeded sweep), one public chord call per line; one row of ratios per chord
     dirs = []
-    for u in vertex_candidates(K):
+    for u in K.extreme:
         if np.linalg.norm(u - x) > 1e-12:
             dirs.append((u - x) / np.linalg.norm(u - x))
     hs = halfspaces(K)
