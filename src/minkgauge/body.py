@@ -3,24 +3,23 @@
 A body is one of the variants below.  Polytopes carry an exact vertex or
 halfspace description, and H-polytopes prepare their vertices once, on
 first use; composite variants (sums and products) are evaluated lazily
-through recursion.  Vertex bodies (V-polytopes and polytopal sums) in
-dimensions 2 to MAX_VERTEX_DIM get their facet rows and their extreme
-points from one Qhull hull of their vertex candidates, so every polytope
-there has both descriptions.  Every body is frozen and keeps what depends
-only on it (``_Prepared``), built once on first use and read-only: its
-extreme points, its facet rows and facet profile, the facet rows of its
-central symmetrization (``symm_rows``) with their profile, and the optimum
-of its symmetry LP.  The extreme points (``extreme``) are the one finite
-point set that stands for a body wherever one is needed: the two end
-points of every one-dimensional body, the cartesian product of the
-factors' for a product.  The rows answer the gauge, the widths and the
+through recursion.  Vertex bodies (V-polytopes and polytopal sums) up to
+MAX_VERTEX_DIM get their facet rows and exact extreme points from one hull
+of their vertex candidates (``_hull``, the one place that calls Qhull), so
+every polytope there has both descriptions.  Every body is frozen and
+keeps what depends only on it (``_Prepared``), built once on first use and
+read-only: its extreme points, its facet rows and facet profile, its
+central symmetrization C (``symm_body``) with C's rows and their profile,
+and the optimum of its symmetry LP.  The extreme points (``extreme``) are
+the one finite point set that stands for a body wherever one is needed:
+the two end points of every one-dimensional body, the cartesian product of
+the factors' for a product.  The rows answer the gauge, the widths and the
 maximal chords of polytopes in dimensions 1 to MAX_VERTEX_DIM, so a reused
-body builds no hull after its first query.  Qhull is called from this
-module only.  ``SupportOracle`` wraps a
+body builds no hull after its first query.  ``SupportOracle`` wraps a
 black-box support function for bodies with no finite description, and
 every routine that has to fall back to sampling on such a body says so in
-its result.  The image
-of a body under x -> s x + z (``homothety``) is again a body of its kind.
+its result.  The image of a body under x -> s x + z (``homothety``) is
+again a body of its kind.
 
 Conventions used throughout the package:
 
@@ -67,15 +66,15 @@ class _Prepared:
     that raises is not cached and raises again on the next read.
 
     ``halfspaces`` and ``gauge.facet_profile`` return ``facet_rows`` and
-    ``profile``; the gauge outside K, level membership above 1, widths and
-    maximal chords read ``symm_rows`` and ``symm_profile``; ``alpha_inf``
-    and the emptiness rule of ``gauge.level_set`` read ``symmetry``.
-    Every reader of a finite point set for K reads ``extreme``: the
-    difference-body rows, the LPs, the level body above 1, ``centroid``,
-    ``central_symm``, ``diameter`` and the planar routes; the far radius,
-    chord directions and Chebyshev samples through ``hull_points``.  A
-    V-polytope or polytopal sum gets its facet rows and its extreme points
-    from one hull (``_candidate_hull``).
+    ``profile``; ``geometry.central_symm`` returns ``symm_body``, whose
+    rows the gauge outside K, level membership above 1, widths and maximal
+    chords read (``symm_rows``, ``symm_profile``); ``alpha_inf`` and the
+    emptiness rule of ``gauge.level_set`` read ``symmetry``.  Every reader
+    of a finite point set for K reads ``extreme``: C, the LPs, the level
+    body above 1, ``centroid``, ``diameter`` and the planar routes; the far
+    radius, chord directions and Chebyshev samples through ``hull_points``.
+    A vertex body gets its rows and extreme points from one ``_hull`` of
+    its candidates (``_candidate_hull``), preset by ``_hull_body``.
     """
 
     @cached_property
@@ -94,12 +93,15 @@ class _Prepared:
         return _facet_profile(self)
 
     @cached_property
-    def symm_rows(self):
-        """Facet rows (A, b) of the central symmetrization C = (K - K)/2, or None.
+    def symm_body(self):
+        """The central symmetrization C = (K - K)/2 as a body (``_symm_body``)."""
+        return _symm_body(self)
 
-        Built on first use by ``_symm_rows`` and kept read-only.
-        """
-        return _symm_rows(self)
+    @cached_property
+    def symm_rows(self):
+        """C's facet rows (A, b), or None where C (``symm_body``) is no ``_hull_body``."""
+        C = self.symm_body
+        return C.facet_rows if isinstance(C, VPolytope) else None
 
     @cached_property
     def symm_profile(self):
@@ -118,8 +120,13 @@ class _Prepared:
 
     @cached_property
     def _candidate_hull(self):
-        """(facet rows, extreme points) of a vertex body (``_candidate_hull``)."""
-        return _candidate_hull(self)
+        """(facet rows, read-only extreme points) of ``_hull`` of a vertex
+        body's candidates, or None without candidates."""
+        V = vertex_candidates(self)
+        if V is None:
+            return None
+        rows, E = _hull(V)
+        return rows, _readonly(E)
 
 
 def _readonly(*arrays):
@@ -133,6 +140,9 @@ def _readonly(*arrays):
 # count of a V-polytope like n^(d/2) in its number n of vertices
 MAX_VERTEX_DIM = 4
 VERTEX_TOL = 1e-9      # A v <= b slack of a prepared vertex, relative
+# least eigenvalue, relative to the largest, of the Gram matrix of a vertex's tight
+# normals (``_hull``): rounding leaves ~1e-16, Gaussian vertices in R^5-R^7 >= 3e-11
+RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,11 +450,10 @@ def hull2d(points):
     P = np.unique(P, axis=0)
     if P.shape[0] < 3:
         raise BodyError("needs at least 3 distinct points")
-    try:
-        h = ConvexHull(P)
-    except QhullError as exc:
-        raise BodyError(f"degenerate planar point set: {exc}") from exc
-    return P[h.vertices]          # Qhull orders 2-d hull vertices CCW
+    rows, W = _hull(P)
+    if rows is None:
+        raise BodyError("degenerate planar point set")
+    return W
 
 
 def _affine_rank(P, tol=1e-9):
@@ -459,16 +468,61 @@ def _affine_rank(P, tol=1e-9):
 def extreme_points(V):
     """The extreme points of a finite point set, as a new (k, d) array.
 
-    Qhull's hull vertices (counterclockwise in the plane); the two end
-    points in dimension one; every distinct point of a set Qhull calls flat.
+    Those of ``_hull`` of its distinct points: the two end points in
+    dimension one, counterclockwise in the plane, sorted rows above it, and
+    every distinct point of a set Qhull calls flat.
     """
-    V = np.unique(V, axis=0)
-    if V.shape[1] == 1:
-        return V[[0, -1]] if len(V) > 1 else V      # unique rows are sorted
+    return _hull(np.unique(V, axis=0))[1]
+
+
+def _hull(V):
+    """(facet rows, extreme points) of conv V: the package's one Qhull entry.
+
+    The rows (A, b), read-only, have unit outward normals and tight b, one
+    per facet; None for flat sets and above MAX_VERTEX_DIM.  The extreme
+    points, a new array, are the end points in dimension one, sorted rows
+    above it but counterclockwise in the plane, and every distinct point of
+    a set Qhull calls flat.  From d = 5 on a hull vertex stays only where
+    its tight facet normals have rank d (Schrijver, Theory of Linear and
+    Integer Programming, 1986, ch. 8).
+    """
+    d = V.shape[1]
+    if d == 1:
+        E = np.unique(V[[np.argmin(V), np.argmax(V)]], axis=0)
+        rows = np.array([[1.0], [-1.0]]), np.array([E[-1, 0], -E[0, 0]])
+        return (_readonly(*rows) if len(E) == 2 else None), E
     try:
-        return V[ConvexHull(V).vertices]
+        H = ConvexHull(V)
     except QhullError:
-        return V
+        return None, np.unique(V, axis=0)
+    E = V[H.vertices]
+    # Qhull's rows n.x + c <= 0 have unit outward normals and tight b = -c; the
+    # triangulated output repeats a facet once per simplex: rounding merges the
+    # copies, and a stable lexsort keeps the first of each, as np.unique would
+    R = np.round(H.equations, 10)
+    order = np.lexsort(R.T[::-1])
+    Eq = H.equations[np.sort(order[np.r_[True, np.any(np.diff(R[order], axis=0), axis=1)]])]
+    A, b = Eq[:, :-1], -Eq[:, -1]
+    if d >= 5:
+        # scipy runs Qhull with Qx from d = 5, whose merged facets keep the
+        # points inside them as vertices: at those, sum a a^T over tight a is singular
+        tight = np.abs(E @ A.T - b) <= VERTEX_TOL * max(1.0, float(np.max(np.abs(E))))
+        G = tight.astype(float) @ (A[:, :, None] * A[:, None, :]).reshape(len(A), d * d)
+        w = np.linalg.eigvalsh(G.reshape(-1, d, d))
+        E = E[w[:, 0] > RANK_TOL * w[:, -1]]
+    if d > 2:
+        # Qhull lists each vertex once, so sorting gives np.unique's sorted rows
+        E = E[np.lexsort(E.T[::-1])]
+    return (_readonly(A, b) if d <= MAX_VERTEX_DIM else None), E
+
+
+def _hull_body(P):
+    """conv P as the V-polytope of its extreme points, from one ``_hull``
+    whose rows and extreme points it keeps (``_candidate_hull``)."""
+    rows, E = _hull(P)
+    K = VPolytope(E)
+    K.__dict__["_candidate_hull"] = rows, K.vertices
+    return K
 
 
 def vertex_candidates(K):
@@ -512,23 +566,14 @@ def _cartesian(parts):
     return acc
 
 
-def _interval_halfspaces(V):
-    lo, hi = float(np.min(V)), float(np.max(V))
-    if hi - lo <= 0:
-        raise BodyError("interval body has no interior")
-    return np.array([[1.0], [-1.0]]), np.array([hi, -lo])
-
-
 def halfspaces(K):
     """Halfspace rows (A, b) of K, or None when unavailable.
 
     H-polytopes return their own read-only rows and products stack their
     factors' rows.  Vertex bodies (V-polytopes and sums of polytopes) take
-    the facets of the hull of their vertex candidates: the two end points
-    in dimension one, Qhull's facet rows (unit normals, tight b) in
-    dimensions 2 to MAX_VERTEX_DIM.  A flat candidate set, and anything
-    above that dimension, has None.  The rows are built on the first call
-    and cached on the body (``facet_rows``), read-only.
+    the facet rows (unit normals, tight b) of ``_hull`` of their vertex
+    candidates up to MAX_VERTEX_DIM; a flat candidate set, and anything
+    above, has None.  The rows are cached on the body (``facet_rows``).
     """
     return K.facet_rows
 
@@ -552,42 +597,8 @@ def _facet_rows(K):
         return _readonly(np.vstack(rows_A), np.concatenate(rows_b))
     if not isinstance(K, (VPolytope, Sum)) or dim(K) > MAX_VERTEX_DIM:
         return None
-    if dim(K) == 1:
-        V = vertex_candidates(K)
-        return None if V is None else _readonly(*_interval_halfspaces(V))
     hull = K._candidate_hull
     return None if hull is None else hull[0]
-
-
-def _candidate_hull(K):
-    """(facet rows, extreme points) of a V-polytope or polytopal sum in
-    dimension two or more, from one Qhull hull of its vertex candidates.
-
-    The rows are Qhull's, deduplicated, and None above MAX_VERTEX_DIM and
-    for flat sets (whose extreme points are all their distinct points).  The
-    extreme points come in ``extreme_points`` order: counterclockwise in the
-    plane, sorted rows above it.  None for bodies without candidates.
-    """
-    V = vertex_candidates(K)
-    if V is None:
-        return None
-    try:
-        H = ConvexHull(V)
-    except QhullError:
-        return None, _readonly(np.unique(V, axis=0))
-    E = V[H.vertices]
-    if V.shape[1] > 2:
-        E = np.unique(E, axis=0)
-    rows = None
-    if V.shape[1] <= MAX_VERTEX_DIM:
-        # Qhull's rows n.x + c <= 0 have unit outward normals and pass through
-        # their facet's vertices, so b = -c is tight; the triangulated output
-        # repeats a facet once per simplex, and rounding merges the copies
-        Eq = H.equations
-        _, keep = np.unique(np.round(Eq, 10), axis=0, return_index=True)
-        Eq = Eq[np.sort(keep)]
-        rows = _readonly(Eq[:, :-1], -Eq[:, -1])
-    return rows, _readonly(E)
 
 
 def _extreme(K):
@@ -662,20 +673,20 @@ def _halved_differences(V):
     return (V[:, None, :] - V[None, :, :]).reshape(-1, V.shape[1]) / 2.0
 
 
-def _symm_rows(K):
-    """Facet rows of C = (K - K)/2 for ``symm_rows``: unit normals, tight b.
+def _symm_body(K):
+    """C = (K - K)/2 for ``symm_body``: origin-symmetric, h(C, u) = w(K, u)/2.
 
-    C is origin-symmetric with h(C, u) = w(K, u) / 2.  Up to MAX_VERTEX_DIM
-    its rows are those of the halved differences of K's extreme points
-    (``extreme``; C's extreme points are among them).  None for bodies
-    without vertex access, above that dimension, and for flat sets.
+    Up to MAX_VERTEX_DIM, a body with extreme points has the ``_hull_body``
+    of their k^2 halved differences, C's rows and points from one hull.
+    Above it, where that hull grows like n^(d/2), and without extreme
+    points, C is the sum of the two halves.
     """
-    if dim(K) > MAX_VERTEX_DIM:
-        return None
-    V = K.extreme
+    if isinstance(K, Ball):
+        return Ball(np.zeros(dim(K)), K.radius)
+    V = K.extreme if dim(K) <= MAX_VERTEX_DIM else None
     if V is None:
-        return None
-    return halfspaces(VPolytope(_halved_differences(V)))
+        return Sum((homothety(K, 0.5), homothety(K, -0.5)))
+    return _hull_body(_halved_differences(V))
 
 
 # ---------------------------------------------------------------------------

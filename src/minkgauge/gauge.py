@@ -40,7 +40,7 @@ import numpy as np
 
 from . import lp
 from .body import (Ball, BodyError, HPolytope, Product, SupportOracle, VPolytope,
-                   as_vector, dim, extreme_points, lp_encoding, support, vertex_candidates)
+                   _hull_body, as_vector, dim, lp_encoding, support, vertex_candidates)
 from .geometry import _multistart_sphere, _support_pm, sphere_dirs
 
 T_MEMBER_TOL = 1e-9
@@ -345,8 +345,8 @@ def level_set(K, lam) -> LevelSet:
     alpha_inf, and for bodies whose symmetry LP fails, a Chebyshev LP of
     the eroded rows does.  lam > 1 builds the sum form from the k^2 pairs
     of K's k cached extreme points (``extreme``), the vertices of the sum
-    being among them, and keeps the extreme points of those.  That body,
-    and a product's, is built when ``body`` is first read.
+    being among them, with its extreme points and rows from one hull
+    (``body._hull_body``).  It, and a product's, is built on first read.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError("level must be a finite nonnegative number")
@@ -385,7 +385,8 @@ def level_set(K, lam) -> LevelSet:
 
     def build():
         pairs = ((1.0 + lam) * V[:, None, :] - (lam - 1.0) * V[None, :, :]) / 2.0
-        return VPolytope(extreme_points(pairs.reshape(-1, V.shape[1])))
+        # its vertices are extreme_points(pairs), in that order
+        return _hull_body(np.unique(pairs.reshape(-1, V.shape[1]), axis=0))
     return LevelSet(lam, None, False, K, build=build)
 
 

@@ -19,9 +19,9 @@ every accepted step (a retraction, as in Absil, Mahony & Sepulchre,
 Optimization Algorithms on Matrix Manifolds, 2008).  Each iteration is one
 call on the trial points and their d forward-difference neighbours.
 
-The central symmetrization, the diameter and the Hausdorff distance of
-intervals and planar pairs read every body's cached extreme points
-(``extreme``), the far radius ``body.hull_points``.  A planar pair's
+The diameter and the Hausdorff distance of intervals and planar pairs read
+every body's cached extreme points (``extreme``), the far radius
+``body.hull_points``.  A planar pair's
 Hausdorff distance takes two exact routes, each a fixed number of array
 operations over all vertices and edges, and they check each other.
 """
@@ -33,9 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lp
-from .body import (MAX_VERTEX_DIM, Ball, BodyError, Product, Sum, VPolytope,
-                   _halved_differences, as_vector, dim, extreme_points, halfspaces,
-                   homothety, hull_points, lp_encoding, support, support_many)
+from .body import (Ball, BodyError, Product, as_vector, dim, halfspaces, hull_points,
+                   lp_encoding, support, support_many)
 
 # absolute forward-difference step of the direction search (scipy's default
 # for finite-difference gradients)
@@ -71,21 +70,9 @@ def width_dir(K, v) -> float:
 
 
 def central_symm(K):
-    """Central symmetrization (K + (-K)) / 2, an origin-symmetric body.
-
-    Bodies with vertex access in dimension at most MAX_VERTEX_DIM give the
-    extreme points of the halved differences of their k cached extreme
-    points, one hull of k^2 points.  Above it, where no facet rows are
-    built, C stays the sum of the two halves, as for bodies without exact
-    points: the Qhull prune there costs seconds from R^7 on.
-    """
-    if isinstance(K, Ball):
-        return Ball(np.zeros(dim(K)), K.radius)
-    if dim(K) <= MAX_VERTEX_DIM:
-        V = K.extreme
-        if V is not None:
-            return VPolytope(extreme_points(_halved_differences(V)))
-    return Sum((homothety(K, 0.5), homothety(K, -0.5)))
+    """Central symmetrization (K + (-K)) / 2, an origin-symmetric body: the
+    one K caches (``symm_body``), whose facet rows are K's ``symm_rows``."""
+    return K.symm_body
 
 
 def sphere_dirs(d, n, seed=0):

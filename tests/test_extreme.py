@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from minkgauge import (Ball, HPolytope, SupportOracle, VPolytope, central_symm, centroid,
-                       diameter, far_radius, gauge, hausdorff, level_set, make_box)
+                       diameter, far_radius, hausdorff, level_set, make_box)
 from minkgauge.body import (MAX_VERTEX_DIM, Product, Sum, extreme_points, hull_points,
                             vertex_candidates)
 from minkgauge.cheb import _body_samples
@@ -176,19 +176,17 @@ def _sum_12_12():
     return Sum((VPolytope(rng.normal(size=(12, 3))), VPolytope(0.6 * rng.normal(size=(12, 3)))))
 
 
-def test_level_body_above_one_prunes_the_extreme_pairs(monkeypatch):
+def test_level_body_above_one_prunes_the_extreme_pairs(qhull_calls):
     S = _sum_12_12()
     V = vertex_candidates(S)
     k = len(S.extreme)
     assert len(V) == 144 and k <= 35
     pairs = (3.0 * V[:, None, :] - V[None, :, :]) / 2.0
     want = extreme_points(pairs.reshape(-1, 3))
-    prunes = []
-    prune = gauge.extreme_points
-    monkeypatch.setattr(gauge, "extreme_points", lambda P: prunes.append(len(P)) or prune(P))
+    qhull_calls.clear()
     B = level_set(S, 2.0).body
     # k^2 pair points of the extreme points, not the 20,736 of all candidates
-    assert prunes == [k * k]
+    assert qhull_calls == [k * k]
     assert _as_set(B.vertices) == _as_set(want)
 
 

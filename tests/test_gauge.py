@@ -15,8 +15,8 @@ from minkgauge import (Ball, BodyError, VPolytope, alpha, alpha_inf, beta,
                        make_weighted_l2_ball, max_chord, random_polygon, rho,
                        sphere_dirs, support, support_many, t_func, t_many, validate)
 from minkgauge import body, gauge
-from minkgauge.body import (Product, Sum, encoding_feasible, halfspaces, interior_point,
-                            lp_encoding, vertex_candidates)
+from minkgauge.body import (Product, Sum, encoding_feasible, extreme_points, halfspaces,
+                            interior_point, lp_encoding, vertex_candidates)
 from minkgauge.gauge import _alpha_lp
 
 from conftest import (counted_oracle, polygons, polygons_with_exterior, polygons_with_interior,
@@ -180,30 +180,30 @@ def test_level_set_above_one_keeps_extreme_points():
         assert sorted(map(tuple, L.body.vertices)) == sorted(map(tuple, 2.0 * corners))
 
 
-def test_level_set_above_one_builds_its_body_on_first_read(monkeypatch):
+def test_level_set_above_one_builds_its_body_on_first_read(qhull_calls):
     rng = np.random.default_rng(4)
     K = VPolytope(rng.normal(size=(9, 3)))
     M = make_box(-np.ones(2), np.ones(2))
     points = [rng.normal(size=3) * s for s in (0.5, 2.0, 4.0)]
     want = [alpha(K, x).alpha <= 2.5 for x in points]
-    prunes = []
-    prune = gauge.extreme_points
-    monkeypatch.setattr(gauge, "extreme_points", lambda P: prunes.append(len(P)) or prune(P))
+    E = K.extreme
+    M.symm_rows                     # the square's hulls, read by the product's membership
+    qhull_calls.clear()
     L = level_set(K, 2.5)
     assert [L.contains(x) for x in points] == want
     LP = level_set(Product((K, M)), 2.5)
     assert LP.contains(np.r_[points[0], 0.5, -0.5]) == want[0]
-    assert prunes == []
-    # the first read prunes the k^2 pair points of K's k extreme points once;
+    assert qhull_calls == []
+    # the first read hulls the k^2 pair points of K's k extreme points once;
     # later reads reuse it
-    E = K.extreme
     k2 = len(E) ** 2
     B = L.body
-    assert prunes == [k2] and L.body is B
+    assert qhull_calls == [k2] and L.body is B
     pairs = (3.5 * E[:, None, :] - 1.5 * E[None, :, :]) / 2.0
-    npt.assert_array_equal(B.vertices, prune(pairs.reshape(-1, 3)))
+    npt.assert_array_equal(B.vertices, extreme_points(pairs.reshape(-1, 3)))
+    qhull_calls.clear()
     assert isinstance(LP.body, Product) and LP.body is LP.body
-    assert prunes == [k2, k2, 16]   # K's pairs again, then the square's
+    assert qhull_calls == [k2, 16]   # K's pairs again, then the square's
     assert [f.vertices.shape[0] for f in LP.body.factors] == [len(B.vertices), 4]
 
 

@@ -72,3 +72,26 @@ def test_only_body_imports_scipy_spatial():
                 continue
             found |= {path.name for n in names if n.startswith("scipy.spatial")}
     assert found == {"body.py"}
+
+
+def test_one_qhull_entry_and_one_reader_of_the_vertex_gate():
+    # ``body._hull`` is the one place that builds a convex hull, and the
+    # dimension gate of the facet rows is read in ``body`` only; docstrings
+    # may name it
+    tree = ast.parse((ROOT / "src" / "minkgauge" / "body.py").read_text())
+
+    def calls(node, name):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id == name]
+    hull_fn = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_hull"]
+    assert len(hull_fn) == 1
+    assert len(calls(tree, "ConvexHull")) == len(calls(hull_fn[0], "ConvexHull")) == 1
+    assert len(calls(tree, "HalfspaceIntersection")) == 1
+    readers = set()
+    for path in sorted((ROOT / "src" / "minkgauge").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Name) and node.id == "MAX_VERTEX_DIM"
+                    or isinstance(node, ast.Attribute) and node.attr == "MAX_VERTEX_DIM"
+                    or isinstance(node, ast.alias) and node.name == "MAX_VERTEX_DIM"):
+                readers.add(path.name)
+    assert readers == {"body.py"}
