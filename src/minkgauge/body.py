@@ -140,9 +140,6 @@ def _readonly(*arrays):
 # count of a V-polytope like n^(d/2) in its number n of vertices
 MAX_VERTEX_DIM = 4
 VERTEX_TOL = 1e-9      # A v <= b slack of a prepared vertex, relative
-# least eigenvalue, relative to the largest, of the Gram matrix of a vertex's tight
-# normals (``_hull``): rounding leaves ~1e-16, Gaussian vertices in R^5-R^7 >= 3e-11
-RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,9 +479,10 @@ def _hull(V):
     per facet; None for flat sets and above MAX_VERTEX_DIM.  The extreme
     points, a new array, are the end points in dimension one, sorted rows
     above it but counterclockwise in the plane, and every distinct point of
-    a set Qhull calls flat.  From d = 5 on a hull vertex stays only where
-    its tight facet normals have rank d (Schrijver, Theory of Linear and
-    Integer Programming, 1986, ch. 8).
+    a set Qhull calls flat.  From d = 5 on a hull vertex is dropped where
+    another one is tight at every facet tight at it and at more: it then
+    lies inside a face of dimension one or more, while the facets tight at
+    a vertex meet in that vertex alone.
     """
     d = V.shape[1]
     if d == 1:
@@ -496,23 +494,22 @@ def _hull(V):
     except QhullError:
         return None, np.unique(V, axis=0)
     E = V[H.vertices]
-    # Qhull's rows n.x + c <= 0 have unit outward normals and tight b = -c; the
-    # triangulated output repeats a facet once per simplex: rounding merges the
-    # copies, and a stable lexsort keeps the first of each, as np.unique would
-    R = np.round(H.equations, 10)
-    order = np.lexsort(R.T[::-1])
-    Eq = H.equations[np.sort(order[np.r_[True, np.any(np.diff(R[order], axis=0), axis=1)]])]
+    if d > 2:
+        E = np.unique(E, axis=0)
+    # Qhull's rows n.x + c <= 0 have unit outward normals and pass through
+    # their facet's vertices, so b = -c is tight; the triangulated output
+    # repeats a facet once per simplex, and rounding merges the copies
+    Eq = H.equations
+    _, keep = np.unique(np.round(Eq, 10), axis=0, return_index=True)
+    Eq = Eq[np.sort(keep)]
     A, b = Eq[:, :-1], -Eq[:, -1]
     if d >= 5:
         # scipy runs Qhull with Qx from d = 5, whose merged facets keep the
-        # points inside them as vertices: at those, sum a a^T over tight a is singular
-        tight = np.abs(E @ A.T - b) <= VERTEX_TOL * max(1.0, float(np.max(np.abs(E))))
-        G = tight.astype(float) @ (A[:, :, None] * A[:, None, :]).reshape(len(A), d * d)
-        w = np.linalg.eigvalsh(G.reshape(-1, d, d))
-        E = E[w[:, 0] > RANK_TOL * w[:, -1]]
-    if d > 2:
-        # Qhull lists each vertex once, so sorting gives np.unique's sorted rows
-        E = E[np.lexsort(E.T[::-1])]
+        # points inside them as vertices; C[p, q] counts the facets tight at both
+        T = (np.abs(E @ A.T - b) <= VERTEX_TOL * max(1.0, float(np.max(np.abs(E))))).astype(float)
+        C = T @ T.T
+        n = np.diag(C)
+        E = E[~np.any((C == n[:, None]) & (n[None, :] > n[:, None]), axis=1)]
     return (_readonly(A, b) if d <= MAX_VERTEX_DIM else None), E
 
 
@@ -676,7 +673,8 @@ def _halved_differences(V):
 def _symm_body(K):
     """C = (K - K)/2 for ``symm_body``: origin-symmetric, h(C, u) = w(K, u)/2.
 
-    Up to MAX_VERTEX_DIM, a body with extreme points has the ``_hull_body``
+    A ball's C is the origin ball, in every dimension, with no rows.  Up to
+    MAX_VERTEX_DIM, another body with extreme points has the ``_hull_body``
     of their k^2 halved differences, C's rows and points from one hull.
     Above it, where that hull grows like n^(d/2), and without extreme
     points, C is the sum of the two halves.

@@ -385,7 +385,7 @@ def level_set(K, lam) -> LevelSet:
 
     def build():
         pairs = ((1.0 + lam) * V[:, None, :] - (lam - 1.0) * V[None, :, :]) / 2.0
-        # its vertices are extreme_points(pairs), in that order
+        # distinct pairs, so the vertices come in extreme_points' order
         return _hull_body(np.unique(pairs.reshape(-1, V.shape[1]), axis=0))
     return LevelSet(lam, None, False, K, build=build)
 

@@ -124,6 +124,15 @@ def test_extreme_points_of_the_r7_grids_are_their_corners(name):
     _assert_no_redundant_point(E)
 
 
+@pytest.mark.parametrize("scale", [1e-2, 1e-6])
+def test_hull_keeps_every_vertex_of_a_squashed_set(scale):
+    # being a vertex survives affine maps: squashing one axis keeps them all
+    V = np.random.default_rng(0).normal(size=(40, 5)) * [1.0, 1.0, 1.0, 1.0, scale]
+    kept = set(map(tuple, _hull(V)[1].tolist()))
+    for i, p in enumerate(V):
+        assert (tuple(p.tolist()) in kept) == (not _in_hull(p, np.delete(V, i, axis=0)))
+
+
 # ---------------------------------------------------------------------------
 # a body built from a _hull result keeps its rows and extreme points
 
