@@ -1,12 +1,12 @@
 """Convex body representations and the operations that depend on them.
 
 A body is one of the variants below.  Polytopes carry an exact vertex or
-halfspace description, and H-polytopes prepare their vertices once, on
-first use; composite variants (sums and products) are evaluated lazily
-through recursion.  Vertex bodies (V-polytopes and polytopal sums) up to
-MAX_VERTEX_DIM get their facet rows and exact extreme points from one hull
-of their vertex candidates (``_hull``, the one place that calls Qhull), so
-every polytope there has both descriptions.  Every body is frozen and
+halfspace description; composite variants (sums and products) recurse.
+Vertex bodies (V-polytopes and polytopal sums) up to MAX_VERTEX_DIM get
+their facet rows and exact extreme points from one hull of their vertex
+candidates (``_hull``, the one place that calls Qhull), H-polytopes their
+vertices from one ``_hull`` of their polar points, so every polytope there
+has both descriptions.  Every body is frozen and
 keeps what depends only on it (``_Prepared``), built once on first use and
 read-only: its extreme points, its facet rows and facet profile, its
 central symmetrization C (``symm_body``) with C's rows and their profile,
@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+from scipy.spatial import ConvexHull, QhullError
 
 from . import lp
 
@@ -178,8 +178,10 @@ class HPolytope(_Prepared):
     def vertices(self):
         """Extreme points as a read-only (n, d) array, or None.
 
-        None when the system is empty, unbounded or flat, when Qhull fails,
-        and above MAX_VERTEX_DIM; such bodies keep the LP routes.
+        By polar duality about the Chebyshev centre c, they are c + n / beta
+        over the facet rows n.p <= beta of ``_hull`` of p_i = a_i / (b_i - a_i.c).
+        None when the system is empty, unbounded (a beta <= VERTEX_TOL max|p_i|)
+        or flat, when Qhull fails and above MAX_VERTEX_DIM: LP routes then.
         """
         return _halfspace_vertices(self)
 
@@ -205,17 +207,15 @@ def _halfspace_vertices(K):
             return None
         if r <= 1e-9:
             return None
-        try:
-            # Qhull's halfspace format is [A, -b] for A x - b <= 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                hs = HalfspaceIntersection(np.hstack([A, -b[:, None]]), c)
-            V = hs.intersections
-            # the system is bounded iff the origin is inside the dual hull
-            if not np.all(np.isfinite(V)) or np.any(hs.dual_equations[:, -1] >= 0):
-                return None
-        except QhullError:
+        # bounded iff every beta > 0; the floor on beta also keeps _hull's row
+        # rounding from merging nearly parallel facets
+        P = A / (b - A @ c)[:, None]
+        rows = _hull(P)[0]
+        if rows is None or np.any(rows[1] <= VERTEX_TOL * np.max(np.linalg.norm(P, axis=1))):
             return None
-        V = extreme_points(V)
+        n, beta = rows
+        V = c + n / beta[:, None]
+        V = V[np.argsort(np.arctan2(n[:, 1], n[:, 0]))] if d == 2 else np.unique(V, axis=0)
     slack = VERTEX_TOL * max(1.0, float(np.max(np.abs(V)))) * np.linalg.norm(A, axis=1)
     if np.any(A @ V.T > (b + slack)[:, None]):
         return None

@@ -39,28 +39,28 @@ def cheb_T(n, x):
         out = np.ones_like(t)
     else:
         s = np.sqrt(np.maximum(t * t - 1.0, 0.0))
-        out = np.where(np.abs(t) <= 1.0, np.cos(n * np.arccos(np.clip(t, -1.0, 1.0))),
-                       0.5 * ((t + s) ** n + (t - s) ** n))
+        with np.errstate(over="ignore"):
+            out = np.where(np.abs(t) <= 1.0, np.cos(n * np.arccos(np.clip(t, -1.0, 1.0))),
+                           0.5 * ((t + s) ** n + (t - s) ** n))
     return float(out) if out.ndim == 0 else out
 
 
 def cheb_T_prime(n, x):
-    """Derivative of T_n, stable in both regions."""
+    """Derivative of T_n, stable in both regions; inf beyond float range."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     x = float(x)
     if n == 0:
         return 0.0
-    if abs(x) < 1.0:
+    if abs(x) <= 1.0:
         th = np.arccos(x)
         sn = np.sin(th)
         if sn < 1e-8:
             return float(n * n * np.sign(x) ** (n + 1))
         return float(n * np.sin(n * th) / sn)
-    if abs(x) == 1.0:
-        return float(n * n * (np.sign(x) ** (n + 1)))
     s = np.sqrt(x * x - 1.0)
-    return float(n * ((x + s) ** n - (x - s) ** n) / (2.0 * s))
+    with np.errstate(over="ignore"):
+        return float(n * ((x + s) ** n - (x - s) ** n) / (2.0 * s))
 
 
 @dataclass
@@ -243,7 +243,7 @@ class LeadingGrowthReport:
 
 
 def leading_growth(K, v, n):
-    """Largest leading coefficient in direction v: 2^(2n-1) / tau(K, v)^n.
+    """Largest leading coefficient in direction v: (4 / tau(K, v))^n / 2.
 
     Where the central symmetrization has facet rows, the witness direction
     v* (the facet normal of the central symmetrization at the maximal-chord
@@ -257,7 +257,7 @@ def leading_growth(K, v, n):
     if not np.any(v):
         raise BodyError("direction must be nonzero")
     tau, wdir = _max_chord(K, v)
-    value = 2.0 ** (2 * n - 1) / tau ** n
+    value = 0.5 * (4.0 / float(tau)) ** n
     evaluator = None if wdir is None else _slab_evaluator(*_layer_coordinate(K, wdir), n)
     return LeadingGrowthReport(n, float(value), float(tau), wdir, evaluator)
 

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Bodies come in as JSON (a file path or an inline document starting with
-"{"), queries go out as JSON on stdout with 12 significant digits, grids
-as CSV.  Exit codes: 0 success, 2 bad input, 3 numerical failure.  Every
+"{"), queries go out as strict JSON on stdout with 12 significant digits,
+grids as CSV.  Exit codes: 0 success, 2 bad input, 3 numerical failure,
+a result beyond float range included.  Every
 sampled computation takes a seed and defaults are fixed, so identical
 invocations produce identical bytes.  Counts that size the work (directions,
 lines, samples, queries, degrees, grid rows) are capped by the MAX_*
@@ -19,18 +20,16 @@ import sys
 
 import numpy as np
 
-from .body import BodyError, dim, homothety
+from .body import BodyError, dim, homothety, support as support_fn
 from .cheb import (bernstein_bound, cheb_growth, cheb_T_prime, leading_growth,
                    poly_eval, poly_grad, t_polynomial)
 from .gauge import alpha, alpha_inf, level_set
 from .geometry import (central_symm, far_radius, global_width, hausdorff,
-                       max_chord, width_dir)
+                       max_chord, sphere_dirs, width_dir)
 from .lp import NumericalError
 from .ratios import (SAMPLING_SIDES, beta, brute_force_alpha, ratio_functionals,
                      rho)
 from .shapes import SchemaError, parse_body, serialize_body
-from .body import support as support_fn
-from .geometry import sphere_dirs
 
 
 # Caps on the work one invocation may ask for.  Sampled routes allocate
@@ -110,8 +109,9 @@ def _clean(obj):
     return obj
 
 
-def _emit(record, stream=None):
-    print(json.dumps(_clean(record), sort_keys=True), file=stream or sys.stdout)
+def _fail(kind, message, code):
+    print(json.dumps({"error": kind, "message": message}, sort_keys=True), file=sys.stderr)
+    return code
 
 
 def _serialize_or_describe(body):
@@ -284,16 +284,15 @@ def _cmd_grid(ns):
 
 
 def _cmd_experiment_deltabound(ns):
-    K = _load_body(ns.body)
     lams = (_vec(ns.lambdas, "--lambdas") if ns.lambdas
             else np.arange(0.1, 1.0, 0.1))
+    if not np.all((lams > 0.0) & (lams < 1.0)):
+        raise _UsageError("--lambdas entries must lie in (0, 1)")
+    K = _load_body(ns.body)
     C = central_symm(K)
     bound = far_radius(K) - 0.5 * global_width(K).value
     rows = []
-    for lam in lams:
-        lam = float(lam)
-        if not 0.0 < lam < 1.0:
-            raise _UsageError("--lambdas entries must lie in (0, 1)")
+    for lam in map(float, lams):
         ls = level_set(K, lam)
         if ls.empty:
             rows.append({"lambda": lam, "empty": True})
@@ -437,25 +436,23 @@ def run(argv):
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
     except _UsageError as exc:
-        _emit({"error": "input", "message": str(exc)}, sys.stderr)
-        return 2
+        return _fail("input", str(exc), 2)
     if getattr(ns, "handler", None) is None:
-        _emit({"error": "input", "message": "no subcommand given"}, sys.stderr)
-        return 2
+        return _fail("input", "no subcommand given", 2)
     try:
         record = ns.handler(ns)
     except (_UsageError, SchemaError, BodyError, ValueError) as exc:
-        _emit({"error": "input", "message": str(exc)}, sys.stderr)
-        return 2
-    except NumericalError as exc:
-        _emit({"error": "numerical", "message": str(exc)}, sys.stderr)
-        return 3
+        return _fail("input", str(exc), 2)
+    except (NumericalError, OverflowError) as exc:
+        return _fail("numerical", str(exc), 3)
     except Exception as exc:  # pragma: no cover - safety net
-        _emit({"error": "internal", "message": f"{type(exc).__name__}: {exc}"},
-              sys.stderr)
-        return 3
+        return _fail("internal", f"{type(exc).__name__}: {exc}", 3)
     if record is not None:
-        _emit(record)
+        try:
+            text = json.dumps(_clean(record), sort_keys=True, allow_nan=False)
+        except ValueError:
+            return _fail("numerical", "result beyond float range", 3)
+        print(text)
     return 0
 
 

@@ -80,11 +80,10 @@ class LevelSet:
             self._body, self._build = self._build(), None
         return self._body
 
-    def contains(self, x, tol=T_MEMBER_TOL):
+    def contains(self, x):
         if self.empty:
             return False
-        return _level_membership(self.source, as_vector(x, dim(self.source)),
-                                 self.lam, tol=tol)
+        return _level_membership(self.source, as_vector(x, dim(self.source)), self.lam)
 
 
 @dataclass
@@ -201,21 +200,22 @@ def _level_lp(K, x, lo, hi):
     return res, res.eq_duals[b_eq.size:].reshape(-1, x.size).sum(axis=0)
 
 
-def _level_membership(K, x, lam, tol=T_MEMBER_TOL):
+def _level_membership(K, x, lam):
     """Exact membership x in K^lam for polytopal bodies and balls.
 
-    alpha(K, x) <= lam + tol, decided on K's rows for lam <= 1 and on C's
-    rows above; bodies without those rows take the level-set LP.
+    alpha(K, x) <= lam + T_MEMBER_TOL, decided on K's rows for lam <= 1 and
+    on C's rows above; bodies without those rows take the level-set LP.
     """
     if lam < 0:
         return False
     if isinstance(K, Ball):
-        return float(np.linalg.norm(x - K.center)) <= lam * K.radius + tol * max(1.0, K.radius)
+        return (float(np.linalg.norm(x - K.center))
+                <= lam * K.radius + T_MEMBER_TOL * max(1.0, K.radius))
     if isinstance(K, Product):
         at = 0
         for f in K.factors:
             k = dim(f)
-            if not _level_membership(f, x[at:at + k], lam, tol):
+            if not _level_membership(f, x[at:at + k], lam):
                 return False
             at += k
         return True
@@ -224,12 +224,12 @@ def _level_membership(K, x, lam, tol=T_MEMBER_TOL):
     if lam <= 1.0:
         profile = facet_profile(K)
         if profile is not None:
-            return bool(np.max(_t_values(profile, x)) <= lam + tol)
+            return bool(np.max(_t_values(profile, x)) <= lam + T_MEMBER_TOL)
     else:
         profile = K.symm_profile
         if profile is not None:
-            return _facet_max(profile, x)[0] <= lam + tol
-    return _level_lp(K, x, lam + tol, lam + tol)[0].optimal
+            return _facet_max(profile, x)[0] <= lam + T_MEMBER_TOL
+    return _level_lp(K, x, lam + T_MEMBER_TOL, lam + T_MEMBER_TOL)[0].optimal
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,9 @@ SWEEP_MAX_ITER = 200
 # (Nocedal & Wright (3.6)) under which an accepted step counts as too short
 ARMIJO_C1 = 1e-4
 WOLFE_C2 = 0.9
+# starts and seed of the width search on bodies without rows of C
+WIDTH_STARTS = 64
+WIDTH_SEED = 0
 
 
 class WidthResult(NamedTuple):
@@ -316,7 +319,7 @@ def _swept_chord(K, v):
     return val
 
 
-def global_width(K, n_starts=64, seed=0) -> WidthResult:
+def global_width(K) -> WidthResult:
     """Minimal width over all directions, with the minimizing direction.
 
     Exact wherever the central symmetrization C has facet rows (every
@@ -340,8 +343,8 @@ def global_width(K, n_starts=64, seed=0) -> WidthResult:
     hs = halfspaces(K)
     if hs is not None:
         extra = hs[0]
-    v, val, _ = _multistart_sphere(lambda U: _widths(K, U), _sphere_starts(d, seed, extra),
-                                   sense="min", n_starts=n_starts)
+    v, val, _ = _multistart_sphere(lambda U: _widths(K, U), _sphere_starts(d, WIDTH_SEED, extra),
+                                   sense="min", n_starts=WIDTH_STARTS)
     return WidthResult(float(val), v, False)
 
 

@@ -158,8 +158,9 @@ def lp_solves(monkeypatch):
 @pytest.fixture
 def qhull_calls(monkeypatch):
     """List that grows by one entry per Qhull hull that ``minkgauge.body``
-    builds (extreme points, facet rows, planar hulls), the entry being the
-    number of points."""
+    builds (extreme points, facet rows, planar hulls, and the polar hull
+    that prepares an H-polytope's vertices), the entry being the number of
+    points."""
     calls = []
     hull = body.ConvexHull
 

@@ -5,6 +5,8 @@ homothety is tested by comparing its support values against the hand-expanded
 formula.
 """
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -257,6 +259,98 @@ def test_hpolytope_vertices_match_the_lp_route(d):
         assert np.all(K.A @ V.T <= (K.b + 1e-12 * norms)[:, None])
         for v in np.vstack([K.A, rng.normal(size=(16, d))]):
             npt.assert_allclose(support(K, v), _lp_support(K, v), rtol=1e-9, atol=1e-12)
+
+
+def _brute_vertices(A, b):
+    """Every feasible solution of d rows of A x = b: the vertices of the
+    system, a degenerate vertex once per basis that reaches it."""
+    d = A.shape[1]
+    S = np.array(list(itertools.combinations(range(len(A)), d)))
+    M, r = A[S], b[S]
+    ok = np.abs(np.linalg.det(M)) > 1e-12 * np.prod(np.linalg.norm(M, axis=2), axis=1)
+    X = np.linalg.solve(M[ok], r[ok][..., None])[..., 0]
+    scale = max(1.0, float(np.max(np.abs(X))))
+    return X[np.all(X @ A.T <= b + 1e-9 * scale * np.linalg.norm(A, axis=1), axis=1)]
+
+
+def _assert_same_vertex_set(V, W):
+    # each prepared vertex is distinct and is one of the brute-force points,
+    # and every brute-force point is a prepared vertex, within 1e-9 relative
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(W))))
+    gap = np.max(np.abs(V[:, None, :] - W[None, :, :]), axis=2)
+    assert np.all(gap.min(axis=1) <= tol) and np.all(gap.min(axis=0) <= tol)
+    own = np.max(np.abs(V[:, None, :] - V[None, :, :]), axis=2) + np.eye(len(V)) * 2 * tol
+    assert np.all(own > tol)
+
+
+def _seeded_systems():
+    """Seeded Gaussian systems in d = 2..4 with repeated and redundant rows,
+    the R^3 and R^4 cross-polytopes, whose vertices lie on 4 and 8 facets,
+    and boxes scaled from 1e-8 to 1e9."""
+    for d in (2, 3, 4):
+        rng = np.random.default_rng(40 + d)
+        for k in range(12):
+            A = rng.normal(size=(int(rng.integers(3, 16)), d))
+            b = rng.uniform(0.5, 2.0, len(A)) + A @ rng.uniform(-2.0, 2.0, d)
+            if k % 2:
+                A, b = np.vstack([A, A[:2], 2.0 * A[2:4]]), np.r_[b, b[:2], 2.0 * b[2:4] + 1.0]
+            yield f"gauss{d}-{k}", A, b
+        for e in range(-8, 10, 3):
+            yield f"box{d}-1e{e}", np.vstack([np.eye(d), -np.eye(d)]), np.full(2 * d, 10.0 ** e)
+    for d in (3, 4):
+        S = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+        yield f"cross{d}", S, np.ones(len(S))
+
+
+@pytest.mark.parametrize("name, A, b", list(_seeded_systems()), ids=lambda v: v if isinstance(v, str) else "")
+def test_hpolytope_vertices_are_the_brute_force_vertices(name, A, b):
+    K = HPolytope(A, b)
+    try:
+        validate(K)
+    except BodyError as e:
+        assert "unbounded" in str(e) and K.vertices is None
+        return
+    _assert_same_vertex_set(K.vertices, _brute_vertices(A, b))
+
+
+def _unbounded_systems(n=3000, seed=7):
+    """Systems in d = 2..4 with a recession direction u: every row has
+    a.u <= 0, and the first one a.u = 0."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        d = 2 + k % 3
+        u = rng.normal(size=d)
+        u /= np.linalg.norm(u)
+        A = rng.normal(size=(int(rng.integers(d + 1, 13)), d))
+        A -= np.maximum(A @ u, 0.0)[:, None] * u
+        A[0] -= (A[0] @ u) * u
+        yield A, rng.uniform(0.5, 2.0, len(A))
+
+
+def test_unbounded_hpolytopes_get_no_vertices():
+    # their vertices would lie 1e13 inradii or more from the centre, where
+    # the polar hull's facets pass within VERTEX_TOL of the origin
+    assert sum(HPolytope(A, b).vertices is not None for A, b in _unbounded_systems()) == 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_long_boxes_keep_vertices_up_to_aspect_1e8(d):
+    # [0, s] x [0, 1]^(d-1): 2^d vertices up to s = 1e8; from 1e10 on the
+    # polar facet at the far end fails the VERTEX_TOL floor, and support and
+    # alpha take the LP routes
+    for s in (1.0, 1e4, 1e8):
+        B = make_box(np.zeros(d), np.r_[s, np.ones(d - 1)])
+        assert B.vertices.shape == (2 ** d, d)
+    rng = np.random.default_rng(d)
+    for s in (1e10, 1e12):
+        B = make_box(np.zeros(d), np.r_[s, np.ones(d - 1)])
+        assert B.vertices is None
+        half = np.r_[s, np.ones(d - 1)] / 2.0
+        D = rng.normal(size=(8, d))
+        npt.assert_allclose(support_many(B, D), np.maximum(D, 0.0) @ (2.0 * half),
+                            rtol=1e-9, atol=1e-9)
+        for x in half + rng.uniform(-2.0, 2.0, size=(4, d)) * half:
+            npt.assert_allclose(alpha(B, x).alpha, np.max(np.abs(x - half) / half), rtol=1e-7)
 
 
 def test_hpolytope_without_vertices_keeps_lp_routes():

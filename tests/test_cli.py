@@ -187,6 +187,25 @@ def test_bernstein_command_reports_but_never_asserts_conjecture(capsys):
     assert "not asserted" in rec["conjecture_note"]
 
 
+def test_cheb_leading_within_float_range_is_exact(capsys):
+    # 2^(2n-1) / 2^n = 2^599 for the chord 2 of the square; 2^1199 would
+    # overflow on the way
+    rec = run_json(capsys, ["cheb-leading", "--body", SQUARE, "--dir", "1,0",
+                            "--degree", "600"])
+    assert rec["value"] == float(f"{2.0 ** 599:.12g}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cheb-leading", "--dir", "1,0", "--degree", "2000"],
+    ["cheb-growth", "--point", "3,0", "--degree", "700"],
+    ["bernstein", "--point", "0.1,0.1", "--degree", str(10 ** 400)],
+], ids=["cheb-leading", "cheb-growth", "bernstein"])
+def test_result_beyond_float_range_is_numerical_error(argv, capsys):
+    code, out, err = run_err(capsys, argv[:1] + ["--body", SQUARE] + argv[1:])
+    assert code == 3 and out == ""
+    assert err["error"] == "numerical"
+
+
 def test_grid_csv(capsys):
     code = run(["grid", "--body", SQUARE, "--low", "-1,-1", "--high", "1,1",
                 "--steps", "3"])
@@ -286,6 +305,14 @@ def test_experiment_deltabound_is_sub_unit_sweep(capsys):
                                     "--lambdas", "0.5,1.5"])
     assert code == 2
     assert err["error"] == "input"
+
+
+def test_experiment_deltabound_checks_lambdas_before_any_geometry(capsys, qhull_calls,
+                                                                  lp_solves):
+    code, out, err = run_err(capsys, ["experiment-deltabound", "--body", TRIANGLE,
+                                      "--lambdas", "0.5,2"])
+    assert code == 2 and out == "" and err["error"] == "input"
+    assert not qhull_calls and not lp_solves
 
 
 def test_experiment_conjecture_never_asserts(capsys):

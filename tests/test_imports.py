@@ -86,7 +86,11 @@ def test_one_qhull_entry_and_one_reader_of_the_vertex_gate():
     hull_fn = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_hull"]
     assert len(hull_fn) == 1
     assert len(calls(tree, "ConvexHull")) == len(calls(hull_fn[0], "ConvexHull")) == 1
-    assert len(calls(tree, "HalfspaceIntersection")) == 1
+    # H-polytope vertices come from the same entry, as the polar hull
+    assert not calls(tree, "HalfspaceIntersection")
+    spatial = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+               and n.module == "scipy.spatial"]
+    assert sorted(a.name for n in spatial for a in n.names) == ["ConvexHull", "QhullError"]
     readers = set()
     for path in sorted((ROOT / "src" / "minkgauge").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
