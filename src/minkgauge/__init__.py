@@ -11,13 +11,12 @@ The package computes, for a convex body K in R^d and a point x:
 
 from .body import (Ball, Body, BodyError, HPolytope, Product, Sum, SupportOracle,
                    VPolytope, contains, dim, homothety, hull2d, inscribed_ball,
-                   interior_point, support, support_many, validate,
+                   interior_point, sphere_dirs, support, support_many, validate,
                    vertex_candidates)
 from .lp import LPResult, LPStatus, NumericalError
 from .geometry import (HausdorffResult, WidthResult, central_symm,
                        chord_witness_dir, diameter, far_radius, global_width,
-                       hausdorff, max_chord, polygon_vertices, sphere_dirs,
-                       width_dir)
+                       hausdorff, max_chord, polygon_vertices, width_dir)
 from .gauge import (GaugeResult, LevelSet, SymmetryReport, alpha, alpha_inf,
                     centroid, level_set, t_func, t_many)
 from .ratios import (Chord, RatioReport, beta, brute_force_alpha, chord,

@@ -57,6 +57,37 @@ def as_vector(x, d=None):
     return v
 
 
+# the seeded direction families kept by sphere_dirs, one per (d, seed): a
+# family of more cells (n * d) than this is drawn fresh and not kept, and at
+# most this many are kept, the oldest dropped first (8 MB in all)
+DIRS_MAX_CELLS = 32768
+DIRS_MAX_FAMILIES = 32
+_DIRS = {}
+
+
+def sphere_dirs(d, n, seed=0):
+    """n pseudo-random unit directions; dirs(d, n, seed) is a prefix of dirs(d, 2n, seed).
+
+    The result is read-only and shared.  Each (d, seed) family is drawn
+    once per process and kept, the longest drawn so far, and a request
+    returns its first n rows, the same bits as a fresh draw of n.
+    """
+    key = (d, seed)
+    U = _DIRS.get(key)
+    if U is None or len(U) < n:
+        U = np.random.default_rng(seed).normal(size=(n, d))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        U.setflags(write=False)
+        if n * d <= DIRS_MAX_CELLS:
+            # threads that miss at once each draw the same bits, and no
+            # step here raises when another thread has changed the store
+            _DIRS.pop(key, None)
+            _DIRS[key] = U
+            if len(_DIRS) > DIRS_MAX_FAMILIES:
+                _DIRS.pop(next(iter(_DIRS)), None)
+    return U[:n]
+
+
 class _Prepared:
     """Derived data cached on a body, which is immutable once built.
 
@@ -181,7 +212,8 @@ class HPolytope(_Prepared):
         By polar duality about the Chebyshev centre c, they are c + n / beta
         over the facet rows n.p <= beta of ``_hull`` of p_i = a_i / (b_i - a_i.c).
         None when the system is empty, unbounded (a beta <= VERTEX_TOL max|p_i|)
-        or flat, when Qhull fails and above MAX_VERTEX_DIM: LP routes then.
+        or flat (an inradius at most 1e-9 of the vertices' largest coordinate
+        extent), when Qhull fails and above MAX_VERTEX_DIM: LP routes then.
         """
         return _halfspace_vertices(self)
 
@@ -205,7 +237,7 @@ def _halfspace_vertices(K):
             c, r = K.chebyshev
         except (lp.NumericalError, ValueError):     # empty, unbounded, a zero row
             return None
-        if r <= 1e-9:
+        if not r > 0.0:
             return None
         # bounded iff every beta > 0; the floor on beta also keeps _hull's row
         # rounding from merging nearly parallel facets
@@ -215,6 +247,10 @@ def _halfspace_vertices(K):
             return None
         n, beta = rows
         V = c + n / beta[:, None]
+        # flat as validate judges it: an inradius at most 1e-9 of the largest
+        # coordinate extent, which far redundant rows do not change
+        if not r > 1e-9 * np.max(np.ptp(V, axis=0)):
+            return None
         V = V[np.argsort(np.arctan2(n[:, 1], n[:, 0]))] if d == 2 else np.unique(V, axis=0)
     slack = VERTEX_TOL * max(1.0, float(np.max(np.abs(V)))) * np.linalg.norm(A, axis=1)
     if np.any(A @ V.T > (b + slack)[:, None]):
@@ -458,8 +494,8 @@ def _affine_rank(P, tol=1e-9):
     if Q.shape[0] == 1:
         return 0
     s = np.linalg.svd(Q, compute_uv=False)
-    scale = max(1.0, float(s[0]) if s.size else 1.0)
-    return int(np.sum(s > tol * scale))
+    # relative to the set's own spread, so a scaled body keeps its rank
+    return int(np.sum(s > tol * s[0])) if s.size else 0
 
 
 def extreme_points(V):
@@ -833,9 +869,8 @@ def contains(K, x, tol=MEMBERSHIP_TOL):
 
 
 def _oracle_contains(K, x, tol, n_dirs=512, seed=7):
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(n_dirs, x.size))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # the prefix of the sampled beta's family (ratios._beta_sampled)
+    dirs = sphere_dirs(x.size, n_dirs, seed)
     gap = x - K.center
     if np.linalg.norm(gap) > 1e-12:
         dirs = np.vstack([dirs, gap / np.linalg.norm(gap)])
@@ -889,7 +924,10 @@ def inscribed_ball(K):
 def validate(K):
     """Check that K describes a bounded, full-dimensional convex body.
 
-    Raises BodyError otherwise.  Operations that tolerate lower-dimensional
+    Raises BodyError otherwise.  Flatness is judged relative to the body's
+    own scale: an H-polytope's inradius against 1e-9 of its largest
+    coordinate extent, a V-polytope's affine rank against 1e-9 of its
+    largest singular value.  Operations that tolerate lower-dimensional
     bodies (level sets may degenerate to a face) skip this check on their
     intermediate results.
     """
@@ -903,14 +941,15 @@ def validate(K):
         if np.any(norms == 0):
             raise BodyError("halfspace system has a zero row")
         # every coordinate and its negation maximized as one stacked LP
-        status, _ = lp.solve_stacked(np.vstack([np.eye(d), -np.eye(d)]),
+        status, X = lp.solve_stacked(np.vstack([np.eye(d), -np.eye(d)]),
                                      A_ub=K.A, b_ub=K.b, sense="max")
         if status is lp.LPStatus.UNBOUNDED:
             raise BodyError("halfspace system is unbounded")
         if status is lp.LPStatus.INFEASIBLE:
             raise BodyError("halfspace system is empty")
+        extent = np.diag(X[:d]) - np.diag(X[d:])
         _, r = K.chebyshev
-        if r <= 1e-9:
+        if r <= 1e-9 * np.max(extent):
             raise BodyError("halfspace system has empty interior")
         return
     if isinstance(K, VPolytope):

@@ -233,6 +233,14 @@ def cheb_growth(K, x, n, n_samples=10000, seed=29):
     return ChebyshevReport(n, a, growth, v, _slab_evaluator(g, c0, n), float(sup_check), tol)
 
 
+def _as_float(n):
+    """A degree as a float, inf past float range."""
+    try:
+        return float(n)
+    except OverflowError:
+        return np.inf
+
+
 @dataclass
 class LeadingGrowthReport:
     n: int
@@ -243,7 +251,8 @@ class LeadingGrowthReport:
 
 
 def leading_growth(K, v, n):
-    """Largest leading coefficient in direction v: (4 / tau(K, v))^n / 2.
+    """Largest leading coefficient in direction v: (4 / tau(K, v))^n / 2,
+    inf past float range.
 
     Where the central symmetrization has facet rows, the witness direction
     v* (the facet normal of the central symmetrization at the maximal-chord
@@ -257,7 +266,8 @@ def leading_growth(K, v, n):
     if not np.any(v):
         raise BodyError("direction must be nonzero")
     tau, wdir = _max_chord(K, v)
-    value = 0.5 * (4.0 / float(tau)) ** n
+    with np.errstate(over="ignore"):
+        value = 0.5 * np.float64(4.0 / float(tau)) ** _as_float(n)
     evaluator = None if wdir is None else _slab_evaluator(*_layer_coordinate(K, wdir), n)
     return LeadingGrowthReport(n, float(value), float(tau), wdir, evaluator)
 
@@ -276,7 +286,8 @@ def bernstein_bound(K, x, n, norm_bound=1.0):
 
     theorem_bound is the proved 2 n M / (w(K) sqrt(1 - alpha)); the
     conjectured sharper variant replaces 1 - alpha with 1 - alpha^2 and is
-    reported for comparison, never asserted anywhere in this package.
+    reported for comparison, never asserted anywhere in this package.  Both
+    are inf for a degree past float range.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -286,7 +297,7 @@ def bernstein_bound(K, x, n, norm_bound=1.0):
     if a >= 1.0:
         raise BodyError("bernstein bound needs an interior point (alpha < 1)")
     wres = global_width(K)
-    base = 2.0 * n * norm_bound / wres.value
+    base = 2.0 * _as_float(n) * norm_bound / wres.value
     return BernsteinReport(
         theorem_bound=float(base / np.sqrt(1.0 - a)),
         conjecture_bound=float(base / np.sqrt(1.0 - a * a)),

@@ -51,7 +51,13 @@ EMPTY_BAND = 1e-7
 
 @dataclass
 class GaugeResult:
-    """Gauge value with a certified witness: t(K, witness_dir, x) >= alpha - tol."""
+    """Gauge value with a certified witness: t(K, witness_dir, x) >= alpha - tol.
+
+    For a sampled result (support oracles) tol is not an error bound: it is
+    the gain of the local polish over the direction prepass, at least 1e-7,
+    and alpha itself is t at an evaluated direction, a one-sided lower bound
+    on the true gauge.
+    """
 
     alpha: float
     witness_dir: np.ndarray
@@ -321,7 +327,8 @@ def _alpha_sampled(K, x, n_dirs=2048, n_polish=16, seed=13):
     """Certified lower bound on alpha for support oracles, via direction search.
 
     Every reported value is t at an evaluated direction, so it never exceeds
-    alpha; tol is the gain of the polish over the prepass, at least 1e-7.
+    alpha.  tol is the gain of the polish over the prepass, at least 1e-7:
+    how far the polish moved the value, not a bound on its distance to alpha.
     """
     C = [sphere_dirs(x.size, n_dirs, seed)]
     gap = x - K.center

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import lp
 from .body import (Ball, BodyError, Product, as_vector, dim, halfspaces, hull_points,
-                   lp_encoding, support, support_many)
+                   lp_encoding, sphere_dirs, support, support_many)
 
 # absolute forward-difference step of the direction search (scipy's default
 # for finite-difference gradients)
@@ -76,13 +76,6 @@ def central_symm(K):
     """Central symmetrization (K + (-K)) / 2, an origin-symmetric body: the
     one K caches (``symm_body``), whose facet rows are K's ``symm_rows``."""
     return K.symm_body
-
-
-def sphere_dirs(d, n, seed=0):
-    """n pseudo-random unit directions; dirs(d, n, seed) is a prefix of dirs(d, 2n, seed)."""
-    rng = np.random.default_rng(seed)
-    U = rng.normal(size=(n, d))
-    return U / np.linalg.norm(U, axis=1, keepdims=True)
 
 
 def _axis_dirs(d):

@@ -494,6 +494,61 @@ def test_validate_rejects_flat_vpolytope():
         validate(VPolytope(np.array([[0.0, 0.0], [1.0, 1.0]])))
 
 
+def _scaled_polytopes(d, s):
+    """(body, its vertices) for the box [-s, s]^d, the cross-polytope of
+    radius s as halfspaces, and the simplex conv{0, s e_i} both ways."""
+    E = np.eye(d)
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+    simplex = np.vstack([np.zeros(d), s * E])
+    yield make_box(-s * np.ones(d), s * np.ones(d)), s * signs
+    yield HPolytope(signs, np.full(len(signs), s)), s * np.vstack([E, -E])
+    yield HPolytope(np.vstack([-E, np.ones((1, d))]), np.r_[np.zeros(d), s]), simplex
+    yield VPolytope(simplex), simplex
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-10, 1e-9, 1e-6, 1.0, 1e3, 1e6, 1e9])
+def test_scaled_polytopes_validate_and_keep_their_vertices(s):
+    # the inradius and rank floors are relative to the body's own scale
+    for d in (2, 3, 4):
+        for K, W in _scaled_polytopes(d, s):
+            validate(K)
+            V = K.vertices if isinstance(K, HPolytope) else K.extreme
+            assert V is not None
+            _assert_same_vertex_set(V / s, W / s)
+
+
+def test_validate_rejects_flat_hpolytopes_at_every_scale():
+    for s in (1e-12, 1.0, 1e9):
+        for d in (1, 2, 3):
+            # x_1 <= 0 and -x_1 <= 0, the other coordinates in [-s, s]
+            b = np.full(2 * d, s)
+            b[[0, d]] = 0.0
+            K = HPolytope(np.vstack([np.eye(d), -np.eye(d)]), b)
+            with pytest.raises(BodyError, match="empty interior"):
+                validate(K)
+            assert K.vertices is None
+        skew = HPolytope(np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0], [-1.0, 0.0]]),
+                         np.array([s, -s, s, s]))
+        with pytest.raises(BodyError, match="empty interior"):
+            validate(skew)
+        assert skew.vertices is None
+    # thinner than 1e-9 of its extent is flat, at scales whose thin side
+    # the LP resolves (its feasibility tolerance is absolute)
+    for s in (1.0, 1e9):
+        sliver = make_box([0.0, 0.0], [s, 1e-10 * s])
+        with pytest.raises(BodyError, match="empty interior"):
+            validate(sliver)
+        assert sliver.vertices is None
+
+
+def test_far_redundant_row_keeps_the_vertices():
+    # the flatness floor reads the body's extents, not its farthest row
+    for M in (1e3, 1e10, 1e14):
+        K = HPolytope(np.vstack([SQ_H.A, [[1.0, 1.0]]]), np.r_[SQ_H.b, M])
+        validate(K)
+        _assert_same_vertex_set(K.vertices, SQ.vertices)
+
+
 def test_dim():
     assert dim(SQ) == 2
     assert dim(Product((SQ, Ball(np.zeros(3), 1.0)))) == 5

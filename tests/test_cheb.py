@@ -278,6 +278,20 @@ def test_leading_growth_witness_attains_value(pair, v, n):
     npt.assert_allclose(lead, rep.value, rtol=1e-6)
 
 
+def test_values_past_float_range_are_inf():
+    # one overflow convention: T_n, T_n', the growth, the leading
+    # coefficient and the Bernstein bounds all give inf, none raises
+    assert cheb_T(700, 3.0) == np.inf
+    assert cheb_T_prime(700, 3.0) == np.inf
+    assert cheb_growth(SQ, np.array([3.0, 0.0]), 700, n_samples=16).growth == np.inf
+    assert leading_growth(SQ, np.array([1.0, 0.0]), 600).value == 2.0 ** 599
+    for n in (2000, 10**400):
+        assert leading_growth(SQ, np.array([1.0, 0.0]), n).value == np.inf
+    rep = bernstein_bound(SQ, np.zeros(2), 10**400)
+    assert rep.theorem_bound == rep.conjecture_bound == np.inf
+    assert rep.width == 2.0
+
+
 def test_leading_growth_rejects_zero_direction():
     with pytest.raises(BodyError):
         leading_growth(SQ, np.zeros(2), 2)

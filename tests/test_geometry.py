@@ -19,7 +19,7 @@ from minkgauge import (Ball, HPolytope, Product, SupportOracle, VPolytope, centr
                        global_width, hausdorff, homothety, inscribed_ball,
                        max_chord, polygon_vertices, sphere_dirs, support,
                        width_dir)
-from minkgauge import alpha, gauge, geometry, lp
+from minkgauge import alpha, beta, body, brute_force_alpha, gauge, geometry, lp
 from minkgauge.body import lp_encoding, vertex_candidates
 from minkgauge.cheb import leading_growth
 from minkgauge.shapes import make_weighted_l2_ball
@@ -360,6 +360,100 @@ def test_sphere_dirs_unit_and_nested():
     U = sphere_dirs(4, 32, 3)
     npt.assert_allclose(np.linalg.norm(U, axis=1), 1.0, atol=1e-12)
     npt.assert_allclose(sphere_dirs(4, 64, 3)[:32], U, atol=0.0)
+
+
+def _fresh_dirs(d, n, seed):
+    U = np.random.default_rng(seed).normal(size=(n, d))
+    return U / np.linalg.norm(U, axis=1, keepdims=True)
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    """sphere_dirs' family store, emptied for one test and restored after."""
+    store = {}
+    monkeypatch.setattr(body, "_DIRS", store)
+    return store
+
+
+@pytest.mark.parametrize("order", [(512, 2048, 512), (2048, 512)])
+def test_sphere_dirs_store_is_read_only_and_matches_fresh_draws(empty_store, order):
+    for d in (1, 3, 8):
+        for n in order:
+            U = sphere_dirs(d, n, 7)
+            assert not U.flags.writeable
+            with pytest.raises(ValueError):
+                U[0, 0] = 1.0
+            assert U.shape == (n, d)
+            assert np.array_equal(U, _fresh_dirs(d, n, 7))
+        assert len(empty_store[(d, 7)]) == max(order)
+
+
+def test_sphere_dirs_store_keeps_its_budgets(empty_store):
+    d = 8
+    n = body.DIRS_MAX_CELLS // d
+    assert sphere_dirs(d, n, 0).shape == (n, d)
+    assert (d, 0) in empty_store
+    big = sphere_dirs(d, n + 1, 0)
+    assert not big.flags.writeable
+    assert np.array_equal(big, _fresh_dirs(d, n + 1, 0))
+    assert len(empty_store[(d, 0)]) == n
+    for seed in range(1, body.DIRS_MAX_FAMILIES + 9):
+        sphere_dirs(2, 16, seed)
+        assert len(empty_store) <= body.DIRS_MAX_FAMILIES
+    # the oldest families were dropped first
+    assert list(empty_store) == [(2, s) for s in range(9, body.DIRS_MAX_FAMILIES + 9)]
+
+
+def test_sphere_dirs_is_the_one_draw_of_a_reused_oracle(empty_store, monkeypatch):
+    K = make_weighted_l2_ball(5, "ii")
+    x = np.full(5, 0.1)
+    B = Ball(np.zeros(5), 1.0)
+    first = (beta(K, x), hausdorff(K, B).value)
+    made = []
+    rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return rng(*args, **kwargs)
+    monkeypatch.setattr(body.np.random, "default_rng", counting)
+    # the membership check of beta reads the prefix of beta's own family
+    assert (beta(K, x), hausdorff(K, B).value) == first
+    assert made == []
+
+
+# (d, mode): beta and brute_force_alpha at 0.5 u, hausdorff against the unit
+# ball, alpha at 1.5 u with its tol and witness . (1, ..., d), max_chord in
+# direction u and global_width, for u the unit (1, -2, 3, ...)
+SAMPLED_ANSWERS = [
+    (2, 'i', (0.22514975441564541, 0.6324443868079243, 0.2928932162368576, 1.897366596101028, 1.3617484846628614e-05, -1.1094004204053602, 1.5811388300841895, 1.414213562373095)),
+    (2, 'ii', (0.25659128818745014, 0.5916076609717119, 0.18350341278926485, 1.7748239349298855, 3.4036139651139052e-06, -1.5811388353235267, 1.690308509457033, 1.632993161855452)),
+    (3, 'i', (0.2523545063863082, 0.5942689649389824, 0.2927366300794694, 1.7928429140015907, 0.001137057315214296, 1.4855627392909412, 1.6733200530681511, 1.4142135623730951)),
+    (3, 'ii', (0.22972774195775783, 0.626743668168743, 0.22536457472559412, 1.8803495115840263, 0.0050667948345857194, 1.690308482398422, 1.5954480704349312, 1.5491933384829668)),
+    (4, 'i', (0.2730656215038179, 0.5737145093507453, 0.2921875875711848, 1.732050807568877, 0.006480079847658304, -1.6329931021214272, 1.7320508075688774, 1.4142135623730951)),
+    (4, 'ii', (0.22116295390395665, 0.6432154829907615, 0.2437249987905703, 1.9364916731037036, 0.01117313726732272, -1.9639609609697872, 1.5491933384829675, 1.5118578920369088)),
+    (5, 'i', (0.29412850115384537, 0.546560393949863, 0.2850143374082158, 1.6922282244532925, 0.0065350662388516945, 1.8973663403927266, 1.7728105208584475, 1.4142135623730951)),
+    (5, 'ii', (0.21727869835315156, 0.6089911732833332, 0.25420134587789966, 1.9713862220174592, 0.007886584174025657, 2.101952784569497, 1.521771820506862, 1.4907119849998598)),
+    (6, 'i', (0.3058205177322028, 0.511908767146468, 0.28339184524717065, 1.6641005886756528, 0.005260046628951187, -2.0356529863740986, 1.8027756377345592, 1.4142135623730951)),
+    (6, 'ii', (0.22762317081458003, 0.621663964356256, 0.2595999372096647, 1.9951865152834896, 0.005793140472114766, -2.3061176519505406, 1.5036188231178267, 1.4770978917519928)),
+    (7, 'i', (0.315558150194798, 0.5113267803403527, 0.2764753616582458, 1.6431676725152062, 0.004317199827344798, 2.2459563053156377, 1.825741858366773, 1.4142135623730951)),
+    (7, 'ii', (0.25409827897788967, 0.6026204355496441, 0.26368915884676936, 2.012461179749593, 0.0044050396234784905, 2.437799609985589, 1.490711985011006, 1.4675987714106855)),
+    (8, 'i', (0.32903607334545076, 0.5065252216937239, 0.2633209840226074, 1.6269784336396809, 0.0036052017774728107, -2.3735658187611444, 1.8439088914759043, 1.4142135623730951)),
+    (8, 'ii', (0.2477922949466356, 0.5978250366963335, 0.26710871455576135, 2.025571814689348, 0.0034472901329034578, -2.6076740840455495, 1.4810632623645517, 1.4605934866804429)),
+]
+
+
+@pytest.mark.parametrize("d,mode,want", SAMPLED_ANSWERS,
+                         ids=[f"{d}{mode}" for d, mode, _ in SAMPLED_ANSWERS])
+def test_sampled_answers_are_bit_exact(d, mode, want):
+    K = make_weighted_l2_ball(d, mode)
+    u = np.arange(1.0, d + 1) * (-1.0) ** np.arange(d)
+    u /= np.linalg.norm(u)
+    r = alpha(K, 1.5 * u)
+    got = (beta(K, 0.5 * u), brute_force_alpha(K, 0.5 * u),
+           hausdorff(K, Ball(np.zeros(d), 1.0)).value, r.alpha, r.tol,
+           float(np.arange(1, d + 1) @ r.witness_dir), max_chord(K, u),
+           global_width(K).value)
+    assert tuple(float(v) for v in got) == want
 
 
 @given(polygons(), st.floats(min_value=0.1, max_value=4.0))

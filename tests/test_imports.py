@@ -99,3 +99,29 @@ def test_one_qhull_entry_and_one_reader_of_the_vertex_gate():
                     or isinstance(node, ast.alias) and node.name == "MAX_VERTEX_DIM"):
                 readers.add(path.name)
     assert readers == {"body.py"}
+
+
+def test_one_seeded_direction_family():
+    # ``body.sphere_dirs`` is the one function that draws a seeded family of
+    # unit rows, so every sampled route shares its stored families.
+    # ``cheb._body_samples`` scales its unit rows by radii drawn from the same
+    # generator: a point sample of the inner ball, not a direction family
+    def row_norm(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "norm"
+                and any(k.arg == "axis" and getattr(k.value, "value", None) == 1
+                        for k in node.keywords))
+
+    found = set()
+    for path in sorted((ROOT / "src" / "minkgauge").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            nodes = list(ast.walk(fn))
+            draws = any(isinstance(n, ast.Attribute) and n.attr == "default_rng" for n in nodes)
+            scales = any(isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div)
+                         and row_norm(n.right if isinstance(n, ast.BinOp) else n.value)
+                         for n in nodes)
+            if draws and scales:
+                found.add((path.name, fn.name))
+    assert found == {("body.py", "sphere_dirs"), ("cheb.py", "_body_samples")}
