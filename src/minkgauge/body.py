@@ -72,6 +72,8 @@ def sphere_dirs(d, n, seed=0):
     once per process and kept, the longest drawn so far, and a request
     returns its first n rows, the same bits as a fresh draw of n.
     """
+    if n < 0:
+        raise ValueError(f"direction count must be nonnegative, got {n}")
     key = (d, seed)
     U = _DIRS.get(key)
     if U is None or len(U) < n:

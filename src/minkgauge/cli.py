@@ -7,7 +7,7 @@ a result beyond float range included.  Every
 sampled computation takes a seed and defaults are fixed, so identical
 invocations produce identical bytes.  Counts that size the work (directions,
 lines, samples, queries, degrees, grid rows) are capped by the MAX_*
-constants below; a larger request exits 2 before any work starts.
+constants below; a negative or larger request exits 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -47,12 +47,14 @@ class _UsageError(ValueError):
 
 
 def _capped_int(name, cap):
-    """argparse type: an integer no larger than the named cap."""
+    """argparse type: a nonnegative integer no larger than the named cap."""
     def parse(text):
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{value} is negative")
         if value > cap:
             raise argparse.ArgumentTypeError(f"{value} exceeds the limit {name} = {cap}")
         return value

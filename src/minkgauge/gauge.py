@@ -47,6 +47,8 @@ T_MEMBER_TOL = 1e-9
 # within this distance of alpha_inf(K), a Chebyshev LP decides whether the
 # erosion K^lam is empty; farther away lam < alpha_inf(K) does
 EMPTY_BAND = 1e-7
+# the cap on the slack scale theta of the critical-set LP (``_critical_dim``)
+THETA_MAX = 1e6
 
 
 @dataclass
@@ -98,7 +100,7 @@ class SymmetryReport:
     measure: float
     minimizer: np.ndarray
     critical_body: object
-    critical_dim_estimate: int
+    critical_dim_estimate: int   # exact; the name is the CLI's output key
     klee_lhs: float
 
 
@@ -401,23 +403,22 @@ def level_set(K, lam) -> LevelSet:
 # symmetry reports
 
 
-def alpha_inf(K, seed=101) -> SymmetryReport:
+def alpha_inf(K) -> SymmetryReport:
     """Minimum of the gauge over x: the symmetry constant and critical set.
 
     One LP over the facet rows of ``halfspaces(K)``, which every polytope in
     dimension at most ``body.MAX_VERTEX_DIM`` has; its value and minimiser
     are cached on the body (``symmetry``), so a reused body solves it once.
     Products recurse onto their factors when no merged facet system exists.
-    The critical set's dimension is estimated from the affine rank of LP
-    optima under random objectives, one stacked LP per call; it is an
-    estimate, not a certificate.
+    The critical set's dimension is exact, from one more LP per call
+    (``_critical_dim``) centred at the minimiser.
     """
     if isinstance(K, Ball):
         c = K.center.copy()
         return SymmetryReport(0.0, 1.0, c, VPolytope(c[None, :]), 0, 1.0)
     profile = facet_profile(K)
     if profile is None and isinstance(K, Product):
-        return _alpha_inf_product(K, seed)
+        return _alpha_inf_product(K)
     if profile is None:
         raise BodyError("alpha_inf needs facet access (or a product of such bodies)")
     A, hp, hm = profile
@@ -426,56 +427,55 @@ def alpha_inf(K, seed=101) -> SymmetryReport:
     s_star, x_star = K.symmetry
     if s_star >= 1.0 - 1e-12:
         raise lp.NumericalError("symmetry LP returned alpha_inf >= 1 for a full body")
-    crit = LevelSet(s_star,
-                    HPolytope(A, (1.0 + s_star) / 2.0 * hp - (1.0 - s_star) / 2.0 * hm),
-                    False, K)
-    dim_est = _critical_dim(A, hp, hm, hp + hm, s_star, seed, extra_point=x_star)
-    klee = (1.0 + s_star) / (1.0 - s_star)
-    return SymmetryReport(s_star, 1.0 - s_star, x_star, crit, dim_est, klee)
+    crit = HPolytope(A, (1.0 + s_star) / 2.0 * hp - (1.0 - s_star) / 2.0 * hm)
+    return SymmetryReport(s_star, 1.0 - s_star, x_star, LevelSet(s_star, crit, False, K),
+                          _critical_dim(profile, s_star, x_star), (1.0 + s_star) / (1.0 - s_star))
 
 
-def _critical_dim(A, hp, hm, w, lam, seed, extra_point=None, rank_tol=1e-7):
-    d = A.shape[1]
-    # slack relative to each row's width: an absolute slack opens a sliver
-    # longer than rank_tol on thin bodies and fakes a dimension
-    b_face = hp - hm + w * (lam + 1e-9)
-    # 2d + 1 seeded objectives over the face, stacked into one LP: one
-    # block-diagonal copy of the face per objective
-    obj = np.random.default_rng(seed).normal(size=(2 * d + 1, d))
-    status, X = lp.solve_stacked(obj, A_ub=2.0 * A, b_ub=b_face)
-    pts = [] if extra_point is None else [extra_point]
-    if status is lp.LPStatus.OPTIMAL:
-        pts.extend(X)
-    if not pts:
-        return 0
-    P = np.array(pts)
-    Q = P - P.mean(axis=0)
-    s = np.linalg.svd(Q, compute_uv=False)
-    return int(np.sum(s > rank_tol))
+def _critical_dim(profile, lam, x0):
+    """Dimension of the erosion {2 A x <= hp - hm + lam w} through its point x0.
+
+    One LP finds the rows tight on the whole set (Freund, Roundy & Todd, MIT
+    Sloan WP 1674-85, 1985): with x = x0 + u / theta and rows in widths, it
+    maximises the sum of the slacks y over 0 <= y <= 1, 1 <= theta <= THETA_MAX.
+    A row with y_i < 1/2 has slack below 1 / (2 THETA_MAX) widths on the
+    whole set; the dimension is d minus the rank of those rows.
+    """
+    A, hp, hm = profile
+    m, d = A.shape
+    w = hp + hm
+    # x0's slacks in widths, clipped so that rounding keeps the LP feasible
+    s0 = np.maximum((hp - hm + lam * w - 2.0 * (A @ x0)) / w, 0.0)
+    c = np.concatenate([np.zeros(d), np.ones(m), [0.0]])
+    res = lp.solve(c, A_ub=np.hstack([2.0 * A / w[:, None], np.eye(m), -s0[:, None]]),
+                   b_ub=np.zeros(m), bounds=[(None, None)] * d + [(0.0, 1.0)] * m
+                   + [(1.0, THETA_MAX)], sense="max")
+    if not res.optimal:
+        raise lp.NumericalError(f"critical-set LP ended with status {res.status.value}")
+    tight = A[res.x[d:d + m] < 0.5]
+    return d - (int(np.linalg.matrix_rank(tight)) if tight.size else 0)
 
 
-def _level_dim_estimate(f, lam, seed):
+def _level_dim(f, lam):
+    """Dimension of f^lam, lam >= alpha_inf(f), through f's symmetry minimiser."""
     if isinstance(f, Ball):
         return dim(f) if lam > 1e-12 else 0
     if isinstance(f, Product):
-        return sum(_level_dim_estimate(g, lam, seed) for g in f.factors)
-    prof = facet_profile(f)
-    if prof is None:
-        raise BodyError("dimension estimate needs facet access")
-    A, hp, hm = prof
-    return _critical_dim(A, hp, hm, hp + hm, lam, seed)
+        return sum(_level_dim(g, lam) for g in f.factors)
+    if f.symmetry is None:
+        raise lp.NumericalError("symmetry LP ended without an optimum")
+    return _critical_dim(facet_profile(f), lam, f.symmetry[1])
 
 
-def _alpha_inf_product(K, seed):
-    parts = [alpha_inf(f, seed) for f in K.factors]
+def _alpha_inf_product(K):
+    parts = [alpha_inf(f) for f in K.factors]
     a = max(p.alpha_inf for p in parts)
-    minimizer = np.concatenate([p.minimizer for p in parts])
-    crit_parts = [level_set(f, a) for f in K.factors]
-    crit = LevelSet(a, Product(tuple(p.body for p in crit_parts)), False, K)
-    dim_est = sum(_level_dim_estimate(f, a, seed) for f in K.factors)
     if a >= 1.0 - 1e-12:
         raise lp.NumericalError("degenerate symmetry constant")
-    return SymmetryReport(a, 1.0 - a, minimizer, crit, int(dim_est), (1.0 + a) / (1.0 - a))
+    minimizer = np.concatenate([p.minimizer for p in parts])
+    crit = LevelSet(a, Product(tuple(level_set(f, a).body for f in K.factors)), False, K)
+    return SymmetryReport(a, 1.0 - a, minimizer, crit,
+                          sum(_level_dim(f, a) for f in K.factors), (1.0 + a) / (1.0 - a))
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ def test_grid_rejects_single_step(capsys):
 CUBE = json.dumps({"kind": "box", "low": [-1, -1, -1], "high": [1, 1, 1]})
 
 
-@pytest.mark.parametrize("argv, cap", [
+COUNT_FLAGS = [
     (["hausdorff", "--body", SQUARE, "--body2", SQUARE, "--n-dirs"], "MAX_N_DIRS"),
     (["oracle-check", "--body", SQUARE, "--point", "0,0", "--n-dirs"], "MAX_N_DIRS"),
     (["oracle-check", "--body", SQUARE, "--point", "0,0", "--n-lines"], "MAX_N_LINES"),
@@ -262,16 +262,39 @@ CUBE = json.dumps({"kind": "box", "low": [-1, -1, -1], "high": [1, 1, 1]})
      "MAX_N_SAMPLES"),
     (["experiment-conjecture", "--body", SQUARE, "--n-queries"], "MAX_N_QUERIES"),
     (["experiment-conjecture", "--body", SQUARE, "--max-degree"], "MAX_SWEEP_DEGREE"),
-])
-def test_count_caps_reject_one_over(argv, cap, capsys, monkeypatch):
+]
+
+
+def _no_work(monkeypatch):
     def no_work(ns):
         raise AssertionError("capped work started")
     monkeypatch.setattr(cli, "_load_body", no_work)
+
+
+@pytest.mark.parametrize("argv, cap", COUNT_FLAGS)
+def test_count_caps_reject_one_over(argv, cap, capsys, monkeypatch):
+    _no_work(monkeypatch)
     limit = getattr(cli, cap)
     code, out, err = run_err(capsys, argv + [str(limit + 1)])
     assert code == 2 and out == ""
     assert err["error"] == "input"
     assert f"{cap} = {limit}" in err["message"]
+
+
+@pytest.mark.parametrize("argv, cap", COUNT_FLAGS)
+def test_count_flags_reject_negatives(argv, cap, capsys, monkeypatch):
+    _no_work(monkeypatch)
+    code, out, err = run_err(capsys, argv + ["-3"])
+    assert code == 2 and out == ""
+    assert err["error"] == "input"
+    assert err["message"] == f"argument {argv[-1]}: -3 is negative"
+
+
+def test_oracle_check_takes_zero_directions(capsys):
+    # no sampled directions: the brute-force gauge reads the facet normals
+    rec = run_json(capsys, ["oracle-check", "--body", SQUARE, "--point", "0.3,0.2",
+                            "--n-dirs", "0", "--n-lines", "16"])
+    assert rec["alpha"] == rec["alpha_brute_force"] == pytest.approx(0.3, abs=1e-12)
 
 
 @pytest.mark.parametrize("body, d", [(SQUARE, 2), (CUBE, 3)])

@@ -9,11 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
 from minkgauge import (Ball, BodyError, VPolytope, alpha, alpha_inf, beta,
-                       brute_force_alpha, central_symm, centroid, contains,
-                       global_width, hausdorff, homothety, level_set, lp,
+                       brute_force_alpha, central_symm, centroid, contains, diameter,
+                       dim, global_width, hausdorff, homothety, level_set, lp,
                        make_box, make_simplex, make_sobczyk_prism,
-                       make_weighted_l2_ball, max_chord, random_polygon, rho,
-                       sphere_dirs, support, support_many, t_func, t_many, validate)
+                       make_weighted_l2_ball, max_chord, rho, sphere_dirs, support,
+                       support_many, t_func, t_many, validate)
 from minkgauge import body, gauge
 from minkgauge.body import (Product, Sum, encoding_feasible, extreme_points, halfspaces,
                             interior_point, lp_encoding, vertex_candidates)
@@ -213,36 +213,91 @@ def test_alpha_inf_on_validated_box_is_two_lps(lp_solves):
     validate(B)
     lp_solves.clear()
     rep = alpha_inf(B)
-    # the symmetry LP and one stacked LP for the critical-set samples
+    # the symmetry LP and the critical-set LP
     assert len(lp_solves) == 2
     assert rep.alpha_inf <= 1e-9
     npt.assert_allclose(rep.minimizer, (lo + hi) / 2.0, atol=1e-9)
     assert rep.critical_dim_estimate == 0
+    # a reused body keeps its symmetry LP and solves the critical-set LP again
+    lp_solves.clear()
+    assert alpha_inf(B).critical_dim_estimate == 0
+    assert len(lp_solves) == 1
 
 
-def _critical_dim_separately(A, hp, hm, w, lam, seed, extra_point, rank_tol=1e-7):
-    # the critical-set samples as one LP per objective, the route the stacked
-    # LP replaced
-    d = A.shape[1]
-    rng = np.random.default_rng(seed)
-    pts = [extra_point]
-    for _ in range(2 * d + 1):
-        r = lp.solve(rng.normal(size=d), A_ub=2.0 * A, b_ub=hp - hm + w * (lam + 1e-9))
-        if r.optimal:
-            pts.append(r.x)
-    P = np.array(pts)
-    return int(np.sum(np.linalg.svd(P - P.mean(axis=0), compute_uv=False) > rank_tol))
+def test_alpha_inf_of_a_product_with_a_ball_counts_its_lps(lp_solves):
+    K = Product((make_box(-np.ones(3), np.ones(3)), Ball(np.zeros(1), 1.0),
+                 make_sobczyk_prism()))
+    lp_solves.clear()
+    rep = alpha_inf(K)
+    # the box: its vertices' Chebyshev LP, the symmetry and critical-set
+    # LPs; the prism: the same two; the critical level set of the prism's
+    # factors: two symmetry LPs and a Chebyshev LP at lam = alpha_inf; the
+    # dimension: one critical-set LP per polytope factor (box, triangle,
+    # segment), centred at their cached minimisers
+    assert len(lp_solves) == 11
+    npt.assert_allclose(rep.alpha_inf, 1.0 / 3.0, atol=1e-9)
+    # the box and the ball are full at lam = 1/3, the prism a segment
+    assert rep.critical_dim_estimate == 3 + 1 + 1
+    lp_solves.clear()
+    assert alpha_inf(K).critical_dim_estimate == 5
+    assert len(lp_solves) == 6
 
 
-@pytest.mark.parametrize("make", [make_sobczyk_prism, lambda: make_simplex(3),
-                                  lambda: make_box(-np.ones(4), np.ones(4)),
-                                  lambda: random_polygon(7, 3)])
-def test_stacked_critical_dim_matches_separate_lps(make):
-    K = make()
-    rep = alpha_inf(K, seed=5)
+def _gaussian_vpolytopes(d):
+    # d + 2 to d + 13 Gaussian points; in R^3 and R^4 each has one
+    # minimiser, d + 1 tight rows of rank d
+    for s in range(40):
+        yield VPolytope(np.random.default_rng([0, s]).normal(size=(d + 2 + s % 12, d)))
+
+
+def _scaled_prisms(scales, base=make_sobczyk_prism):
+    return [homothety(base(), sc) for sc in scales]
+
+
+def test_alpha_inf_obeys_klee_inequality():
+    # Klee, "The critical set of a convex body", Amer. J. Math. 75 (1953):
+    # (1 + alpha_inf) / (1 - alpha_inf) + dim(critical set) <= d
+    bodies = [K for d in (2, 3, 4) for K in _gaussian_vpolytopes(d)]
+    bodies += _scaled_prisms([1e-4, 1.0, 1e2, 1e4])
+    assert len(bodies) == 124
+    for K in bodies:
+        rep = alpha_inf(K)
+        assert rep.klee_lhs + rep.critical_dim_estimate <= dim(K) + 1e-9, K
+
+
+def _triangle_prism():
+    return Product((make_simplex(2), make_box([-1.0], [1.0])))
+
+
+@pytest.mark.parametrize("base", [make_sobczyk_prism, _triangle_prism])
+def test_prism_critical_segment_at_every_scale(base):
+    for K in _scaled_prisms([1e-4, 1e-2, 1.0, 1e2, 1e4], base):
+        rep = alpha_inf(K)
+        npt.assert_allclose(rep.alpha_inf, 1.0 / 3.0, atol=1e-9)
+        assert rep.critical_dim_estimate == 1
+
+
+def _critical_rank_reference(K, s_star, x_star):
+    # the affine rank of LP optima over the critical face, opened by 1e-12
+    # widths, with a cut-off of 1e-6 diameters
     A, hp, hm = gauge.facet_profile(K)
-    want = _critical_dim_separately(A, hp, hm, hp + hm, rep.alpha_inf, 5, rep.minimizer)
-    assert rep.critical_dim_estimate == want
+    b = hp - hm + (s_star + 1e-12) * (hp + hm)
+    pts = [x_star]
+    for c in np.random.default_rng(3).normal(size=(2 * A.shape[1] + 1, A.shape[1])):
+        res = lp.solve(c, A_ub=2.0 * A, b_ub=b)
+        assert res.optimal
+        pts.append(res.x)
+    P = np.array(pts)
+    sv = np.linalg.svd(P - P.mean(axis=0), compute_uv=False)
+    return int(np.sum(sv > 1e-6 * diameter(K)))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_critical_dim_matches_the_sampled_face_rank(d):
+    for K in _gaussian_vpolytopes(d):
+        rep = alpha_inf(K)
+        assert rep.critical_dim_estimate == _critical_rank_reference(
+            K, rep.alpha_inf, rep.minimizer), K
 
 
 def _vertex_polytope_cases(d):

@@ -362,6 +362,18 @@ def test_sphere_dirs_unit_and_nested():
     npt.assert_allclose(sphere_dirs(4, 64, 3)[:32], U, atol=0.0)
 
 
+def test_sphere_dirs_rejects_negative_counts():
+    # a stored family must not answer a negative count with a slice of itself
+    assert sphere_dirs(2, 8, 0).shape == (8, 2)
+    assert sphere_dirs(2, 0, 0).shape == (0, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sphere_dirs(2, -1, 0)
+    K, B = make_weighted_l2_ball(3, "ii"), Ball(np.zeros(3), 1.0)
+    hausdorff(K, B, n_dirs=64)
+    with pytest.raises(ValueError, match="nonnegative"):
+        hausdorff(K, B, n_dirs=-3)
+
+
 def _fresh_dirs(d, n, seed):
     U = np.random.default_rng(seed).normal(size=(n, d))
     return U / np.linalg.norm(U, axis=1, keepdims=True)

@@ -1,4 +1,4 @@
-"""No program file imports a name it never uses.
+"""No program file imports a name it never uses, and other structure gates.
 
 No linter ships with the test dependencies, so this is a plain ``ast`` scan:
 every name an import statement binds must appear as a name somewhere else in
@@ -7,9 +7,12 @@ skipped.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from minkgauge import alpha_inf
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(
@@ -125,3 +128,36 @@ def test_one_seeded_direction_family():
             if draws and scales:
                 found.add((path.name, fn.name))
     assert found == {("body.py", "sphere_dirs"), ("cheb.py", "_body_samples")}
+
+
+def _default_rng_callers():
+    # (file, innermost enclosing function) of every default_rng call in src/
+    found = set()
+
+    def visit(node, path, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, child.name)
+                continue
+            if isinstance(child, ast.Call) and "default_rng" in (
+                    getattr(child.func, "attr", None), getattr(child.func, "id", None)):
+                found.add((path.name, fn))
+            visit(child, path, fn)
+
+    for path in sorted((ROOT / "src" / "minkgauge").glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    return found
+
+
+def test_exact_routes_draw_no_random_numbers():
+    # the seeded direction families, the oracle probe, the Chebyshev point
+    # sample, the test polygons and the conjecture search are the only
+    # random draws; no route of gauge, geometry, ratios or lp draws its own
+    assert _default_rng_callers() == {
+        ("body.py", "sphere_dirs"), ("body.py", "_probe_oracle"),
+        ("cheb.py", "_body_samples"), ("shapes.py", "random_polygon"),
+        ("cli.py", "_cmd_experiment_conjecture")}
+
+
+def test_alpha_inf_takes_only_the_body():
+    assert list(inspect.signature(alpha_inf).parameters) == ["K"]

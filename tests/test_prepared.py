@@ -188,7 +188,7 @@ def test_erosion_emptiness_costs_one_lp_per_body(lp_solves):
         # the symmetry LP, once for the body
         assert len(lams) == 20 and len(lp_solves) <= 1
         assert [L.empty for L in sets] == [lam < s for lam in lams]
-        # alpha_inf reads the same optimum and adds only its seeded samples
+        # alpha_inf reads the same optimum and adds only its critical-set LP
         lp_solves.clear()
         assert alpha_inf(K).alpha_inf == s
         assert len(lp_solves) == 1
