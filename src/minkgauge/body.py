@@ -102,10 +102,14 @@ class _Prepared:
     ``profile``; ``geometry.central_symm`` returns ``symm_body``, whose
     rows the gauge outside K, level membership above 1, widths and maximal
     chords read (``symm_rows``, ``symm_profile``); ``alpha_inf`` and the
-    emptiness rule of ``gauge.level_set`` read ``symmetry``.  Every reader
-    of a finite point set for K reads ``extreme``: C, the LPs, the level
-    body above 1, ``centroid``, ``diameter`` and the planar routes; the far
-    radius, chord directions and Chebyshev samples through ``hull_points``.
+    emptiness rule of ``gauge.level_set`` read ``symmetry``.  Where a width
+    has no exact route (support oracles, and bodies with ball terms or above
+    MAX_VERTEX_DIM), ``global_width`` (and so ``bernstein_bound``) reads the
+    direction sweep ``swept_width``, so a reused body runs it once.  Every
+    reader of a finite point set for K reads ``extreme``: C, the LPs, the
+    level body above 1, ``centroid``, ``diameter`` and the planar routes;
+    the far radius, chord directions and Chebyshev samples through
+    ``hull_points``.
     A vertex body gets its rows and extreme points from one ``_hull`` of
     its candidates (``_candidate_hull``), preset by ``_hull_body``.
     """
@@ -150,6 +154,14 @@ class _Prepared:
         None when K has no profile or the LP ends without an optimum.
         """
         return _symmetry_lp(self)
+
+    @cached_property
+    def swept_width(self):
+        """(least width, read-only unit direction) from the direction sweep
+        that ``geometry.global_width`` reads where it has no exact route
+        (geometry imports this module, so the import is on first read)."""
+        from .geometry import _width_sweep
+        return _width_sweep(self)
 
     @cached_property
     def _candidate_hull(self):

@@ -409,27 +409,58 @@ def alpha_inf(K) -> SymmetryReport:
     One LP over the facet rows of ``halfspaces(K)``, which every polytope in
     dimension at most ``body.MAX_VERTEX_DIM`` has; its value and minimiser
     are cached on the body (``symmetry``), so a reused body solves it once.
-    Products recurse onto their factors when no merged facet system exists.
-    The critical set's dimension is exact, from one more LP per call
-    (``_critical_dim``) centred at the minimiser.
+    Products recurse onto their factors when no merged facet system exists;
+    a ball's critical set is its centre.  The critical set's dimension is
+    exact, from one more LP per call (``_critical_dim``) centred at the
+    minimiser, one per polytope factor of such a product.
     """
+    s, x = _symmetry(K)
+    if facet_profile(K) is None:        # a ball, or a product without merged rows
+        crit, k = _critical_part(K, s)
+    else:
+        crit, k = _eroded(K, s)
+    return SymmetryReport(s, 1.0 - s, x, LevelSet(s, crit, False, K), k, (1.0 + s) / (1.0 - s))
+
+
+def _symmetry(K):
+    """(alpha_inf, minimiser) of K, with no critical-set LP: the body's cached
+    symmetry LP (``symmetry``), or for a product without merged facet rows
+    the largest of its factors' values and their minimisers side by side."""
     if isinstance(K, Ball):
-        c = K.center.copy()
-        return SymmetryReport(0.0, 1.0, c, VPolytope(c[None, :]), 0, 1.0)
+        return 0.0, K.center.copy()
     profile = facet_profile(K)
     if profile is None and isinstance(K, Product):
-        return _alpha_inf_product(K)
+        parts = [_symmetry(f) for f in K.factors]
+        return max(p[0] for p in parts), np.concatenate([p[1] for p in parts])
     if profile is None:
         raise BodyError("alpha_inf needs facet access (or a product of such bodies)")
-    A, hp, hm = profile
     if K.symmetry is None:
         raise lp.NumericalError("symmetry LP ended without an optimum")
     s_star, x_star = K.symmetry
     if s_star >= 1.0 - 1e-12:
         raise lp.NumericalError("symmetry LP returned alpha_inf >= 1 for a full body")
-    crit = HPolytope(A, (1.0 + s_star) / 2.0 * hp - (1.0 - s_star) / 2.0 * hm)
-    return SymmetryReport(s_star, 1.0 - s_star, x_star, LevelSet(s_star, crit, False, K),
-                          _critical_dim(profile, s_star, x_star), (1.0 + s_star) / (1.0 - s_star))
+    return s_star, x_star
+
+
+def _eroded(K, lam):
+    """(K^lam, its dimension) for alpha_inf(K) <= lam < 1: the erosion of K's
+    facet rows, nonempty since it holds K's minimiser, so no LP decides
+    that; the dimension is ``_critical_dim``'s, centred at the minimiser."""
+    profile = facet_profile(K)
+    A, hp, hm = profile
+    return (HPolytope(A, (1.0 + lam) / 2.0 * hp - (1.0 - lam) / 2.0 * hm),
+            _critical_dim(profile, lam, _symmetry(K)[1]))
+
+
+def _critical_part(f, lam):
+    """(f^lam, its dimension) for alpha_inf(f) <= lam < 1: a product factor
+    by factor, a ball in closed form, any other body by ``_eroded``."""
+    if isinstance(f, Ball):
+        return level_set(f, lam).body, (dim(f) if lam > 1e-12 else 0)
+    if isinstance(f, Product):
+        parts = [_critical_part(g, lam) for g in f.factors]
+        return Product(tuple(p[0] for p in parts)), sum(p[1] for p in parts)
+    return _eroded(f, lam)
 
 
 def _critical_dim(profile, lam, x0):
@@ -454,28 +485,6 @@ def _critical_dim(profile, lam, x0):
         raise lp.NumericalError(f"critical-set LP ended with status {res.status.value}")
     tight = A[res.x[d:d + m] < 0.5]
     return d - (int(np.linalg.matrix_rank(tight)) if tight.size else 0)
-
-
-def _level_dim(f, lam):
-    """Dimension of f^lam, lam >= alpha_inf(f), through f's symmetry minimiser."""
-    if isinstance(f, Ball):
-        return dim(f) if lam > 1e-12 else 0
-    if isinstance(f, Product):
-        return sum(_level_dim(g, lam) for g in f.factors)
-    if f.symmetry is None:
-        raise lp.NumericalError("symmetry LP ended without an optimum")
-    return _critical_dim(facet_profile(f), lam, f.symmetry[1])
-
-
-def _alpha_inf_product(K):
-    parts = [alpha_inf(f) for f in K.factors]
-    a = max(p.alpha_inf for p in parts)
-    if a >= 1.0 - 1e-12:
-        raise lp.NumericalError("degenerate symmetry constant")
-    minimizer = np.concatenate([p.minimizer for p in parts])
-    crit = LevelSet(a, Product(tuple(level_set(f, a).body for f in K.factors)), False, K)
-    return SymmetryReport(a, 1.0 - a, minimizer, crit,
-                          sum(_level_dim(f, a) for f in K.factors), (1.0 + a) / (1.0 - a))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ twice where the ray {t v} leaves C.  Every chord question
 is a section of a body by lines, answered by one routine batched over the
 line directions (``_line_sections``).  Support oracles, and widths of
 polytopes above that dimension, fall back to seeded multi-start direction
-sweeps, and a width found so carries an ``exact`` flag set to False.
+sweeps, and a width found so carries an ``exact`` flag set to False.  The
+width sweep (``_width_sweep``) depends on the body alone and runs once per
+body, which keeps its result (``swept_width``); the maximal chord of an
+oracle depends on v and sweeps on every call.
 
 The multi-start search works on batched objectives: a function of an (n, d)
 array of unit directions, evaluated through ``support_many``.  The dense
@@ -319,7 +322,7 @@ def global_width(K) -> WidthResult:
     polytope in dimension at most MAX_VERTEX_DIM): C is origin-symmetric
     with w(K, u) = 2 h(C, u), so the minimal width is twice the least
     b_i / |a_i| over its facets.  A flagged multi-start upper bound
-    otherwise.
+    otherwise, swept once per body (``swept_width``).
     """
     d = dim(K)
     if d == 1:
@@ -332,13 +335,8 @@ def global_width(K) -> WidthResult:
         vals = 2.0 * b / norms
         i = int(np.argmin(vals))
         return WidthResult(float(vals[i]), A[i] / norms[i], True)
-    extra = None
-    hs = halfspaces(K)
-    if hs is not None:
-        extra = hs[0]
-    v, val, _ = _multistart_sphere(lambda U: _widths(K, U), _sphere_starts(d, WIDTH_SEED, extra),
-                                   sense="min", n_starts=WIDTH_STARTS)
-    return WidthResult(float(val), v, False)
+    val, v = K.swept_width
+    return WidthResult(val, v.copy(), False)
 
 
 def diameter(K) -> float:
@@ -380,6 +378,18 @@ def far_radius(K) -> float:
     _, val, _ = _multistart_sphere(lambda U: support_many(K, U), _sphere_starts(dim(K), 4),
                                    sense="max", n_starts=32)
     return float(val)
+
+
+def _width_sweep(K):
+    """(least width, read-only unit direction that takes it) over unit
+    directions by multi-start search, K's facet rows among the starts; run
+    once per body, which keeps it (``swept_width``)."""
+    hs = halfspaces(K)
+    v, val, _ = _multistart_sphere(lambda U: _widths(K, U),
+                                   _sphere_starts(dim(K), WIDTH_SEED, None if hs is None else hs[0]),
+                                   sense="min", n_starts=WIDTH_STARTS)
+    v.setflags(write=False)
+    return float(val), v
 
 
 # ---------------------------------------------------------------------------

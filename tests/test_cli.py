@@ -74,6 +74,17 @@ def test_symmetry_report(capsys):
     assert rec["critical_body"]["empty"] is False
 
 
+def test_symmetry_report_of_a_ball(capsys):
+    # a ball's critical set is its centre, reported as a level set like
+    # every other body's
+    ball = json.dumps({"kind": "ball", "center": [1, -2], "radius": 3})
+    rec = run_json(capsys, ["symmetry", "--body", ball])
+    assert rec["alpha_inf"] == 0.0 and rec["critical_dim_estimate"] == 0
+    assert rec["minimizer"] == [1.0, -2.0]
+    assert rec["critical_body"]["lambda"] == 0.0
+    assert rec["critical_body"]["empty"] is False
+
+
 def test_symmetry_deterministic(capsys):
     run(["symmetry", "--body", TRIANGLE])
     first = capsys.readouterr().out

@@ -19,7 +19,7 @@ from minkgauge import (Ball, HPolytope, Product, SupportOracle, VPolytope, centr
                        global_width, hausdorff, homothety, inscribed_ball,
                        max_chord, polygon_vertices, sphere_dirs, support,
                        width_dir)
-from minkgauge import alpha, beta, body, brute_force_alpha, gauge, geometry, lp
+from minkgauge import alpha, bernstein_bound, beta, body, brute_force_alpha, gauge, geometry, lp
 from minkgauge.body import lp_encoding, vertex_candidates
 from minkgauge.cheb import leading_growth
 from minkgauge.shapes import make_weighted_l2_ball
@@ -265,6 +265,50 @@ def test_multistart_polish_is_one_call_per_step(monkeypatch):
     assert counts["h"] == 0
 
 
+def test_oracle_width_sweep_runs_once_per_body():
+    # the width sweep depends on the body alone, so a reused oracle answers
+    # its width from the cache with no h_many call
+    K, counts = counted_oracle(3)
+    x = np.array([0.1, -0.2, 0.05])
+    first = [global_width(K), bernstein_bound(K, x, 4)]
+    swept = counts["h_many"]
+    assert swept > 0 and counts["h"] == 0
+    again = global_width(K)
+    assert counts["h_many"] == swept
+    assert again.value == first[0].value and not again.exact
+    npt.assert_array_equal(again.direction, first[0].direction)
+    # a second Bernstein bound pays only for its sampled alpha, which
+    # depends on x; its width is the cached one
+    alpha(K, x)
+    per_alpha = counts["h_many"] - swept
+    rep = bernstein_bound(K, x, 4)
+    assert counts["h_many"] == swept + 2 * per_alpha
+    assert rep == first[1] and rep.width == first[0].value
+
+
+def test_swept_width_direction_is_read_only():
+    # the body's cached direction cannot be written; global_width hands out
+    # a copy, as the exact route hands out a fresh array
+    K, _ = counted_oracle(2)
+    w = global_width(K)
+    cached = K.swept_width[1]
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0] = 1.0
+    w.direction[0] = 1.0
+    npt.assert_array_equal(global_width(K).direction, cached)
+
+
+def test_homothety_image_runs_its_own_sweep():
+    K, counts = counted_oracle(3)
+    w = global_width(K).value
+    swept = counts["h_many"]
+    S = homothety(K, 2.0, np.ones(3))
+    npt.assert_allclose(global_width(S).value, 2.0 * w, rtol=1e-6)
+    assert counts["h_many"] > swept
+    assert global_width(K).value == w
+
+
 def _lbfgsb_sphere(f, C, sense="min", n_starts=64):
     """The per-start scipy L-BFGS-B search the batched descent replaced."""
     sign = 1.0 if sense == "min" else -1.0
@@ -311,7 +355,8 @@ def test_batched_search_is_as_tight_as_lbfgsb(monkeypatch, mode):
         with monkeypatch.context() as m:
             m.setattr(geometry, "_multistart_sphere", _lbfgsb_sphere)
             m.setattr(gauge, "_multistart_sphere", _lbfgsb_sphere)
-            ref = _oracle_sweeps(K, x, v)
+            # a fresh body: K keeps the width sweep it has run
+            ref = _oracle_sweeps(make_weighted_l2_ball(d, mode), x, v)
         assert np.all(got >= ref - 1e-9 * np.abs(ref)), (d, got - ref)
 
 

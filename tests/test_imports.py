@@ -130,8 +130,8 @@ def test_one_seeded_direction_family():
     assert found == {("body.py", "sphere_dirs"), ("cheb.py", "_body_samples")}
 
 
-def _default_rng_callers():
-    # (file, innermost enclosing function) of every default_rng call in src/
+def _callers(name):
+    # (file, innermost enclosing function) of every call of ``name`` in src/
     found = set()
 
     def visit(node, path, fn):
@@ -139,7 +139,7 @@ def _default_rng_callers():
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, path, child.name)
                 continue
-            if isinstance(child, ast.Call) and "default_rng" in (
+            if isinstance(child, ast.Call) and name in (
                     getattr(child.func, "attr", None), getattr(child.func, "id", None)):
                 found.add((path.name, fn))
             visit(child, path, fn)
@@ -153,10 +153,22 @@ def test_exact_routes_draw_no_random_numbers():
     # the seeded direction families, the oracle probe, the Chebyshev point
     # sample, the test polygons and the conjecture search are the only
     # random draws; no route of gauge, geometry, ratios or lp draws its own
-    assert _default_rng_callers() == {
+    assert _callers("default_rng") == {
         ("body.py", "sphere_dirs"), ("body.py", "_probe_oracle"),
         ("cheb.py", "_body_samples"), ("shapes.py", "random_polygon"),
         ("cli.py", "_cmd_experiment_conjecture")}
+
+
+def test_width_sweep_runs_behind_the_body_cache():
+    # the width sweep runs in ``_width_sweep``, which only the body's cached
+    # ``swept_width`` calls, so no caller can sweep a reused body's width
+    # twice; the chord and sampled-alpha sweeps depend on v or x, and the
+    # diameter and far-radius sweeps of an oracle run inline
+    assert _callers("_multistart_sphere") == {
+        ("geometry.py", "_width_sweep"), ("geometry.py", "_swept_chord"),
+        ("geometry.py", "diameter"), ("geometry.py", "far_radius"),
+        ("gauge.py", "_alpha_sampled")}
+    assert _callers("_width_sweep") == {("body.py", "swept_width")}
 
 
 def test_alpha_inf_takes_only_the_body():
