@@ -10,9 +10,8 @@ The package computes, for a convex body K in R^d and a point x:
 """
 
 from .body import (Ball, Body, BodyError, HPolytope, Product, Sum, SupportOracle,
-                   VPolytope, contains, dim, homothety, hull2d, inscribed_ball,
-                   interior_point, sphere_dirs, support, support_many, validate,
-                   vertex_candidates)
+                   VPolytope, contains, dim, homothety, inscribed_ball, interior_point,
+                   sphere_dirs, support, support_many, validate, vertex_candidates)
 from .lp import LPResult, LPStatus, NumericalError
 from .geometry import (HausdorffResult, WidthResult, central_symm,
                        chord_witness_dir, diameter, far_radius, global_width,

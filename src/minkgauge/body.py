@@ -9,17 +9,18 @@ vertices from one ``_hull`` of their polar points, so every polytope there
 has both descriptions.  Every body is frozen and
 keeps what depends only on it (``_Prepared``), built once on first use and
 read-only: its extreme points, its facet rows and facet profile, its
-central symmetrization C (``symm_body``) with C's rows and their profile,
-and the optimum of its symmetry LP.  The extreme points (``extreme``) are
-the one finite point set that stands for a body wherever one is needed:
-the two end points of every one-dimensional body, the cartesian product of
-the factors' for a product.  The rows answer the gauge, the widths and the
-maximal chords of polytopes in dimensions 1 to MAX_VERTEX_DIM, so a reused
-body builds no hull after its first query.  ``SupportOracle`` wraps a
-black-box support function for bodies with no finite description, and
-every routine that has to fall back to sampling on such a body says so in
-its result.  The image of a body under x -> s x + z (``homothety``) is
-again a body of its kind.
+central symmetrization C (``symm_body``, a product's from its factors')
+with C's rows and their profile, and the optimum of its symmetry LP.  The
+extreme points (``extreme``) are the one finite point set that stands for
+a body wherever one is needed: the two end points of every
+one-dimensional body, the cartesian product of the factors' for a
+product.  The rows answer the gauge, the widths and the maximal chords of
+polytopes in dimensions 1 to MAX_VERTEX_DIM (C's rows those of products
+of them too), so a reused body builds no hull after its first query.
+``SupportOracle`` wraps a black-box support function for bodies with no
+finite description, and every routine that has to fall back to sampling
+on such a body says so in its result.  The image of a body under
+x -> s x + z (``homothety``) is again a body of its kind.
 
 Conventions used throughout the package:
 
@@ -99,17 +100,18 @@ class _Prepared:
     that raises is not cached and raises again on the next read.
 
     ``halfspaces`` and ``gauge.facet_profile`` return ``facet_rows`` and
-    ``profile``; ``geometry.central_symm`` returns ``symm_body``, whose
-    rows the gauge outside K, level membership above 1, widths and maximal
-    chords read (``symm_rows``, ``symm_profile``); ``alpha_inf`` and the
-    emptiness rule of ``gauge.level_set`` read ``symmetry``.  Where a width
-    has no exact route (support oracles, and bodies with ball terms or above
-    MAX_VERTEX_DIM), ``global_width`` (and so ``bernstein_bound``) reads the
-    direction sweep ``swept_width``, so a reused body runs it once.  Every
-    reader of a finite point set for K reads ``extreme``: C, the LPs, the
-    level body above 1, ``centroid``, ``diameter`` and the planar routes;
-    the far radius, chord directions and Chebyshev samples through
-    ``hull_points``.
+    ``profile``; ``geometry.central_symm`` returns ``symm_body`` (for a
+    product, the product of its factors' ``symm_body``), whose rows the
+    gauge outside K, level membership above 1, widths and maximal chords
+    read (``symm_rows``, ``symm_profile``); ``alpha_inf`` and the emptiness
+    rule of ``gauge.level_set`` read ``symmetry``.  Where a width has no
+    exact route (support oracles, bodies with ball terms, and bodies above
+    MAX_VERTEX_DIM but products of lower polytopes), ``global_width`` (and
+    so ``bernstein_bound``) reads the direction sweep ``swept_width``, so a
+    reused body runs it once.  Every reader of a finite point set for K
+    reads ``extreme``: C of a body other than a product, the LPs, the level
+    body above 1, ``centroid``, ``diameter`` and the planar routes; the far
+    radius, chord directions and Chebyshev samples through ``hull_points``.
     A vertex body gets its rows and extreme points from one ``_hull`` of
     its candidates (``_candidate_hull``), preset by ``_hull_body``.
     """
@@ -136,9 +138,8 @@ class _Prepared:
 
     @cached_property
     def symm_rows(self):
-        """C's facet rows (A, b), or None where C (``symm_body``) is no ``_hull_body``."""
-        C = self.symm_body
-        return C.facet_rows if isinstance(C, VPolytope) else None
+        """C's facet rows (A, b), those of ``symm_body``, or None."""
+        return self.symm_body.facet_rows
 
     @cached_property
     def symm_profile(self):
@@ -485,24 +486,6 @@ def _support_rows(K, D):
 # exact representation access
 
 
-def hull2d(points):
-    """Extreme points of a planar point set, counterclockwise.
-
-    Raises BodyError when the set is affinely degenerate (all points on one
-    line), since no polygon exists then.
-    """
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    if P.shape[1] != 2:
-        raise BodyError("hull2d expects planar points")
-    P = np.unique(P, axis=0)
-    if P.shape[0] < 3:
-        raise BodyError("needs at least 3 distinct points")
-    rows, W = _hull(P)
-    if rows is None:
-        raise BodyError("degenerate planar point set")
-    return W
-
-
 def _affine_rank(P, tol=1e-9):
     Q = P - P.mean(axis=0)
     if Q.shape[0] == 1:
@@ -723,14 +706,18 @@ def _halved_differences(V):
 def _symm_body(K):
     """C = (K - K)/2 for ``symm_body``: origin-symmetric, h(C, u) = w(K, u)/2.
 
-    A ball's C is the origin ball, in every dimension, with no rows.  Up to
-    MAX_VERTEX_DIM, another body with extreme points has the ``_hull_body``
-    of their k^2 halved differences, C's rows and points from one hull.
-    Above it, where that hull grows like n^(d/2), and without extreme
-    points, C is the sum of the two halves.
+    A ball's C is the origin ball, in every dimension, with no rows.  A
+    product's C is the product of its factors' cached C, since
+    C(K1 x K2) = C(K1) x C(K2), so its rows stack theirs and it builds no
+    hull of its own.  Up to MAX_VERTEX_DIM, another body with extreme
+    points has the ``_hull_body`` of their k^2 halved differences, C's rows
+    and points from one hull.  Above it, where that hull grows like
+    n^(d/2), and without extreme points, C is the sum of the two halves.
     """
     if isinstance(K, Ball):
         return Ball(np.zeros(dim(K)), K.radius)
+    if isinstance(K, Product):
+        return Product(tuple(f.symm_body for f in K.factors))
     V = K.extreme if dim(K) <= MAX_VERTEX_DIM else None
     if V is None:
         return Sum((homothety(K, 0.5), homothety(K, -0.5)))

@@ -1,17 +1,19 @@
 """Metric quantities of convex bodies: widths, chords, diameter, Hausdorff.
 
-Polytopes in dimension at most ``body.MAX_VERTEX_DIM`` get exact widths and
-maximal chords from the facet rows of the central symmetrization C, which
-every body builds once and keeps (``symm_rows``): the width extrema are
-attained on its facet normals, and the maximal chord in direction v is
-twice where the ray {t v} leaves C.  Every chord question
-is a section of a body by lines, answered by one routine batched over the
-line directions (``_line_sections``).  Support oracles, and widths of
-polytopes above that dimension, fall back to seeded multi-start direction
-sweeps, and a width found so carries an ``exact`` flag set to False.  The
-width sweep (``_width_sweep``) depends on the body alone and runs once per
-body, which keeps its result (``swept_width``); the maximal chord of an
-oracle depends on v and sweeps on every call.
+Polytopes in dimension at most ``body.MAX_VERTEX_DIM``, and products of
+them in any dimension, get exact widths and maximal chords from the facet
+rows of the central symmetrization C, which every body builds once and
+keeps (``symm_rows``; a product's C is the product of its factors' C, its
+rows theirs stacked): the width extrema are attained on its facet normals,
+and the maximal chord in direction v is twice where the ray {t v} leaves
+C.  Every chord question is a section of a body by lines, answered by one
+routine batched over the line directions (``_line_sections``).  Support
+oracles, and widths of other polytopes above that dimension, fall back to
+seeded multi-start direction sweeps, and a width found so carries an
+``exact`` flag set to False.  The width sweep (``_width_sweep``) depends on
+the body alone and runs once per body, which keeps its result
+(``swept_width``); the maximal chord of an oracle depends on v and sweeps
+on every call.
 
 The multi-start search works on batched objectives: a function of an (n, d)
 array of unit directions, evaluated through ``support_many``.  The dense
@@ -24,9 +26,9 @@ call on the trial points and their d forward-difference neighbours.
 
 The diameter and the Hausdorff distance of intervals and planar pairs read
 every body's cached extreme points (``extreme``), the far radius
-``body.hull_points``.  A planar pair's
-Hausdorff distance takes two exact routes, each a fixed number of array
-operations over all vertices and edges, and they check each other.
+``body.hull_points``.  A planar pair's Hausdorff distance takes one exact
+route, the set-distance definition, a fixed number of array operations
+over all vertices and edges.
 """
 
 from __future__ import annotations
@@ -266,10 +268,11 @@ def max_chord(K, v) -> float:
 
     Twice where the ray {t v} leaves the central symmetrization C: a clip of
     C's facet rows (no LP) for every polytope in dimension at most
-    MAX_VERTEX_DIM, closed form for balls, one LP for the other linearly
-    encodable bodies.  Products whose C has no facet rows take the least
-    chord over their factors; support oracles approximate the infimum
-    formula tau = inf_u w(K, u)/<u, v> over a direction sweep.
+    MAX_VERTEX_DIM and every product of them, closed form for balls, one LP
+    for the other linearly encodable bodies.  Products whose C has no facet
+    rows take the least chord over their factors; support oracles
+    approximate the infimum formula tau = inf_u w(K, u)/<u, v> over a
+    direction sweep.
     """
     v = as_vector(v, dim(K))
     if not np.any(v):
@@ -319,7 +322,8 @@ def global_width(K) -> WidthResult:
     """Minimal width over all directions, with the minimizing direction.
 
     Exact wherever the central symmetrization C has facet rows (every
-    polytope in dimension at most MAX_VERTEX_DIM): C is origin-symmetric
+    polytope in dimension at most MAX_VERTEX_DIM, and every product of
+    them, whose C rows stack its factors'): C is origin-symmetric
     with w(K, u) = 2 h(C, u), so the minimal width is twice the least
     b_i / |a_i| over its facets.  A flagged multi-start upper bound
     otherwise, swept once per body (``swept_width``).
@@ -452,52 +456,15 @@ def _vertex_distances(P, W):
     return D
 
 
-def _normal_angles(W):
-    """Angles of the outward edge normals of counterclockwise vertices W."""
-    if len(W) < 2:
-        return np.zeros(0)
-    E = np.roll(W, -1, axis=0) - W
-    return np.arctan2(-E[:, 0], E[:, 1])
-
-
-def _support_gap(WK, WM):
-    """sup over unit u of |h(K, u) - h(M, u)|, for vertex sets WK and WM.
-
-    On each arc between consecutive angles of the merged edge-normal fan,
-    the supports are attained at fixed vertices p and q, found at the arc's
-    midpoint, so the difference is the sinusoid <p - q, u>.  Its extrema lie
-    at the arc ends or at the angles of +-(p - q) inside the arc.
-    """
-    tau = 2.0 * np.pi
-    a0 = np.unique(np.mod(np.concatenate([_normal_angles(WK), _normal_angles(WM)]), tau))
-    if not a0.size:
-        a0 = np.zeros(1)
-    a1 = np.append(a0[1:], a0[0] + tau)
-    mid = 0.5 * (a0 + a1)
-    U = np.stack([np.cos(mid), np.sin(mid)], axis=1)
-    diff = WK[np.argmax(U @ WK.T, axis=1)] - WM[np.argmax(U @ WM.T, axis=1)]
-    phi = np.arctan2(diff[:, 1], diff[:, 0])
-    c = np.mod(np.stack([phi, phi + np.pi], axis=1), tau)
-    lo, hi = a0[:, None] - 1e-12, a1[:, None] + 1e-12
-    keep = (((lo <= c) & (c <= hi)) | ((lo <= c + tau) & (c + tau <= hi))) \
-        & np.any(diff != 0.0, axis=1)[:, None]
-    th = np.concatenate([a0, c[keep]])
-    H = np.stack([np.cos(th), np.sin(th)], axis=1) @ np.vstack([WK, WM]).T
-    return float(np.max(np.abs(H[:, :len(WK)].max(axis=1) - H[:, len(WK):].max(axis=1))))
-
-
 def hausdorff(K, M, n_dirs=4096, seed=0) -> HausdorffResult:
     """Hausdorff distance between two convex bodies.
 
-    Planar pairs with vertex access are computed exactly twice over from
-    their cached extreme points, each route one batch of array operations:
-    by the set-distance definition (the larger of the two vertex-to-body
-    maxima) and by the support-difference formula over the merged
-    edge-normal fan.  The two must agree to within 1e-9 max(1, d_H) or a
-    NumericalError is raised.  Flat planar sets are reduced to their end
-    points.  Intervals and balls against balls are closed form.  Everything
-    else is a sampled support-difference lower bound over a nested
-    direction family, flagged inexact.
+    Planar pairs with vertex access are exact from their cached extreme
+    points by the set-distance definition, the larger of the two
+    vertex-to-body maxima, in one batch of array operations.  Flat planar
+    sets are reduced to their end points.  Intervals and balls against
+    balls are closed form.  Everything else is a sampled support-difference
+    lower bound over a nested direction family, flagged inexact.
     """
     if dim(K) != dim(M):
         raise BodyError("bodies must share a dimension")
@@ -509,13 +476,8 @@ def hausdorff(K, M, n_dirs=4096, seed=0) -> HausdorffResult:
     if dim(K) == 2:
         WK, WM = _planar_points(K), _planar_points(M)
         if WK is not None and WM is not None:
-            by_def = float(max(_vertex_distances(WK, WM).max(),
-                               _vertex_distances(WM, WK).max()))
-            by_support = _support_gap(WK, WM)
-            if abs(by_def - by_support) > 1e-9 * max(1.0, by_def):
-                raise lp.NumericalError(
-                    f"hausdorff cross-check failed: {by_def} vs {by_support}")
-            return HausdorffResult(by_def, True)
+            return HausdorffResult(float(max(_vertex_distances(WK, WM).max(),
+                                             _vertex_distances(WM, WK).max())), True)
     dirs = sphere_dirs(dim(K), n_dirs, seed)
     best = np.max(np.abs(support_many(K, dirs) - support_many(M, dirs)))
     return HausdorffResult(float(best), False)
@@ -528,7 +490,8 @@ def chord_witness_dir(K, v):
     C; the unit facet row of C that stops the ray {t v} there satisfies
     w(K, v*) = tau(K, v) <v*, v>, the inequality-to-equality witness that
     turns the chord bound into an attained width.  None where C has no
-    facet rows (support oracles, balls, polytopes above MAX_VERTEX_DIM).
+    facet rows (support oracles, balls, polytopes above MAX_VERTEX_DIM
+    other than products of lower factors).
     """
     v = as_vector(v, dim(K))
     if not np.any(v):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .body import (Ball, BodyError, HPolytope, Product, Sum, SupportOracle,
-                   VPolytope, dim, homothety, hull2d, validate)
+                   VPolytope, _hull, dim, homothety, validate)
 
 
 class SchemaError(BodyError):
@@ -123,11 +123,9 @@ def random_polygon(n, seed, radius=1.0, center=(0.0, 0.0)):
         r = radius * np.sqrt(rng.uniform(size=n))
         th = rng.uniform(0.0, 2.0 * np.pi, size=n)
         P = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-        try:
-            W = hull2d(P)
-        except BodyError:
-            continue
-        return VPolytope(W + np.asarray(center, dtype=float))
+        rows, W = _hull(np.unique(P, axis=0))
+        if rows is not None:
+            return VPolytope(W + np.asarray(center, dtype=float))
     raise BodyError("failed to draw a nondegenerate polygon")
 
 

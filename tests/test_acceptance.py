@@ -28,8 +28,10 @@ from minkgauge import (Ball, Product, Sum, VPolytope, alpha, alpha_inf,
                        t_polynomial)
 from minkgauge import lp
 from minkgauge.body import encoding_feasible, lp_encoding
-from minkgauge.geometry import _planar_points, _support_gap, _vertex_distances
+from minkgauge.geometry import _planar_points, _vertex_distances
 from minkgauge.shapes import random_polygon
+
+from test_planar_hausdorff import _support_gap
 
 TRIANGLE = VPolytope(np.array([[10.0, 10.0], [16.0, 10.0], [10.0, 16.0]]))
 HEX_VERTICES = {(3.0, 0.0), (0.0, 3.0), (-3.0, 0.0),
@@ -417,7 +419,7 @@ def test_hausdorff_dual_routes_and_sampled_monotonicity():
         worst = max(worst, gap)
         assert gap <= 1e-9 * max(1.0, by_def)
         res = hausdorff(K, M)
-        assert res.exact
+        assert res.exact and res.value == by_def
 
     from minkgauge import SupportOracle, inscribed_ball
     K = seeded_polygon(4300)

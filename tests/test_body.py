@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minkgauge import (Ball, BodyError, HPolytope, Product, Sum, SupportOracle,
-                       VPolytope, alpha, contains, dim, homothety, hull2d,
+                       VPolytope, alpha, contains, dim, homothety,
                        inscribed_ball, interior_point, lp, make_box,
                        make_weighted_l2_ball, parse_body, support,
                        support_many, vertex_candidates, width_dir)
@@ -75,18 +75,6 @@ def test_interior_point_has_positive_margin(K):
     x = interior_point(K)
     for u in sphere_dirs(2, 32, 2):
         assert support(K, u) - float(u @ x) > 1e-9
-
-
-def test_hull2d_strips_interior_points():
-    pts = np.vstack([SQ.vertices, np.zeros((1, 2)), [[0.5, 0.5]]])
-    W = hull2d(pts)
-    assert W.shape == (4, 2)
-    assert {tuple(p) for p in W} == {tuple(p) for p in SQ.vertices}
-
-
-def test_hull2d_rejects_degenerate_input():
-    with pytest.raises(BodyError):
-        hull2d(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
 
 
 # homothety: support identity and affine invariance of alpha

@@ -22,7 +22,7 @@ from minkgauge import (Ball, HPolytope, Product, SupportOracle, VPolytope, centr
 from minkgauge import alpha, bernstein_bound, beta, body, brute_force_alpha, gauge, geometry, lp
 from minkgauge.body import lp_encoding, vertex_candidates
 from minkgauge.cheb import leading_growth
-from minkgauge.shapes import make_weighted_l2_ball
+from minkgauge.shapes import make_regular_polygon, make_weighted_l2_ball
 
 from conftest import (MAX_SEED, POLYTOPE_KINDS, counted_oracle, polygon_pairs, polygons,
                       polytopes, seeded_polytope, unit_dirs)
@@ -376,6 +376,49 @@ def test_difference_body_rows_are_one_hull(d, qhull_calls):
             global_width(K)
             leading_growth(K, v, 3)
         assert qhull_calls == [n, k * k]
+
+
+def test_product_rows_are_its_factors_rows(qhull_calls):
+    # C(K1 x K2) = C(K1) x C(K2): each 40-gon hulls its 40 vertices and its
+    # 1,600 halved differences in the plane, and the product hulls none of
+    # the 1,600^2 differences of its 1,600 extreme points in R^4
+    P = make_regular_polygon(40)
+    Q = make_regular_polygon(40, radius=0.7, phase=0.1)
+    K = Product((P, Q))
+    v = np.array([1.0, 0.3, 0.2, -1.0])
+    w, tau = global_width(K), max_chord(K, v)
+    assert qhull_calls == [40, 1600, 40, 1600]
+    qhull_calls.clear()
+    assert global_width(K).value == w.value and max_chord(K, v) == tau
+    assert not qhull_calls
+    assert w.exact
+    assert w.value == pytest.approx(min(global_width(P).value, global_width(Q).value),
+                                    rel=1e-15)
+    assert tau == pytest.approx(min(max_chord(P, v[:2]), max_chord(Q, v[2:])), rel=1e-15)
+    assert not qhull_calls
+
+
+def test_product_above_max_vertex_dim_has_an_exact_width():
+    # two polytopes in R^3 make a product in R^6, whose C rows stack theirs
+    rng = np.random.default_rng(3)
+    P, Q = VPolytope(rng.normal(size=(8, 3))), VPolytope(rng.normal(size=(9, 3)))
+    K = Product((P, Q))
+    w = global_width(K)
+    assert w.exact
+    assert w.value == pytest.approx(min(global_width(P).value, global_width(Q).value),
+                                    abs=1e-12)
+    assert width_dir(K, w.direction) == pytest.approx(w.value, abs=1e-12)
+
+
+def test_central_symm_of_a_product_is_the_product_of_its_factors_c():
+    factors = (make_regular_polygon(5), VPolytope(np.array([[0.0], [2.0]])))
+    K = Product(factors)
+    C = central_symm(K)
+    assert isinstance(C, Product) and central_symm(K) is C
+    assert all(c is central_symm(f) for c, f in zip(C.factors, factors))
+    assert K.symm_rows is C.facet_rows
+    # a ball factor's C has no rows, so neither has the product's
+    assert Product((Ball(np.zeros(2), 1.0), factors[0])).symm_rows is None
 
 
 def test_interval_hausdorff():
