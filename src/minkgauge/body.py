@@ -10,7 +10,8 @@ has both descriptions.  Every body is frozen and
 keeps what depends only on it (``_Prepared``), built once on first use and
 read-only: its extreme points, its facet rows and facet profile, its
 central symmetrization C (``symm_body``, a product's from its factors')
-with C's rows and their profile, and the optimum of its symmetry LP.  The
+with C's rows and their profile, the optimum of its symmetry LP and the
+critical set of ``gauge.alpha_inf`` with its dimension.  The
 extreme points (``extreme``) are the one finite point set that stands for
 a body wherever one is needed: the two end points of every
 one-dimensional body, the cartesian product of the factors' for a
@@ -104,16 +105,18 @@ class _Prepared:
     product, the product of its factors' ``symm_body``), whose rows the
     gauge outside K, level membership above 1, widths and maximal chords
     read (``symm_rows``, ``symm_profile``); ``alpha_inf`` and the emptiness
-    rule of ``gauge.level_set`` read ``symmetry``.  Where a width has no
-    exact route (support oracles, bodies with ball terms, and bodies above
-    MAX_VERTEX_DIM but products of lower polytopes), ``global_width`` (and
-    so ``bernstein_bound``) reads the direction sweep ``swept_width``, so a
-    reused body runs it once.  Every reader of a finite point set for K
-    reads ``extreme``: C of a body other than a product, the LPs, the level
-    body above 1, ``centroid``, ``diameter`` and the planar routes; the far
-    radius, chord directions and Chebyshev samples through ``hull_points``.
-    A vertex body gets its rows and extreme points from one ``_hull`` of
-    its candidates (``_candidate_hull``), preset by ``_hull_body``.
+    rule of ``gauge.level_set`` read ``symmetry``, and ``alpha_inf`` its
+    critical set too (``critical``), so a reused body solves no LP for it.
+    Where a width has no exact route (support oracles, bodies with ball
+    terms, and bodies above MAX_VERTEX_DIM but products of lower polytopes),
+    ``global_width`` (and so ``bernstein_bound``) reads the direction sweep
+    ``swept_width``, so a reused body runs it once.  Every reader of a finite
+    point set for K reads ``extreme``: C of a body other than a product, the
+    LPs, the level body above 1, ``centroid``, ``diameter`` and the planar
+    routes; the far radius, chord directions and Chebyshev samples through
+    ``hull_points``.  A vertex body gets its rows and extreme points from one
+    ``_hull`` of its candidates (``_candidate_hull``), preset by
+    ``_hull_body``.
     """
 
     @cached_property
@@ -155,6 +158,12 @@ class _Prepared:
         None when K has no profile or the LP ends without an optimum.
         """
         return _symmetry_lp(self)
+
+    @cached_property
+    def critical(self):
+        """(critical body, its exact dimension) of ``gauge.alpha_inf``: the
+        level body K^s at s = alpha_inf(K) (``_critical``)."""
+        return _critical(self)
 
     @cached_property
     def swept_width(self):
@@ -291,11 +300,14 @@ class VPolytope(_Prepared):
 
 @dataclass(frozen=True, eq=False)
 class Ball(_Prepared):
+    """Euclidean ball; the centre is a private read-only copy, so the critical
+    ball that ``alpha_inf`` caches, which shares it, stays valid."""
+
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center))
+        object.__setattr__(self, "center", _readonly(as_vector(self.center).copy()))
         object.__setattr__(self, "radius", float(self.radius))
 
 
@@ -696,6 +708,87 @@ def _symmetry_lp(K):
     if not res.optimal:
         return None
     return float(res.value), _readonly(res.x[:d])
+
+
+# the cap on the slack scale theta of the critical-set LP (``_critical_dim``)
+THETA_MAX = 1e6
+
+
+def _critical(K):
+    """(critical body, its dimension) for the body's ``critical``: the level
+    body K^s at s = alpha_inf(K) of ``gauge.alpha_inf``, factor by factor for
+    a ball or a product without merged facet rows."""
+    s = _symmetry(K)[0]
+    if K.profile is None:
+        return _critical_part(K, s)
+    return _eroded(K, s)
+
+
+def _symmetry(K):
+    """(alpha_inf, minimiser) of K, with no critical-set LP: the body's cached
+    symmetry LP (``symmetry``), or for a product without merged facet rows
+    the largest of its factors' values and their minimisers side by side."""
+    if isinstance(K, Ball):
+        return 0.0, K.center.copy()
+    profile = K.profile
+    if profile is None and isinstance(K, Product):
+        parts = [_symmetry(f) for f in K.factors]
+        return max(p[0] for p in parts), np.concatenate([p[1] for p in parts])
+    if profile is None:
+        raise BodyError("alpha_inf needs facet access (or a product of such bodies)")
+    if K.symmetry is None:
+        raise lp.NumericalError("symmetry LP ended without an optimum")
+    s_star, x_star = K.symmetry
+    if s_star >= 1.0 - 1e-12:
+        raise lp.NumericalError("symmetry LP returned alpha_inf >= 1 for a full body")
+    return s_star, x_star
+
+
+def _eroded(K, lam):
+    """(K^lam, its dimension) for alpha_inf(K) <= lam < 1: the erosion of K's
+    facet rows, nonempty since it holds K's minimiser, so no LP decides
+    that; the dimension is ``_critical_dim``'s, centred at the minimiser."""
+    profile = K.profile
+    A, hp, hm = profile
+    return (HPolytope(A, (1.0 + lam) / 2.0 * hp - (1.0 - lam) / 2.0 * hm),
+            _critical_dim(profile, lam, _symmetry(K)[1]))
+
+
+def _critical_part(f, lam):
+    """(f^lam, its dimension) for alpha_inf(f) <= lam < 1: a product factor
+    by factor, a ball in closed form, any other body by ``_eroded``."""
+    if isinstance(f, Ball):
+        if lam == 0:
+            return VPolytope(f.center[None, :]), 0
+        return Ball(f.center, lam * f.radius), (dim(f) if lam > 1e-12 else 0)
+    if isinstance(f, Product):
+        parts = [_critical_part(g, lam) for g in f.factors]
+        return Product(tuple(p[0] for p in parts)), sum(p[1] for p in parts)
+    return _eroded(f, lam)
+
+
+def _critical_dim(profile, lam, x0):
+    """Dimension of the erosion {2 A x <= hp - hm + lam w} through its point x0.
+
+    One LP finds the rows tight on the whole set (Freund, Roundy & Todd, MIT
+    Sloan WP 1674-85, 1985): with x = x0 + u / theta and rows in widths, it
+    maximises the sum of the slacks y over 0 <= y <= 1, 1 <= theta <= THETA_MAX.
+    A row with y_i < 1/2 has slack below 1 / (2 THETA_MAX) widths on the
+    whole set; the dimension is d minus the rank of those rows.
+    """
+    A, hp, hm = profile
+    m, d = A.shape
+    w = hp + hm
+    # x0's slacks in widths, clipped so that rounding keeps the LP feasible
+    s0 = np.maximum((hp - hm + lam * w - 2.0 * (A @ x0)) / w, 0.0)
+    c = np.concatenate([np.zeros(d), np.ones(m), [0.0]])
+    res = lp.solve(c, A_ub=np.hstack([2.0 * A / w[:, None], np.eye(m), -s0[:, None]]),
+                   b_ub=np.zeros(m), bounds=[(None, None)] * d + [(0.0, 1.0)] * m
+                   + [(1.0, THETA_MAX)], sense="max")
+    if not res.optimal:
+        raise lp.NumericalError(f"critical-set LP ended with status {res.status.value}")
+    tight = A[res.x[d:d + m] < 0.5]
+    return d - (int(np.linalg.matrix_rank(tight)) if tight.size else 0)
 
 
 def _halved_differences(V):

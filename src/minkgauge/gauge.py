@@ -40,15 +40,14 @@ import numpy as np
 
 from . import lp
 from .body import (Ball, BodyError, HPolytope, Product, SupportOracle, VPolytope,
-                   _hull_body, as_vector, dim, lp_encoding, support, vertex_candidates)
+                   _hull_body, _symmetry, as_vector, dim, lp_encoding, support,
+                   vertex_candidates)
 from .geometry import _multistart_sphere, _support_pm, sphere_dirs
 
 T_MEMBER_TOL = 1e-9
 # within this distance of alpha_inf(K), a Chebyshev LP decides whether the
 # erosion K^lam is empty; farther away lam < alpha_inf(K) does
 EMPTY_BAND = 1e-7
-# the cap on the slack scale theta of the critical-set LP (``_critical_dim``)
-THETA_MAX = 1e6
 
 
 @dataclass
@@ -408,83 +407,17 @@ def alpha_inf(K) -> SymmetryReport:
 
     One LP over the facet rows of ``halfspaces(K)``, which every polytope in
     dimension at most ``body.MAX_VERTEX_DIM`` has; its value and minimiser
-    are cached on the body (``symmetry``), so a reused body solves it once.
-    Products recurse onto their factors when no merged facet system exists;
-    a ball's critical set is its centre.  The critical set's dimension is
-    exact, from one more LP per call (``_critical_dim``) centred at the
-    minimiser, one per polytope factor of such a product.
+    are cached on the body (``symmetry``).  Products recurse onto their
+    factors when no merged facet system exists; a ball's critical set is its
+    centre.  The critical set and its exact dimension, from one more LP
+    (``body._critical_dim``) centred at the minimiser, one per polytope
+    factor of such a product, are cached on the body too (``critical``), so
+    a reused body solves no LP.  Each call returns a new report and level set
+    around the shared, frozen critical body.
     """
     s, x = _symmetry(K)
-    if facet_profile(K) is None:        # a ball, or a product without merged rows
-        crit, k = _critical_part(K, s)
-    else:
-        crit, k = _eroded(K, s)
+    crit, k = K.critical
     return SymmetryReport(s, 1.0 - s, x, LevelSet(s, crit, False, K), k, (1.0 + s) / (1.0 - s))
-
-
-def _symmetry(K):
-    """(alpha_inf, minimiser) of K, with no critical-set LP: the body's cached
-    symmetry LP (``symmetry``), or for a product without merged facet rows
-    the largest of its factors' values and their minimisers side by side."""
-    if isinstance(K, Ball):
-        return 0.0, K.center.copy()
-    profile = facet_profile(K)
-    if profile is None and isinstance(K, Product):
-        parts = [_symmetry(f) for f in K.factors]
-        return max(p[0] for p in parts), np.concatenate([p[1] for p in parts])
-    if profile is None:
-        raise BodyError("alpha_inf needs facet access (or a product of such bodies)")
-    if K.symmetry is None:
-        raise lp.NumericalError("symmetry LP ended without an optimum")
-    s_star, x_star = K.symmetry
-    if s_star >= 1.0 - 1e-12:
-        raise lp.NumericalError("symmetry LP returned alpha_inf >= 1 for a full body")
-    return s_star, x_star
-
-
-def _eroded(K, lam):
-    """(K^lam, its dimension) for alpha_inf(K) <= lam < 1: the erosion of K's
-    facet rows, nonempty since it holds K's minimiser, so no LP decides
-    that; the dimension is ``_critical_dim``'s, centred at the minimiser."""
-    profile = facet_profile(K)
-    A, hp, hm = profile
-    return (HPolytope(A, (1.0 + lam) / 2.0 * hp - (1.0 - lam) / 2.0 * hm),
-            _critical_dim(profile, lam, _symmetry(K)[1]))
-
-
-def _critical_part(f, lam):
-    """(f^lam, its dimension) for alpha_inf(f) <= lam < 1: a product factor
-    by factor, a ball in closed form, any other body by ``_eroded``."""
-    if isinstance(f, Ball):
-        return level_set(f, lam).body, (dim(f) if lam > 1e-12 else 0)
-    if isinstance(f, Product):
-        parts = [_critical_part(g, lam) for g in f.factors]
-        return Product(tuple(p[0] for p in parts)), sum(p[1] for p in parts)
-    return _eroded(f, lam)
-
-
-def _critical_dim(profile, lam, x0):
-    """Dimension of the erosion {2 A x <= hp - hm + lam w} through its point x0.
-
-    One LP finds the rows tight on the whole set (Freund, Roundy & Todd, MIT
-    Sloan WP 1674-85, 1985): with x = x0 + u / theta and rows in widths, it
-    maximises the sum of the slacks y over 0 <= y <= 1, 1 <= theta <= THETA_MAX.
-    A row with y_i < 1/2 has slack below 1 / (2 THETA_MAX) widths on the
-    whole set; the dimension is d minus the rank of those rows.
-    """
-    A, hp, hm = profile
-    m, d = A.shape
-    w = hp + hm
-    # x0's slacks in widths, clipped so that rounding keeps the LP feasible
-    s0 = np.maximum((hp - hm + lam * w - 2.0 * (A @ x0)) / w, 0.0)
-    c = np.concatenate([np.zeros(d), np.ones(m), [0.0]])
-    res = lp.solve(c, A_ub=np.hstack([2.0 * A / w[:, None], np.eye(m), -s0[:, None]]),
-                   b_ub=np.zeros(m), bounds=[(None, None)] * d + [(0.0, 1.0)] * m
-                   + [(1.0, THETA_MAX)], sense="max")
-    if not res.optimal:
-        raise lp.NumericalError(f"critical-set LP ended with status {res.status.value}")
-    tight = A[res.x[d:d + m] < 0.5]
-    return d - (int(np.linalg.matrix_rank(tight)) if tight.size else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,14 @@ same status map and the same post-solve residual check.  It returns the same
 statuses, x, objective and equality duals, bit for bit.  On the small LPs of
 this package scipy's per-call wrapper (an options manager built per option,
 input cleaning, sparse conversion, result assembly) cost several times the
-solve itself.  The name ``linprog`` and its leading ``c`` argument stay, so
-that counters can wrap ``minkgauge.lp.linprog`` and see every solve.
+solve itself.  Each thread keeps one HiGHS object (``_solver``), given its
+options once; a solve passes its model and clears it again, so no model
+stays resident and none carries over to the next solve.  Building a fresh
+object per solve cost about as much as HiGHS's own run: on a shared 2-core
+x86_64 host a 10-row Chebyshev LP took 0.52-0.82 ms through ``linprog``
+that way, and 0.29-0.60 ms on the reused object.
+The name ``linprog`` and its leading ``c`` argument stay, so that counters
+can wrap ``minkgauge.lp.linprog`` and see every solve.
 
 The wrapper exists so that callers get a uniform result object with an
 explicit status enum (optimal / infeasible / unbounded) instead of integer
@@ -20,6 +26,7 @@ rather than a silently wrong answer.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -69,6 +76,21 @@ def _highs_options():
 
 
 _OPTIONS = _highs_options()
+_LOCAL = threading.local()
+
+
+def _solver():
+    """This thread's HiGHS object, built with ``_OPTIONS`` on first use.
+
+    ``linprog`` clears its model after every solve, raised or not, so the
+    object holds no model between solves.  Tests replace this function to
+    inject a faulty solver.
+    """
+    solver = getattr(_LOCAL, "solver", None)
+    if solver is None:
+        solver = _LOCAL.solver = highs._Highs()
+        solver.passOptions(_OPTIONS)
+    return solver
 
 
 def _bounds(bounds, n):
@@ -118,29 +140,32 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(None, None)):
     model.a_matrix_.index_ = np.nonzero(nz)[1].astype(np.int32)
     model.a_matrix_.value_ = At[nz]
 
-    solver = highs._Highs()   # fresh per solve: no warm start between calls
-    solver.passOptions(_OPTIONS)
-    if solver.passModel(model) == highs.HighsStatus.kError:
-        return LPResult(LPStatus.INFEASIBLE, None, None)
-    ran = solver.run()
-    status = solver.getModelStatus()
-    if status == highs.HighsModelStatus.kOptimal and ran != highs.HighsStatus.kError:
-        sol = solver.getSolution()
-        x = np.array(sol.col_value)
-        fun = solver.getInfo().objective_function_value
-        slack = rhs - np.array(sol.row_value)
-        # every comparison with a NaN is False, so NaNs fail the check too
-        if not (fun == fun and np.all(x >= lb - RESIDUAL_TOL) and np.all(x <= ub + RESIDUAL_TOL)
-                and np.all(slack[:m_ub] >= -RESIDUAL_TOL)
-                and np.all(np.abs(slack[m_ub:]) <= RESIDUAL_TOL)):
-            raise NumericalError("LP solver returned an optimum that breaks its "
-                                 f"constraints by more than {RESIDUAL_TOL:.2e}")
-        return LPResult(LPStatus.OPTIMAL, fun, x, np.array(sol.row_dual)[m_ub:])
-    if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError):
-        return LPResult(LPStatus.INFEASIBLE, None, None)
-    if status == highs.HighsModelStatus.kUnbounded:
-        return LPResult(LPStatus.UNBOUNDED, None, None)
-    raise NumericalError(f"LP solver failed: {solver.modelStatusToString(status)}")
+    solver = _solver()   # this thread's, cleared after every solve
+    try:
+        if solver.passModel(model) == highs.HighsStatus.kError:
+            return LPResult(LPStatus.INFEASIBLE, None, None)
+        ran = solver.run()
+        status = solver.getModelStatus()
+        if status == highs.HighsModelStatus.kOptimal and ran != highs.HighsStatus.kError:
+            sol = solver.getSolution()
+            x = np.array(sol.col_value)
+            fun = solver.getInfo().objective_function_value
+            slack = rhs - np.array(sol.row_value)
+            # every comparison with a NaN is False, so NaNs fail the check too
+            if not (fun == fun and np.all(x >= lb - RESIDUAL_TOL)
+                    and np.all(x <= ub + RESIDUAL_TOL)
+                    and np.all(slack[:m_ub] >= -RESIDUAL_TOL)
+                    and np.all(np.abs(slack[m_ub:]) <= RESIDUAL_TOL)):
+                raise NumericalError("LP solver returned an optimum that breaks its "
+                                     f"constraints by more than {RESIDUAL_TOL:.2e}")
+            return LPResult(LPStatus.OPTIMAL, fun, x, np.array(sol.row_dual)[m_ub:])
+        if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError):
+            return LPResult(LPStatus.INFEASIBLE, None, None)
+        if status == highs.HighsModelStatus.kUnbounded:
+            return LPResult(LPStatus.UNBOUNDED, None, None)
+        raise NumericalError(f"LP solver failed: {solver.modelStatusToString(status)}")
+    finally:
+        solver.clearModel()
 
 
 def _as_2d(A, n_cols=None):

@@ -218,10 +218,10 @@ def test_alpha_inf_on_validated_box_is_two_lps(lp_solves):
     assert rep.alpha_inf <= 1e-9
     npt.assert_allclose(rep.minimizer, (lo + hi) / 2.0, atol=1e-9)
     assert rep.critical_dim_estimate == 0
-    # a reused body keeps its symmetry LP and solves the critical-set LP again
+    # a reused body keeps its symmetry LP and its critical set
     lp_solves.clear()
     assert alpha_inf(B).critical_dim_estimate == 0
-    assert len(lp_solves) == 1
+    assert len(lp_solves) == 0
 
 
 def test_alpha_inf_of_a_product_with_a_ball_counts_its_lps(lp_solves):
@@ -242,7 +242,46 @@ def test_alpha_inf_of_a_product_with_a_ball_counts_its_lps(lp_solves):
     lp_solves.clear()
     again = alpha_inf(K)
     assert again.alpha_inf == rep.alpha_inf and again.critical_dim_estimate == 5
-    assert len(lp_solves) == 3
+    assert len(lp_solves) == 0
+
+
+def _snapshot(rep):
+    L = rep.critical_body
+    return (rep.alpha_inf, rep.measure, rep.minimizer.tobytes(), rep.critical_dim_estimate,
+            rep.klee_lhs, L.lam, L.empty, L.body)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_sobczyk_prism(),
+    lambda: Ball(np.array([1.0, -2.0]), 0.5),
+    lambda: Product((make_box(-np.ones(2), np.ones(2)), Ball(np.zeros(1), 1.0),
+                     make_simplex(2))),
+], ids=["prism", "ball", "product"])
+def test_alpha_inf_cache_survives_a_caller_that_edits_its_report(make, lp_solves):
+    K = make()
+    want = _snapshot(alpha_inf(K))
+    rep = alpha_inf(K)
+    assert _snapshot(rep) == want
+    # the minimiser is the body's read-only cached one or a fresh copy
+    try:
+        rep.minimizer[:] = 7.0
+    except ValueError:
+        assert not rep.minimizer.flags.writeable
+    rep.alpha_inf, rep.critical_dim_estimate = 0.9, 99
+    rep.critical_body.lam, rep.critical_body.empty = 2.0, True
+    crit = rep.critical_body.body
+    for part in (crit,) + getattr(crit, "factors", ()):
+        for name in ("A", "b", "center", "vertices"):
+            if name in vars(part):
+                with pytest.raises(ValueError):
+                    vars(part)[name][...] = 7.0
+    lp_solves.clear()
+    again = alpha_inf(K)
+    assert lp_solves == []
+    assert _snapshot(again) == want
+    # a new report and level set around the shared, frozen critical body
+    assert again is not rep and again.critical_body is not rep.critical_body
+    assert again.critical_body.body is crit
 
 
 def _gaussian_vpolytopes(d):

@@ -1,6 +1,8 @@
 """Linear programming wrapper: statuses, senses, Chebyshev centers, and the
 direct HiGHS path checked against scipy.optimize.linprog."""
 
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -244,8 +246,15 @@ class _ShiftedRows(lp.highs._Highs):
         return sol
 
 
+def _fresh_solver(cls=lp.highs._Highs):
+    """A new HiGHS object with the package's options, as ``lp._solver`` builds."""
+    solver = cls()
+    solver.passOptions(lp._OPTIONS)
+    return solver
+
+
 def test_unmapped_highs_status_raises(monkeypatch):
-    monkeypatch.setattr(lp.highs, "_Highs", _UnboundedOrInfeasible)
+    monkeypatch.setattr(lp, "_solver", lambda: _fresh_solver(_UnboundedOrInfeasible))
     with pytest.raises(lp.NumericalError, match="infeasible or unbounded"):
         lp.solve([1.0], A_ub=[[-1.0]], b_ub=[0.0])
 
@@ -260,6 +269,86 @@ def test_unmapped_highs_status_raises(monkeypatch):
 ])
 def test_optimum_that_breaks_its_constraints_raises(monkeypatch, fake, system):
     assert lp.solve([1.0], **system).optimal
-    monkeypatch.setattr(lp.highs, "_Highs", fake)
+    monkeypatch.setattr(lp, "_solver", lambda: _fresh_solver(fake))
     with pytest.raises(lp.NumericalError, match="breaks its constraints"):
         lp.solve([1.0], **system)
+
+
+# --- the per-thread solver against a fresh HiGHS object per solve -------------
+
+def _outcome(args):
+    """linprog's result on args as comparable bytes, or the NumericalError text."""
+    try:
+        res = lp.linprog(*args)
+    except lp.NumericalError as err:
+        return str(err)
+    return (res.status, res.value, *(None if a is None else a.tobytes()
+                                     for a in (res.x, res.eq_duals)))
+
+
+def _corpus(seed, n):
+    rng = np.random.default_rng(seed)
+    return [_random_lp(rng, ("chebyshev", "stacked", "general", "boxed")[i % 4])
+            for i in range(n)]
+
+
+def test_reused_solver_matches_a_fresh_one_bit_for_bit(monkeypatch):
+    corpus = _corpus(21, 400)
+    reused = [_outcome(args) for args in corpus]
+    monkeypatch.setattr(lp, "_solver", _fresh_solver)
+    assert [_outcome(args) for args in corpus] == reused
+    assert min(Counter(o[0] for o in reused if not isinstance(o, str)).values()) >= 50
+
+
+class _Faulty:
+    """This thread's solver, with a fault after the model is solved."""
+
+    def __init__(self, solver):
+        self._solver = solver
+
+    def __getattr__(self, name):
+        return getattr(self._solver, name)
+
+    def getSolution(self):
+        raise RuntimeError("injected fault")
+
+
+def test_a_raised_solve_leaves_the_solver_clean(monkeypatch):
+    corpus = _corpus(22, 40)
+    solver = lp._solver()
+    with monkeypatch.context() as m:
+        m.setattr(lp, "_solver", lambda: _Faulty(solver))
+        with pytest.raises(RuntimeError, match="injected fault"):
+            lp.solve([1.0], A_ub=[[-1.0]], b_ub=[-1.0])
+    assert lp._solver() is solver and solver.getNumRow() == 0
+    after = [_outcome(args) for args in corpus]
+    monkeypatch.setattr(lp, "_solver", _fresh_solver)
+    assert after == [_outcome(args) for args in corpus]
+
+
+def test_two_threads_solve_as_a_serial_run_does():
+    corpus = _corpus(23, 120)
+    want = [_outcome(args) for args in corpus]
+    got = [None] * len(corpus)
+    solvers = [None, None]
+    start = threading.Barrier(2)
+
+    def work(t):
+        solvers[t] = lp._solver()
+        start.wait(timeout=30)
+        for i in range(t, len(corpus), 2):
+            got[i] = _outcome(corpus[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert solvers[0] is not solvers[1] and lp._solver() not in solvers
+    assert got == want
