@@ -21,7 +21,12 @@ of them too), so a reused body builds no hull after its first query.
 ``SupportOracle`` wraps a black-box support function for bodies with no
 finite description, and every routine that has to fall back to sampling
 on such a body says so in its result.  The image of a body under
-x -> s x + z (``homothety``) is again a body of its kind.
+x -> s x + z (``homothety``) is again a body of its kind.  A product
+answers factor by factor, each factor on its block of coordinates
+(``Product.blocks``).  Every LP over copies of a body is posed here, on
+its linear encoding (``lp_encoding``): ``copies_lp`` for the level-set,
+beta and rho LPs, ``section_lp`` for the chords of bodies without facet
+rows; other modules read only an encoding's point map P u + q.
 
 Conventions used throughout the package:
 
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Union
 
 import numpy as np
@@ -317,7 +323,8 @@ class SupportOracle(_Prepared):
 
     ``center`` together with ``inner_radius <= outer_radius`` must satisfy
     B(center, inner) <= K <= B(center, outer); the sandwich is what keeps the
-    sampling fallbacks honest.
+    sampling fallbacks honest.  The centre is a private read-only copy, as
+    a ball's is, so the values cached from it stay valid.
 
     ``h_many`` is optional: the same function as ``h``, vectorised, mapping an
     (n, d) array of directions to the n support values of its rows.  Batched
@@ -333,7 +340,7 @@ class SupportOracle(_Prepared):
     h_many: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center))
+        object.__setattr__(self, "center", _readonly(as_vector(self.center).copy()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,6 +353,13 @@ class Product(_Prepared):
         object.__setattr__(self, "factors", tuple(self.factors))
         if len(self.factors) < 1:
             raise BodyError("product needs at least one factor")
+
+    @cached_property
+    def blocks(self):
+        """The (factor, coordinate slice) pairs, in order: every factor-wise
+        answer reads its factor's block of a point or direction here."""
+        stops = list(accumulate((dim(f) for f in self.factors), initial=0))
+        return tuple(zip(self.factors, map(slice, stops, stops[1:])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,12 +408,7 @@ def homothety(K, s, z=None):
         return Sum(tuple(homothety(T, s, z if i == 0 else None)
                          for i, T in enumerate(K.terms)))
     if isinstance(K, Product):
-        factors, at = [], 0
-        for f in K.factors:
-            k = dim(f)
-            factors.append(homothety(f, s, z[at:at + k]))
-            at += k
-        return Product(tuple(factors))
+        return Product(tuple(homothety(f, s, z[sl]) for f, sl in K.blocks))
     raise BodyError(f"not a body: {K!r}")
 
 
@@ -432,12 +441,7 @@ def support(K, v) -> float:
     if isinstance(K, Sum):
         return sum(support(T, v) for T in K.terms)
     if isinstance(K, Product):
-        out, at = 0.0, 0
-        for f in K.factors:
-            k = dim(f)
-            out += support(f, v[at:at + k])
-            at += k
-        return out
+        return sum(support(f, v[sl]) for f, sl in K.blocks)
     raise BodyError(f"not a body: {K!r}")
 
 
@@ -485,12 +489,7 @@ def _support_rows(K, D):
     if isinstance(K, Sum):
         return sum(_support_rows(T, D) for T in K.terms)
     if isinstance(K, Product):
-        out, at = np.zeros(D.shape[0]), 0
-        for f in K.factors:
-            k = dim(f)
-            out += _support_rows(f, D[:, at:at + k])
-            at += k
-        return out
+        return sum(_support_rows(f, D[:, sl]) for f, sl in K.blocks)
     raise BodyError(f"not a body: {K!r}")
 
 
@@ -627,16 +626,8 @@ def _facet_rows(K):
         parts = [f.facet_rows for f in K.factors]
         if any(p is None for p in parts):
             return None
-        dims = [dim(f) for f in K.factors]
-        total = sum(dims)
-        rows_A, rows_b, at = [], [], 0
-        for (A, b), k in zip(parts, dims):
-            blk = np.zeros((A.shape[0], total))
-            blk[:, at:at + k] = A
-            rows_A.append(blk)
-            rows_b.append(b)
-            at += k
-        return _readonly(np.vstack(rows_A), np.concatenate(rows_b))
+        As, bs = zip(*parts)
+        return _readonly(_block_diag(As), np.concatenate(bs))
     if not isinstance(K, (VPolytope, Sum)) or dim(K) > MAX_VERTEX_DIM:
         return None
     hull = K._candidate_hull
@@ -839,6 +830,16 @@ def _empty(n):
     return np.zeros((0, n)), np.zeros(0)
 
 
+def _block_diag(mats):
+    """The block-diagonal matrix of the 2-d arrays ``mats``, in order."""
+    out = np.zeros((sum(M.shape[0] for M in mats), sum(M.shape[1] for M in mats)))
+    r = c = 0
+    for M in mats:
+        out[r:r + M.shape[0], c:c + M.shape[1]] = M
+        r, c = r + M.shape[0], c + M.shape[1]
+    return out
+
+
 def lp_encoding(K):
     """Encode membership of a point in K as a linear system, or None.
 
@@ -857,36 +858,20 @@ def lp_encoding(K):
         return Encoding(n, Aub, bub, np.ones((1, n)), np.ones(1),
                         [(0, None)] * n, V.T.copy(), np.zeros(d))
     if isinstance(K, (Sum, Product)):
-        children = K.terms if isinstance(K, Sum) else K.factors
-        encs = [lp_encoding(c) for c in children]
+        encs = [lp_encoding(c) for c in (K.terms if isinstance(K, Sum) else K.factors)]
         if any(e is None for e in encs):
             return None
-        n = sum(e.n for e in encs)
-        Aub = np.zeros((sum(e.A_ub.shape[0] for e in encs), n))
-        Aeq = np.zeros((sum(e.A_eq.shape[0] for e in encs), n))
-        bub = np.concatenate([e.b_ub for e in encs]) if encs else np.zeros(0)
-        beq = np.concatenate([e.b_eq for e in encs]) if encs else np.zeros(0)
-        bounds = []
-        r_ub = r_eq = at = 0
-        for e in encs:
-            Aub[r_ub:r_ub + e.A_ub.shape[0], at:at + e.n] = e.A_ub
-            Aeq[r_eq:r_eq + e.A_eq.shape[0], at:at + e.n] = e.A_eq
-            r_ub += e.A_ub.shape[0]
-            r_eq += e.A_eq.shape[0]
-            bounds.extend(e.bounds)
-            at += e.n
         if isinstance(K, Sum):
             P = np.hstack([e.P for e in encs])
             q = np.sum([e.q for e in encs], axis=0)
         else:
-            P = np.zeros((d, n))
+            P = _block_diag([e.P for e in encs])
             q = np.concatenate([e.q for e in encs])
-            row = col = 0
-            for e in encs:
-                P[row:row + e.P.shape[0], col:col + e.n] = e.P
-                row += e.P.shape[0]
-                col += e.n
-        return Encoding(n, Aub, bub, Aeq, beq, bounds, P, q)
+        return Encoding(sum(e.n for e in encs), _block_diag([e.A_ub for e in encs]),
+                        np.concatenate([e.b_ub for e in encs]),
+                        _block_diag([e.A_eq for e in encs]),
+                        np.concatenate([e.b_eq for e in encs]),
+                        [b for e in encs for b in e.bounds], P, q)
     return None
 
 
@@ -918,6 +903,48 @@ def encoding_feasible(encs, couplings, rhs):
     return lp.feasible(A_ub=Aub, b_ub=bub, A_eq=Aeq, b_eq=beq, bounds=bounds)
 
 
+def copies_lp(e, coefs, C, rhs, bounds, sense="min"):
+    """Optimise a scale s over k copies of the encoded body U, as one LP.
+
+    The columns are [s, u_1, ..., u_k], with u_j in (a_j s + b_j) U for the
+    j-th pair (a_j, b_j) of ``coefs``: the perspective form of the copy,
+    in which only the right-hand sides scale, since the encoding's bounds
+    are homogeneous (free or nonnegative).  The coupling rows C [s, u] = rhs
+    follow the copies' own equality rows; ``bounds`` is the range of s and
+    ``sense`` the direction of its optimum.  Returns the LP result and the
+    duals of the coupling rows, None without an optimum.
+    """
+    a, b = np.array(coefs, dtype=float).T
+    I = np.eye(a.size)
+    c = np.zeros(C.shape[1])
+    c[0] = 1.0
+    copies_eq = np.hstack([-np.kron(a, e.b_eq)[:, None], np.kron(I, e.A_eq)])
+    res = lp.solve(c, A_ub=np.hstack([-np.kron(a, e.b_ub)[:, None], np.kron(I, e.A_ub)]),
+                   b_ub=np.kron(b, e.b_ub), A_eq=np.vstack([copies_eq, C]),
+                   b_eq=np.concatenate([np.kron(b, e.b_eq), rhs]),
+                   bounds=[bounds] + e.bounds * a.size, sense=sense)
+    return res, (res.eq_duals[a.size * e.b_eq.size:] if res.optimal else None)
+
+
+def section_lp(e, x, D):
+    """Sections (lo, hi) of the encoded body by the lines {x + t v}, one per
+    row v of D, NaN where a line misses it: one stacked LP per line over the
+    columns (u, t) with P u + q = x + t v, for the largest and least t."""
+    Aub = np.hstack([e.A_ub, np.zeros((e.A_ub.shape[0], 1))])
+    Aeq = np.hstack([e.A_eq, np.zeros((e.A_eq.shape[0], 1))])
+    beq = np.concatenate([e.b_eq, x - e.q])
+    C = np.zeros((2, e.n + 1))
+    C[:, -1] = (1.0, -1.0)
+    lo, hi = np.full(len(D), np.nan), np.full(len(D), np.nan)
+    for k, v in enumerate(D):
+        Aeq_v = np.vstack([Aeq, np.hstack([e.P, -v[:, None]])])
+        status, X = lp.solve_stacked(C, Aub, e.b_ub, Aeq_v, beq,
+                                     list(e.bounds) + [(None, None)], sense="max")
+        if status is lp.LPStatus.OPTIMAL:
+            lo[k], hi[k] = X[1, -1], X[0, -1]
+    return lo, hi
+
+
 # ---------------------------------------------------------------------------
 # membership, interior points, validation
 
@@ -939,24 +966,14 @@ def contains(K, x, tol=MEMBERSHIP_TOL):
     if isinstance(K, Ball):
         return float(np.linalg.norm(x - K.center)) <= K.radius + tol
     if isinstance(K, Product):
-        at = 0
-        for f in K.factors:
-            k = dim(f)
-            if not contains(f, x[at:at + k], tol):
-                return False
-            at += k
-        return True
+        return all(contains(f, x[sl], tol) for f, sl in K.blocks)
     hs = halfspaces(K)
     if hs is not None:
         return rows_contain(*hs, x, tol)
     e = lp_encoding(K)
     if e is not None:
-        d = x.size
-        pad = np.vstack([e.A_eq, e.P])
-        rhs = np.concatenate([e.b_eq, x - e.q])
-        return lp.feasible(A_ub=e.A_ub if e.A_ub.size else None,
-                           b_ub=e.b_ub if e.b_ub.size else None,
-                           A_eq=pad, b_eq=rhs, bounds=e.bounds)
+        return lp.feasible(A_ub=e.A_ub, b_ub=e.b_ub, A_eq=np.vstack([e.A_eq, e.P]),
+                           b_eq=np.concatenate([e.b_eq, x - e.q]), bounds=e.bounds)
     if isinstance(K, SupportOracle):
         return _oracle_contains(K, x, tol)
     raise BodyError(f"membership unsupported for {type(K).__name__}")

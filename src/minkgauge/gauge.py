@@ -29,7 +29,8 @@ point (between consecutive merged-fan normals t is a monotone ratio of
 sinusoids).  Bodies without C rows (flat sets, and dimensions above
 ``body.MAX_VERTEX_DIM``) take the least lam with x in K^lam: writing each
 copy of K in the sum or the erosion in perspective form makes that one LP
-in lam, and the duals of its coupling rows give the witness direction.
+in lam (``body.copies_lp``), and the duals of its coupling rows give the
+witness direction.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import lp
 from .body import (Ball, BodyError, HPolytope, Product, SupportOracle, VPolytope,
-                   _hull_body, _symmetry, as_vector, dim, lp_encoding, support,
+                   _hull_body, _symmetry, as_vector, copies_lp, dim, lp_encoding, support,
                    vertex_candidates)
 from .geometry import _multistart_sphere, _support_pm, sphere_dirs
 
@@ -155,24 +156,8 @@ def _facet_max(profile, x):
 # the level bodies as linear programs in lam
 
 
-def _scaled_copies(e, coefs):
-    """Rows for u_k in (a_k lam + b_k) U, one copy per (a_k, b_k), over the
-    columns [lam, u_1, u_2, ...], U being the encoded body.
-
-    This is the perspective form of each copy: the encoding bounds are
-    homogeneous (free or nonnegative), so only the right-hand sides scale.
-    """
-    a, b = np.array(coefs, dtype=float).T
-    k = a.size
-    return (np.hstack([-np.kron(a, e.b_ub)[:, None], np.kron(np.eye(k), e.A_ub)]),
-            np.kron(b, e.b_ub),
-            np.hstack([-np.kron(a, e.b_eq)[:, None], np.kron(np.eye(k), e.A_eq)]),
-            np.kron(b, e.b_eq),
-            [(None, None)] + e.bounds * k)
-
-
 def _level_lp(K, x, lo, hi):
-    """Minimize lam in [lo, hi] subject to x in K^lam, as one LP.
+    """Minimize lam in [lo, hi] subject to x in K^lam, as one LP (``copies_lp``).
 
     Outside K (lo >= 1) this is the sum form x in (lam+1)/2 K + (lam-1)/2 (-K),
     two copies coupled by P (u_1 - u_2) = x - q.  Inside K (hi <= 1) it is
@@ -184,27 +169,19 @@ def _level_lp(K, x, lo, hi):
     if e is None:
         raise BodyError("level-set LP needs a linearly encodable body")
     if lo >= 1.0:
-        A_ub, b_ub, A_eq, b_eq, bounds = _scaled_copies(e, [(0.5, 0.5), (0.5, -0.5)])
-        C = np.hstack([np.zeros((x.size, 1)), e.P, -e.P])
-        rhs = x - e.q
+        res, y = copies_lp(e, [(0.5, 0.5), (0.5, -0.5)],
+                           np.hstack([np.zeros((x.size, 1)), e.P, -e.P]), x - e.q, (lo, hi))
     else:
         # the constraints of non-extreme candidates (most of a Minkowski
         # sum's) are implied by the extreme ones
         V = K.extreme
         if V is None:
             raise BodyError("level-set LP inside the body needs vertex access")
-        A_ub, b_ub, A_eq, b_eq, bounds = _scaled_copies(e, [(0.5, 0.5)] * len(V))
-        C = np.hstack([((e.q - V) / 2.0).reshape(-1, 1), np.kron(np.eye(len(V)), e.P)])
-        rhs = (x - (e.q + V) / 2.0).ravel()
-    bounds[0] = (lo, hi)
-    c = np.zeros(C.shape[1])
-    c[0] = 1.0
-    res = lp.solve(c, A_ub=A_ub if b_ub.size else None, b_ub=b_ub if b_ub.size else None,
-                   A_eq=np.vstack([A_eq, C]), b_eq=np.concatenate([b_eq, rhs]),
-                   bounds=bounds)
-    if not res.optimal:
-        return res, None
-    return res, res.eq_duals[b_eq.size:].reshape(-1, x.size).sum(axis=0)
+        res, y = copies_lp(e, [(0.5, 0.5)] * len(V),
+                           np.hstack([((e.q - V) / 2.0).reshape(-1, 1),
+                                      np.kron(np.eye(len(V)), e.P)]),
+                           (x - (e.q + V) / 2.0).ravel(), (lo, hi))
+    return res, None if y is None else y.reshape(-1, x.size).sum(axis=0)
 
 
 def _level_membership(K, x, lam):
@@ -219,13 +196,7 @@ def _level_membership(K, x, lam):
         return (float(np.linalg.norm(x - K.center))
                 <= lam * K.radius + T_MEMBER_TOL * max(1.0, K.radius))
     if isinstance(K, Product):
-        at = 0
-        for f in K.factors:
-            k = dim(f)
-            if not _level_membership(f, x[at:at + k], lam):
-                return False
-            at += k
-        return True
+        return all(_level_membership(f, x[sl], lam) for f, sl in K.blocks)
     if isinstance(K, SupportOracle):
         raise BodyError("level membership is not available for support oracles")
     if lam <= 1.0:
@@ -281,17 +252,11 @@ def alpha(K, x) -> GaugeResult:
 
 
 def _alpha_product(K, x):
-    best, parts, at = None, [], 0
-    for f in K.factors:
-        k = dim(f)
-        r = alpha(f, x[at:at + k])
-        parts.append((r, at, k))
-        if best is None or r.alpha > best[0].alpha:
-            best = (r, at, k)
-        at += k
-    r, at, k = best
+    parts = [(alpha(f, x[sl]), sl) for f, sl in K.blocks]
+    # max keeps the first factor on ties
+    r, sl = max(parts, key=lambda p: p[0].alpha)
     wdir = np.zeros(x.size)
-    wdir[at:at + k] = r.witness_dir
+    wdir[sl] = r.witness_dir
     rank = {"closed_form": 0, "lp": 1, "sampled": 2}
     meth = max((p[0].method for p in parts), key=lambda m: rank[m])
     return GaugeResult(r.alpha, wdir, meth, max(p[0].tol for p in parts))

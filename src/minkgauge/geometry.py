@@ -39,7 +39,7 @@ import numpy as np
 
 from . import lp
 from .body import (Ball, BodyError, Product, as_vector, dim, halfspaces, hull_points,
-                   lp_encoding, sphere_dirs, support, support_many)
+                   lp_encoding, section_lp, sphere_dirs, support, support_many)
 
 # absolute forward-difference step of the direction search (scipy's default
 # for finite-difference gradients)
@@ -210,8 +210,8 @@ def _line_sections(K, x, D):
     are clipped for every line in one array operation (rows parallel to a
     line within 1e-12 only decide whether it misses); a ball solves its
     quadratic; other encodable bodies take one stacked LP per line, for the
-    largest and least t.  Bodies without an encoding (support oracles, sums
-    with ball terms) raise BodyError.
+    largest and least t (``body.section_lp``).  Bodies without an encoding
+    (support oracles, sums with ball terms) raise BodyError.
     """
     if isinstance(K, Ball):
         # |x + t v - c|^2 = r^2, standard quadratic
@@ -227,20 +227,7 @@ def _line_sections(K, x, D):
     enc = lp_encoding(K)
     if enc is None:
         raise BodyError("chord needs a polytope-backed body")
-    # variables (u, t) with P u + q = x + t v
-    Aub = np.hstack([enc.A_ub, np.zeros((enc.A_ub.shape[0], 1))])
-    Aeq = np.hstack([enc.A_eq, np.zeros((enc.A_eq.shape[0], 1))])
-    beq = np.concatenate([enc.b_eq, x - enc.q])
-    C = np.zeros((2, enc.n + 1))
-    C[:, -1] = (1.0, -1.0)
-    lo, hi = np.full(len(D), np.nan), np.full(len(D), np.nan)
-    for k, v in enumerate(D):
-        Aeq_v = np.vstack([Aeq, np.hstack([enc.P, -v[:, None]])])
-        status, X = lp.solve_stacked(C, Aub, enc.b_ub, Aeq_v, beq,
-                                     list(enc.bounds) + [(None, None)], sense="max")
-        if status is lp.LPStatus.OPTIMAL:
-            lo[k], hi[k] = X[1, -1], X[0, -1]
-    return lo, hi
+    return section_lp(enc, x, D)
 
 
 def _clip_sections(A, b, x, D):
@@ -287,14 +274,9 @@ def _max_chord(K, v):
         hi, row = _row_exit(*hs, v)
         return 2.0 * hi, row
     if isinstance(K, Product):
-        out, at = np.inf, 0
-        for f in K.factors:
-            k = dim(f)
-            block = v[at:at + k]
-            if np.any(block):
-                out = min(out, max_chord(f, block))
-            at += k
-        return float(out), None
+        # the least chord over the factors that v moves, inf if it moves none
+        return float(min([np.inf] + [max_chord(f, v[sl]) for f, sl in K.blocks
+                                     if np.any(v[sl])])), None
     try:
         hi = _line_sections(central_symm(K), np.zeros(v.size), v[None, :])[1][0]
     except BodyError:           # no encoding: support oracles, sums with ball terms

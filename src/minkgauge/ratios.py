@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import (Ball, BodyError, Product, SupportOracle, as_vector,
-                   contains, dim, halfspaces, hull_points, lp_encoding, rows_contain)
-from .gauge import _scaled_copies, alpha, facet_profile, t_many
+from .body import (Ball, BodyError, Product, SupportOracle, as_vector, contains,
+                   copies_lp, dim, halfspaces, hull_points, lp_encoding, rows_contain)
+from .gauge import alpha, facet_profile, t_many
 from .geometry import _clip_sections, _line_sections, _support_pm, sphere_dirs
-from .lp import LPStatus, NumericalError, solve
+from .lp import LPStatus, NumericalError
 
 # Which side of the true value a sampled extremum sits on: "upper" means
 # the reported number is >= the true infimum, "lower" that it is <= the
@@ -80,13 +80,7 @@ def beta(K, x):
     """
     x = as_vector(x, dim(K))
     if isinstance(K, Product):
-        off = 0
-        vals = []
-        for f in K.factors:
-            df = dim(f)
-            vals.append(beta(f, x[off:off + df]))
-            off += df
-        return min(vals)
+        return min(beta(f, x[sl]) for f, sl in K.blocks)
     if isinstance(K, (Ball, SupportOracle)):
         if not contains(K, x, tol=1e-7):
             raise BodyError("beta is defined for x in K")
@@ -99,7 +93,7 @@ def beta(K, x):
         return _beta_lp(K, x)
     # membership on the tight rows, with the slack of contains(K, x, tol=1e-7)
     A, hp, _ = prof
-    if np.any(A @ x > hp + 1e-7 * np.maximum(np.linalg.norm(A, axis=1), 1.0)):
+    if not rows_contain(A, hp, x, tol=1e-7):
         raise BodyError("beta is defined for x in K")
     return _beta_rows(*prof, x)
 
@@ -121,22 +115,17 @@ def _beta_sampled(K, x, n_dirs=2048, seed=7):
 
 
 def _beta_lp(K, x):
-    """beta as one LP: the largest lam in [0, 1] with x - lam (u_j - x) in K
-    for every extreme point u_j of K, one unscaled copy of K per u_j coupled
-    by P w_j + q + lam (u_j - x) = x.  Infeasible exactly when x is not in K.
+    """beta as one LP (``copies_lp``): the largest lam in [0, 1] with
+    x - lam (u_j - x) in K for every extreme point u_j of K, one unscaled
+    copy of K per u_j coupled by P w_j + q + lam (u_j - x) = x.  Infeasible
+    exactly when x is not in K.
     """
     e, U = lp_encoding(K), K.extreme
     if e is None or U is None:
         raise BodyError("beta needs facet or vertex data")
-    A_ub, b_ub, A_eq, b_eq, bounds = _scaled_copies(e, [(0.0, 1.0)] * len(U))
-    C = np.hstack([(U - x).reshape(-1, 1), np.kron(np.eye(len(U)), e.P)])
-    bounds[0] = (0.0, 1.0)
-    c = np.zeros(C.shape[1])
-    c[0] = 1.0
-    res = solve(c, A_ub=A_ub if b_ub.size else None, b_ub=b_ub if b_ub.size else None,
-                A_eq=np.vstack([A_eq, C]),
-                b_eq=np.concatenate([b_eq, np.tile(x - e.q, len(U))]),
-                bounds=bounds, sense="max")
+    res, _ = copies_lp(e, [(0.0, 1.0)] * len(U),
+                       np.hstack([(U - x).reshape(-1, 1), np.kron(np.eye(len(U)), e.P)]),
+                       np.tile(x - e.q, len(U)), (0.0, 1.0), sense="max")
     if res.status is LPStatus.INFEASIBLE:
         raise BodyError("beta is defined for x in K")
     if not res.optimal:
@@ -147,10 +136,11 @@ def _beta_lp(K, x):
 def rho(K, x):
     """Sup of factors t for which x + t(K - x) misses K (exterior x).
 
-    One LP: the least t in [0, 1] at which the homothet meets K, i.e. some
-    y in K equals x + t (z - x) with z in K.  With w = t z, a perspective
-    copy of K in which only the right-hand sides scale, the coupling
-    P u - P w + t (x - q) = x - q is linear in (t, u, w).
+    One LP (``body.copies_lp``): the least t in [0, 1] at which the
+    homothet meets K, i.e. some y in K equals x + t (z - x) with z in K.
+    With w = t z, a perspective copy of K in which only the right-hand
+    sides scale, the coupling P u - P w + t (x - q) = x - q is linear in
+    (t, u, w).
     """
     x = as_vector(x, dim(K))
     if isinstance(K, Ball):
@@ -161,14 +151,8 @@ def rho(K, x):
     e = lp_encoding(K)
     if e is None:
         raise BodyError("rho needs a polytope-backed body")
-    A_ub, b_ub, A_eq, b_eq, bounds = _scaled_copies(e, [(0.0, 1.0), (1.0, 0.0)])
-    C = np.hstack([(x - e.q)[:, None], e.P, -e.P])
-    bounds[0] = (0.0, 1.0)
-    c = np.zeros(C.shape[1])
-    c[0] = 1.0
-    res = solve(c, A_ub=A_ub if b_ub.size else None, b_ub=b_ub if b_ub.size else None,
-                A_eq=np.vstack([A_eq, C]), b_eq=np.concatenate([b_eq, x - e.q]),
-                bounds=bounds)
+    res, _ = copies_lp(e, [(0.0, 1.0), (1.0, 0.0)], np.hstack([(x - e.q)[:, None], e.P, -e.P]),
+                       x - e.q, (0.0, 1.0))
     if not res.optimal:
         raise NumericalError(f"rho LP ended with status {res.status.value}")
     t = float(res.value)

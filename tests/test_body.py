@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minkgauge import (Ball, BodyError, HPolytope, Product, Sum, SupportOracle,
-                       VPolytope, alpha, contains, dim, homothety,
+                       VPolytope, alpha, beta, contains, dim, global_width, homothety,
                        inscribed_ball, interior_point, lp, make_box,
-                       make_weighted_l2_ball, parse_body, support,
+                       make_weighted_l2_ball, max_chord, parse_body, support,
                        support_many, vertex_candidates, width_dir)
 from minkgauge.body import Encoding, encoding_feasible, halfspaces, lp_encoding, validate
 from minkgauge.geometry import central_symm, sphere_dirs
@@ -439,6 +439,92 @@ def test_inscribed_ball_fits(K):
     assert r > 0
     for u in sphere_dirs(2, 64, 8):
         assert support(K, u) >= float(u @ c) + r - 1e-8
+
+
+def test_support_oracle_centre_is_private_and_read_only():
+    c = np.array([0.5, -0.25])
+    K = SupportOracle(lambda v: float(np.linalg.norm(v) + v @ [0.5, -0.25]), c, 1.0, 1.0,
+                      h_many=lambda D: np.linalg.norm(D, axis=1) + D @ [0.5, -0.25])
+    assert K.center is not c and not K.center.flags.writeable
+    w = global_width(K)
+    c[:] = 9.0
+    npt.assert_array_equal(K.center, [0.5, -0.25])
+    again = global_width(K)
+    assert again.value == w.value
+    npt.assert_array_equal(again.direction, w.direction)
+    with pytest.raises(ValueError):
+        K.center[0] = 0.0
+
+
+# a V-polytope encodes with no inequality rows, an H-polytope with no
+# equality rows
+TRI = VPolytope(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
+BOX1 = HPolytope(np.array([[1.0], [-1.0]]), np.array([3.0, 1.0]))
+
+
+def test_lp_encoding_of_a_product_is_block_diagonal():
+    e = lp_encoding(Product((TRI, BOX1)))
+    assert e.n == 4
+    npt.assert_array_equal(e.A_ub, [[0, 0, 0, 1], [0, 0, 0, -1]])
+    npt.assert_array_equal(e.b_ub, [3, 1])
+    npt.assert_array_equal(e.A_eq, [[1, 1, 1, 0]])
+    npt.assert_array_equal(e.b_eq, [1])
+    assert e.bounds == [(0, None)] * 3 + [(None, None)]
+    npt.assert_array_equal(e.P, [[0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    npt.assert_array_equal(e.q, np.zeros(3))
+
+
+def test_lp_encoding_of_a_sum_stacks_the_point_maps():
+    e = lp_encoding(Sum((TRI, SQ_H)))
+    assert e.n == 5
+    npt.assert_array_equal(e.A_ub, np.hstack([np.zeros((4, 3)), SQ_H.A]))
+    npt.assert_array_equal(e.b_ub, SQ_H.b)
+    npt.assert_array_equal(e.A_eq, [[1, 1, 1, 0, 0]])
+    npt.assert_array_equal(e.b_eq, [1])
+    assert e.bounds == [(0, None)] * 3 + [(None, None)] * 2
+    npt.assert_array_equal(e.P, np.hstack([TRI.vertices.T, np.eye(2)]))
+    npt.assert_array_equal(e.q, np.zeros(2))
+
+
+def test_halfspaces_of_a_product_place_each_factor_in_its_block():
+    A2 = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    A, b = halfspaces(Product((VPolytope(np.array([[-1.0], [2.0]])), HPolytope(A2, [1, 0, 0]))))
+    npt.assert_array_equal(A, [[1, 0, 0], [-1, 0, 0], [0, 1, 1], [0, -1, 0], [0, 0, -1]])
+    npt.assert_array_equal(b, [2, 1, 1, 0, 0])
+
+
+def test_nested_product_with_a_ball_answers_factor_by_factor():
+    ball = Ball([0.5, -1.0], 0.75)
+    inner = Product((TRI, ball))
+    K = Product((inner, BOX1))
+    assert dim(K) == 5
+    assert K.blocks == ((inner, slice(0, 4)), (BOX1, slice(4, 5)))
+    assert inner.blocks == ((TRI, slice(0, 2)), (ball, slice(2, 4)))
+    leaves = ((TRI, slice(0, 2)), (ball, slice(2, 4)), (BOX1, slice(4, 5)))
+    rng = np.random.default_rng(23)
+    D = rng.normal(size=(7, 5))
+    H = support_many(K, D)
+    # the factors' sums in the product's order: (triangle + ball) + box
+    parts = [support_many(f, D[:, sl]) for f, sl in leaves]
+    npt.assert_array_equal(H, (parts[0] + parts[1]) + parts[2])
+    z = rng.normal(size=5)
+    img = support_many(homothety(K, -1.5, z), D)
+    parts = [support_many(homothety(f, -1.5, z[sl]), D[:, sl]) for f, sl in leaves]
+    npt.assert_array_equal(img, (parts[0] + parts[1]) + parts[2])
+    for x in (np.array([0.5, 0.25, 0.6, -1.2, 0.0]), rng.normal(size=5),
+              np.array([0.4, 0.2, 0.5, -1.0, 2.9])):
+        assert contains(K, x) == all(contains(f, x[sl]) for f, sl in leaves)
+        res = alpha(K, x)
+        got = [alpha(f, x[sl]) for f, sl in leaves]
+        i = int(np.argmax([g.alpha for g in got]))
+        assert res.alpha == got[i].alpha
+        want = np.zeros(5)
+        want[leaves[i][1]] = got[i].witness_dir
+        npt.assert_array_equal(res.witness_dir, want)
+        if contains(K, x):
+            assert beta(K, x) == min(beta(f, x[sl]) for f, sl in leaves)
+    for v in (rng.normal(size=5), np.array([0.0, 0.0, 1.0, -2.0, 0.0])):
+        assert max_chord(K, v) == min(max_chord(f, v[sl]) for f, sl in leaves if np.any(v[sl]))
 
 
 def test_encoding_membership_matches_contains():

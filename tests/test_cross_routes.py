@@ -12,10 +12,11 @@ import numpy as np
 import numpy.testing as npt
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from minkgauge import (HPolytope, VPolytope, alpha, alpha_inf, bernstein_bound, beta,
-                       brute_force_alpha, dim, global_width, level_set, make_box,
+from minkgauge import (HPolytope, Product, VPolytope, alpha, alpha_inf, bernstein_bound,
+                       beta, brute_force_alpha, dim, global_width, level_set, lp, make_box,
                        max_chord, rho, t_func)
-from minkgauge.body import extreme_points, halfspaces, interior_point, vertex_candidates
+from minkgauge.body import (extreme_points, halfspaces, interior_point, lp_encoding,
+                            vertex_candidates)
 from minkgauge.cli import run
 from minkgauge.gauge import _alpha_lp, _level_lp, _level_membership
 from minkgauge.geometry import _multistart_sphere, _sphere_starts, _widths
@@ -167,3 +168,37 @@ def test_cli_symmetry_answers_for_a_vertex_cube(capsys):
     assert run(["symmetry", "--body", body]) == 0
     rec = json.loads(capsys.readouterr().out)
     assert abs(rec["alpha_inf"]) <= 1e-9
+
+
+def test_each_copies_lp_is_one_lp_over_the_scale_and_the_copies(monkeypatch):
+    # rho, beta's LP and both forms of the level-set LP each solve one LP:
+    # the scale in column 0, the objective's only entry, then n columns per
+    # copy of K for its encoding's n variables
+    objectives = []
+    solver = lp.linprog
+
+    def counted(c, *args, **kwargs):
+        objectives.append(np.asarray(c))
+        return solver(c, *args, **kwargs)
+    monkeypatch.setattr(lp, "linprog", counted)
+    rng = np.random.default_rng(51)
+    bodies = (VPolytope(rng.normal(size=(9, 5))), make_box(-np.ones(5), 2.0 * np.ones(5)),
+              Product((VPolytope(rng.normal(size=(6, 3))), make_box(-np.ones(2), np.ones(2)))))
+    for K in bodies:
+        n = lp_encoding(K).n
+        x_in = interior_point(K)
+        x_out = x_in + 10.0
+        cases = [(lambda: rho(K, x_out), 2), (lambda: _level_lp(K, x_out, 1.0, None), 2)]
+        if K.extreme is not None:
+            k = len(K.extreme)
+            cases += [(lambda: _beta_lp(K, x_in), k), (lambda: _level_lp(K, x_in, 0.0, 1.0), k)]
+        for run_lp, copies in cases:
+            objectives.clear()
+            run_lp()
+            assert len(objectives) == 1
+            c = objectives[0]
+            assert c.size == 1 + copies * n
+            # beta maximises, so its minimised objective is -1 in column 0
+            assert abs(c[0]) == 1.0 and not np.any(c[1:])
+    # the H-box in R^5 has no vertices, so only the sum form and rho ran
+    assert bodies[1].extreme is None

@@ -7,12 +7,14 @@ skipped.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
 import pytest
 
 from minkgauge import alpha_inf
+from minkgauge.body import Encoding
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(
@@ -102,6 +104,20 @@ def test_one_qhull_entry_and_one_reader_of_the_vertex_gate():
                     or isinstance(node, ast.alias) and node.name == "MAX_VERTEX_DIM"):
                 readers.add(path.name)
     assert readers == {"body.py"}
+
+
+def test_only_body_reads_an_encodings_rows():
+    # every LP over copies of K (``copies_lp``) and every chord LP
+    # (``section_lp``) is posed in ``body``; gauge and ratios couple copies
+    # through the point map P u + q alone
+    fields = {f.name for f in dataclasses.fields(Encoding)}
+    read = {}
+    for path in sorted((ROOT / "src" / "minkgauge").glob("*.py")):
+        read[path.name] = {n.attr for n in ast.walk(ast.parse(path.read_text()))
+                           if isinstance(n, ast.Attribute) and n.attr in fields}
+    rows = {"A_ub", "b_ub", "A_eq", "b_eq", "bounds"}
+    assert {name for name, attrs in read.items() if attrs & rows} == {"body.py"}
+    assert read["gauge.py"] == read["ratios.py"] == {"P", "q"}
 
 
 def test_one_seeded_direction_family():
