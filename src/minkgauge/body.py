@@ -67,10 +67,25 @@ def as_vector(x, d=None):
 
 # the seeded direction families kept by sphere_dirs, one per (d, seed): a
 # family of more cells (n * d) than this is drawn fresh and not kept, and at
-# most this many are kept, the oldest dropped first (8 MB in all)
+# most this many are kept, the oldest dropped first (8 MB in all); the
+# Chebyshev sample weights of ``cheb`` are kept under the same caps
 DIRS_MAX_CELLS = 32768
 DIRS_MAX_FAMILIES = 32
 _DIRS = {}
+
+
+def _keep(store, key, A):
+    """A, made read-only, and kept in store under key when it has at most
+    DIRS_MAX_CELLS cells; a store above DIRS_MAX_FAMILIES entries drops its
+    oldest.  Threads that miss at once each draw the same bits, and no step
+    here raises when another thread has changed the store."""
+    A.setflags(write=False)
+    if A.size <= DIRS_MAX_CELLS:
+        store.pop(key, None)
+        store[key] = A
+        if len(store) > DIRS_MAX_FAMILIES:
+            store.pop(next(iter(store)), None)
+    return A
 
 
 def sphere_dirs(d, n, seed=0):
@@ -82,19 +97,11 @@ def sphere_dirs(d, n, seed=0):
     """
     if n < 0:
         raise ValueError(f"direction count must be nonnegative, got {n}")
-    key = (d, seed)
-    U = _DIRS.get(key)
+    U = _DIRS.get((d, seed))
     if U is None or len(U) < n:
         U = np.random.default_rng(seed).normal(size=(n, d))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
-        U.setflags(write=False)
-        if n * d <= DIRS_MAX_CELLS:
-            # threads that miss at once each draw the same bits, and no
-            # step here raises when another thread has changed the store
-            _DIRS.pop(key, None)
-            _DIRS[key] = U
-            if len(_DIRS) > DIRS_MAX_FAMILIES:
-                _DIRS.pop(next(iter(_DIRS)), None)
+        _keep(_DIRS, (d, seed), U)
     return U[:n]
 
 

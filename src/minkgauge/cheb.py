@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .body import BodyError, as_vector, dim, hull_points, inscribed_ball, support
+from .body import BodyError, _keep, as_vector, dim, hull_points, inscribed_ball, support
 from .gauge import alpha
 from .geometry import _max_chord, global_width
 
@@ -195,12 +195,30 @@ class ChebyshevReport:
     witness_tol: float
 
 
+# the Dirichlet weights of _body_samples, one read-only (n, k) array per
+# (k, n, seed), kept under sphere_dirs' caps (``body._keep``)
+_WEIGHTS = {}
+
+
 def _body_samples(K, n_samples, seed):
-    rng = np.random.default_rng(seed)
+    """Points of K: its generators and n_samples seeded convex combinations
+    of them, or, for a body without a finite point set, n_samples points of
+    its certified inner ball.
+
+    The combination weights depend only on (number of generators,
+    n_samples, seed), not on K, so each such draw is made once per process
+    and kept, read-only; a repeated request reads the same bits as a fresh
+    draw.
+    """
     gens = hull_points(K)
     if gens is not None:
-        W = rng.dirichlet(np.full(len(gens), 0.6), size=n_samples)
+        key = (len(gens), n_samples, seed)
+        W = _WEIGHTS.get(key)
+        if W is None:
+            W = _keep(_WEIGHTS, key, np.random.default_rng(seed).dirichlet(
+                np.full(len(gens), 0.6), size=n_samples))
         return np.vstack([gens, W @ gens])
+    rng = np.random.default_rng(seed)
     # certified inner ball only: valid but conservative samples
     ball = inscribed_ball(K)
     if ball is None:
@@ -217,7 +235,10 @@ def cheb_growth(K, x, n, n_samples=10000, seed=29):
     """Largest value at x over degree-n polynomials bounded by 1 on K.
 
     Returns the report with the witness polynomial evaluator and a sampled
-    sup-norm sanity value.  Interior and boundary points have growth 1.
+    sup-norm sanity value over ``_body_samples``: K's generators and
+    n_samples seeded convex combinations of them, or n_samples points of the
+    inscribed ball of a body without generators, where n_samples must then
+    be positive.  Interior and boundary points have growth 1.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -228,6 +249,8 @@ def cheb_growth(K, x, n, n_samples=10000, seed=29):
 
     g, c0 = _layer_coordinate(K, v)
     samples = _body_samples(K, n_samples, seed)
+    if not len(samples):
+        raise ValueError("n_samples must be positive for a body sampled from its inscribed ball")
     sup_check = np.max(np.abs(cheb_T(n, samples @ g + c0)))
     tol = res.tol * abs(cheb_T_prime(n, max(a, 1.0))) + 1e-12
     return ChebyshevReport(n, a, growth, v, _slab_evaluator(g, c0, n), float(sup_check), tol)

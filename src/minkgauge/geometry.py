@@ -22,7 +22,11 @@ own BFGS inverse Hessian and Armijo step (Nocedal & Wright, Numerical
 Optimization, 2006, ch. 3 and 6), and are put back on the unit sphere after
 every accepted step (a retraction, as in Absil, Mahony & Sepulchre,
 Optimization Algorithms on Matrix Manifolds, 2008).  Each iteration is one
-call on the trial points and their d forward-difference neighbours.
+call on the trial points and their d forward-difference neighbours, and
+pays only for the work its starts need: the BFGS update, the rescaling of
+a fresh inverse Hessian and the restart run only when some start takes
+them, and the first iteration, whose trial points are the starts
+themselves, accepts all of them with no update.
 
 The diameter and the Hausdorff distance of intervals and planar pairs read
 every body's cached extreme points (``extreme``), the far radius
@@ -120,14 +124,18 @@ def _multistart_sphere(f, C, sense="min", n_starts=64):
     vanishes or when its gradient is not finite; at most SWEEP_MAX_ITER
     iterations run.  The best value is one f took, so a sampled bound stays
     one-sided.  Returns (best unit direction, best value, best prepass
-    value); deterministic for fixed C.
+    value); deterministic for fixed C.  Steps that no live start needs are
+    skipped, which changes no bit of the result.
     """
     sign = 1.0 if sense == "min" else -1.0
 
     def g(V):
         nv = np.linalg.norm(V, axis=1)
-        out = np.full(len(V), np.inf)
         ok = nv >= 1e-12
+        if ok.all():
+            return sign * np.asarray(f(V / nv[:, None]), dtype=float)
+        # zero and NaN rows read inf
+        out = np.full(len(V), np.inf)
         if np.any(ok):
             out[ok] = sign * np.asarray(f(V[ok] / nv[ok, None]), dtype=float)
         return out
@@ -139,67 +147,88 @@ def _multistart_sphere(f, C, sense="min", n_starts=64):
     X = C[order] / np.linalg.norm(C[order], axis=1, keepdims=True)
     m, d = X.shape
     E = np.eye(d)
+    FE = FD_STEP * E
     F, G, P = vals[order], np.zeros((m, d)), np.zeros((m, d))
     H = np.tile(E, (m, 1, 1))
     fresh = np.ones(m, dtype=bool)      # H is the unscaled identity
-    step = np.zeros(m)
+    step, pn = np.zeros(m), np.zeros(m)     # pn: the norm of each row of P
+    eps = np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(SWEEP_MAX_ITER):
             if not len(X):
                 break
             T = X + step[:, None] * P
             # forward differences over the step as represented, like scipy's
-            vals = g(np.vstack([T, (T[:, None, :] + FD_STEP * E).reshape(-1, d)]))
+            vals = g(np.concatenate([T, (T[:, None, :] + FE).reshape(-1, d)]))
             Ft = vals[:len(T)]
             Gt = (vals[len(T):].reshape(-1, d) - Ft[:, None]) / ((T + FD_STEP) - T)
-            slope = np.einsum("ij,ij->i", G, P)
-            # the first trials are the starts themselves, taken as they are
-            acc = (Ft <= F + ARMIJO_C1 * step * slope) | (it == 0)
-            scale = np.maximum(np.maximum(np.abs(F), np.abs(Ft)), 1.0)
-            small = acc & (F - Ft <= SWEEP_FTOL * scale) & (it > 0)
-            # an accepted step along which f still falls steeply (the weak
-            # Wolfe curvature test fails) makes the next one at least twice as long
-            reach = np.where(np.einsum("ij,ij->i", Gt, P) < WOLFE_C2 * slope,
-                             2.0 * step * np.linalg.norm(P, axis=1), 0.0)
-            # BFGS where the accepted step has positive curvature (Nocedal &
-            # Wright (6.17)); a first update scales the identity by s.y / y.y (6.20)
-            S, Y = T - X, Gt - G
-            sy = np.einsum("ij,ij->i", S, Y)
-            upd = acc & (sy > 0.0) & np.all(np.isfinite(Y), axis=1)
-            Hs = H * np.where(fresh, sy / np.einsum("ij,ij->i", Y, Y), 1.0)[:, None, None]
-            Hy = np.einsum("kij,kj->ki", Hs, Y)
-            r = 1.0 / sy
-            c = r * (1.0 + r * np.einsum("ij,ij->i", Y, Hy))
-            SHy = r[:, None, None] * np.einsum("ki,kj->kij", S, Hy)
-            SS = np.einsum("ki,kj->kij", S, S)
-            Hn = Hs + c[:, None, None] * SS - SHy - SHy.transpose(0, 2, 1)
-            H = np.where(upd[:, None, None], Hn, H)
-            fresh &= ~upd
+            if it == 0:
+                # the first trials are the starts themselves, taken as they
+                # are; T = X there, so no start has a step to update H from
+                acc, reach = np.ones(len(T), dtype=bool), 0.0
+                small = ~acc
+            else:
+                slope = np.einsum("ij,ij->i", G, P)
+                acc = Ft <= F + ARMIJO_C1 * step * slope
+                scale = np.maximum(np.maximum(np.abs(F), np.abs(Ft)), 1.0)
+                small = acc & (F - Ft <= SWEEP_FTOL * scale)
+                # an accepted step along which f still falls steeply (the weak
+                # Wolfe curvature test fails) makes the next one at least twice as long
+                reach = np.where(np.einsum("ij,ij->i", Gt, P) < WOLFE_C2 * slope,
+                                 2.0 * step * pn, 0.0)
+                # BFGS where the accepted step has positive curvature (Nocedal &
+                # Wright (6.17)); a first update scales the identity by s.y / y.y (6.20)
+                S, Y = T - X, Gt - G
+                sy = np.einsum("ij,ij->i", S, Y)
+                upd = acc & (sy > 0.0) & np.all(np.isfinite(Y), axis=1)
+                if upd.any():
+                    Hs = H
+                    if fresh.any():
+                        Hs = H * np.where(fresh, sy / np.einsum("ij,ij->i", Y, Y),
+                                          1.0)[:, None, None]
+                    Hy = np.einsum("kij,kj->ki", Hs, Y)
+                    r = 1.0 / sy
+                    c = r * (1.0 + r * np.einsum("ij,ij->i", Y, Hy))
+                    SHy = r[:, None, None] * np.einsum("ki,kj->kij", S, Hy)
+                    SS = np.einsum("ki,kj->kij", S, S)
+                    Hn = Hs + c[:, None, None] * SS - SHy - SHy.transpose(0, 2, 1)
+                    H = np.where(upd[:, None, None], Hn, H)
+                    fresh &= ~upd
+            every = acc.all()
             # accepted points go back onto the sphere: at v / n, f(v / |v|) has
             # gradient n g and inverse Hessian H / n^2
             n = np.linalg.norm(T, axis=1)
-            X = np.where(acc[:, None], T / n[:, None], X)
-            F = np.where(acc, Ft, F)
-            G = np.where(acc[:, None], Gt * n[:, None], G)
-            H = np.where(acc[:, None, None], H / (n * n)[:, None, None], H)
+            if every:
+                X, F, G, H = T / n[:, None], Ft, Gt * n[:, None], H / (n * n)[:, None, None]
+            else:
+                X = np.where(acc[:, None], T / n[:, None], X)
+                F = np.where(acc, Ft, F)
+                G = np.where(acc[:, None], Gt * n[:, None], G)
+                H = np.where(acc[:, None, None], H / (n * n)[:, None, None], H)
             # the next direction; one that does not descend restarts from -G
             D = -np.einsum("kij,kj->ki", H, G)
             reset = acc & ~(np.einsum("ij,ij->i", D, G) < 0.0)
-            H = np.where(reset[:, None, None], E, H)
-            fresh |= reset
-            D = np.where(reset[:, None], -G, D)
+            if reset.any():
+                H = np.where(reset[:, None, None], E, H)
+                fresh |= reset
+                D = np.where(reset[:, None], -G, D)
             gn = np.linalg.norm(D, axis=1)
-            P = np.where(acc[:, None], D, P)
             # a steepest-descent step first tries unit length, as L-BFGS-B's
             # first step does, a quasi-Newton step its full length
-            step = np.where(acc, np.maximum(np.where(fresh, 1.0, gn), reach) / gn, 0.5 * step)
+            nxt = np.maximum(np.where(fresh, 1.0, gn), reach) / gn
+            if every:
+                P, pn, step = D, gn, nxt
+            else:
+                P = np.where(acc[:, None], D, P)
+                pn = np.where(acc, gn, pn)
+                step = np.where(acc, nxt, 0.5 * step)
             i = int(np.argmin(F))
             if F[i] < best:
                 best_v, best = X[i], F[i]
-            stop = small | (acc & ~np.all(np.isfinite(G), axis=1)) | ~(
-                step * np.linalg.norm(P, axis=1) > np.finfo(float).eps)
+            stop = small | (acc & ~np.all(np.isfinite(G), axis=1)) | ~(step * pn > eps)
             if np.any(stop):
-                X, F, G, P, H, step, fresh = (a[~stop] for a in (X, F, G, P, H, step, fresh))
+                X, F, G, P, pn, H, step, fresh = (
+                    a[~stop] for a in (X, F, G, P, pn, H, step, fresh))
     return best_v / np.linalg.norm(best_v), sign * best, sign * pre
 
 
@@ -287,11 +316,15 @@ def _max_chord(K, v):
 
 
 def _swept_chord(K, v):
-    """tau = inf over u with <u, v> > 0 of w(K, u)/<u, v>, over a sweep."""
+    """tau = inf over u with <u, v> > 0 of w(K, u)/<u, v>, over a sweep; the
+    unit rows u with <u, v> at most 1e-12 |v| are left out, a floor that
+    scales with v."""
+    floor = 1e-12 * np.linalg.norm(v)
+
     def ratio(U):
         s = U @ v
         out = np.full(len(U), np.inf)
-        ok = s > 1e-12
+        ok = s > floor
         if np.any(ok):
             out[ok] = _widths(K, U[ok]) / s[ok]
         return out
@@ -461,6 +494,8 @@ def hausdorff(K, M, n_dirs=4096, seed=0) -> HausdorffResult:
             return HausdorffResult(float(max(_vertex_distances(WK, WM).max(),
                                              _vertex_distances(WM, WK).max())), True)
     dirs = sphere_dirs(dim(K), n_dirs, seed)
+    if not len(dirs):
+        raise ValueError("n_dirs must be positive for a sampled Hausdorff distance")
     best = np.max(np.abs(support_many(K, dirs) - support_many(M, dirs)))
     return HausdorffResult(float(best), False)
 

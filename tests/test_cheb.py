@@ -10,8 +10,10 @@ from minkgauge import (Ball, BodyError, Polynomial, VPolytope, alpha,
                        compose_cheb, dim, extremal_polynomial, leading_growth,
                        make_box, make_simplex, poly_eval, poly_grad, random_polygon,
                        t_func, t_polynomial)
+from minkgauge import body, cheb
 from minkgauge.body import vertex_candidates
 from minkgauge.cheb import DEGREE_CAP, _body_samples
+from minkgauge.shapes import make_regular_polygon, make_weighted_l2_ball
 
 from conftest import polygons_with_interior, unit_dirs
 
@@ -215,6 +217,62 @@ def test_sup_norm_check_equals_the_scalar_loop():
             rep = cheb_growth(K, x, n, n_samples=300, seed=4)
             loop = max(abs(rep.extremal_eval(y)) for y in _body_samples(K, 300, 4))
             npt.assert_allclose(rep.sup_norm_check, loop, rtol=1e-12, atol=1e-12)
+
+
+@pytest.fixture
+def empty_weights(monkeypatch):
+    """The store of Chebyshev sample weights, emptied for one test and
+    restored after."""
+    store = {}
+    monkeypatch.setattr(cheb, "_WEIGHTS", store)
+    return store
+
+
+def _fresh_samples(gens, n, seed):
+    W = np.random.default_rng(seed).dirichlet(np.full(len(gens), 0.6), size=n)
+    return np.vstack([gens, W @ gens])
+
+
+def test_stored_weights_are_read_only_and_match_fresh_draws(empty_weights):
+    K = make_regular_polygon(8)
+    x = np.array([4.0, -3.0])
+    first = cheb_growth(K, x, 5, n_samples=1000, seed=2)
+    W = empty_weights[(8, 1000, 2)]
+    assert not W.flags.writeable
+    with pytest.raises(ValueError):
+        W[0, 0] = 1.0
+    again = cheb_growth(K, x, 5, n_samples=1000, seed=2)
+    assert again.sup_norm_check == first.sup_norm_check
+    assert list(empty_weights) == [(8, 1000, 2)]
+    assert np.array_equal(_body_samples(K, 1000, 2), _fresh_samples(K.extreme, 1000, 2))
+    # another body with as many generators reads the same weights
+    M = make_regular_polygon(8, 2.0, (1.0, -1.0))
+    assert np.array_equal(_body_samples(M, 1000, 2), _fresh_samples(M.extreme, 1000, 2))
+    assert len(empty_weights) == 1
+
+
+def test_weights_store_keeps_its_budgets(empty_weights):
+    K = make_regular_polygon(8)
+    n = body.DIRS_MAX_CELLS // 8
+    assert np.array_equal(_body_samples(K, n + 1, 0), _fresh_samples(K.extreme, n + 1, 0))
+    assert empty_weights == {}
+    _body_samples(K, n, 0)
+    assert list(empty_weights) == [(8, n, 0)]
+    for seed in range(1, body.DIRS_MAX_FAMILIES + 9):
+        _body_samples(K, 16, seed)
+        assert len(empty_weights) <= body.DIRS_MAX_FAMILIES
+    # the oldest draws were dropped first
+    assert list(empty_weights) == [(8, 16, s) for s in range(9, body.DIRS_MAX_FAMILIES + 9)]
+
+
+def test_zero_samples_name_the_count():
+    # a body without generators is sampled from its inscribed ball alone, so
+    # zero samples leave no point to check; a polytope keeps its vertices
+    for K in (Ball(np.zeros(2), 1.0), make_weighted_l2_ball(3, "i")):
+        with pytest.raises(ValueError, match="n_samples"):
+            cheb_growth(K, np.full(dim(K), 2.0), 3, n_samples=0)
+    rep = cheb_growth(SQ, np.array([2.0, 0.0]), 3, n_samples=0)
+    assert rep.sup_norm_check == 1.0
 
 
 def test_cheb_growth_lp_count_is_independent_of_samples(lp_solves):

@@ -308,6 +308,45 @@ def test_oracle_check_takes_zero_directions(capsys):
     assert rec["alpha"] == rec["alpha_brute_force"] == pytest.approx(0.3, abs=1e-12)
 
 
+BALL = json.dumps({"kind": "ball", "center": [0, 0], "radius": 1})
+ORACLE = json.dumps({"kind": "weighted_l2_ball", "dim": 3, "mode": "i"})
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["cheb-growth", "--body", BALL, "--point", "2,0", "--degree", "2", "--n-samples", "0"],
+     "n_samples"),
+    (["hausdorff", "--body", ORACLE, "--body2", ORACLE, "--n-dirs", "0"], "n_dirs"),
+])
+def test_zero_sampled_count_names_the_count(argv, flag, capsys):
+    code, out, err = run_err(capsys, argv)
+    assert code == 2 and out == ""
+    assert err["error"] == "input" and flag in err["message"]
+
+
+def test_cheb_growth_takes_zero_samples_on_a_polytope(capsys):
+    rec = run_json(capsys, ["cheb-growth", "--body", SQUARE, "--point", "2,0",
+                            "--degree", "2", "--n-samples", "0"])
+    assert rec["growth"] == 7.0 and rec["sup_norm_check"] == 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["cheb-growth", "--body", TRIANGLE, "--point", "20,9", "--degree", "3"],
+    ["cheb-growth", "--body", TRIANGLE, "--point", "20,9", "--degree", "3",
+     "--n-samples", "1000"],
+    ["oracle-check", "--body", TRIANGLE, "--point", "12,11"],
+    ["experiment-conjecture", "--body", TRIANGLE, "--n-queries", "6", "--max-degree", "2"],
+])
+def test_stored_samples_print_what_a_fresh_draw_prints(argv, capsys, monkeypatch):
+    outs = []
+    for _ in range(2):
+        assert run(argv) == 0
+        outs.append(capsys.readouterr().out)
+    monkeypatch.setattr("minkgauge.cheb._WEIGHTS", {})
+    monkeypatch.setattr("minkgauge.body._DIRS", {})
+    assert run(argv) == 0
+    assert capsys.readouterr().out == outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("body, d", [(SQUARE, 2), (CUBE, 3)])
 def test_grid_rows_cap_rejects_one_over(body, d, capsys, monkeypatch):
     def no_work(*args):

@@ -556,6 +556,118 @@ def test_sampled_answers_are_bit_exact(d, mode, want):
     assert tuple(float(v) for v in got) == want
 
 
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def test_oracle_diameter_and_far_radius_are_bit_exact():
+    got = []
+    for d, mode in ((3, "i"), (5, "ii")):
+        K = make_weighted_l2_ball(d, mode)
+        got += [diameter(K), far_radius(K)]
+    assert _hex(got) == ["0x1.bb67ae8584caap+0", "0x1.bb67ae8584caap-1",
+                         "0x1.0000000000000p+1", "0x1.0000000000000p+0"]
+
+
+# the swept widths of Gaussian V-polytopes above MAX_VERTEX_DIM, nonsmooth
+# objectives: (d, value, direction)
+SWEPT_POLYTOPE_WIDTHS = [
+    (5, "0x1.739f611fae894p+0", ["-0x1.c56d0f89a9e33p-3", "0x1.db6abf7e2750ap-3",
+                                 "-0x1.f56ce6ca00aa2p-2", "-0x1.f3afae8305391p-2",
+                                 "0x1.4b7ef2a8de47ep-1"]),
+    (6, "0x1.4869821585ebdp+0", ["0x1.7725d10ecab8fp-2", "-0x1.8addcde0a5ebep-2",
+                                 "-0x1.42efa5c446029p-1", "0x1.1426d41cdfd6ap-2",
+                                 "-0x1.f542f9a8c7859p-3", "-0x1.ba5f9448a3c6dp-2"]),
+]
+
+
+@pytest.mark.parametrize("d,value,direction", SWEPT_POLYTOPE_WIDTHS,
+                         ids=[str(d) for d, _, _ in SWEPT_POLYTOPE_WIDTHS])
+def test_swept_polytope_width_is_bit_exact(d, value, direction):
+    w = global_width(VPolytope(np.random.default_rng(d).normal(size=(12, d))))
+    assert not w.exact
+    assert _hex([w.value]) == [value] and _hex(w.direction) == direction
+
+
+def test_oracle_chord_along_a_long_v_is_bit_exact():
+    got = [max_chord(make_weighted_l2_ball(d, mode), 3.0 * np.arange(1.0, d + 1))
+           for d, mode in ((2, "ii"), (4, "i"))]
+    assert _hex(got) == ["0x1.02061446ffa99p-2", "0x1.afc19d860616ap-4"]
+
+
+@pytest.mark.parametrize("d,mode", [(2, "ii"), (3, "i"), (5, "ii")])
+def test_oracle_chord_scales_with_v(d, mode):
+    # tau(K, s v) = tau(K, v) / s: the floor on <u, v> scales with v, so a
+    # short v keeps every direction that a unit v keeps
+    K = make_weighted_l2_ball(d, mode)
+    u = np.arange(1.0, d + 1) * (-1.0) ** np.arange(d)
+    u /= np.linalg.norm(u)
+    tau = max_chord(K, u)
+    for s in (1e-100, 1e-12, 1e-9):
+        npt.assert_allclose(max_chord(K, s * u) * s, tau, rtol=1e-13)
+    assert np.isfinite(max_chord(K, 1e-160 * u))
+
+
+def test_sampled_hausdorff_names_a_zero_direction_count():
+    K, B = make_weighted_l2_ball(3, "i"), Ball(np.zeros(3), 1.0)
+    with pytest.raises(ValueError, match="n_dirs"):
+        hausdorff(K, B, n_dirs=0)
+    # exact routes sample nothing and take any count
+    sq = VPolytope(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]]))
+    assert hausdorff(sq, sq, n_dirs=0) == (0.0, True)
+
+
+def test_search_skips_zero_and_nan_starts_bit_exactly():
+    # a zero row and a NaN row among the starts take the objective's guarded
+    # path: both read inf, and neither becomes the answer
+    C = np.vstack([geometry._sphere_starts(3, 2), np.zeros(3), np.full(3, np.nan)])
+    with np.errstate(invalid="ignore"):
+        v, val, pre = geometry._multistart_sphere(lambda U: U @ np.array([1.0, 2.0, -0.5]),
+                                                  C, sense="min", n_starts=len(C))
+    assert _hex(v) == ["-0x1.bee905f5c5479p-2", "-0x1.bee905443cf71p-1", "0x1.bee9060f587b0p-3"]
+    assert _hex([val, pre]) == ["-0x1.2548eb9151e86p+1", "-0x1.1f8c21c10d217p+1"]
+
+
+def test_search_against_an_infinite_wall_is_bit_exact():
+    # f is inf on the cap u_1 > 0.55, which the descent runs into: trial
+    # points there fail the Armijo test, and the best value is a finite one
+    a = np.array([0.6, -0.3, 0.74])
+    rows = []
+
+    def f(U):
+        rows.append(len(U))
+        return np.where(U[:, 0] > 0.55, np.inf, np.sum((U - a) ** 2, axis=1))
+    v, val, pre = geometry._multistart_sphere(f, geometry._sphere_starts(3, 6), n_starts=16)
+    assert _hex(v) == ["0x1.1999993940108p-1", "-0x1.4376bbd3d3601p-2", "0x1.8bd6b1a14fc42p-1"]
+    assert _hex([val, pre]) == ["0x1.f88abbe8f8a78p-9", "0x1.91a2865189da4p-6"]
+    assert (len(rows), sum(rows)) == (1 + geometry.SWEEP_MAX_ITER, 10214)
+
+
+def test_oracle_sweeps_evaluate_a_fixed_number_of_rows(monkeypatch):
+    # (objective calls, rows evaluated) of each sweep of a sampled alpha, an
+    # oracle chord and an oracle width: leaner bookkeeping in the search may
+    # not buy its time with more evaluations
+    sweeps = []
+    search = geometry._multistart_sphere
+
+    def recorded(f, C, *args, **kwargs):
+        rows = []
+        sweeps.append(rows)
+
+        def counted(U):
+            rows.append(len(U))
+            return f(U)
+        return search(counted, C, *args, **kwargs)
+    monkeypatch.setattr(geometry, "_multistart_sphere", recorded)
+    monkeypatch.setattr(gauge, "_multistart_sphere", recorded)
+    K = make_weighted_l2_ball(3, "i")
+    u = np.array([1.0, -2.0, 3.0]) / np.sqrt(14.0)
+    alpha(K, 1.5 * u)
+    max_chord(K, u)
+    global_width(K)
+    assert [(len(s), sum(s)) for s in sweeps] == [(10, 2577), (10, 1259), (10, 2138)]
+
+
 @given(polygons(), st.floats(min_value=0.1, max_value=4.0))
 @settings(max_examples=30)
 def test_geometry_scales(K, t):
