@@ -310,12 +310,13 @@ def bernstein_bound(K, x, n, norm_bound=1.0):
     theorem_bound is the proved 2 n M / (w(K) sqrt(1 - alpha)); the
     conjectured sharper variant replaces 1 - alpha with 1 - alpha^2 and is
     reported for comparison, never asserted anywhere in this package.  Both
-    are inf for a degree past float range.
+    are inf for a degree past float range; the bound M = norm_bound must be
+    finite and positive.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if norm_bound <= 0.0:
-        raise ValueError("norm bound must be positive")
+    if not (np.isfinite(norm_bound) and norm_bound > 0.0):
+        raise ValueError("norm bound must be finite and positive")
     a = alpha(K, x).alpha
     if a >= 1.0:
         raise BodyError("bernstein bound needs an interior point (alpha < 1)")

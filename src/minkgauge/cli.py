@@ -8,11 +8,14 @@ sampled computation takes a seed and defaults are fixed, so identical
 invocations produce identical bytes.  Counts that size the work (directions,
 lines, samples, queries, degrees, grid rows) are capped by the MAX_*
 constants below; a negative or larger request exits 2 before any work starts.
+The parser turns every vector flag into finite numbers; ``run`` reads the
+body once, and writes stdout only after the handler returns its record.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import re
@@ -21,14 +24,13 @@ import sys
 import numpy as np
 
 from .body import BodyError, dim, homothety, support as support_fn
-from .cheb import (bernstein_bound, cheb_growth, cheb_T_prime, leading_growth,
-                   poly_eval, poly_grad, t_polynomial)
+from .cheb import (_body_samples, _layer_coordinate, bernstein_bound, cheb_growth,
+                   cheb_T_prime, leading_growth)
 from .gauge import alpha, alpha_inf, level_set
 from .geometry import (central_symm, far_radius, global_width, hausdorff,
                        max_chord, sphere_dirs, width_dir)
 from .lp import NumericalError
-from .ratios import (SAMPLING_SIDES, beta, brute_force_alpha, ratio_functionals,
-                     rho)
+from .ratios import beta, brute_force_alpha, ratio_functionals, rho
 from .shapes import SchemaError, parse_body, serialize_body
 
 
@@ -61,6 +63,30 @@ def _capped_int(name, cap):
     return parse
 
 
+def _numbers(text):
+    """argparse type: comma-separated finite numbers, as an array."""
+    try:
+        x = np.array([float(p) for p in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+    if not np.all(np.isfinite(x)):
+        raise argparse.ArgumentTypeError(f"non-finite entry in {text!r}")
+    return x
+
+
+def _factors(text):
+    """argparse type: comma-separated numbers in (0, 1)."""
+    x = _numbers(text)
+    if not np.all((x > 0.0) & (x < 1.0)):
+        raise argparse.ArgumentTypeError(f"entries must lie in (0, 1), got {text!r}")
+    return x
+
+
+# the vector flags whose length must be the body's dimension
+_POINT_FLAGS = ("point", "dir", "low", "high")
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -71,7 +97,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_body(text):
+def _load_body(text, path="body"):
+    """The body of a --body style flag; schema errors name ``path``."""
     if text.lstrip().startswith("{"):
         doc = text
     else:
@@ -83,15 +110,8 @@ def _load_body(text):
     try:
         spec = json.loads(doc)
     except json.JSONDecodeError as exc:
-        raise SchemaError("body", f"not valid JSON: {exc}") from exc
-    return parse_body(spec)
-
-
-def _vec(text, name):
-    try:
-        return np.array([float(p) for p in text.split(",")])
-    except ValueError as exc:
-        raise _UsageError(f"{name} must be comma-separated numbers") from exc
+        raise SchemaError(path, f"not valid JSON: {exc}") from exc
+    return parse_body(spec, path)
 
 
 def _clean(obj):
@@ -126,26 +146,24 @@ def _serialize_or_describe(body):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns the record to print (or None after
-# printing its own output, as grid does)
+# subcommand handlers: each takes the parsed body and the namespace, whose
+# vectors already match the body's dimension, and returns the record to
+# print (grid returns its CSV text)
 
 
-def _cmd_alpha(ns):
-    K = _load_body(ns.body)
-    res = alpha(K, _vec(ns.point, "--point"))
+def _cmd_alpha(K, ns):
+    res = alpha(K, ns.point)
     return {"alpha": res.alpha, "method": res.method, "tol": res.tol,
             "witness_dir": res.witness_dir}
 
 
-def _cmd_levelset(ns):
-    K = _load_body(ns.body)
+def _cmd_levelset(K, ns):
     ls = level_set(K, ns.lam)
     return {"lambda": ls.lam, "empty": ls.empty,
             "body": _serialize_or_describe(ls.body)}
 
 
-def _cmd_symmetry(ns):
-    K = _load_body(ns.body)
+def _cmd_symmetry(K, ns):
     rep = alpha_inf(K)
     return {
         "alpha_inf": rep.alpha_inf,
@@ -161,34 +179,27 @@ def _cmd_symmetry(ns):
     }
 
 
-def _cmd_tau(ns):
-    K = _load_body(ns.body)
-    v = _vec(ns.dir, "--dir")
-    return {"tau": max_chord(K, v), "dir": v}
+def _cmd_tau(K, ns):
+    return {"tau": max_chord(K, ns.dir), "dir": ns.dir}
 
 
-def _cmd_width(ns):
-    K = _load_body(ns.body)
+def _cmd_width(K, ns):
     res = global_width(K)
     return {"width": res.value, "direction": res.direction, "exact": res.exact}
 
 
-def _cmd_support(ns):
-    K = _load_body(ns.body)
-    v = _vec(ns.dir, "--dir")
+def _cmd_support(K, ns):
+    v = ns.dir
     return {"support": support_fn(K, v), "width_dir": width_dir(K, v), "dir": v}
 
 
-def _cmd_hausdorff(ns):
-    K = _load_body(ns.body)
-    M = _load_body(ns.body2)
-    res = hausdorff(K, M, n_dirs=ns.n_dirs, seed=ns.seed)
+def _cmd_hausdorff(K, ns):
+    res = hausdorff(K, _load_body(ns.body2, "body2"), n_dirs=ns.n_dirs, seed=ns.seed)
     return {"hausdorff": res.value, "exact": res.exact}
 
 
-def _cmd_oracle_check(ns):
-    K = _load_body(ns.body)
-    x = _vec(ns.point, "--point")
+def _cmd_oracle_check(K, ns):
+    x = ns.point
     res = alpha(K, x)
     brute = brute_force_alpha(K, x, n_dirs=ns.n_dirs, seed=ns.seed)
     ratios = ratio_functionals(K, x, n_lines=ns.n_lines, seed=ns.seed)
@@ -197,7 +208,7 @@ def _cmd_oracle_check(ns):
         "method": res.method,
         "alpha_brute_force": brute,
         "brute_force_gap": res.alpha - brute,
-        "ratios": _ratio_dict(ratios),
+        "ratios": dataclasses.asdict(ratios),
     }
     if ratios.point_in_body:
         b = beta(K, x)
@@ -220,42 +231,28 @@ def _cmd_oracle_check(ns):
     return record
 
 
-def _ratio_dict(rep):
-    return {"sigma": rep.sigma, "nu": rep.nu, "omega": rep.omega,
-            "gamma_sq": rep.gamma_sq, "mu": rep.mu,
-            "point_in_body": rep.point_in_body, "n_chords": rep.n_chords,
-            "sides": dict(SAMPLING_SIDES)}
+def _cmd_ratios(K, ns):
+    return dataclasses.asdict(ratio_functionals(K, ns.point, n_lines=ns.n_lines,
+                                                seed=ns.seed))
 
 
-def _cmd_ratios(ns):
-    K = _load_body(ns.body)
-    rep = ratio_functionals(K, _vec(ns.point, "--point"),
-                            n_lines=ns.n_lines, seed=ns.seed)
-    return _ratio_dict(rep)
-
-
-def _cmd_cheb_growth(ns):
-    K = _load_body(ns.body)
-    x = _vec(ns.point, "--point")
-    rep = cheb_growth(K, x, ns.degree, n_samples=ns.n_samples, seed=ns.seed)
+def _cmd_cheb_growth(K, ns):
+    rep = cheb_growth(K, ns.point, ns.degree, n_samples=ns.n_samples, seed=ns.seed)
     return {"degree": rep.n, "alpha": rep.alpha, "growth": rep.growth,
             "witness_dir": rep.witness_dir,
-            "value_at_point": rep.extremal_eval(x),
+            "value_at_point": rep.extremal_eval(ns.point),
             "sup_norm_check": rep.sup_norm_check,
             "witness_tol": rep.witness_tol}
 
 
-def _cmd_cheb_leading(ns):
-    K = _load_body(ns.body)
-    rep = leading_growth(K, _vec(ns.dir, "--dir"), ns.degree)
+def _cmd_cheb_leading(K, ns):
+    rep = leading_growth(K, ns.dir, ns.degree)
     return {"degree": rep.n, "value": rep.value, "tau": rep.tau,
             "witness_dir": rep.witness_dir}
 
 
-def _cmd_bernstein(ns):
-    K = _load_body(ns.body)
-    rep = bernstein_bound(K, _vec(ns.point, "--point"), ns.degree,
-                          ns.norm_bound)
+def _cmd_bernstein(K, ns):
+    rep = bernstein_bound(K, ns.point, ns.degree, ns.norm_bound)
     return {"theorem_bound": rep.theorem_bound,
             "conjecture_bound": rep.conjecture_bound,
             "conjecture_note": "reported for comparison only, not asserted",
@@ -264,33 +261,24 @@ def _cmd_bernstein(ns):
             "norm_bound": ns.norm_bound}
 
 
-def _cmd_grid(ns):
-    K = _load_body(ns.body)
-    lo = _vec(ns.low, "--low")
-    hi = _vec(ns.high, "--high")
+def _cmd_grid(K, ns):
     d = dim(K)
-    if lo.size != d or hi.size != d:
-        raise _UsageError("--low/--high must match the body dimension")
     if ns.steps < 2:
         raise _UsageError("--steps must be >= 2")
     if ns.steps ** d > MAX_GRID_ROWS:
         raise _UsageError(f"--steps {ns.steps} in dimension {d} gives {ns.steps}^{d} rows, "
                           f"above the limit MAX_GRID_ROWS = {MAX_GRID_ROWS}")
-    axes = [np.linspace(lo[i], hi[i], ns.steps) for i in range(d)]
-    print(",".join([f"x{i + 1}" for i in range(d)] + ["alpha"]))
+    axes = [np.linspace(ns.low[i], ns.high[i], ns.steps) for i in range(d)]
+    lines = [",".join([f"x{i + 1}" for i in range(d)] + ["alpha"])]
     for idx in np.ndindex(*(ns.steps,) * d):
         pt = np.array([axes[i][idx[i]] for i in range(d)])
         a = alpha(K, pt).alpha
-        print(",".join(f"{v:.12g}" for v in pt) + f",{a:.12g}")
-    return None
+        lines.append(",".join(f"{v:.12g}" for v in pt) + f",{a:.12g}")
+    return "\n".join(lines)
 
 
-def _cmd_experiment_deltabound(ns):
-    lams = (_vec(ns.lambdas, "--lambdas") if ns.lambdas
-            else np.arange(0.1, 1.0, 0.1))
-    if not np.all((lams > 0.0) & (lams < 1.0)):
-        raise _UsageError("--lambdas entries must lie in (0, 1)")
-    K = _load_body(ns.body)
+def _cmd_experiment_deltabound(K, ns):
+    lams = np.arange(0.1, 1.0, 0.1) if ns.lambdas is None else ns.lambdas
     C = central_symm(K)
     bound = far_radius(K) - 0.5 * global_width(K).value
     rows = []
@@ -309,12 +297,10 @@ def _cmd_experiment_deltabound(ns):
                     "observational output only"}
 
 
-def _cmd_experiment_conjecture(ns):
-    K = _load_body(ns.body)
+def _cmd_experiment_conjecture(K, ns):
     d = dim(K)
     rng = np.random.default_rng(ns.seed)
     w_res = global_width(K)
-    from .cheb import _body_samples
     pts = _body_samples(K, ns.n_queries, ns.seed + 1)
     dirs = sphere_dirs(d, max(8, ns.n_queries // 4), ns.seed + 2)
     worst = {"ratio": -np.inf}
@@ -326,11 +312,11 @@ def _cmd_experiment_conjecture(ns):
             a = alpha(K, x).alpha
             if a >= 1.0 - 1e-9:
                 continue
-            p1 = t_polynomial(K, v)
-            t_val = poly_eval(p1, x)
-            g1 = poly_grad(p1, x)
+            # the layer coordinate t = g . x + c0, with gradient g
+            g, c0 = _layer_coordinate(K, v)
+            t_val = float(g @ x) + c0
             grad_norm = abs(cheb_T_prime(n, min(max(t_val, -1.0), 1.0))) * \
-                float(np.linalg.norm(g1))
+                float(np.linalg.norm(g))
             ratio = grad_norm * w_res.value * np.sqrt(1.0 - a * a) / (2.0 * n)
             n_checked += 1
             if ratio > worst["ratio"]:
@@ -359,7 +345,7 @@ def _build_parser():
         return sp
 
     sp = cmd("alpha", _cmd_alpha, help="generalized gauge at a point")
-    sp.add_argument("--point", required=True)
+    sp.add_argument("--point", type=_numbers, required=True)
 
     sp = cmd("levelset", _cmd_levelset, help="level body at a factor")
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -367,12 +353,12 @@ def _build_parser():
     cmd("symmetry", _cmd_symmetry, help="symmetry report (infimum gauge)")
 
     sp = cmd("tau", _cmd_tau, help="maximal chord in a direction")
-    sp.add_argument("--dir", required=True)
+    sp.add_argument("--dir", type=_numbers, required=True)
 
     cmd("width", _cmd_width, help="global width")
 
     sp = cmd("support", _cmd_support, help="support value in a direction")
-    sp.add_argument("--dir", required=True)
+    sp.add_argument("--dir", type=_numbers, required=True)
 
     sp = cmd("hausdorff", _cmd_hausdorff, help="distance between two bodies")
     sp.add_argument("--body2", required=True)
@@ -381,19 +367,19 @@ def _build_parser():
 
     sp = cmd("oracle-check", _cmd_oracle_check,
              help="cross-validate the gauge on one instance")
-    sp.add_argument("--point", required=True)
+    sp.add_argument("--point", type=_numbers, required=True)
     sp.add_argument("--n-dirs", type=_capped_int("MAX_N_DIRS", MAX_N_DIRS), default=4096)
     sp.add_argument("--n-lines", type=_capped_int("MAX_N_LINES", MAX_N_LINES), default=128)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = cmd("ratios", _cmd_ratios, help="chord ratio functionals")
-    sp.add_argument("--point", required=True)
+    sp.add_argument("--point", type=_numbers, required=True)
     sp.add_argument("--n-lines", type=_capped_int("MAX_N_LINES", MAX_N_LINES), default=64)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = cmd("cheb-growth", _cmd_cheb_growth,
              help="pointwise polynomial growth at an exterior point")
-    sp.add_argument("--point", required=True)
+    sp.add_argument("--point", type=_numbers, required=True)
     sp.add_argument("--degree", type=int, required=True)
     sp.add_argument("--n-samples", type=_capped_int("MAX_N_SAMPLES", MAX_N_SAMPLES),
                     default=10000)
@@ -401,23 +387,23 @@ def _build_parser():
 
     sp = cmd("cheb-leading", _cmd_cheb_leading,
              help="leading coefficient growth in a direction")
-    sp.add_argument("--dir", required=True)
+    sp.add_argument("--dir", type=_numbers, required=True)
     sp.add_argument("--degree", type=int, required=True)
 
     sp = cmd("bernstein", _cmd_bernstein, help="gradient bounds at a point")
-    sp.add_argument("--point", required=True)
+    sp.add_argument("--point", type=_numbers, required=True)
     sp.add_argument("--degree", type=int, required=True)
     sp.add_argument("--norm-bound", type=float, default=1.0)
 
     sp = cmd("grid", _cmd_grid, help="CSV of alpha over a lattice")
-    sp.add_argument("--low", required=True)
-    sp.add_argument("--high", required=True)
+    sp.add_argument("--low", type=_numbers, required=True)
+    sp.add_argument("--high", type=_numbers, required=True)
     sp.add_argument("--steps", type=int, required=True)
 
     sp = cmd("experiment-deltabound", _cmd_experiment_deltabound,
              help="distance of level bodies to scaled symmetrization, "
                   "factors below 1")
-    sp.add_argument("--lambdas", default=None)
+    sp.add_argument("--lambdas", type=_factors, default=None)
 
     sp = cmd("experiment-conjecture", _cmd_experiment_conjecture,
              help="search for violations of the conjectured gradient bound")
@@ -431,7 +417,11 @@ def _build_parser():
 
 
 def run(argv):
-    """Execute one invocation; returns the process exit code."""
+    """Execute one invocation; returns the process exit code.
+
+    The body is read once, here, and every vector flag checked against its
+    dimension before the handler runs; stdout is written only after the
+    handler has returned."""
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
@@ -442,19 +432,26 @@ def run(argv):
     if getattr(ns, "handler", None) is None:
         return _fail("input", "no subcommand given", 2)
     try:
-        record = ns.handler(ns)
+        K = _load_body(ns.body)
+        d = dim(K)
+        for name in _POINT_FLAGS:
+            x = getattr(ns, name, None)
+            if x is not None and x.size != d:
+                raise _UsageError(f"argument --{name}: has length {x.size}, "
+                                  f"the body has dimension {d}")
+        out = ns.handler(K, ns)
     except (_UsageError, SchemaError, BodyError, ValueError) as exc:
         return _fail("input", str(exc), 2)
     except (NumericalError, OverflowError) as exc:
         return _fail("numerical", str(exc), 3)
     except Exception as exc:  # pragma: no cover - safety net
         return _fail("internal", f"{type(exc).__name__}: {exc}", 3)
-    if record is not None:
+    if not isinstance(out, str):
         try:
-            text = json.dumps(_clean(record), sort_keys=True, allow_nan=False)
+            out = json.dumps(_clean(out), sort_keys=True, allow_nan=False)
         except ValueError:
             return _fail("numerical", "result beyond float range", 3)
-        print(text)
+    print(out)
     return 0
 
 

@@ -37,6 +37,7 @@ over all vertices and edges.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -273,9 +274,18 @@ def _clip_sections(A, b, x, D):
 
 def _row_exit(A, b, v):
     """Where the ray {t v} leaves {y : A y <= b} with b > 0, and the unit
-    row that stops it."""
-    hi = _clip_sections(A, b, np.zeros(v.size), v[None, :])[1][0]
-    i = int(np.argmax((A @ v) / b))
+    row that stops it.
+
+    ``_clip_sections`` for the one line through the origin, upper end only:
+    the origin is inside, so the line never misses and b - A 0 = b.
+    """
+    den = (v[None, :] @ A.T)[0]
+    # norms and products taken as _clip_sections takes them, to the bit
+    nv = np.linalg.norm(v[None, :], axis=1)[0]
+    par = np.abs(den) <= 1e-12 * (nv * np.linalg.norm(A, axis=1))
+    with np.errstate(divide="ignore"):
+        hi = np.where(~par & (den > 0.0), b / den, np.inf).min()
+    i = int(np.argmax(den / b))
     return float(hi), A[i] / np.linalg.norm(A[i])
 
 
@@ -297,22 +307,31 @@ def max_chord(K, v) -> float:
 
 
 def _max_chord(K, v):
-    """(tau(K, v), the unit facet row of C that sets it or None), from one C."""
+    """(tau(K, v), the unit facet row of C that sets it or None), from one C.
+
+    The row clip, the ball quadratic and the section LP see v scaled by the
+    power of two 2^-e that puts max |v_i| in [1/2, 1), and tau(K, v) =
+    2^-e tau(K, 2^-e v) after; the scaling is exact, so no length of v
+    underflows, overflows or meets the LP's absolute tolerances.  The
+    oracle sweep keeps the v it is given.
+    """
     hs = K.symm_rows
-    if hs is not None:
-        hi, row = _row_exit(*hs, v)
-        return 2.0 * hi, row
-    if isinstance(K, Product):
+    if hs is None and isinstance(K, Product):
         # the least chord over the factors that v moves, inf if it moves none
         return float(min([np.inf] + [max_chord(f, v[sl]) for f, sl in K.blocks
                                      if np.any(v[sl])])), None
+    e = math.frexp(max(map(abs, v.tolist())))[1]
+    u = np.ldexp(v, -e)
+    if hs is not None:
+        hi, row = _row_exit(*hs, u)
+        return float(np.ldexp(2.0 * hi, -e)), row
     try:
-        hi = _line_sections(central_symm(K), np.zeros(v.size), v[None, :])[1][0]
+        hi = _line_sections(central_symm(K), np.zeros(u.size), u[None, :])[1][0]
     except BodyError:           # no encoding: support oracles, sums with ball terms
         return _swept_chord(K, v), None
     if np.isnan(hi):
         raise lp.NumericalError("chord LP ended without a section")
-    return 2.0 * float(hi), None
+    return float(np.ldexp(2.0 * hi, -e)), None
 
 
 def _swept_chord(K, v):

@@ -173,7 +173,13 @@ def _mat(value, path):
 
 
 def parse_body(spec, path="body", check=True):
-    """Build a Body from its schema dict; validates unless check=False."""
+    """Build a Body from its schema dict; validates unless check=False.
+
+    Every node is validated once, at its own path: a product's factors and
+    a sum's terms at theirs (a sum checks that its terms share a dimension),
+    an affine image at its own node, every other kind where it stands.  A
+    constructor's error is reported at its node's path too.
+    """
     if not isinstance(spec, dict):
         raise SchemaError(path, "expected an object")
     kind = _need(spec, "kind", path)
@@ -183,12 +189,12 @@ def parse_body(spec, path="body", check=True):
     if kind not in known:
         raise SchemaError(f"{path}.kind", f"unknown kind {kind!r}")
     try:
-        K = _parse_kind(kind, spec, path)
-    except BodyError:
+        K = _parse_kind(kind, spec, path, check)
+    except SchemaError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (BodyError, TypeError, ValueError) as exc:
         raise SchemaError(path, str(exc)) from exc
-    if check:
+    if check and kind not in ("product", "sum"):
         try:
             validate(K)
         except BodyError as exc:
@@ -196,7 +202,7 @@ def parse_body(spec, path="body", check=True):
     return K
 
 
-def _parse_kind(kind, spec, path):
+def _parse_kind(kind, spec, path, check):
     if kind == "hpolytope":
         return HPolytope(_mat(_need(spec, "A", path), f"{path}.A"),
                          _vec(_need(spec, "b", path), f"{path}.b"))
@@ -216,20 +222,22 @@ def _parse_kind(kind, spec, path):
         factors = _need(spec, "factors", path)
         if not isinstance(factors, list) or not factors:
             raise SchemaError(f"{path}.factors", "expected a nonempty array")
-        return Product(tuple(parse_body(f, f"{path}.factors[{i}]", check=False)
+        return Product(tuple(parse_body(f, f"{path}.factors[{i}]", check)
                              for i, f in enumerate(factors)))
     if kind == "sum":
         terms = _need(spec, "terms", path)
         if not isinstance(terms, list) or not terms:
             raise SchemaError(f"{path}.terms", "expected a nonempty array")
-        terms = tuple(parse_body(t, f"{path}.terms[{i}]", check=False)
+        terms = tuple(parse_body(t, f"{path}.terms[{i}]", check)
                       for i, t in enumerate(terms))
-        if (all(isinstance(T, Ball) for T in terms)
-                and len({T.center.size for T in terms}) == 1):
+        if len({dim(T) for T in terms}) != 1:
+            raise SchemaError(path, "sum terms must share a dimension")
+        if all(isinstance(T, Ball) for T in terms):
             return Ball(np.sum([T.center for T in terms], axis=0),
                         sum(T.radius for T in terms))
         return Sum(terms)
     if kind in ("scaled", "translated", "reflected"):
+        # the image is validated at this node, so its body is not validated alone
         K = parse_body(_need(spec, "body", path), f"{path}.body", check=False)
         if kind == "reflected":
             return homothety(K, -1.0)

@@ -441,6 +441,20 @@ def test_inscribed_ball_fits(K):
         assert support(K, u) >= float(u @ c) + r - 1e-8
 
 
+def test_inscribed_ball_of_a_product_and_of_a_sum_with_a_ball_term():
+    # the 3-4-5 triangle has inradius 1 at (1, 1)
+    tri = VPolytope(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]))
+    c, r = inscribed_ball(Product((tri, VPolytope(np.array([[-1.0], [3.0]])))))
+    npt.assert_allclose(c, [1.0, 1.0, 1.0], atol=1e-9)
+    assert r == pytest.approx(1.0, abs=1e-9)
+    S = Sum((tri, Ball(np.array([0.5, -0.5]), 0.25)))
+    c, r = inscribed_ball(S)
+    npt.assert_allclose(c, [1.5, 0.5], atol=1e-9)
+    assert r == pytest.approx(1.0, abs=1e-9)
+    for u in sphere_dirs(2, 64, 8):
+        assert support(S, u) >= float(u @ c) + r - 1e-9
+
+
 def test_support_oracle_centre_is_private_and_read_only():
     c = np.array([0.5, -0.25])
     K = SupportOracle(lambda v: float(np.linalg.norm(v) + v @ [0.5, -0.25]), c, 1.0, 1.0,

@@ -383,6 +383,12 @@ def test_bernstein_scales_with_norm_bound():
     npt.assert_allclose(b.theorem_bound, 3.0 * a.theorem_bound, rtol=1e-12)
 
 
+@pytest.mark.parametrize("norm_bound", [0.0, -1.0, np.nan, np.inf])
+def test_bernstein_rejects_a_bound_that_is_not_finite_and_positive(norm_bound):
+    with pytest.raises(ValueError, match="norm bound must be finite and positive"):
+        bernstein_bound(SQ, np.zeros(2), 2, norm_bound=norm_bound)
+
+
 def test_bernstein_rejects_boundary_point():
     with pytest.raises(BodyError):
         bernstein_bound(SQ, np.array([1.0, 1.0]), 2)

@@ -363,6 +363,97 @@ def test_grid_rows_cap_rejects_one_over(body, d, capsys, monkeypatch):
     assert f"MAX_GRID_ROWS = {cli.MAX_GRID_ROWS}" in err["message"]
 
 
+VECTOR_FLAGS = [
+    (["alpha", "--body", SQUARE, "--point"], "--point"),
+    (["tau", "--body", SQUARE, "--dir"], "--dir"),
+    (["support", "--body", SQUARE, "--dir"], "--dir"),
+    (["oracle-check", "--body", SQUARE, "--point"], "--point"),
+    (["ratios", "--body", SQUARE, "--point"], "--point"),
+    (["cheb-growth", "--body", SQUARE, "--degree", "2", "--point"], "--point"),
+    (["cheb-leading", "--body", SQUARE, "--degree", "2", "--dir"], "--dir"),
+    (["bernstein", "--body", SQUARE, "--degree", "2", "--point"], "--point"),
+    (["grid", "--body", SQUARE, "--high", "1,1", "--steps", "3", "--low"], "--low"),
+    (["grid", "--body", SQUARE, "--low", "-1,-1", "--steps", "3", "--high"], "--high"),
+]
+
+
+@pytest.mark.parametrize("bad", ["1,x", "0.5,", "nan,0", "0,-inf", "1e400,0"])
+@pytest.mark.parametrize("argv, flag", VECTOR_FLAGS + [
+    (["experiment-deltabound", "--body", TRIANGLE, "--lambdas"], "--lambdas")])
+def test_malformed_vector_flag_exits_2_naming_it_before_the_body_is_read(
+        argv, flag, bad, capsys, monkeypatch):
+    _no_work(monkeypatch)
+    code, out, err = run_err(capsys, argv + [bad])
+    assert code == 2 and out == ""
+    assert err["error"] == "input" and err["message"].startswith(f"argument {flag}: ")
+
+
+@pytest.mark.parametrize("argv, flag", VECTOR_FLAGS)
+def test_wrong_length_vector_flag_exits_2_naming_it(argv, flag, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a handler ran")
+    for name in ("alpha", "max_chord", "support_fn", "cheb_growth", "leading_growth",
+                 "bernstein_bound", "ratio_functionals"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run_err(capsys, argv + ["1,2,3"])
+    assert code == 2 and out == ""
+    assert err["message"] == f"argument {flag}: has length 3, the body has dimension 2"
+
+
+@pytest.mark.parametrize("argv, reads", [
+    (["alpha", "--body", SQUARE, "--point", "0.5,0"], 1),
+    (["grid", "--body", SQUARE, "--low", "-1,-1", "--high", "1,1", "--steps", "2"], 1),
+    (["experiment-conjecture", "--body", TRIANGLE, "--n-queries", "2", "--max-degree", "1"],
+     1),
+    (["hausdorff", "--body", SQUARE, "--body2", TRIANGLE], 2),
+])
+def test_each_body_is_read_once(argv, reads, capsys, monkeypatch):
+    texts = []
+    load = cli._load_body
+    monkeypatch.setattr(cli, "_load_body",
+                        lambda text, *path: texts.append(text) or load(text, *path))
+    assert run(argv) == 0
+    assert len(texts) == reads
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("body2, message", [
+    ("{not json", "body2: not valid JSON"),
+    (json.dumps({"kind": "ball", "center": [0, 0], "radius": -1}), "body2.radius: "),
+    (json.dumps({"kind": "product", "factors": [{"kind": "blob"}]}),
+     "body2.factors[0].kind: unknown kind"),
+])
+def test_second_body_errors_name_body2(body2, message, capsys):
+    code, out, err = run_err(capsys, ["hausdorff", "--body", SQUARE, "--body2", body2])
+    assert code == 2 and out == ""
+    assert err["message"].startswith(message)
+
+
+def test_grid_that_fails_midway_prints_nothing(capsys, monkeypatch):
+    from minkgauge.lp import NumericalError
+    calls = []
+    real = cli.alpha
+
+    def alpha(K, x):
+        calls.append(x)
+        if len(calls) == 3:
+            raise NumericalError("no answer at the third point")
+        return real(K, x)
+    monkeypatch.setattr(cli, "alpha", alpha)
+    code, out, err = run_err(capsys, ["grid", "--body", SQUARE, "--low", "-1,-1",
+                                      "--high", "1,1", "--steps", "3"])
+    assert code == 3 and out == ""
+    assert err["error"] == "numerical" and len(calls) == 3
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf", "0", "-1"])
+def test_bernstein_norm_bound_must_be_finite_and_positive(bound, capsys):
+    code, out, err = run_err(capsys, ["bernstein", "--body", SQUARE, "--point", "0,0",
+                                      "--degree", "2", "--norm-bound", bound])
+    assert code == 2 and out == ""
+    assert err["message"] == "norm bound must be finite and positive"
+
+
 def test_experiment_deltabound(capsys):
     rec = run_json(capsys, ["experiment-deltabound", "--body", TRIANGLE,
                             "--lambdas", "0.5,0.8"])

@@ -518,6 +518,38 @@ def test_level_set_ball_closed_form():
     npt.assert_allclose(L.body.center, [2.0, 0.0], atol=1e-12)
 
 
+def test_level_set_contains_on_a_ball_agrees_with_alpha():
+    B = Ball(np.array([2.0, 0.0]), 1.5)
+    rng = np.random.default_rng(40)
+    for lam in (0.0, 0.5, 2.0):
+        L = level_set(B, lam)
+        assert L.contains(B.center)
+        for x in B.center + rng.normal(scale=2.0, size=(40, 2)):
+            assert L.contains(x) == (alpha(B, x).alpha <= lam)
+
+
+def test_level_lp_membership_agrees_with_alpha(lp_solves):
+    # no facet rows of C in R^5: membership above lam = 1 is the level-set LP
+    K = VPolytope(np.random.default_rng(5).normal(size=(12, 5)))
+    assert K.symm_profile is None
+    L = level_set(K, 2.0)
+    rng = np.random.default_rng(40)
+    inside = []
+    for x in K.vertices.mean(axis=0) + rng.normal(size=(40, 5)):
+        lp_solves.clear()
+        inside.append(L.contains(x))
+        assert len(lp_solves) == 1
+        assert inside[-1] == (alpha(K, x).alpha <= 2.0)
+    assert 0 < sum(inside) < len(inside)
+
+
+def test_level_set_of_a_product_below_its_alpha_inf_is_empty(paper_triangle):
+    K = Product((paper_triangle, VPolytope(np.array([[-1.0], [1.0]]))))
+    L = level_set(K, 0.2)
+    assert L.empty and L.body is None and not L.contains(np.array([12.0, 12.0, 0.0]))
+    assert not level_set(K, 0.5).empty
+
+
 def test_level_set_dilation_is_minkowski_sum(paper_triangle):
     # K + (lam - 1) C for lam >= 1
     lam = 2.5

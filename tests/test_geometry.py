@@ -608,6 +608,44 @@ def test_oracle_chord_scales_with_v(d, mode):
     assert np.isfinite(max_chord(K, 1e-160 * u))
 
 
+CHORD_BODIES = {
+    "ball": (Ball(np.array([0.3, -0.2, 0.1]), 1.3), np.array([1.0, -2.0, 3.0])),
+    "box": (HPolytope(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)),
+            np.array([1.0, -2.0, 3.0])),
+    "vpolytope_r5": (VPolytope(np.random.default_rng(5).normal(size=(12, 5))),
+                     np.array([1.0, -2.0, 3.0, 0.5, -1.0])),
+}
+
+
+@pytest.mark.parametrize("name", list(CHORD_BODIES))
+def test_chord_at_every_length_of_v(name):
+    # the clip, the ball quadratic and the section LP see v scaled by a
+    # power of two, so no length of v underflows, overflows or meets the
+    # LP's absolute tolerances
+    K, u = CHORD_BODIES[name]
+    u = u / np.linalg.norm(u)
+    tau = max_chord(K, u)
+    for s in (1e-300, 1e-160, 1e-9, 1e-6, 1e6, 1e160):
+        npt.assert_allclose(max_chord(K, s * u) * s, tau, rtol=1e-13)
+
+
+def test_global_width_of_one_dimensional_bodies():
+    for K in (VPolytope(np.array([[-1.0], [2.5]])),
+              HPolytope(np.array([[1.0], [-1.0]]), np.array([2.0, 0.5])),
+              Ball(np.array([4.0]), 0.75)):
+        w = global_width(K)
+        assert w.exact and w.direction.tolist() == [1.0]
+        assert w.value == support(K, np.ones(1)) + support(K, -np.ones(1))
+
+
+def test_diameter_and_far_radius_of_a_product_with_a_ball_factor():
+    tri = VPolytope(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]))
+    B = Ball(np.array([1.0, 2.0]), 0.5)
+    K = Product((tri, B))
+    npt.assert_allclose(diameter(K), np.hypot(5.0, 1.0), rtol=1e-15)
+    npt.assert_allclose(far_radius(K), np.hypot(4.0, np.sqrt(5.0) + 0.5), rtol=1e-15)
+
+
 def test_sampled_hausdorff_names_a_zero_direction_count():
     K, B = make_weighted_l2_ball(3, "i"), Ball(np.zeros(3), 1.0)
     with pytest.raises(ValueError, match="n_dirs"):

@@ -146,8 +146,8 @@ def test_one_seeded_direction_family():
     assert found == {("body.py", "sphere_dirs"), ("cheb.py", "_body_samples")}
 
 
-def _callers(name):
-    # (file, innermost enclosing function) of every call of ``name`` in src/
+def _where(match):
+    # (file, innermost enclosing function) of every node in src/ that matches
     found = set()
 
     def visit(node, path, fn):
@@ -155,14 +155,19 @@ def _callers(name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, path, child.name)
                 continue
-            if isinstance(child, ast.Call) and name in (
-                    getattr(child.func, "attr", None), getattr(child.func, "id", None)):
+            if match(child):
                 found.add((path.name, fn))
             visit(child, path, fn)
 
     for path in sorted((ROOT / "src" / "minkgauge").glob("*.py")):
         visit(ast.parse(path.read_text()), path, None)
     return found
+
+
+def _callers(name):
+    # (file, innermost enclosing function) of every call of ``name`` in src/
+    return _where(lambda n: isinstance(n, ast.Call) and name in (
+        getattr(n.func, "attr", None), getattr(n.func, "id", None)))
 
 
 def test_exact_routes_draw_no_random_numbers():
@@ -189,3 +194,21 @@ def test_width_sweep_runs_behind_the_body_cache():
 
 def test_alpha_inf_takes_only_the_body():
     assert list(inspect.signature(alpha_inf).parameters) == ["K"]
+
+
+def test_only_cli_run_writes_stdout():
+    # every print in src/ names its file, except the one in ``cli.run``, and
+    # nothing else reaches for sys.stdout: a failing handler prints nothing
+    def writes_stdout(n):
+        return (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "print"
+                and not any(k.arg == "file" for k in n.keywords)
+                or isinstance(n, ast.Attribute) and n.attr == "stdout")
+    assert _where(writes_stdout) == {("cli.py", "run")}
+
+
+def test_cli_reads_the_body_in_run_and_the_second_body_for_hausdorff():
+    assert _callers("_load_body") == {("cli.py", "run"), ("cli.py", "_cmd_hausdorff")}
+    tree = ast.parse((ROOT / "src" / "minkgauge" / "cli.py").read_text())
+    reads = [ast.unparse(n.args[0]) for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and getattr(n.func, "id", None) == "_load_body"]
+    assert sorted(reads) == ["ns.body", "ns.body2"]

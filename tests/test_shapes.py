@@ -13,7 +13,7 @@ from minkgauge import (Ball, BodyError, HPolytope, Product, SchemaError,
                        make_ball, make_box, make_half_disc,
                        make_regular_polygon, make_simplex, make_sobczyk_prism,
                        make_weighted_l2_ball, parse_body, random_polygon,
-                       serialize_body, sphere_dirs, support)
+                       serialize_body, sphere_dirs, support, validate)
 from minkgauge.cli import run
 
 
@@ -252,6 +252,56 @@ def test_parse_non_finite_number_names_the_field(spec, path, capsys):
     assert run(["width", "--body", json.dumps(spec)]) == 2
     message = json.loads(capsys.readouterr().err)["message"]
     assert message == f"{path}: expected a finite number"
+
+
+FLAT_SPEC = {"kind": "vpolytope", "vertices": [[0, 0], [1, 1], [2, 2]]}
+
+
+@pytest.mark.parametrize("spec, path", [
+    ({"kind": "product", "factors": [TRIANGLE_SPEC, FLAT_SPEC]}, "body.factors[1]"),
+    ({"kind": "sum", "terms": [TRIANGLE_SPEC, {"kind": "hpolytope", "A": [[1, 0], [0, 1]],
+                                               "b": [1, 1]}]}, "body.terms[1]"),
+    ({"kind": "product", "factors": [
+        TRIANGLE_SPEC, {"kind": "translated", "offset": [1, 1], "body": FLAT_SPEC}]},
+     "body.factors[1]"),
+    ({"kind": "product", "factors": [TRIANGLE_SPEC, {"kind": "box", "low": [1], "high": [0]}]},
+     "body.factors[1]"),
+    ({"kind": "sum", "terms": [TRIANGLE_SPEC, {"kind": "simplex", "dim": 0}]}, "body.terms[1]"),
+    ({"kind": "product", "factors": [{"kind": "regular_polygon", "n": 2}]}, "body.factors[0]"),
+    ({"kind": "box", "low": [0, 1], "high": [1, 1]}, "body"),
+    ({"kind": "sum", "terms": [TRIANGLE_SPEC, {"kind": "simplex", "dim": 3}]}, "body"),
+    ({"kind": "product", "factors": [{"kind": "sum", "terms": [
+        {"kind": "ball", "center": [0], "radius": 1},
+        {"kind": "ball", "center": [0, 0], "radius": 1}]}]}, "body.factors[0]"),
+], ids=["flat-factor", "unbounded-term", "flat-under-translated", "box-low-high",
+        "simplex-dim", "polygon-n", "box-at-root", "sum-dimensions", "ball-sum-dimensions"])
+def test_schema_errors_name_the_node(spec, path, capsys):
+    with pytest.raises(SchemaError) as exc:
+        parse_body(spec)
+    assert exc.value.path == path
+    assert run(["width", "--body", json.dumps(spec)]) == 2
+    assert json.loads(capsys.readouterr().err)["message"].startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("spec", [
+    README_SPECS["product"],
+    {"kind": "sum", "terms": [TRIANGLE_SPEC, README_SPECS["hpolytope"]]},
+    {"kind": "translated", "offset": [1, 0, 2], "body": {"kind": "product", "factors": [
+        README_SPECS["hpolytope"], {"kind": "box", "low": [0], "high": [1]}]}},
+    {"kind": "product", "factors": [{"kind": "scaled", "factor": 2, "body": README_SPECS["box"]},
+                                    {"kind": "sum", "terms": [README_SPECS["hpolytope"],
+                                                              README_SPECS["ball"]]}]},
+])
+def test_nested_validation_solves_what_one_whole_body_check_solves(spec, lp_solves,
+                                                                   qhull_calls):
+    # every node is validated once: as many LPs and hulls as parsing without
+    # checks and validating the finished body
+    validate(parse_body(spec, check=False))
+    whole = (len(lp_solves), len(qhull_calls))
+    lp_solves.clear()
+    qhull_calls.clear()
+    parse_body(spec)
+    assert (len(lp_solves), len(qhull_calls)) == whole
 
 
 def _readme_schema_fields():
