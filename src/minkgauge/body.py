@@ -116,10 +116,11 @@ class _Prepared:
     ``halfspaces`` and ``gauge.facet_profile`` return ``facet_rows`` and
     ``profile``; ``geometry.central_symm`` returns ``symm_body`` (for a
     product, the product of its factors' ``symm_body``), whose rows the
-    gauge outside K, level membership above 1, widths and maximal chords
-    read (``symm_rows``, ``symm_profile``); ``alpha_inf`` and the emptiness
-    rule of ``gauge.level_set`` read ``symmetry``, and ``alpha_inf`` its
-    critical set too (``critical``), so a reused body solves no LP for it.
+    gauge outside K, ``ratios.rho``, level membership above 1, widths and
+    maximal chords read (``symm_rows``, ``symm_profile``); ``alpha_inf``
+    and the emptiness rule of ``gauge.level_set`` read ``symmetry``, and
+    ``alpha_inf`` its critical set too (``critical``), so a reused body
+    solves no LP for it.
     Where a width has no exact route (support oracles, bodies with ball
     terms, and bodies above MAX_VERTEX_DIM but products of lower polytopes),
     ``global_width`` (and so ``bernstein_bound``) reads the direction sweep

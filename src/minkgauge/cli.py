@@ -10,6 +10,7 @@ lines, samples, queries, degrees, grid rows) are capped by the MAX_*
 constants below; a negative or larger request exits 2 before any work starts.
 The parser turns every vector flag into finite numbers; ``run`` reads the
 body once, and writes stdout only after the handler returns its record.
+Stderr holds nothing but the one error record of a failure.
 """
 
 from __future__ import annotations
@@ -222,8 +223,9 @@ def _cmd_oracle_check(K, ns):
     else:
         r = rho(K, x)
         record["rho"] = r
+        # far from K rho rounds to 1, and the identity is beyond float range
         record["identity_residuals"] = {
-            "alpha_vs_rho": abs(res.alpha - (1.0 + r) / (1.0 - r)),
+            "alpha_vs_rho": abs(res.alpha - np.divide(1.0 + r, 1.0 - r)),
         }
         if ratios.mu is not None:
             record["identity_residuals"]["alpha_vs_mu_sampled"] = (
@@ -269,10 +271,17 @@ def _cmd_grid(K, ns):
         raise _UsageError(f"--steps {ns.steps} in dimension {d} gives {ns.steps}^{d} rows, "
                           f"above the limit MAX_GRID_ROWS = {MAX_GRID_ROWS}")
     axes = [np.linspace(ns.low[i], ns.high[i], ns.steps) for i in range(d)]
+    for i, ax in enumerate(axes):
+        # high - low can overflow for finite ends, and linspace then gives NaN
+        if not np.all(np.isfinite(ax)):
+            raise _UsageError(f"--low/--high: the grid steps on axis {i + 1} "
+                              f"are beyond float range")
     lines = [",".join([f"x{i + 1}" for i in range(d)] + ["alpha"])]
     for idx in np.ndindex(*(ns.steps,) * d):
         pt = np.array([axes[i][idx[i]] for i in range(d)])
         a = alpha(K, pt).alpha
+        if not np.isfinite(a):
+            raise NumericalError(f"alpha at {pt.tolist()} is beyond float range")
         lines.append(",".join(f"{v:.12g}" for v in pt) + f",{a:.12g}")
     return "\n".join(lines)
 
@@ -432,14 +441,17 @@ def run(argv):
     if getattr(ns, "handler", None) is None:
         return _fail("input", "no subcommand given", 2)
     try:
-        K = _load_body(ns.body)
-        d = dim(K)
-        for name in _POINT_FLAGS:
-            x = getattr(ns, name, None)
-            if x is not None and x.size != d:
-                raise _UsageError(f"argument --{name}: has length {x.size}, "
-                                  f"the body has dimension {d}")
-        out = ns.handler(K, ns)
+        # numpy's floating-point warnings would go to stderr ahead of the
+        # error record; a value beyond float range is reported below instead
+        with np.errstate(all="ignore"):
+            K = _load_body(ns.body)
+            d = dim(K)
+            for name in _POINT_FLAGS:
+                x = getattr(ns, name, None)
+                if x is not None and x.size != d:
+                    raise _UsageError(f"argument --{name}: has length {x.size}, "
+                                      f"the body has dimension {d}")
+            out = ns.handler(K, ns)
     except (_UsageError, SchemaError, BodyError, ValueError) as exc:
         return _fail("input", str(exc), 2)
     except (NumericalError, OverflowError) as exc:

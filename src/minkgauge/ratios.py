@@ -1,12 +1,17 @@
-"""Chord and homothety ratios that reproduce the gauge independently.
+"""Chord and homothety ratios that reproduce the gauge.
 
-Every function here avoids the facet-maximum and level-set LP paths of
-the gauge module on purpose: beta uses reflected-copy containment, rho
-the least factor at which a homothet of K about x meets K (one LP), and
-the chord ratios (sigma, nu, omega, gamma_sq, mu) come straight from line
-intersections.  The test suite holds these against alpha through the
-classical identities, so a bug in either side shows up as a broken
-identity rather than two computations agreeing on the same mistake.
+beta uses reflected-copy containment, and the chord ratios (sigma, nu,
+omega, gamma_sq, mu) come straight from line intersections; none of them
+reads the facet maximum or the level-set LP of the gauge module.  The test
+suite holds these against alpha through the classical identities, so a bug
+in either side shows up as a broken identity rather than two computations
+agreeing on the same mistake.  rho, the least factor at which a homothet of
+K about x meets K, is the exception: on the cached rows of the central
+symmetrization C it is the gauge's maximum s over those rows under
+s -> (s - 1)/(s + 1).  Outside a polytope in dimension 3 or 4 that s is
+alpha itself, so there (1 + rho)/(1 - rho) = alpha holds by construction;
+only rho's LP (``_rho_lp``) and the tests' LP bisection check alpha
+independently.
 
 Chord conventions: for a line through x meeting the body in a segment
 [a, b], endpoints are named so that ||x - b|| <= ||x - a||.  Sampled
@@ -22,7 +27,7 @@ import numpy as np
 
 from .body import (Ball, BodyError, Product, SupportOracle, as_vector, contains,
                    copies_lp, dim, halfspaces, hull_points, lp_encoding, rows_contain)
-from .gauge import alpha, facet_profile, t_many
+from .gauge import _t_values, alpha, facet_profile, t_many
 from .geometry import _clip_sections, _line_sections, _support_pm, sphere_dirs
 from .lp import LPStatus, NumericalError
 
@@ -136,11 +141,15 @@ def _beta_lp(K, x):
 def rho(K, x):
     """Sup of factors t for which x + t(K - x) misses K (exterior x).
 
-    One LP (``body.copies_lp``): the least t in [0, 1] at which the
-    homothet meets K, i.e. some y in K equals x + t (z - x) with z in K.
-    With w = t z, a perspective copy of K in which only the right-hand
-    sides scale, the coupling P u - P w + t (x - q) = x - q is linear in
-    (t, u, w).
+    The homothet meets K exactly when (1 - t) x is in K + t(-K), whose facet
+    normals for t > 0 are the rows a of the central symmetrization C, so
+    rho = max(0, max (<a, x> - h(K, a)) / (<a, x> + h(K, -a))) over the rows
+    with a positive denominator.  That is (s - 1)/(s + 1) for the largest
+    row value s of ``gauge._t_values`` on C's cached rows (``symm_profile``),
+    the value alpha reads there: no LP, and no check of alpha.  A ball has
+    its closed form; other polytope-backed bodies (flat ones, and above
+    MAX_VERTEX_DIM those that are not products of lower polytopes) take one
+    LP (``_rho_lp``).
     """
     x = as_vector(x, dim(K))
     if isinstance(K, Ball):
@@ -148,6 +157,26 @@ def rho(K, x):
             raise BodyError("rho is defined for x outside K")
         delta = np.linalg.norm(x - K.center)
         return (delta - K.radius) / (delta + K.radius)
+    profile = K.symm_profile
+    if profile is None:
+        t = _rho_lp(K, x)
+    else:
+        s = float(np.max(_t_values(profile, x)))
+        t = max(0.0, (s - 1.0) / (s + 1.0))
+    # t = 0 exactly when x is in K (on rows, up to rounding); the boundary
+    # keeps its rho of 0
+    if t <= 1e-9 and contains(K, x, tol=-1e-9):
+        raise BodyError("rho is defined for x outside K")
+    return t
+
+
+def _rho_lp(K, x):
+    """rho as one LP (``body.copies_lp``): the least t in [0, 1] at which the
+    homothet meets K, i.e. some y in K equals x + t (z - x) with z in K.
+    With w = t z, a perspective copy of K in which only the right-hand
+    sides scale, the coupling P u - P w + t (x - q) = x - q is linear in
+    (t, u, w).
+    """
     e = lp_encoding(K)
     if e is None:
         raise BodyError("rho needs a polytope-backed body")
@@ -155,11 +184,7 @@ def rho(K, x):
                        x - e.q, (0.0, 1.0))
     if not res.optimal:
         raise NumericalError(f"rho LP ended with status {res.status.value}")
-    t = float(res.value)
-    # t = 0 exactly when x is in K; the boundary keeps its rho of 0
-    if t <= 1e-9 and contains(K, x, tol=-1e-9):
-        raise BodyError("rho is defined for x outside K")
-    return t
+    return float(res.value)
 
 
 @dataclass

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,14 @@ def test_oracle_check_exterior(capsys):
         assert abs(v) <= 1e-5
 
 
+def test_oracle_check_exterior_of_a_vertex_polygon_solves_no_lp(capsys, lp_solves):
+    # rho answers from the rows of C, alpha from K's rows in the plane
+    rec = run_json(capsys, ["oracle-check", "--body", TRIANGLE, "--point", "20,5"])
+    assert lp_solves == []
+    assert rec["rho"] > 0.0
+    assert rec["identity_residuals"]["alpha_vs_rho"] <= 1e-12
+
+
 def test_cheb_growth_command(capsys):
     rec = run_json(capsys, ["cheb-growth", "--body", SQUARE, "--point", "3,0",
                             "--degree", "1"])
@@ -213,6 +222,38 @@ def test_cheb_leading_within_float_range_is_exact(capsys):
 ], ids=["cheb-leading", "cheb-growth", "bernstein"])
 def test_result_beyond_float_range_is_numerical_error(argv, capsys):
     code, out, err = run_err(capsys, argv[:1] + ["--body", SQUARE] + argv[1:])
+    assert code == 3 and out == ""
+    assert err["error"] == "numerical"
+
+
+def _run_quiet(capsys, argv):
+    """run_err, asserting that no warning was raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_err(capsys, argv)
+    assert [str(w.message) for w in caught] == []
+    return res
+
+
+def test_levelset_beyond_float_range_writes_one_error_record(capsys):
+    code, out, err = _run_quiet(capsys, ["levelset", "--body", SQUARE, "--lambda", "1e308"])
+    assert code == 3 and out == ""
+    assert err["error"] == "numerical"
+
+
+def test_grid_steps_beyond_float_range_name_the_bounds(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("grid started evaluating")
+    monkeypatch.setattr(cli, "alpha", no_work)
+    code, out, err = _run_quiet(capsys, ["grid", "--body", SQUARE, "--low", "1e308,0",
+                                         "--high", "-1e308,1", "--steps", "2"])
+    assert code == 2 and out == ""
+    assert err["error"] == "input" and "--low/--high" in err["message"]
+
+
+def test_grid_alpha_beyond_float_range_is_numerical_error(capsys):
+    code, out, err = _run_quiet(capsys, ["grid", "--body", SQUARE, "--low", "0,0",
+                                         "--high", "1e308,1", "--steps", "2"])
     assert code == 3 and out == ""
     assert err["error"] == "numerical"
 

@@ -20,7 +20,7 @@ from minkgauge.body import (extreme_points, halfspaces, interior_point, lp_encod
 from minkgauge.cli import run
 from minkgauge.gauge import _alpha_lp, _level_lp, _level_membership
 from minkgauge.geometry import _multistart_sphere, _sphere_starts, _widths
-from minkgauge.ratios import _beta_lp
+from minkgauge.ratios import _beta_lp, _rho_lp
 
 from conftest import (MAX_SEED, POLYTOPE_KINDS, polytopes, polytopes_with_exterior,
                       polytopes_with_interior, seeded_polytope)
@@ -47,9 +47,12 @@ def test_exterior_closed_form_matches_the_lp_and_rho(pair):
     ref = _alpha_lp(K, x)
     assert abs(res.alpha - ref.alpha) <= ref.tol * scale
     assert t_func(K, res.witness_dir, x) >= res.alpha - 1e-12 * scale
-    # rho, an LP of its own, gives alpha through (1 + rho) / (1 - rho)
+    # rho, the homothety ratio on C's rows, and its LP each give alpha
+    # through (1 + rho) / (1 - rho)
     r = rho(K, x)
     npt.assert_allclose((1.0 + r) / (1.0 - r), res.alpha, rtol=1e-7)
+    r_lp = _rho_lp(K, x)
+    npt.assert_allclose((1.0 + r_lp) / (1.0 - r_lp), res.alpha, rtol=1e-7)
 
 
 @given(polytopes_with_exterior(), st.floats(min_value=-0.5, max_value=0.5))
@@ -171,7 +174,7 @@ def test_cli_symmetry_answers_for_a_vertex_cube(capsys):
 
 
 def test_each_copies_lp_is_one_lp_over_the_scale_and_the_copies(monkeypatch):
-    # rho, beta's LP and both forms of the level-set LP each solve one LP:
+    # rho's LP, beta's LP and both forms of the level-set LP each solve one LP:
     # the scale in column 0, the objective's only entry, then n columns per
     # copy of K for its encoding's n variables
     objectives = []
@@ -188,7 +191,7 @@ def test_each_copies_lp_is_one_lp_over_the_scale_and_the_copies(monkeypatch):
         n = lp_encoding(K).n
         x_in = interior_point(K)
         x_out = x_in + 10.0
-        cases = [(lambda: rho(K, x_out), 2), (lambda: _level_lp(K, x_out, 1.0, None), 2)]
+        cases = [(lambda: _rho_lp(K, x_out), 2), (lambda: _level_lp(K, x_out, 1.0, None), 2)]
         if K.extreme is not None:
             k = len(K.extreme)
             cases += [(lambda: _beta_lp(K, x_in), k), (lambda: _level_lp(K, x_in, 0.0, 1.0), k)]
@@ -200,5 +203,5 @@ def test_each_copies_lp_is_one_lp_over_the_scale_and_the_copies(monkeypatch):
             assert c.size == 1 + copies * n
             # beta maximises, so its minimised objective is -1 in column 0
             assert abs(c[0]) == 1.0 and not np.any(c[1:])
-    # the H-box in R^5 has no vertices, so only the sum form and rho ran
+    # the H-box in R^5 has no vertices, so only the sum form and rho's LP ran
     assert bodies[1].extreme is None

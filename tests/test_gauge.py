@@ -18,6 +18,7 @@ from minkgauge import body, gauge
 from minkgauge.body import (Product, Sum, encoding_feasible, extreme_points, halfspaces,
                             interior_point, lp_encoding, vertex_candidates)
 from minkgauge.gauge import _alpha_lp
+from minkgauge.ratios import _rho_lp
 
 from conftest import (counted_oracle, polygons, polygons_with_exterior, polygons_with_interior,
                       unit_dirs)
@@ -414,8 +415,8 @@ def test_vertex_polytope_alpha_witness(d):
         assert res.tol <= 1e-8 * max(1.0, res.alpha)
         assert t_func(K, res.witness_dir, x) >= res.alpha - res.tol
         if not contains(K, x):
-            # independent value: rho's disjointness bisection
-            r = rho(K, x)
+            # independent value: rho's LP (rho itself reads alpha's C rows)
+            r = _rho_lp(K, x)
             npt.assert_allclose(res.alpha, (1.0 + r) / (1.0 - r), rtol=1e-7)
 
 

@@ -1,7 +1,11 @@
 """Chord-ratio functionals: independent routes that must reproduce alpha.
 
-beta and rho are computed without the facet maximum that drives alpha, so
-the identity checks here are genuine cross-validations, not tautologies.
+beta and the chord ratios are computed without the facet maximum that
+drives alpha, so their identity checks are genuine cross-validations, not
+tautologies.  rho is not: on the rows of the central symmetrization it is
+alpha's row maximum under a Moebius map in dimensions 3 and 4, so its
+references here are its LP (``_rho_lp``) and the LP bisection
+``_rho_bisect``.
 Sampled quantities are one sided: inf-type ratios can only overshoot and
 sup-type ratios can only undershoot their true values.
 """
@@ -15,12 +19,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from minkgauge import (Ball, BodyError, HPolytope, Product, SupportOracle, VPolytope,
                        alpha, beta, brute_force_alpha, chord, contains, dim, far_radius,
-                       inscribed_ball,
+                       inscribed_ball, interior_point,
                        make_box, minkowski_phi, random_polygon, ratio_functionals, rho,
                        support)
-from minkgauge.body import encoding_feasible, halfspaces, lp_encoding, vertex_candidates
+from minkgauge.body import Sum, encoding_feasible, halfspaces, lp_encoding, vertex_candidates
 from minkgauge.geometry import sphere_dirs
-from minkgauge.ratios import SAMPLING_SIDES, _beta_lp
+from minkgauge.ratios import SAMPLING_SIDES, _beta_lp, _rho_lp
 
 from conftest import (POLYTOPE_KINDS, polygons_with_exterior, polygons_with_interior,
                       seeded_polytope)
@@ -240,26 +244,75 @@ def _rho_bisect(K, x):
 
 
 def _rho_bodies(d, rng):
+    """V- and H-polytopes, a polytopal sum and products in dimension d, each
+    with the rows of its central symmetrization."""
     lo = rng.uniform(-2.0, 0.0, d)
+    if d == 1:
+        yield VPolytope(rng.normal(size=(4, 1)))
+        yield make_box(lo, lo + 1.5)
+        yield Sum((VPolytope(rng.normal(size=(3, 1))), make_box(lo, lo + 0.5)))
+        return
     A = np.vstack([np.eye(d), -np.eye(d), rng.normal(size=(3, d))])
     yield VPolytope(rng.normal(size=(d + 5, d)))
     yield HPolytope(A, np.concatenate([lo + 2.0, -lo, rng.uniform(1.0, 2.0, 3)]))
     yield Product((random_polygon(6, d), make_box(lo[2:] - 1.0, lo[2:] + 1.0))) if d > 2 \
         else Product((make_box(lo[:1], lo[:1] + 1.0), VPolytope(rng.normal(size=(2, 1)))))
+    yield Sum((VPolytope(rng.normal(size=(d + 2, d))), VPolytope(rng.normal(size=(d + 1, d)))))
+    yield Product((make_box(lo[:1], lo[:1] + 2.0), VPolytope(rng.normal(size=(d + 3, d - 1)))))
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+def _workload_rho_bodies():
+    # the kinds of the benchmark's rho bodies: the H cube, an H box in R^4
+    # and a 7-gon times an interval
+    heptagon = VPolytope(np.array([[np.cos(a), np.sin(a)] for a in 2 * np.pi * np.arange(7) / 7]))
+    return (make_box(-np.ones(3), np.ones(3)),
+            make_box([-1.0, 0.0, -2.0, 0.5], [0.5, 1.0, 1.0, 2.0]),
+            Product((heptagon, make_box([-0.5], [0.75]))))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_rho_is_one_lp_and_matches_the_bisection(d, lp_solves):
+    # every body here has C's rows, so once C is built rho solves no LP, and
+    # its ratio on them matches the LP it replaced
     rng = np.random.default_rng(40 + d)
-    for K in _rho_bodies(d, rng):
-        for _ in range(3):
-            x = 6.0 * rng.normal(size=d)
+    bodies = list(_rho_bodies(d, rng)) + [K for K in _workload_rho_bodies() if dim(K) == d]
+    n_checked = 0
+    for K in bodies:
+        assert K.symm_profile is not None
+        c = interior_point(K)
+        for _ in range(4):
+            x = c + 4.0 * rng.normal(size=d)
             if contains(K, x):
                 continue
             lp_solves.clear()
             r = rho(K, x)
-            assert len(lp_solves) == 1
+            assert len(lp_solves) == 0
+            npt.assert_allclose(r, _rho_lp(K, x), rtol=1e-12)
             npt.assert_allclose(r, _rho_bisect(K, x), atol=1e-9)
+            n_checked += 1
+    assert n_checked >= 2 * len(bodies)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_rho_on_c_rows_raises_inside_and_vanishes_on_the_boundary(d):
+    rng = np.random.default_rng(80 + d)
+    for K in _rho_bodies(d, rng):
+        with pytest.raises(BodyError):
+            rho(K, interior_point(K))
+        # the LP returns 0 at a vertex; the rows' support values round, to 1e-16
+        for v in K.extreme[:3]:
+            assert abs(rho(K, v)) <= 1e-12
+
+
+def test_rho_without_c_rows_is_one_lp(lp_solves):
+    rng = np.random.default_rng(91)
+    for K in (VPolytope(rng.normal(size=(9, 5))), make_box(-np.ones(5), 2.0 * np.ones(5))):
+        assert K.symm_profile is None
+        x = interior_point(K) + 10.0
+        lp_solves.clear()
+        r = rho(K, x)
+        assert len(lp_solves) == 1
+        npt.assert_allclose(r, _rho_bisect(K, x), atol=1e-9)
 
 
 @given(polygons_with_exterior())
