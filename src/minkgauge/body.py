@@ -11,7 +11,8 @@ keeps what depends only on it (``_Prepared``), built once on first use and
 read-only: its extreme points, its facet rows and facet profile, its
 central symmetrization C (``symm_body``, a product's from its factors')
 with C's rows and their profile, the optimum of its symmetry LP and the
-critical set of ``gauge.alpha_inf`` with its dimension.  The
+critical set of ``gauge.alpha_inf`` with its dimension (``gauge`` poses
+both LPs of alpha_inf and builds these two values).  The
 extreme points (``extreme``) are the one finite point set that stands for
 a body wherever one is needed: the two end points of every
 one-dimensional body, the cartesian product of the factors' for a
@@ -120,7 +121,8 @@ class _Prepared:
     maximal chords read (``symm_rows``, ``symm_profile``); ``alpha_inf``
     and the emptiness rule of ``gauge.level_set`` read ``symmetry``, and
     ``alpha_inf`` its critical set too (``critical``), so a reused body
-    solves no LP for it.
+    solves no LP for it.  Those two keep their cache here and take their
+    builders from ``gauge`` on first read, the module of alpha_inf.
     Where a width has no exact route (support oracles, bodies with ball
     terms, and bodies above MAX_VERTEX_DIM but products of lower polytopes),
     ``global_width`` (and so ``bernstein_bound``) reads the direction sweep
@@ -167,17 +169,21 @@ class _Prepared:
 
     @cached_property
     def symmetry(self):
-        """(alpha_inf, minimizer) from the symmetry LP on ``profile``, or None.
+        """(alpha_inf, minimizer) from the symmetry LP on ``profile``, or None
+        (``gauge._symmetry_lp``; gauge imports this module, so the import is
+        on first read, as for ``swept_width``).
 
         None when K has no profile or the LP ends without an optimum.
         """
+        from .gauge import _symmetry_lp
         return _symmetry_lp(self)
 
     @cached_property
     def critical(self):
         """(critical body, its exact dimension) of ``gauge.alpha_inf``: the
-        level body K^s at s = alpha_inf(K) (``_critical``)."""
-        return _critical(self)
+        level body K^s at s = alpha_inf(K) (``gauge._critical``)."""
+        from .gauge import _critical, _symmetry
+        return _critical(self, _symmetry(self)[0])
 
     @cached_property
     def swept_width(self):
@@ -436,21 +442,9 @@ def dim(K) -> int:
 
 
 def support(K, v) -> float:
-    """Support value h(K, v) = max over x in K of <v, x>."""
-    v = as_vector(v, dim(K))
-    if isinstance(K, VPolytope):
-        return float(np.max(K.vertices @ v))
-    if isinstance(K, HPolytope):
-        return float(_support_rows(K, v[None, :])[0])
-    if isinstance(K, Ball):
-        return float(K.center @ v + K.radius * np.linalg.norm(v))
-    if isinstance(K, SupportOracle):
-        return float(K.h(v))
-    if isinstance(K, Sum):
-        return sum(support(T, v) for T in K.terms)
-    if isinstance(K, Product):
-        return sum(support(f, v[sl]) for f, sl in K.blocks)
-    raise BodyError(f"not a body: {K!r}")
+    """Support value h(K, v) = max over x in K of <v, x>: the one-row case
+    of ``support_many``."""
+    return float(_support_rows(K, as_vector(v, dim(K))[None, :])[0])
 
 
 def support_many(K, D) -> np.ndarray:
@@ -512,16 +506,6 @@ def _affine_rank(P, tol=1e-9):
     s = np.linalg.svd(Q, compute_uv=False)
     # relative to the set's own spread, so a scaled body keeps its rank
     return int(np.sum(s > tol * s[0])) if s.size else 0
-
-
-def extreme_points(V):
-    """The extreme points of a finite point set, as a new (k, d) array.
-
-    Those of ``_hull`` of its distinct points: the two end points in
-    dimension one, counterclockwise in the plane, sorted rows above it, and
-    every distinct point of a set Qhull calls flat.
-    """
-    return _hull(np.unique(V, axis=0))[1]
 
 
 def _hull(V):
@@ -689,105 +673,6 @@ def _facet_profile(K):
         return _readonly(np.array([[1.0], [-1.0]]), np.array([hi, -lo]), np.array([-lo, hi]))
     rows = K.facet_rows
     return None if rows is None else _row_profile(K, rows[0])
-
-
-def _symmetry_lp(K):
-    """The symmetry LP of ``gauge.alpha_inf``: the least s with some x in
-    the erosion {A x <= ((1 + s) hplus - (1 - s) hminus) / 2} of K's
-    profile.  Returns (s, x), or None without a profile or an optimum."""
-    profile = K.profile
-    if profile is None:
-        return None
-    A, hp, hm = profile
-    d = A.shape[1]
-    M = np.hstack([2.0 * A, -(hp + hm)[:, None]])
-    c = np.zeros(d + 1)
-    c[-1] = 1.0
-    res = lp.solve(c, A_ub=M, b_ub=hp - hm, sense="min")
-    if not res.optimal:
-        return None
-    return float(res.value), _readonly(res.x[:d])
-
-
-# the cap on the slack scale theta of the critical-set LP (``_critical_dim``)
-THETA_MAX = 1e6
-
-
-def _critical(K):
-    """(critical body, its dimension) for the body's ``critical``: the level
-    body K^s at s = alpha_inf(K) of ``gauge.alpha_inf``, factor by factor for
-    a ball or a product without merged facet rows."""
-    s = _symmetry(K)[0]
-    if K.profile is None:
-        return _critical_part(K, s)
-    return _eroded(K, s)
-
-
-def _symmetry(K):
-    """(alpha_inf, minimiser) of K, with no critical-set LP: the body's cached
-    symmetry LP (``symmetry``), or for a product without merged facet rows
-    the largest of its factors' values and their minimisers side by side."""
-    if isinstance(K, Ball):
-        return 0.0, K.center.copy()
-    profile = K.profile
-    if profile is None and isinstance(K, Product):
-        parts = [_symmetry(f) for f in K.factors]
-        return max(p[0] for p in parts), np.concatenate([p[1] for p in parts])
-    if profile is None:
-        raise BodyError("alpha_inf needs facet access (or a product of such bodies)")
-    if K.symmetry is None:
-        raise lp.NumericalError("symmetry LP ended without an optimum")
-    s_star, x_star = K.symmetry
-    if s_star >= 1.0 - 1e-12:
-        raise lp.NumericalError("symmetry LP returned alpha_inf >= 1 for a full body")
-    return s_star, x_star
-
-
-def _eroded(K, lam):
-    """(K^lam, its dimension) for alpha_inf(K) <= lam < 1: the erosion of K's
-    facet rows, nonempty since it holds K's minimiser, so no LP decides
-    that; the dimension is ``_critical_dim``'s, centred at the minimiser."""
-    profile = K.profile
-    A, hp, hm = profile
-    return (HPolytope(A, (1.0 + lam) / 2.0 * hp - (1.0 - lam) / 2.0 * hm),
-            _critical_dim(profile, lam, _symmetry(K)[1]))
-
-
-def _critical_part(f, lam):
-    """(f^lam, its dimension) for alpha_inf(f) <= lam < 1: a product factor
-    by factor, a ball in closed form, any other body by ``_eroded``."""
-    if isinstance(f, Ball):
-        if lam == 0:
-            return VPolytope(f.center[None, :]), 0
-        return Ball(f.center, lam * f.radius), (dim(f) if lam > 1e-12 else 0)
-    if isinstance(f, Product):
-        parts = [_critical_part(g, lam) for g in f.factors]
-        return Product(tuple(p[0] for p in parts)), sum(p[1] for p in parts)
-    return _eroded(f, lam)
-
-
-def _critical_dim(profile, lam, x0):
-    """Dimension of the erosion {2 A x <= hp - hm + lam w} through its point x0.
-
-    One LP finds the rows tight on the whole set (Freund, Roundy & Todd, MIT
-    Sloan WP 1674-85, 1985): with x = x0 + u / theta and rows in widths, it
-    maximises the sum of the slacks y over 0 <= y <= 1, 1 <= theta <= THETA_MAX.
-    A row with y_i < 1/2 has slack below 1 / (2 THETA_MAX) widths on the
-    whole set; the dimension is d minus the rank of those rows.
-    """
-    A, hp, hm = profile
-    m, d = A.shape
-    w = hp + hm
-    # x0's slacks in widths, clipped so that rounding keeps the LP feasible
-    s0 = np.maximum((hp - hm + lam * w - 2.0 * (A @ x0)) / w, 0.0)
-    c = np.concatenate([np.zeros(d), np.ones(m), [0.0]])
-    res = lp.solve(c, A_ub=np.hstack([2.0 * A / w[:, None], np.eye(m), -s0[:, None]]),
-                   b_ub=np.zeros(m), bounds=[(None, None)] * d + [(0.0, 1.0)] * m
-                   + [(1.0, THETA_MAX)], sense="max")
-    if not res.optimal:
-        raise lp.NumericalError(f"critical-set LP ended with status {res.status.value}")
-    tight = A[res.x[d:d + m] < 0.5]
-    return d - (int(np.linalg.matrix_rank(tight)) if tight.size else 0)
 
 
 def _halved_differences(V):

@@ -20,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .body import BodyError, _keep, as_vector, dim, hull_points, inscribed_ball, support
+from .body import BodyError, _keep, as_vector, dim, hull_points, inscribed_ball
 from .gauge import alpha
-from .geometry import _max_chord, global_width
+from .geometry import _max_chord, _support_pm, global_width
 
 DEGREE_CAP = 64
 
@@ -142,10 +142,10 @@ def poly_grad(p, x):
 
 
 def _layer_coordinate(K, v):
-    """(g, c0) with t(K, v, y) = g . y + c0, from two support calls."""
+    """(g, c0) with t(K, v, y) = g . y + c0, from one batched support call
+    on v and -v (the one-row case of ``geometry._support_pm``)."""
     v = as_vector(v, dim(K))
-    hp = support(K, v)
-    hm = support(K, -v)
+    hp, hm = (float(h[0]) for h in _support_pm(K, v[None, :]))
     w = hp + hm
     if w <= 0.0:
         raise BodyError("degenerate direction: zero width")

@@ -223,9 +223,10 @@ def _cmd_oracle_check(K, ns):
     else:
         r = rho(K, x)
         record["rho"] = r
-        # far from K rho rounds to 1, and the identity is beyond float range
+        # rho = (alpha - 1)/(alpha + 1) is well conditioned; its inverse
+        # (1 + rho)/(1 - rho) cancels as rho -> 1, far from K
         record["identity_residuals"] = {
-            "alpha_vs_rho": abs(res.alpha - np.divide(1.0 + r, 1.0 - r)),
+            "alpha_vs_rho": abs(r - (res.alpha - 1.0) / (res.alpha + 1.0)),
         }
         if ratios.mu is not None:
             record["identity_residuals"]["alpha_vs_mu_sampled"] = (

@@ -31,6 +31,13 @@ sinusoids).  Bodies without C rows (flat sets, and dimensions above
 copy of K in the sum or the erosion in perspective form makes that one LP
 in lam (``body.copies_lp``), and the duals of its coupling rows give the
 witness direction.
+
+The symmetry constant alpha_inf(K) = min_x alpha(K, x) and its critical
+set (Minkowski's measure of symmetry) are computed here and nowhere else:
+the symmetry LP (``_symmetry_lp``), the critical-set LP (``_critical_dim``)
+and the one recursion that builds every critical body (``_critical``).  The
+body caches their results (``symmetry``, ``critical``) and takes these
+builders from this module on first read.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import numpy as np
 
 from . import lp
 from .body import (Ball, BodyError, HPolytope, Product, SupportOracle, VPolytope,
-                   _hull_body, _symmetry, as_vector, copies_lp, dim, lp_encoding, support,
+                   _hull_body, _readonly, as_vector, copies_lp, dim, lp_encoding,
                    vertex_candidates)
 from .geometry import _multistart_sphere, _support_pm, sphere_dirs
 
@@ -105,14 +112,9 @@ class SymmetryReport:
 
 
 def t_func(K, v, x) -> float:
-    """The normalized linear functional whose sup over directions is alpha."""
-    v = as_vector(v, dim(K))
-    if not np.any(v):
-        raise ValueError("direction must be nonzero")
-    x = as_vector(x, dim(K))
-    hp = support(K, v)
-    hm = support(K, -v)
-    return (2.0 * float(v @ x) - hp + hm) / (hp + hm)
+    """The normalized linear functional whose sup over directions is alpha:
+    the one-row case of ``t_many``."""
+    return float(t_many(K, as_vector(v, dim(K))[None, :], x)[0])
 
 
 def t_many(K, D, x) -> np.ndarray:
@@ -312,7 +314,8 @@ def _alpha_sampled(K, x, n_dirs=2048, n_polish=16, seed=13):
 def level_set(K, lam) -> LevelSet:
     """Construct K^lam = {x : alpha(K, x) <= lam} explicitly.
 
-    lam <= 1 erodes the tight facet system (the result may be empty or lower
+    lam <= 1 erodes the tight facet system (``_erosion``, which builds the
+    critical body of ``alpha_inf`` too; the result may be empty or lower
     dimensional).  The erosion is empty exactly when lam < alpha_inf(K),
     which the body's cached symmetry LP decides; within EMPTY_BAND of
     alpha_inf, and for bodies whose symmetry LP fails, a Chebyshev LP of
@@ -338,9 +341,7 @@ def level_set(K, lam) -> LevelSet:
         profile = facet_profile(K)
         if profile is None:
             raise BodyError("erosion level set needs facet access")
-        A, hp, hm = profile
-        b = (1.0 + lam) / 2.0 * hp - (1.0 - lam) / 2.0 * hm
-        body = HPolytope(A, b)
+        body = _erosion(profile, lam)
         sym = K.symmetry
         if sym is not None and abs(lam - sym[0]) > EMPTY_BAND:
             empty = lam < sym[0]
@@ -358,7 +359,7 @@ def level_set(K, lam) -> LevelSet:
 
     def build():
         pairs = ((1.0 + lam) * V[:, None, :] - (lam - 1.0) * V[None, :, :]) / 2.0
-        # distinct pairs, so the vertices come in extreme_points' order
+        # distinct pairs, so _hull gives the vertices in its fixed order
         return _hull_body(np.unique(pairs.reshape(-1, V.shape[1]), axis=0))
     return LevelSet(lam, None, False, K, build=build)
 
@@ -371,18 +372,111 @@ def alpha_inf(K) -> SymmetryReport:
     """Minimum of the gauge over x: the symmetry constant and critical set.
 
     One LP over the facet rows of ``halfspaces(K)``, which every polytope in
-    dimension at most ``body.MAX_VERTEX_DIM`` has; its value and minimiser
-    are cached on the body (``symmetry``).  Products recurse onto their
-    factors when no merged facet system exists; a ball's critical set is its
-    centre.  The critical set and its exact dimension, from one more LP
-    (``body._critical_dim``) centred at the minimiser, one per polytope
-    factor of such a product, are cached on the body too (``critical``), so
-    a reused body solves no LP.  Each call returns a new report and level set
-    around the shared, frozen critical body.
+    dimension at most ``body.MAX_VERTEX_DIM`` has (``_symmetry_lp``); its
+    value and minimiser are cached on the body (``symmetry``).  Products
+    recurse onto their factors when no merged facet system exists; a ball's
+    critical set is its centre.  The critical set and its exact dimension,
+    from one more LP (``_critical_dim``) centred at the minimiser, one per
+    body with rows among the factors of such a product, are cached on the
+    body too (``critical``), so a reused body solves no LP.  Each call
+    returns a new report and level set around the shared, frozen critical
+    body.
     """
     s, x = _symmetry(K)
     crit, k = K.critical
     return SymmetryReport(s, 1.0 - s, x, LevelSet(s, crit, False, K), k, (1.0 + s) / (1.0 - s))
+
+
+def _erosion(profile, lam):
+    """K^lam for lam <= 1 as an H-polytope on K's profile (A, hplus, hminus):
+    each row moved inward by (1 - lam) w / 2, w = hplus + hminus its width."""
+    A, hp, hm = profile
+    return HPolytope(A, (1.0 + lam) / 2.0 * hp - (1.0 - lam) / 2.0 * hm)
+
+
+def _symmetry_lp(K):
+    """The symmetry LP of ``alpha_inf``, for the body's cached ``symmetry``:
+    the least s with some x in the erosion {A x <= ((1 + s) hplus -
+    (1 - s) hminus) / 2} of K's profile.  Returns (s, x), or None without a
+    profile or an optimum."""
+    profile = K.profile
+    if profile is None:
+        return None
+    A, hp, hm = profile
+    d = A.shape[1]
+    M = np.hstack([2.0 * A, -(hp + hm)[:, None]])
+    c = np.zeros(d + 1)
+    c[-1] = 1.0
+    res = lp.solve(c, A_ub=M, b_ub=hp - hm, sense="min")
+    if not res.optimal:
+        return None
+    return float(res.value), _readonly(res.x[:d])
+
+
+def _symmetry(K):
+    """(alpha_inf, minimiser) of K, with no critical-set LP: a ball's centre,
+    the body's cached symmetry LP (``symmetry``) where it has rows, or for a
+    product without merged rows the largest of its factors' values and their
+    minimisers side by side."""
+    if isinstance(K, Ball):
+        return 0.0, K.center.copy()
+    profile = K.profile
+    if profile is None and isinstance(K, Product):
+        parts = [_symmetry(f) for f in K.factors]
+        return max(p[0] for p in parts), np.concatenate([p[1] for p in parts])
+    if profile is None:
+        raise BodyError("alpha_inf needs facet access (or a product of such bodies)")
+    if K.symmetry is None:
+        raise lp.NumericalError("symmetry LP ended without an optimum")
+    s_star, x_star = K.symmetry
+    if s_star >= 1.0 - 1e-12:
+        raise lp.NumericalError("symmetry LP returned alpha_inf >= 1 for a full body")
+    return s_star, x_star
+
+
+def _critical(K, lam):
+    """(K^lam, its exact dimension) for alpha_inf(K) <= lam < 1, in the order
+    of ``_symmetry``: the body's ``critical`` at lam = alpha_inf(K), and each
+    factor of a product at the product's value.  A ball answers in closed
+    form (``level_set``).  A body with rows answers with their erosion,
+    nonempty since it holds K's minimiser, so no LP decides that, and the
+    dimension of ``_critical_dim`` centred at that minimiser.  A product
+    without merged rows answers factor by factor."""
+    if isinstance(K, Ball):
+        return level_set(K, lam).body, (dim(K) if lam > 1e-12 else 0)
+    profile = K.profile
+    if profile is None:
+        parts = [_critical(f, lam) for f in K.factors]
+        return Product(tuple(p[0] for p in parts)), sum(p[1] for p in parts)
+    return _erosion(profile, lam), _critical_dim(profile, lam, _symmetry(K)[1])
+
+
+# the cap on the slack scale theta of the critical-set LP (``_critical_dim``)
+THETA_MAX = 1e6
+
+
+def _critical_dim(profile, lam, x0):
+    """Dimension of the erosion {2 A x <= hp - hm + lam w} through its point x0.
+
+    One LP finds the rows tight on the whole set (Freund, Roundy & Todd, MIT
+    Sloan WP 1674-85, 1985): with x = x0 + u / theta and rows in widths, it
+    maximises the sum of the slacks y over 0 <= y <= 1, 1 <= theta <= THETA_MAX.
+    A row with y_i < 1/2 has slack below 1 / (2 THETA_MAX) widths on the
+    whole set; the dimension is d minus the rank of those rows.
+    """
+    A, hp, hm = profile
+    m, d = A.shape
+    w = hp + hm
+    # x0's slacks in widths, clipped so that rounding keeps the LP feasible
+    s0 = np.maximum((hp - hm + lam * w - 2.0 * (A @ x0)) / w, 0.0)
+    c = np.concatenate([np.zeros(d), np.ones(m), [0.0]])
+    res = lp.solve(c, A_ub=np.hstack([2.0 * A / w[:, None], np.eye(m), -s0[:, None]]),
+                   b_ub=np.zeros(m), bounds=[(None, None)] * d + [(0.0, 1.0)] * m
+                   + [(1.0, THETA_MAX)], sense="max")
+    if not res.optimal:
+        raise lp.NumericalError(f"critical-set LP ended with status {res.status.value}")
+    tight = A[res.x[d:d + m] < 0.5]
+    return d - (int(np.linalg.matrix_rank(tight)) if tight.size else 0)
 
 
 # ---------------------------------------------------------------------------

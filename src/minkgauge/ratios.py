@@ -1,13 +1,20 @@
 """Chord and homothety ratios that reproduce the gauge.
 
-beta uses reflected-copy containment, and the chord ratios (sigma, nu,
-omega, gamma_sq, mu) come straight from line intersections; none of them
-reads the facet maximum or the level-set LP of the gauge module.  The test
-suite holds these against alpha through the classical identities, so a bug
-in either side shows up as a broken identity rather than two computations
-agreeing on the same mistake.  rho, the least factor at which a homothet of
-K about x meets K, is the exception: on the cached rows of the central
-symmetrization C it is the gauge's maximum s over those rows under
+The chord ratios (sigma, nu, omega, gamma_sq, mu) come straight from line
+intersections and read neither the facet maximum nor the level-set LP of
+the gauge module.  The test suite holds them against alpha through the
+classical identities, so a bug in either side shows up as a broken
+identity rather than two computations agreeing on the same mistake.
+
+beta and rho on rows are not independent of alpha.  beta is the largest
+factor of the reflected copy of K about x that stays in K.  On K's rows
+(``_beta_rows``) it is alpha's row maximum s mapped by s -> (1 - s)/(1 + s):
+with p = h(K, a) - <a, x> and q = <a, x> + h(K, -a), a row's t is
+(q - p)/(q + p) and its ratio p/q.  So inside a polytope with rows,
+(1 - beta)/(1 + beta) = alpha holds by construction, and beta's LP
+(``_beta_lp``) is the independent reference.  rho, the least factor at
+which a homothet of K about x meets K, is on the cached rows of the
+central symmetrization C the gauge's maximum s over those rows under
 s -> (s - 1)/(s + 1).  Outside a polytope in dimension 3 or 4 that s is
 alpha itself, so there (1 + rho)/(1 - rho) = alpha holds by construction;
 only rho's LP (``_rho_lp``) and the tests' LP bisection check alpha
@@ -28,7 +35,7 @@ import numpy as np
 from .body import (Ball, BodyError, Product, SupportOracle, as_vector, contains,
                    copies_lp, dim, halfspaces, hull_points, lp_encoding, rows_contain)
 from .gauge import _t_values, alpha, facet_profile, t_many
-from .geometry import _clip_sections, _line_sections, _support_pm, sphere_dirs
+from .geometry import _line_sections, _support_pm, sphere_dirs
 from .lp import LPStatus, NumericalError
 
 # Which side of the true value a sampled extremum sits on: "upper" means
@@ -214,9 +221,7 @@ def ratio_functionals(K, x, n_lines=64, seed=0):
         raise BodyError("n_lines must be >= 1")
     d = dim(K)
     x = as_vector(x, d)
-    # K's rows are built once: membership, facet normals and the sections
-    hs = halfspaces(K)
-    inside = contains(K, x) if hs is None else rows_contain(*hs, x)
+    inside = contains(K, x)
 
     dirs = []
     gens = hull_points(K)
@@ -224,13 +229,13 @@ def ratio_functionals(K, x, n_lines=64, seed=0):
         W = gens - x
         n = np.linalg.norm(W, axis=1)
         dirs.append(W[n > 1e-12] / n[n > 1e-12, None])
+    hs = halfspaces(K)
     if hs is not None:
         dirs.append(hs[0] / np.linalg.norm(hs[0], axis=1, keepdims=True))
     dirs.append(sphere_dirs(d, n_lines, seed))
     D = np.vstack(dirs)
 
-    sections = _line_sections(K, x, D) if hs is None else _clip_sections(*hs, x, D)
-    a, b = _chords(x, D, *sections)
+    a, b = _chords(x, D, *_line_sections(K, x, D))
     p = np.linalg.norm(a - x, axis=1)
     q = np.linalg.norm(b - x, axis=1)
     if len(a) == 0:

@@ -183,11 +183,6 @@ def parse_body(spec, path="body", check=True):
     if not isinstance(spec, dict):
         raise SchemaError(path, "expected an object")
     kind = _need(spec, "kind", path)
-    known = {"hpolytope", "vpolytope", "ball", "box", "simplex", "product", "sum",
-             "scaled", "translated", "reflected", "regular_polygon",
-             "half_disc_approx", "sobczyk_prism", "weighted_l2_ball"}
-    if kind not in known:
-        raise SchemaError(f"{path}.kind", f"unknown kind {kind!r}")
     try:
         K = _parse_kind(kind, spec, path, check)
     except SchemaError:
@@ -265,7 +260,7 @@ def _parse_kind(kind, spec, path, check):
     if kind == "weighted_l2_ball":
         return make_weighted_l2_ball(_intval(spec.get("dim", 64), f"{path}.dim"),
                                      spec.get("mode", "i"))
-    raise SchemaError(path, f"unhandled kind {kind!r}")
+    raise SchemaError(f"{path}.kind", f"unknown kind {kind!r}")
 
 
 def serialize_body(K):

@@ -146,6 +146,8 @@ def test_support_many_matches_rowwise_support(kind, d):
         assert got.shape == (len(D),)
         npt.assert_allclose(got, want, rtol=1e-12,
                             atol=1e-12 * max(1.0, float(np.max(np.abs(want)))))
+        # a scalar call is the one-row case of the batch, bit for bit
+        assert [support(body, v) for v in D] == [support_many(body, v[None, :])[0] for v in D]
 
 
 def test_support_many_rejects_bad_directions():
@@ -575,6 +577,33 @@ def test_validate_rejects_unbounded():
 def test_validate_rejects_empty():
     with pytest.raises(BodyError, match="halfspace system is empty"):
         validate(HPolytope(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0])))
+
+
+@pytest.mark.parametrize("A, b, message", [
+    ([[1.0, 0.0], [np.nan, 1.0], [-1.0, 0.0], [0.0, -1.0]], np.ones(4), "non-finite"),
+    ([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, np.inf, 1.0, 1.0], "non-finite"),
+    ([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 0.0]], np.ones(5), "zero row"),
+], ids=["nan_row", "inf_offset", "zero_row"])
+def test_validate_rejects_bad_halfspace_rows(A, b, message):
+    with pytest.raises(BodyError, match=message):
+        validate(HPolytope(np.array(A), np.array(b)))
+
+
+def test_validate_rejects_non_finite_vertices():
+    with pytest.raises(BodyError, match="vertex data contains non-finite entries"):
+        validate(VPolytope(np.array([[0.0, 0.0], [1.0, np.inf], [0.0, 1.0]])))
+
+
+@pytest.mark.parametrize("h, inner, outer, message", [
+    (lambda v: -float(np.linalg.norm(v)), 0.5, 2.0, "not sublinear"),
+    (lambda v: float(np.linalg.norm(v)) + 1.0, 0.5, 2.0, "not positively homogeneous"),
+    (lambda v: float(np.linalg.norm(v)), 2.0, 3.0, "inner ball"),
+    (lambda v: float(np.linalg.norm(v)), 0.5, 0.8, "outer ball"),
+], ids=["not_sublinear", "not_homogeneous", "inner_ball", "outer_ball"])
+def test_validate_probes_an_oracle(h, inner, outer, message):
+    # each h fails one probe of the unit ball's support function |v|
+    with pytest.raises(BodyError, match=message):
+        validate(SupportOracle(h, np.zeros(3), inner, outer))
 
 
 def test_validate_rejects_flat_vpolytope():

@@ -177,6 +177,14 @@ def test_oracle_check_exterior_of_a_vertex_polygon_solves_no_lp(capsys, lp_solve
     assert rec["identity_residuals"]["alpha_vs_rho"] <= 1e-12
 
 
+@pytest.mark.parametrize("point", ["1e12,0", "1e17,0"])
+def test_oracle_check_far_from_the_body_keeps_the_rho_identity(point, capsys):
+    # rho = (alpha - 1)/(alpha + 1) stays well conditioned where rho rounds to 1
+    rec = run_json(capsys, ["oracle-check", "--body", SQUARE, "--point", point])
+    assert rec["alpha"] == float(point.split(",")[0])
+    assert rec["identity_residuals"]["alpha_vs_rho"] <= 1e-12
+
+
 def test_cheb_growth_command(capsys):
     rec = run_json(capsys, ["cheb-growth", "--body", SQUARE, "--point", "3,0",
                             "--degree", "1"])
@@ -520,6 +528,15 @@ def test_experiment_deltabound_checks_lambdas_before_any_geometry(capsys, qhull_
     assert not qhull_calls and not lp_solves
 
 
+def test_experiment_deltabound_reports_levels_below_alpha_inf_as_empty(capsys):
+    # alpha_inf of a triangle is 1/3: the level 0.2 is empty and has no ratio
+    rec = run_json(capsys, ["experiment-deltabound", "--body", TRIANGLE,
+                            "--lambdas", "0.2,0.5"])
+    assert rec["rows"][0] == {"lambda": 0.2, "empty": True}
+    assert rec["rows"][1]["empty"] is False
+    assert rec["max_ratio"] == rec["rows"][1]["ratio_to_bound"]
+
+
 def test_experiment_conjecture_never_asserts(capsys):
     rec = run_json(capsys, ["experiment-conjecture", "--body", TRIANGLE,
                             "--n-queries", "5", "--max-degree", "2"])
@@ -543,6 +560,37 @@ def test_unknown_kind_is_input_error(capsys):
     assert code == 2
     assert err["error"] == "input"
     assert "blob" in err["message"]
+
+
+@pytest.mark.parametrize("body, path", [
+    ('{"kind": [1]}', "body.kind"),
+    ('{"kind": {"a": 1}}', "body.kind"),
+    ('{"kind": "product", "factors": [{"kind": "box", "low": [0], "high": [1]}, '
+     '{"kind": [1]}]}', "body.factors[1].kind"),
+], ids=["list", "object", "product_factor"])
+def test_a_kind_that_is_not_a_string_is_input_error_naming_its_path(body, path, capsys):
+    code, out, err = run_err(capsys, ["width", "--body", body])
+    assert code == 2 and out == "" and err["error"] == "input"
+    assert err["message"].startswith(f"{path}: unknown kind")
+
+
+def test_unreadable_body_file_is_input_error(tmp_path, capsys):
+    code, out, err = run_err(capsys, ["width", "--body", str(tmp_path / "missing.json")])
+    assert code == 2 and out == "" and err["error"] == "input"
+    assert "cannot read body file" in err["message"]
+
+
+def test_non_integer_count_is_input_error(capsys):
+    code, out, err = run_err(capsys, ["hausdorff", "--body", SQUARE, "--body2", SQUARE,
+                                      "--n-dirs", "abc"])
+    assert code == 2 and out == "" and err["error"] == "input"
+    assert "--n-dirs" in err["message"]
+
+
+def test_no_subcommand_is_input_error(capsys):
+    code, out, err = run_err(capsys, [])
+    assert code == 2 and out == ""
+    assert err == {"error": "input", "message": "no subcommand given"}
 
 
 def test_dimension_mismatch_is_input_error(capsys):

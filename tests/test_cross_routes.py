@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from minkgauge import (HPolytope, Product, VPolytope, alpha, alpha_inf, bernstein_bound,
                        beta, brute_force_alpha, dim, global_width, level_set, lp, make_box,
                        max_chord, rho, t_func)
-from minkgauge.body import (extreme_points, halfspaces, interior_point, lp_encoding,
+from minkgauge.body import (_hull, halfspaces, interior_point, lp_encoding,
                             vertex_candidates)
 from minkgauge.cli import run
 from minkgauge.gauge import _alpha_lp, _level_lp, _level_membership
@@ -75,7 +75,7 @@ def test_difference_rows_serve_repeated_queries_without_lp(lp_solves, qhull_call
     # the counters are cleared per example, after the body's preparation
     V = vertex_candidates(K)         # prepares an H-polytope's vertices
     n, d = V.shape
-    k = len(extreme_points(V))
+    k = len(_hull(np.unique(V, axis=0))[1])
     rng = np.random.default_rng(seed)
     lp_solves.clear()
     qhull_calls.clear()

@@ -15,7 +15,7 @@ import pytest
 
 from minkgauge import (Ball, HPolytope, SupportOracle, VPolytope, central_symm, centroid,
                        diameter, far_radius, hausdorff, level_set, make_box)
-from minkgauge.body import (MAX_VERTEX_DIM, Product, Sum, extreme_points, hull_points,
+from minkgauge.body import (MAX_VERTEX_DIM, Product, Sum, _hull, hull_points,
                             vertex_candidates)
 from minkgauge.cheb import _body_samples
 from minkgauge.ratios import ratio_functionals
@@ -105,7 +105,7 @@ def test_product_of_two_polygons_builds_only_the_planar_hulls(qhull_calls):
     assert qhull_calls == [9, 7]
     assert len(E) == len(K1.extreme) * len(K2.extreme)
     assert np.array_equal(E, np.unique(E, axis=0))          # sorted rows above the plane
-    assert _as_set(E) == _as_set(extreme_points(vertex_candidates(P)))
+    assert _as_set(E) == _as_set(_hull(np.unique(vertex_candidates(P), axis=0))[1])
 
 
 def test_product_of_eight_intervals_builds_no_hull(qhull_calls):
@@ -117,7 +117,7 @@ def test_product_of_eight_intervals_builds_no_hull(qhull_calls):
     E = P.extreme
     assert not qhull_calls and E.shape == (256, 8)
     assert _as_set(E) == _as_set(itertools.product(*zip(lo, hi)))
-    assert _as_set(E) == _as_set(extreme_points(vertex_candidates(P)))
+    assert _as_set(E) == _as_set(_hull(np.unique(vertex_candidates(P), axis=0))[1])
 
 
 def test_planar_product_of_intervals_is_counterclockwise(qhull_calls):
@@ -182,7 +182,7 @@ def test_level_body_above_one_prunes_the_extreme_pairs(qhull_calls):
     k = len(S.extreme)
     assert len(V) == 144 and k <= 35
     pairs = (3.0 * V[:, None, :] - V[None, :, :]) / 2.0
-    want = extreme_points(pairs.reshape(-1, 3))
+    want = _hull(np.unique(pairs.reshape(-1, 3), axis=0))[1]
     qhull_calls.clear()
     B = level_set(S, 2.0).body
     # k^2 pair points of the extreme points, not the 20,736 of all candidates

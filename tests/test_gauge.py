@@ -15,7 +15,7 @@ from minkgauge import (Ball, BodyError, VPolytope, alpha, alpha_inf, beta,
                        make_weighted_l2_ball, max_chord, rho, sphere_dirs, support,
                        support_many, t_func, t_many, validate)
 from minkgauge import body, gauge
-from minkgauge.body import (Product, Sum, encoding_feasible, extreme_points, halfspaces,
+from minkgauge.body import (Product, Sum, _hull, encoding_feasible, halfspaces,
                             interior_point, lp_encoding, vertex_candidates)
 from minkgauge.gauge import _alpha_lp
 from minkgauge.ratios import _rho_lp
@@ -201,7 +201,7 @@ def test_level_set_above_one_builds_its_body_on_first_read(qhull_calls):
     B = L.body
     assert qhull_calls == [k2] and L.body is B
     pairs = (3.5 * E[:, None, :] - 1.5 * E[None, :, :]) / 2.0
-    npt.assert_array_equal(B.vertices, extreme_points(pairs.reshape(-1, 3)))
+    npt.assert_array_equal(B.vertices, _hull(np.unique(pairs.reshape(-1, 3), axis=0))[1])
     qhull_calls.clear()
     assert isinstance(LP.body, Product) and LP.body is LP.body
     assert qhull_calls == [k2, 16]   # K's pairs again, then the square's
@@ -231,19 +231,39 @@ def test_alpha_inf_of_a_product_with_a_ball_counts_its_lps(lp_solves):
     lp_solves.clear()
     rep = alpha_inf(K)
     # the box: its vertices' Chebyshev LP and its symmetry LP; the prism: its
-    # symmetry LP; the critical set of the prism's factors: their two
-    # symmetry LPs; the dimension: one critical-set LP per polytope factor
-    # (box, triangle, segment), centred at their cached minimisers.  No
-    # factor's critical-set LP at its own alpha_inf is solved, and no
-    # Chebyshev LP tests an erosion that holds its factor's minimiser
-    assert len(lp_solves) == 8
+    # symmetry LP on its merged rows; the dimension: one critical-set LP per
+    # factor with rows (box, prism), centred at their cached minimisers.  The
+    # prism's critical body is the erosion of its merged rows, so its own
+    # factors solve nothing; no factor's critical-set LP at its own
+    # alpha_inf is solved, and no Chebyshev LP tests an erosion that holds
+    # its factor's minimiser
+    assert len(lp_solves) == 5
     npt.assert_allclose(rep.alpha_inf, 1.0 / 3.0, atol=1e-9)
     # the box and the ball are full at lam = 1/3, the prism a segment
     assert rep.critical_dim_estimate == 3 + 1 + 1
+    # the prism's critical body is the erosion of its merged rows, as at top level
+    prism = rep.critical_body.body.factors[2]
+    top = alpha_inf(make_sobczyk_prism()).critical_body.body
+    assert np.array_equal(prism.A, top.A) and np.array_equal(prism.b, top.b)
     lp_solves.clear()
     again = alpha_inf(K)
     assert again.alpha_inf == rep.alpha_inf and again.critical_dim_estimate == 5
     assert len(lp_solves) == 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_balls_critical_body_is_its_centre_alone_or_as_a_factor(d, lp_solves):
+    # a ball answers before its rows, as in alpha_inf's minimiser: a 1-d
+    # ball, which has rows, gets the closed form too
+    B = Ball(np.arange(d) + 0.25, 2.0)
+    lp_solves.clear()
+    alone = alpha_inf(B)
+    assert lp_solves == []
+    nested = alpha_inf(Product((B, Ball(np.zeros(2), 1.0)))).critical_body.body.factors[0]
+    for crit in (alone.critical_body.body, nested):
+        assert isinstance(crit, VPolytope)
+        npt.assert_array_equal(crit.vertices, B.center[None, :])
+    assert alone.critical_dim_estimate == 0
 
 
 def _snapshot(rep):

@@ -212,3 +212,32 @@ def test_cli_reads_the_body_in_run_and_the_second_body_for_hausdorff():
     reads = [ast.unparse(n.args[0]) for n in ast.walk(tree) if isinstance(n, ast.Call)
              and getattr(n.func, "id", None) == "_load_body"]
     assert sorted(reads) == ["ns.body", "ns.body2"]
+
+
+def test_alpha_inf_lives_in_gauge():
+    # the symmetry and critical-set LPs are posed in ``gauge``; the body only
+    # caches their results, and its one LP is the one over copies of K
+    body = ROOT / "src" / "minkgauge" / "body.py"
+    solves = set()
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "solve"):
+                solves.add(fn)
+            visit(child, fn)
+    visit(ast.parse(body.read_text()), None)
+    assert solves == {"copies_lp"}
+    assert _callers("_symmetry_lp") == {("body.py", "symmetry")}
+    for name in ("_critical_dim", "THETA_MAX"):
+        assert {p.name for p in (ROOT / "src" / "minkgauge").glob("*.py")
+                if name in p.read_text()} == {"gauge.py"}
+    # one dispatcher for support values: the scalar call is its one-row case
+    support = [n for n in ast.parse(body.read_text()).body
+               if isinstance(n, ast.FunctionDef) and n.name == "support"]
+    assert len(support) == 1
+    assert not [n for n in ast.walk(support[0]) if isinstance(n, ast.Name)
+                and n.id == "isinstance"]
