@@ -1,6 +1,6 @@
 """
-Polynomial growth outside a convex body
-=======================================
+Growth of polynomials outside a convex body
+===========================================
 
 Chebyshev polynomials composed with slab functionals give multivariate
 polynomials that are bounded by 1 on K and provably as large as possible
@@ -10,8 +10,7 @@ outside.  alpha(K, x) is exactly the quantity that controls the growth.
 import numpy as np
 
 from minkgauge import (VPolytope, alpha, bernstein_bound, cheb_T,
-                       cheb_growth, extremal_polynomial, leading_growth,
-                       poly_eval)
+                       cheb_growth, extremal_polynomial, leading_growth)
 
 interval = VPolytope(np.array([[-1.0], [1.0]]))
 
@@ -31,11 +30,11 @@ for n in (1, 2, 4, 8):
 # the witness polynomial is explicit and can be evaluated anywhere
 res = alpha(T, x)
 P = extremal_polynomial(T, res.witness_dir, 3)
-print(f"\nwitness polynomial value  = {poly_eval(P, x):.9f}")
+print(f"\nwitness polynomial value  = {P(x):.9f}")
 print(f"T_3(alpha)                = {cheb_T(3, a):.9f}")
 samples = np.array([[12, 12], [10, 10], [16, 10], [10, 16], [13, 12]], float)
 print(f"|P| at body points        = "
-      f"{max(abs(poly_eval(P, s)) for s in samples):.9f}  (<= 1)")
+      f"{max(abs(P(s)) for s in samples):.9f}  (<= 1)")
 
 # leading coefficients grow with the reciprocal chord length
 for n in (2, 3, 5):

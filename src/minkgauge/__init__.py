@@ -21,9 +21,8 @@ from .gauge import (GaugeResult, LevelSet, SymmetryReport, alpha, alpha_inf,
 from .ratios import (Chord, RatioReport, beta, brute_force_alpha, chord,
                      minkowski_phi, ratio_functionals, rho)
 from .cheb import (BernsteinReport, ChebyshevReport, LeadingGrowthReport,
-                   Polynomial, bernstein_bound, cheb_T, cheb_T_prime,
-                   cheb_growth, compose_cheb, extremal_polynomial,
-                   leading_growth, poly_eval, poly_grad, t_polynomial)
+                   SlabPolynomial, bernstein_bound, cheb_T, cheb_T_prime,
+                   cheb_growth, extremal_polynomial, leading_growth)
 from .shapes import (SchemaError, make_ball, make_box, make_half_disc,
                      make_regular_polygon, make_simplex, make_sobczyk_prism,
                      make_weighted_l2_ball, parse_body, random_polygon,

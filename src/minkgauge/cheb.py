@@ -8,24 +8,21 @@ direction v is 2^(2n-1) / tau(K, v)^n with tau the maximal chord, twice
 where the ray {t v} leaves the central symmetrization C; where C has
 facet rows, the row that stops the ray is the witness direction.
 
-Everything here works through a tiny explicit Polynomial type (a dict from
-exponent multi-indices to coefficients) so gradients are exact and the
-functional and expanded evaluations can be held against each other.
+Every extremal polynomial here is such a ridge polynomial, y -> T_n(g . y + c0)
+with (g, c0) the affine slab coordinate, held as one ``SlabPolynomial``: its
+value and gradient T_n'(g . y + c0) g are closed forms at any degree, with
+numpy's ``Chebyshev.basis(n)`` as the independent reference in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .body import BodyError, _keep, as_vector, dim, hull_points, inscribed_ball
 from .gauge import alpha
 from .geometry import _max_chord, _support_pm, global_width
-
-DEGREE_CAP = 64
-
 
 def cheb_T(n, x):
     """T_n(x) by the stable branch for the argument's region.
@@ -63,84 +60,6 @@ def cheb_T_prime(n, x):
         return float(n * ((x + s) ** n - (x - s) ** n) / (2.0 * s))
 
 
-@dataclass
-class Polynomial:
-    """Real polynomial on R^d as {exponent tuple: coefficient}."""
-
-    coeffs: dict
-    d: int
-
-    @property
-    def degree(self):
-        return max((sum(k) for k, c in self.coeffs.items() if c != 0.0),
-                   default=0)
-
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = Polynomial({(0,) * self.d: float(other)}, self.d)
-        if self.d != other.d:
-            raise BodyError("polynomial dimension mismatch")
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + c
-        return Polynomial(out, self.d)
-
-    def __sub__(self, other):
-        return self + (other * -1.0 if isinstance(other, Polynomial)
-                       else -other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Polynomial({k: c * float(other)
-                               for k, c in self.coeffs.items()}, self.d)
-        if self.d != other.d:
-            raise BodyError("polynomial dimension mismatch")
-        if self.degree + other.degree > DEGREE_CAP:
-            raise BodyError(f"expanded degree exceeds cap {DEGREE_CAP}")
-        out = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, 0.0) + c1 * c2
-        return Polynomial(out, self.d)
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def affine(gradient, constant):
-        g = np.asarray(gradient, dtype=float)
-        d = g.size
-        coeffs = {(0,) * d: float(constant)}
-        for i, gi in enumerate(g):
-            if gi != 0.0:
-                k = tuple(1 if j == i else 0 for j in range(d))
-                coeffs[k] = float(gi)
-        return Polynomial(coeffs, d)
-
-
-def poly_eval(p, x):
-    x = as_vector(x, p.d)
-    total = 0.0
-    for k, c in p.coeffs.items():
-        total += c * np.prod([xi ** ki for xi, ki in zip(x, k)])
-    return float(total)
-
-
-def poly_grad(p, x):
-    x = as_vector(x, p.d)
-    g = np.zeros(p.d)
-    for k, c in p.coeffs.items():
-        for i, ki in enumerate(k):
-            if ki == 0:
-                continue
-            term = c * ki * x[i] ** (ki - 1)
-            for j, kj in enumerate(k):
-                if j != i:
-                    term *= x[j] ** kj
-            g[i] += term
-    return g
-
-
 def _layer_coordinate(K, v):
     """(g, c0) with t(K, v, y) = g . y + c0, from one batched support call
     on v and -v (the one-row case of ``geometry._support_pm``)."""
@@ -152,36 +71,37 @@ def _layer_coordinate(K, v):
     return 2.0 * v / w, (hm - hp) / w
 
 
-def _slab_evaluator(g, c0, n):
-    """y -> T_n(g . y + c0): T_n of a slab coordinate built once."""
-    d = g.size
+@dataclass(frozen=True, eq=False)
+class SlabPolynomial:
+    """y -> T_n(g . y + c0), T_n of an affine slab coordinate; g is a
+    read-only copy, so a report's polynomial cannot be changed."""
 
-    def evaluator(y):
-        return cheb_T(n, float(g @ as_vector(y, d)) + c0)
-    return evaluator
+    g: np.ndarray
+    c0: float
+    n: int
 
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("degree must be >= 0")
+        g = np.array(self.g, dtype=float)
+        g.setflags(write=False)
+        object.__setattr__(self, "g", g)
 
-def t_polynomial(K, v):
-    """The layer coordinate t(K, v, .) as a degree-1 Polynomial."""
-    return Polynomial.affine(*_layer_coordinate(K, v))
+    def _t(self, y):
+        return float(self.g @ as_vector(y, self.g.size)) + self.c0
 
+    def __call__(self, y):
+        return cheb_T(self.n, self._t(y))
 
-def compose_cheb(n, p):
-    """T_n(p) expanded by the three-term recurrence; degree-capped."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    one = Polynomial({(0,) * p.d: 1.0}, p.d)
-    if n == 0:
-        return one
-    prev, cur = one, p
-    for _ in range(n - 1):
-        prev, cur = cur, 2.0 * p * cur - prev
-    return cur
+    def grad(self, y):
+        """The exact gradient T_n'(g . y + c0) g."""
+        return cheb_T_prime(self.n, self._t(y)) * self.g
 
 
 def extremal_polynomial(K, v, n):
-    """T_n(t(K, v, .)) in expanded form: sup-norm 1 on K by construction."""
-    return compose_cheb(n, t_polynomial(K, v))
+    """T_n(t(K, v, .)): sup norm 1 on K, where |t| <= 1; n = 1 is the layer
+    coordinate t(K, v, .) itself."""
+    return SlabPolynomial(*_layer_coordinate(K, v), n)
 
 
 @dataclass
@@ -190,7 +110,7 @@ class ChebyshevReport:
     alpha: float
     growth: float
     witness_dir: np.ndarray
-    extremal_eval: Callable
+    extremal_eval: SlabPolynomial
     sup_norm_check: float
     witness_tol: float
 
@@ -234,7 +154,7 @@ def _body_samples(K, n_samples, seed):
 def cheb_growth(K, x, n, n_samples=10000, seed=29):
     """Largest value at x over degree-n polynomials bounded by 1 on K.
 
-    Returns the report with the witness polynomial evaluator and a sampled
+    Returns the report with the witness ``SlabPolynomial`` and a sampled
     sup-norm sanity value over ``_body_samples``: K's generators and
     n_samples seeded convex combinations of them, or n_samples points of the
     inscribed ball of a body without generators, where n_samples must then
@@ -247,13 +167,13 @@ def cheb_growth(K, x, n, n_samples=10000, seed=29):
     v = res.witness_dir
     growth = cheb_T(n, a) if a > 1.0 else 1.0
 
-    g, c0 = _layer_coordinate(K, v)
+    P = extremal_polynomial(K, v, n)
     samples = _body_samples(K, n_samples, seed)
     if not len(samples):
         raise ValueError("n_samples must be positive for a body sampled from its inscribed ball")
-    sup_check = np.max(np.abs(cheb_T(n, samples @ g + c0)))
+    sup_check = np.max(np.abs(cheb_T(n, samples @ P.g + P.c0)))
     tol = res.tol * abs(cheb_T_prime(n, max(a, 1.0))) + 1e-12
-    return ChebyshevReport(n, a, growth, v, _slab_evaluator(g, c0, n), float(sup_check), tol)
+    return ChebyshevReport(n, a, growth, v, P, float(sup_check), tol)
 
 
 def _as_float(n):
@@ -270,7 +190,7 @@ class LeadingGrowthReport:
     value: float
     tau: float
     witness_dir: np.ndarray | None
-    extremal_eval: Callable | None
+    extremal_eval: SlabPolynomial | None
 
 
 def leading_growth(K, v, n):
@@ -280,8 +200,9 @@ def leading_growth(K, v, n):
     Where the central symmetrization has facet rows, the witness direction
     v* (the facet normal of the central symmetrization at the maximal-chord
     midpoint, found with tau from the same symmetrization) is attached,
-    together with the evaluator of T_n(t(K, v*, .)) whose directional
-    leading coefficient attains the value.
+    together with the ``SlabPolynomial`` T_n(t(K, v*, .)) whose directional
+    leading coefficient attains the value.  A body flat along v has tau = 0
+    and value inf.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -289,10 +210,10 @@ def leading_growth(K, v, n):
     if not np.any(v):
         raise BodyError("direction must be nonzero")
     tau, wdir = _max_chord(K, v)
-    with np.errstate(over="ignore"):
-        value = 0.5 * np.float64(4.0 / float(tau)) ** _as_float(n)
-    evaluator = None if wdir is None else _slab_evaluator(*_layer_coordinate(K, wdir), n)
-    return LeadingGrowthReport(n, float(value), float(tau), wdir, evaluator)
+    with np.errstate(over="ignore", divide="ignore"):
+        value = 0.5 * (4.0 / np.float64(tau)) ** _as_float(n)
+    P = None if wdir is None else extremal_polynomial(K, wdir, n)
+    return LeadingGrowthReport(n, float(value), float(tau), wdir, P)
 
 
 @dataclass

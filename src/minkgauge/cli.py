@@ -298,9 +298,10 @@ def _cmd_experiment_deltabound(K, ns):
             rows.append({"lambda": lam, "empty": True})
             continue
         delta = hausdorff(ls.body, homothety(C, lam))
-        rows.append({"lambda": lam, "empty": False, "delta": delta.value,
-                     "exact": delta.exact, "ratio_to_bound": delta.value / bound})
-    filled = [r["ratio_to_bound"] for r in rows if not r["empty"]]
+        # D - w/2 is 0 on an origin-centred interval [-r, r]: no ratio there
+        rows.append({"lambda": lam, "empty": False, "delta": delta.value, "exact": delta.exact,
+                     "ratio_to_bound": delta.value / bound if bound > 0.0 else None})
+    filled = [r["ratio_to_bound"] for r in rows if r.get("ratio_to_bound") is not None]
     return {"bound_D_minus_half_w": bound, "rows": rows,
             "max_ratio": max(filled) if filled else None,
             "note": "no sharp bound is asserted below lambda = 1; "

@@ -336,7 +336,8 @@ def _max_chord(K, v):
         return _swept_chord(K, v), None
     if np.isnan(hi):
         raise lp.NumericalError("chord LP ended without a section")
-    return float(np.ldexp(2.0 * hi, -e)), None
+    # a chord is never negative: a flat body's section LP can end at -0.0
+    return float(np.ldexp(2.0 * max(0.0, hi), -e)), None
 
 
 def _swept_chord(K, v):

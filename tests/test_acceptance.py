@@ -19,13 +19,12 @@ import pytest
 
 from minkgauge import (Ball, Product, Sum, VPolytope, alpha, alpha_inf,
                        beta, bernstein_bound, centroid, central_symm, cheb_T,
-                       cheb_T_prime, cheb_growth, compose_cheb, contains,
+                       cheb_T_prime, cheb_growth, contains,
                        diameter, extremal_polynomial, far_radius, global_width,
                        hausdorff, homothety, leading_growth, level_set, make_half_disc,
                        make_regular_polygon, make_simplex, make_sobczyk_prism,
-                       make_weighted_l2_ball, max_chord, poly_eval, poly_grad,
-                       ratio_functionals, rho, sphere_dirs, support,
-                       t_polynomial)
+                       make_weighted_l2_ball, max_chord, ratio_functionals, rho,
+                       sphere_dirs, support)
 from minkgauge import lp
 from minkgauge.body import encoding_feasible, lp_encoding
 from minkgauge.geometry import _planar_points, _vertex_distances
@@ -358,12 +357,12 @@ def test_polynomial_growth_suite():
         res = alpha(K, x)
         n = int(rng.integers(1, 9))
         P = extremal_polynomial(K, res.witness_dir, n)
-        val = poly_eval(P, x)
+        val = P(x)
         target = cheb_T(n, res.alpha)
         tol = abs(cheb_T_prime(n, res.alpha)) * res.tol + 1e-9 * max(1.0, abs(target))
         npt.assert_allclose(val, target, atol=tol)
         samples = [interior_point(K, 100 * trial + j) for j in range(400)]
-        sup = max(abs(poly_eval(P, s)) for s in samples)
+        sup = max(abs(P(s)) for s in samples)
         assert sup <= 1.0 + 1e-6
 
     for n in range(1, 21):
@@ -380,8 +379,7 @@ def test_polynomial_growth_suite():
             n = 1 + (seed + j) % 6
             rep = bernstein_bound(K, x, n)
             v = np.random.default_rng(1000 * seed + j).normal(size=2)
-            p = compose_cheb(n, t_polynomial(K, v))
-            g = float(np.linalg.norm(poly_grad(p, x)))
+            g = float(np.linalg.norm(extremal_polynomial(K, v, n).grad(x)))
             worst = max(worst, g / rep.theorem_bound)
             assert g <= rep.theorem_bound + 1e-6 * max(1.0, rep.theorem_bound)
     print(f"PASS polynomial growth: T_2(2)=7, witness values match to "

@@ -17,7 +17,8 @@ from minkgauge import (Ball, BodyError, HPolytope, Product, Sum, SupportOracle,
                        inscribed_ball, interior_point, lp, make_box,
                        make_weighted_l2_ball, max_chord, parse_body, support,
                        support_many, vertex_candidates, width_dir)
-from minkgauge.body import Encoding, encoding_feasible, halfspaces, lp_encoding, validate
+from minkgauge.body import (Encoding, as_vector, encoding_feasible, halfspaces, lp_encoding,
+                            validate)
 from minkgauge.geometry import central_symm, sphere_dirs
 
 from conftest import polygons, unit_dirs
@@ -669,3 +670,40 @@ def test_far_redundant_row_keeps_the_vertices():
 def test_dim():
     assert dim(SQ) == 2
     assert dim(Product((SQ, Ball(np.zeros(3), 1.0)))) == 5
+
+
+def test_as_vector_rejects_a_matrix_and_non_finite_entries():
+    with pytest.raises(BodyError, match=r"expected a flat vector, got shape \(2, 2\)"):
+        as_vector(np.zeros((2, 2)))
+    with pytest.raises(BodyError, match="vector contains non-finite entries"):
+        as_vector([1.0, np.inf])
+
+
+def test_empty_product_and_sum_raise():
+    with pytest.raises(BodyError, match="product needs at least one factor"):
+        Product(())
+    with pytest.raises(BodyError, match="sum needs at least one term"):
+        Sum(())
+
+
+@pytest.mark.parametrize("call", [dim, lambda K: homothety(K, 2.0),
+                                  lambda K: support_many(K, np.ones((1, 2))), validate],
+                         ids=["dim", "homothety", "support_many", "validate"])
+def test_a_non_body_is_named(call):
+    with pytest.raises(BodyError, match="not a body: "):
+        call(object())
+
+
+def test_oracle_h_many_of_the_wrong_shape_raises():
+    o = SupportOracle(lambda v: float(np.linalg.norm(v)), np.zeros(2), 1.0, 1.0,
+                      h_many=lambda D: np.zeros(3))
+    with pytest.raises(BodyError, match=r"oracle h_many returned shape \(3,\), expected \(2,\)"):
+        support_many(o, np.ones((2, 2)))
+
+
+def test_validate_rejects_a_zero_ball_and_crossed_oracle_radii():
+    with pytest.raises(BodyError, match="ball radius must be positive"):
+        validate(Ball(np.zeros(2), 0.0))
+    o = SupportOracle(lambda v: float(np.linalg.norm(v)), np.zeros(2), 2.0, 1.0)
+    with pytest.raises(BodyError, match="oracle needs 0 < inner_radius <= outer_radius"):
+        validate(o)

@@ -1,18 +1,19 @@
-"""Chebyshev machinery: stable evaluation, polynomial algebra, growth bounds."""
+"""Chebyshev machinery: stable evaluation, slab polynomials, growth bounds."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.chebyshev import Chebyshev
 
-from minkgauge import (Ball, BodyError, Polynomial, VPolytope, alpha,
+from minkgauge import (Ball, BodyError, SlabPolynomial, VPolytope, alpha, alpha_inf,
                        bernstein_bound, cheb_T, cheb_T_prime, cheb_growth,
-                       compose_cheb, dim, extremal_polynomial, leading_growth,
-                       make_box, make_simplex, poly_eval, poly_grad, random_polygon,
-                       t_func, t_polynomial)
+                       dim, extremal_polynomial, leading_growth, make_box,
+                       make_simplex, make_sobczyk_prism, max_chord, random_polygon,
+                       t_func)
 from minkgauge import body, cheb
 from minkgauge.body import vertex_candidates
-from minkgauge.cheb import DEGREE_CAP, _body_samples
+from minkgauge.cheb import _body_samples
 from minkgauge.shapes import make_regular_polygon, make_weighted_l2_ball
 
 from conftest import polygons_with_interior, unit_dirs
@@ -99,50 +100,39 @@ def test_cheb_T_prime_endpoint():
                             rtol=1e-12)
 
 
-# polynomial algebra
+# slab polynomials
 
 
 def test_polynomial_affine_and_eval():
-    p = Polynomial.affine(np.array([2.0, -1.0]), 0.5)
-    assert p.degree == 1
-    assert poly_eval(p, np.array([1.0, 1.0])) == pytest.approx(1.5)
+    p = SlabPolynomial(np.array([2.0, -1.0]), 0.5, 1)
+    assert p.n == 1
+    assert p(np.array([1.0, 1.0])) == pytest.approx(1.5)
+    npt.assert_array_equal(p.grad(np.zeros(2)), [2.0, -1.0])
+    # the report's polynomial cannot be changed, and a point is validated
+    with pytest.raises(ValueError):
+        p.g[0] = 1.0
+    with pytest.raises(AttributeError):
+        p.n = 2
+    with pytest.raises(BodyError, match="non-finite"):
+        p(np.array([np.nan, 0.0]))
+    with pytest.raises(BodyError, match="dimension"):
+        p(np.zeros(3))
+    with pytest.raises(ValueError, match="degree"):
+        SlabPolynomial(np.ones(2), 0.0, -1)
 
 
-def test_polynomial_arithmetic():
-    p = Polynomial.affine(np.array([1.0, 0.0]), 0.0)
-    q = Polynomial.affine(np.array([0.0, 1.0]), -1.0)
-    x = np.array([0.7, -0.3])
-    s = p + q
-    m = p * q
-    npt.assert_allclose(poly_eval(s, x), poly_eval(p, x) + poly_eval(q, x), atol=1e-14)
-    npt.assert_allclose(poly_eval(m, x), poly_eval(p, x) * poly_eval(q, x), atol=1e-14)
-    npt.assert_allclose(poly_eval(p - q, x), poly_eval(p, x) - poly_eval(q, x),
-                        atol=1e-14)
-    npt.assert_allclose(poly_eval(2.0 * p + 1.0, x), 2 * poly_eval(p, x) + 1.0,
-                        atol=1e-14)
-
-
-def test_polynomial_degree_cap():
-    p = Polynomial.affine(np.array([1.0]), 0.0)
-    acc = p
-    with pytest.raises(BodyError):
-        for _ in range(DEGREE_CAP + 1):
-            acc = acc * p
-
-
-@given(unit_dirs(), st.integers(min_value=0, max_value=2**31 - 1))
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=40)
-def test_poly_grad_matches_numeric(v, seed):
+def test_poly_grad_matches_numeric(n, seed):
     rng = np.random.default_rng(seed)
-    p = Polynomial.affine(rng.normal(size=2), rng.normal())
-    q = p * p * p + 2.0 * p + 0.25
+    p = SlabPolynomial(0.5 * rng.normal(size=2), 0.5 * rng.normal(), n)
     x = rng.normal(size=2)
-    g = poly_grad(q, x)
+    g = p.grad(x)
     h = 1e-5
     for k in range(2):
         e = np.zeros(2)
         e[k] = h
-        num = (poly_eval(q, x + e) - poly_eval(q, x - e)) / (2 * h)
+        num = (p(x + e) - p(x - e)) / (2 * h)
         npt.assert_allclose(g[k], num, rtol=1e-5, atol=1e-5)
 
 
@@ -150,27 +140,43 @@ def test_t_polynomial_matches_t_func():
     rng = np.random.default_rng(11)
     for _ in range(20):
         v = rng.normal(size=2)
-        p = t_polynomial(SQ, v)
+        p = extremal_polynomial(SQ, v, 1)
         y = rng.normal(scale=2.0, size=2)
-        npt.assert_allclose(poly_eval(p, y), t_func(SQ, v, y), atol=1e-12)
+        npt.assert_allclose(p(y), t_func(SQ, v, y), atol=1e-12)
 
 
-def test_compose_cheb_expands_correctly():
-    p = Polynomial.affine(np.array([0.5, 0.0]), 0.25)
-    for n in (1, 2, 3, 5):
-        q = compose_cheb(n, p)
-        assert q.degree == n
+def test_slab_polynomial_is_cheb_T_of_its_coordinate():
+    g = np.array([0.5, 0.0])
+    for n in (0, 1, 2, 3, 5):
+        q = SlabPolynomial(g, 0.25, n)
+        ref = Chebyshev.basis(n)
         for y in np.linspace(-2, 2, 9):
             x = np.array([y, 0.0])
-            npt.assert_allclose(poly_eval(q, x), cheb_T(n, poly_eval(p, x)),
-                                rtol=1e-11, atol=1e-11)
+            npt.assert_allclose(q(x), ref(0.5 * y + 0.25), rtol=1e-11, atol=1e-11)
+
+
+def test_extremal_polynomial_is_bounded_at_high_degree():
+    # a monomial expansion of T_16 of this coordinate reaches 1.1e5 on these points
+    T = VPolytope(np.array([[10.0, 10.0], [16.0, 10.0], [10.0, 16.0]]))
+    Y = np.random.default_rng(1).dirichlet(np.ones(3), size=200) @ T.extreme
+    for n in (16, 20, 30, 40, 200):
+        P = extremal_polynomial(T, np.array([1.0, 0.3]), n)
+        ref = Chebyshev.basis(n)
+        vals = np.array([P(y) for y in Y])
+        grads = np.array([P.grad(y) for y in Y])
+        assert np.max(np.abs(vals)) <= 1.0 + 1e-9
+        t = Y @ P.g + P.c0
+        npt.assert_allclose(vals, ref(t), rtol=1e-9, atol=1e-9)
+        dref = ref.deriv()(t)[:, None] * P.g
+        npt.assert_allclose(grads, dref, rtol=1e-9, atol=1e-9 * np.max(np.abs(dref)))
 
 
 def test_extremal_polynomial_interval():
     P = extremal_polynomial(INTERVAL, np.array([1.0]), 3)
-    npt.assert_allclose(poly_eval(P, np.array([2.0])), cheb_T(3, 2.0), rtol=1e-12)
+    assert isinstance(P, SlabPolynomial)
+    npt.assert_allclose(P(np.array([2.0])), cheb_T(3, 2.0), rtol=1e-12)
     xs = np.linspace(-1.0, 1.0, 101)
-    sup = max(abs(poly_eval(P, np.array([x]))) for x in xs)
+    sup = max(abs(P(np.array([x]))) for x in xs)
     assert sup <= 1.0 + 1e-10
 
 
@@ -180,6 +186,7 @@ def test_extremal_polynomial_interval():
 def test_cheb_growth_frozen_interval_value():
     rep = cheb_growth(INTERVAL, np.array([2.0]), 2)
     assert rep.growth == 7.0
+    assert isinstance(rep.extremal_eval, SlabPolynomial)
     assert rep.sup_norm_check <= 1.0 + 1e-9
     npt.assert_allclose(rep.extremal_eval(np.array([2.0])), 7.0,
                         atol=rep.witness_tol)
@@ -330,9 +337,9 @@ def test_leading_growth_witness_attains_value(pair, v, n):
     K, _ = pair
     rep = leading_growth(K, v, n)
     assert rep.witness_dir is not None
-    p = t_polynomial(K, rep.witness_dir)
-    g = poly_grad(p, np.zeros(2))  # affine, gradient is constant
-    lead = 2.0 ** (n - 1) * float(g @ v) ** n
+    P = rep.extremal_eval
+    assert isinstance(P, SlabPolynomial) and P.n == n
+    lead = 2.0 ** (n - 1) * float(P.g @ v) ** n  # P.g is the gradient of t
     npt.assert_allclose(lead, rep.value, rtol=1e-6)
 
 
@@ -353,6 +360,29 @@ def test_values_past_float_range_are_inf():
 def test_leading_growth_rejects_zero_direction():
     with pytest.raises(BodyError):
         leading_growth(SQ, np.zeros(2), 2)
+
+
+def test_flat_critical_bodies_have_zero_chord_and_infinite_growth():
+    # the prism's critical body is a segment along x3, the triangle's a point
+    for K, v in ((make_sobczyk_prism(), (1.0, 0.0, 0.0)), (make_simplex(2), (1.0, 0.0))):
+        C = alpha_inf(K).critical_body.body
+        tau = max_chord(C, v)
+        assert tau == 0.0 and np.copysign(1.0, tau) == 1.0
+        rep = leading_growth(C, v, 3)
+        assert rep.value == np.inf and rep.tau == 0.0
+        assert rep.witness_dir is None and rep.extremal_eval is None
+
+
+def test_degree_checks_raise():
+    for f in (cheb_T, cheb_T_prime):
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            f(-1, 0.5)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        cheb_growth(SQ, np.array([2.0, 0.0]), 0)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        leading_growth(SQ, np.array([1.0, 0.0]), 0)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        bernstein_bound(SQ, np.zeros(2), 0)
 
 
 # derivative bounds
@@ -404,8 +434,7 @@ def test_bernstein_bound_holds_for_certified_family(pair, n):
     rep = bernstein_bound(K, x, n)
     for _ in range(10):
         v = rng.normal(size=2)
-        p = compose_cheb(n, t_polynomial(K, v))
-        g = np.linalg.norm(poly_grad(p, x))
+        g = np.linalg.norm(extremal_polynomial(K, v, n).grad(x))
         assert g <= rep.theorem_bound + 1e-6 * max(1.0, rep.theorem_bound)
 
 

@@ -655,3 +655,19 @@ def test_console_script_installed():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["width"] == 2.0
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "box", "low": [-1], "high": [1]},
+    {"kind": "hpolytope", "A": [[2], [-3]], "b": [2, 3]},
+    {"kind": "weighted_l2_ball", "dim": 1},
+], ids=["box", "hpolytope", "weighted_l2_ball"])
+def test_experiment_deltabound_on_an_origin_centred_interval_has_no_ratio(spec, capsys):
+    # D - w/2 is 0 for [-1, 1], so there is no ratio to the bound, only deltas
+    rec = run_json(capsys, ["experiment-deltabound", "--body", json.dumps(spec),
+                            "--lambdas", "0.3,0.6"])
+    assert rec["bound_D_minus_half_w"] == 0.0 and rec["max_ratio"] is None
+    assert [r["lambda"] for r in rec["rows"]] == [0.3, 0.6]
+    for row in rec["rows"]:
+        assert row["empty"] is False and row["ratio_to_bound"] is None
+        assert 0.0 <= row["delta"] <= 1e-12

@@ -705,3 +705,23 @@ def test_level_set_rejects_negative_lambda(paper_triangle):
 def test_alpha_rejects_dimension_mismatch(paper_triangle):
     with pytest.raises(BodyError):
         alpha(paper_triangle, np.array([1.0, 2.0, 3.0]))
+
+
+CUBE_V = VPolytope(np.array(list(itertools.product((0.0, 1.0), repeat=3))))
+SUM_WITH_BALL = Sum((make_simplex(2), Ball(np.zeros(2), 1.0)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: alpha(SUM_WITH_BALL, np.zeros(2)), "alpha unsupported for Sum"),
+    (lambda: alpha_inf(SUM_WITH_BALL), r"alpha_inf needs facet access \(or a product"),
+    (lambda: contains(SUM_WITH_BALL, np.zeros(2)), "membership unsupported for Sum"),
+    (lambda: beta(SUM_WITH_BALL, np.array([0.1, 0.1])), "beta needs facet or vertex data"),
+    (lambda: level_set(make_weighted_l2_ball(3), 0.5), "erosion level set needs facet access"),
+    (lambda: level_set(make_weighted_l2_ball(3), 2.0),
+     "level set needs polytope or ball structure"),
+    (lambda: centroid(CUBE_V), "centroid supports planar bodies, simplices, balls"),
+], ids=["alpha-sum", "alpha_inf-sum", "contains-sum", "beta-sum", "level-0.5-oracle",
+        "level-2-oracle", "centroid-3d-cube"])
+def test_unsupported_bodies_name_what_they_lack(call, message):
+    with pytest.raises(BodyError, match=message):
+        call()

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import optimize
 from scipy.spatial import ConvexHull
 
-from minkgauge import (Ball, HPolytope, Product, SupportOracle, VPolytope, central_symm,
+from minkgauge import (Ball, BodyError, HPolytope, Product, SupportOracle, VPolytope,
+                       central_symm, chord,
                        chord_witness_dir, diameter, dim, far_radius,
                        global_width, hausdorff, homothety, inscribed_ball,
                        max_chord, polygon_vertices, sphere_dirs, support,
@@ -716,3 +717,21 @@ def test_geometry_scales(K, t):
 
 def test_dim_passthrough(paper_triangle):
     assert dim(central_symm(paper_triangle)) == 2
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (width_dir, ValueError, "direction must be nonzero"),
+    (max_chord, ValueError, "direction must be nonzero"),
+    (lambda K, v: chord(K, np.zeros(2), v), BodyError, "chord direction must be nonzero"),
+    (chord_witness_dir, ValueError, "direction must be nonzero"),
+], ids=["width_dir", "max_chord", "chord", "chord_witness_dir"])
+def test_a_zero_direction_raises(call, error, message):
+    K = VPolytope(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
+    with pytest.raises(error, match=message):
+        call(K, np.zeros(2))
+
+
+def test_hausdorff_needs_one_dimension():
+    K = VPolytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(BodyError, match="bodies must share a dimension"):
+        hausdorff(K, VPolytope(np.eye(3)))

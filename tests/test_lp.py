@@ -352,3 +352,16 @@ def test_two_threads_solve_as_a_serial_run_does():
     assert not any(th.is_alive() for th in threads)
     assert solvers[0] is not solvers[1] and lp._solver() not in solvers
     assert got == want
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(bounds=[(0, 1)] * 3), r"bounds must be one pair or 2 pairs, got shape \(3, 2\)"),
+    (dict(A_ub=[1.0, 1.0], b_ub=[1.0]), r"constraint matrix must be 2-d, got shape \(2,\)"),
+    (dict(A_ub=[[1.0, np.nan]], b_ub=[1.0]), "constraint matrix contains non-finite entries"),
+    (dict(A_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0]), "constraint matrix has 3 columns, expected 2"),
+    (dict(A_ub=[[1.0, 1.0]], b_ub=[1.0, 2.0]), "b_ub length does not match A_ub rows"),
+    (dict(A_eq=[[1.0, 1.0]], b_eq=[1.0, 2.0]), "b_eq length does not match A_eq rows"),
+], ids=["bounds-shape", "1-d-A", "non-finite-A", "columns", "b_ub-length", "b_eq-length"])
+def test_solve_rejects_malformed_input(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        lp.solve(np.ones(2), **kwargs)

@@ -507,3 +507,8 @@ def test_minkowski_phi():
     assert minkowski_phi(SQ, np.array([1.0, 1.0])) == pytest.approx(0.0, abs=1e-12)
     # phi treats the gauge symmetrically across the boundary
     assert minkowski_phi(SQ, np.array([3.0, 0.0])) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_brute_force_alpha_needs_a_direction():
+    with pytest.raises(BodyError, match="no directions to sample"):
+        brute_force_alpha(Ball(np.zeros(2), 1.0), np.array([2.0, 0.0]), n_dirs=0)

@@ -318,3 +318,30 @@ def test_readme_schema_rows_parse():
     for kind, spec in README_SPECS.items():
         assert set(spec) - {"kind"} == fields[kind], kind
         parse_body(spec)
+
+
+@pytest.mark.parametrize("spec, path, message", [
+    ({"kind": "ball", "center": [0], "radius": "1"}, "body.radius",
+     "expected a number, got str"),
+    ({"kind": "simplex", "dim": 2.5}, "body.dim", "expected an integer, got float"),
+    ({"kind": "ball", "center": [], "radius": 1}, "body.center",
+     "expected a nonempty array of numbers"),
+    ({"kind": "vpolytope", "vertices": []}, "body.vertices", "expected a nonempty array of rows"),
+    ({"kind": "product", "factors": []}, "body.factors", "expected a nonempty array"),
+    ({"kind": "sum", "terms": []}, "body.terms", "expected a nonempty array"),
+    ({"kind": "box", "low": [0, 0], "high": [1]}, "body", "box bounds must have equal length"),
+    ({"kind": "hpolytope", "A": [[1], [-1]], "b": [1]}, "body", "A and b row counts differ"),
+    ({"kind": "weighted_l2_ball", "dim": 0}, "body", "dimension must be >= 1"),
+], ids=["radius-string", "dim-float", "empty-center", "empty-vertices", "empty-factors",
+        "empty-terms", "box-lengths", "hpolytope-rows", "weighted-dim-0"])
+def test_malformed_fields_exit_2_with_their_path(spec, path, message, capsys):
+    with pytest.raises(SchemaError) as exc:
+        parse_body(spec)
+    assert exc.value.path == path and str(exc.value) == f"{path}: {message}"
+    assert run(["width", "--body", json.dumps(spec)]) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == f"{path}: {message}"
+
+
+def test_serialize_rejects_a_non_body():
+    with pytest.raises(BodyError, match="cannot serialize object"):
+        serialize_body(object())
