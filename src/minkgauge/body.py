@@ -291,8 +291,7 @@ def _halfspace_vertices(K):
             return None
         n, beta = rows
         V = c + n / beta[:, None]
-        # flat as validate judges it: an inradius at most 1e-9 of the largest
-        # coordinate extent, which far redundant rows do not change
+        # flat by validate's rule, which reads these extents as h(K, +-e_i)
         if not r > 1e-9 * np.max(np.ptp(V, axis=0)):
             return None
         V = V[np.argsort(np.arctan2(n[:, 1], n[:, 0]))] if d == 2 else np.unique(V, axis=0)
@@ -465,6 +464,9 @@ def support_many(K, D) -> np.ndarray:
 
 
 def _support_rows(K, D):
+    """``support_many`` on checked directions.  An H-polytope reads its
+    prepared vertices, else maximises every row in one stacked LP; that LP
+    is the one place an unbounded or empty system raises BodyError."""
     if isinstance(K, VPolytope):
         return (D @ K.vertices.T).max(axis=1)
     if isinstance(K, HPolytope):
@@ -472,7 +474,7 @@ def _support_rows(K, D):
             return (D @ K.vertices.T).max(axis=1)
         status, X = lp.solve_stacked(D, A_ub=K.A, b_ub=K.b, sense="max")
         if status is lp.LPStatus.UNBOUNDED:
-            raise BodyError("halfspace system is unbounded in the queried direction")
+            raise BodyError("halfspace system is unbounded")
         if status is lp.LPStatus.INFEASIBLE:
             raise BodyError("halfspace system is empty")
         if X is None:
@@ -931,9 +933,11 @@ def validate(K):
     Raises BodyError otherwise.  Flatness is judged relative to the body's
     own scale: an H-polytope's inradius against 1e-9 of its largest
     coordinate extent, a V-polytope's affine rank against 1e-9 of its
-    largest singular value.  Operations that tolerate lower-dimensional
-    bodies (level sets may degenerate to a face) skip this check on their
-    intermediate results.
+    largest singular value.  An H-polytope poses no LP here: its extents
+    are h(K, +-e_i) from ``_support_rows``, which rejects unbounded and
+    empty systems, and its inradius is the cached ``chebyshev``.
+    Operations that tolerate lower-dimensional bodies (level sets may
+    degenerate to a face) skip this check on their intermediate results.
     """
     d = dim(K)
     if d < 1:
@@ -941,19 +945,11 @@ def validate(K):
     if isinstance(K, HPolytope):
         if not (np.all(np.isfinite(K.A)) and np.all(np.isfinite(K.b))):
             raise BodyError("halfspace data contains non-finite entries")
-        norms = np.linalg.norm(K.A, axis=1)
-        if np.any(norms == 0):
+        if np.any(np.linalg.norm(K.A, axis=1) == 0):
             raise BodyError("halfspace system has a zero row")
-        # every coordinate and its negation maximized as one stacked LP
-        status, X = lp.solve_stacked(np.vstack([np.eye(d), -np.eye(d)]),
-                                     A_ub=K.A, b_ub=K.b, sense="max")
-        if status is lp.LPStatus.UNBOUNDED:
-            raise BodyError("halfspace system is unbounded")
-        if status is lp.LPStatus.INFEASIBLE:
-            raise BodyError("halfspace system is empty")
-        extent = np.diag(X[:d]) - np.diag(X[d:])
+        h = _support_rows(K, np.vstack([np.eye(d), -np.eye(d)]))
         _, r = K.chebyshev
-        if r <= 1e-9 * np.max(extent):
+        if r <= 1e-9 * np.max(h[:d] + h[d:]):
             raise BodyError("halfspace system has empty interior")
         return
     if isinstance(K, VPolytope):

@@ -192,8 +192,6 @@ def _level_membership(K, x, lam):
     alpha(K, x) <= lam + T_MEMBER_TOL, decided on K's rows for lam <= 1 and
     on C's rows above; bodies without those rows take the level-set LP.
     """
-    if lam < 0:
-        return False
     if isinstance(K, Ball):
         return (float(np.linalg.norm(x - K.center))
                 <= lam * K.radius + T_MEMBER_TOL * max(1.0, K.radius))
@@ -397,8 +395,9 @@ def _erosion(profile, lam):
 def _symmetry_lp(K):
     """The symmetry LP of ``alpha_inf``, for the body's cached ``symmetry``:
     the least s with some x in the erosion {A x <= ((1 + s) hplus -
-    (1 - s) hminus) / 2} of K's profile.  Returns (s, x), or None without a
-    profile or an optimum."""
+    (1 - s) hminus) / 2} of K's profile.  Returns (s, x), s clipped at 0
+    where the LP value rounds below it, or None without a profile or an
+    optimum."""
     profile = K.profile
     if profile is None:
         return None
@@ -410,7 +409,7 @@ def _symmetry_lp(K):
     res = lp.solve(c, A_ub=M, b_ub=hp - hm, sense="min")
     if not res.optimal:
         return None
-    return float(res.value), _readonly(res.x[:d])
+    return max(0.0, float(res.value)), _readonly(res.x[:d])
 
 
 def _symmetry(K):

@@ -239,10 +239,11 @@ def _line_sections(K, x, D):
 
     Both are arrays of parameters t, NaN where a line misses K.  Facet rows
     are clipped for every line in one array operation (rows parallel to a
-    line within 1e-12 only decide whether it misses); a ball solves its
-    quadratic; other encodable bodies take one stacked LP per line, for the
-    largest and least t (``body.section_lp``).  Bodies without an encoding
-    (support oracles, sums with ball terms) raise BodyError.
+    line within 1e-12 only decide whether it misses), and a 1-d body without
+    rows clips against those of its exact end points ``extreme``; a ball
+    solves its quadratic; other encodable bodies take one stacked LP per
+    line, for the largest and least t (``body.section_lp``).  The rest
+    (support oracles above d = 1, sums with ball terms) raise BodyError.
     """
     if isinstance(K, Ball):
         # |x + t v - c|^2 = r^2, standard quadratic
@@ -253,6 +254,9 @@ def _line_sections(K, x, D):
         root = np.sqrt(np.where(disc > 0.0, disc, np.nan))
         return (-bb - root) / (2 * aa), (-bb + root) / (2 * aa)
     hs = halfspaces(K)
+    if hs is None and x.size == 1:
+        (lo,), (hi,) = K.extreme
+        hs = np.array([[1.0], [-1.0]]), np.array([hi, -lo])
     if hs is not None:
         return _clip_sections(*hs, x, D)
     enc = lp_encoding(K)

@@ -58,9 +58,10 @@ def chord(K, x, v):
     """Intersect the line {x + t v} with K; None if empty or a point.
 
     The one-line case of the section routine behind every chord here:
-    facet rows are clipped, a ball solves its quadratic, other polytopal
-    bodies take one stacked LP.  Endpoints follow the naming convention of
-    Chord (ties keep the orientation along -v first).
+    facet rows are clipped (a 1-d body's from its end points), a ball
+    solves its quadratic, other polytopal bodies take one stacked LP.
+    Endpoints follow the naming convention of Chord (ties keep the
+    orientation along -v first).
     """
     d = dim(K)
     x = as_vector(x, d)

@@ -396,17 +396,94 @@ def test_vpolytope_data_is_private_and_read_only():
             arr[0] = 0.0
 
 
-def test_validate_hpolytope_prepares_with_two_lps(lp_solves):
+def test_validate_hpolytope_prepares_with_one_lp(lp_solves):
     B = make_box(-np.ones(3), np.array([1.0, 2.0, 3.0]))
     validate(B)
-    # one stacked boundedness LP, one Chebyshev centre shared from then on
-    assert len(lp_solves) == 2
+    # the Chebyshev centre behind the prepared vertices, whose support gives
+    # validate its extents; shared from then on
+    assert len(lp_solves) == 1
     lp_solves.clear()
     assert B.vertices.shape == (8, 3)
     c, r = inscribed_ball(B)
     npt.assert_allclose(interior_point(B), c)
     assert r == pytest.approx(1.0, abs=1e-9)
     assert not lp_solves
+
+
+@pytest.mark.parametrize("d, counts", [(1, (1, 1, 1)), (2, (1, 1, 1)), (3, (1, 1, 1)),
+                                      (4, (1, 1, 1)), (5, (3, 3, 5))])
+def test_a_parsed_box_counts_the_lps_of_validation_and_one_query(d, counts, lp_solves):
+    # up to d = 4 the Chebyshev LP behind the vertices is the only LP: validate
+    # and the query read the vertices' support.  In d = 5 validate's extents
+    # take the stacked support LP, then the Chebyshev LP, then the query's own
+    spec = {"kind": "box", "low": [-1.0] * d, "high": list(np.arange(1.0, d + 1.0))}
+    queries = (lambda K: support(K, np.ones(d)), lambda K: alpha(K, np.full(d, 0.3)),
+               lambda K: alpha(K, np.full(d, 5.0)))
+    got = []
+    for query in queries:
+        lp_solves.clear()
+        query(parse_body(spec))
+        got.append(len(lp_solves))
+    assert tuple(got) == counts
+
+
+def _validate_reference(A, b):
+    """validate's H-polytope verdict from one LP per coordinate direction
+    and one Chebyshev LP, posed here with ``lp.solve``: None or the message."""
+    d = A.shape[1]
+    res = [lp.solve(u, A_ub=A, b_ub=b, sense="max") for u in np.vstack([np.eye(d), -np.eye(d)])]
+    if any(r.status is lp.LPStatus.INFEASIBLE for r in res):
+        return "halfspace system is empty"
+    if any(r.status is lp.LPStatus.UNBOUNDED for r in res):
+        return "halfspace system is unbounded"
+    h = np.array([r.value for r in res])
+    cheb = lp.solve(np.r_[np.zeros(d), 1.0], A_ub=np.hstack([A, np.linalg.norm(A, axis=1)[:, None]]),
+                    b_ub=b, bounds=[(None, None)] * d + [(0, None)], sense="max")
+    if cheb.x[d] <= 1e-9 * np.max(h[:d] + h[d:]):
+        return "halfspace system has empty interior"
+    return None
+
+
+def _verdict_systems(per_kind=6, seed=3):
+    """Seeded H systems in d = 1..5: bounded (a box and random rows about
+    an interior point), unbounded (random rows with a recession direction),
+    empty (x_1 <= -1 and x_1 >= 1 added to a box), rotated slabs 1e-12 to
+    1e-6 thick, and boxes scaled from 1e-12 to 1e12."""
+    rng = np.random.default_rng(seed)
+    for d in range(1, 6):
+        E = np.vstack([np.eye(d), -np.eye(d)])
+        for k in range(per_kind):
+            c = rng.uniform(-3.0, 3.0, d)
+            R = rng.normal(size=(int(rng.integers(0, 2 * d + 2)), d))
+            A = np.vstack([E, R])
+            yield f"bounded{d}-{k}", A, A @ c + rng.uniform(0.5, 2.0, len(A))
+            u = rng.normal(size=d)
+            A = rng.normal(size=(int(rng.integers(d + 1, 3 * d + 2)), d))
+            A -= np.maximum(A @ u, 0.0)[:, None] * u / (u @ u)
+            A = A[np.linalg.norm(A, axis=1) > 1e-6]
+            yield f"unbounded{d}-{k}", A, A @ c + rng.uniform(0.5, 2.0, len(A))
+            A = np.vstack([E, R, [np.eye(d)[0], -np.eye(d)[0]]])
+            b = np.r_[A[:-2] @ c + rng.uniform(0.5, 2.0, len(A) - 2), -1.0, -1.0]
+            yield f"empty{d}-{k}", A, b
+            Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+            half = np.r_[0.5 * 10.0 ** rng.choice([-12, -10, -7, -6]), rng.uniform(0.5, 3.0, d - 1)]
+            yield f"slab{d}-{k}", E @ Q.T, np.r_[half, half] + E @ Q.T @ c
+            s = 10.0 ** rng.choice([-12, -6, 0, 6, 12])
+            lo = s * rng.uniform(-2.0, 0.0, d)
+            hi = lo + s * rng.uniform(0.5, 3.0, d)
+            yield f"box{d}-{k}", E, np.r_[hi, -lo]
+
+
+@pytest.mark.parametrize("name, A, b", list(_verdict_systems()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_validate_judges_hpolytopes_as_the_coordinate_lps_do(name, A, b):
+    want = _validate_reference(A, b)
+    if want is None:
+        validate(HPolytope(A, b))
+        return
+    with pytest.raises(BodyError) as err:
+        validate(HPolytope(A, b))
+    assert str(err.value) == want
 
 
 def test_halfspaces_derived_for_planar_vpolytope():
@@ -456,6 +533,13 @@ def test_inscribed_ball_of_a_product_and_of_a_sum_with_a_ball_term():
     assert r == pytest.approx(1.0, abs=1e-9)
     for u in sphere_dirs(2, 64, 8):
         assert support(S, u) >= float(u @ c) + r - 1e-9
+
+
+def test_inscribed_ball_is_none_for_flat_bodies_and_flat_parts():
+    tri = VPolytope(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]))
+    seg = VPolytope(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    for K in (seg, Product((tri, seg)), Sum((tri, seg))):
+        assert inscribed_ball(K) is None
 
 
 def test_support_oracle_centre_is_private_and_read_only():
@@ -699,6 +783,14 @@ def test_oracle_h_many_of_the_wrong_shape_raises():
                       h_many=lambda D: np.zeros(3))
     with pytest.raises(BodyError, match=r"oracle h_many returned shape \(3,\), expected \(2,\)"):
         support_many(o, np.ones((2, 2)))
+
+
+def test_validate_rejects_mixed_sum_dimensions_and_an_empty_dimension():
+    tri = VPolytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(BodyError, match="^sum terms must share a dimension$"):
+        validate(Sum((tri, VPolytope(np.array([[0.0], [1.0]])))))
+    with pytest.raises(BodyError, match="^dimension must be at least 1$"):
+        validate(VPolytope(np.zeros((3, 0))))
 
 
 def test_validate_rejects_a_zero_ball_and_crossed_oracle_radii():

@@ -442,3 +442,9 @@ def test_bernstein_ball_center():
     B = Ball(np.zeros(2), 1.0)
     rep = bernstein_bound(B, np.zeros(2), 4)
     npt.assert_allclose(rep.theorem_bound, 4.0, rtol=1e-12)
+
+
+def test_extremal_polynomial_rejects_a_zero_width_direction():
+    segment = VPolytope(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    with pytest.raises(BodyError, match="^degenerate direction: zero width$"):
+        extremal_polynomial(segment, np.array([1.0, -1.0]), 3)

@@ -86,6 +86,18 @@ def test_symmetry_report_of_a_ball(capsys):
     assert rec["critical_body"]["empty"] is False
 
 
+def test_symmetry_report_of_an_even_polygon_is_zero_not_below(capsys):
+    # its symmetry LP value rounds to -2.7e-16; alpha_inf >= 0 by definition
+    body = json.dumps({"kind": "regular_polygon", "n": 10, "radius": 5.176311360294573,
+                       "center": [6.941719367070082, -7.583697508984092],
+                       "phase": 5.0479036776743})
+    rec = run_json(capsys, ["symmetry", "--body", body])
+    assert rec["alpha_inf"] == 0.0 and rec["critical_body"]["lambda"] == 0.0
+    assert rec["measure"] == 1.0 and rec["critical_dim_estimate"] == 0
+    assert rec["minimizer"] == pytest.approx([6.941719367070082, -7.583697508984092],
+                                             abs=1e-9)
+
+
 def test_symmetry_deterministic(capsys):
     run(["symmetry", "--body", TRIANGLE])
     first = capsys.readouterr().out
@@ -167,6 +179,21 @@ def test_oracle_check_exterior(capsys):
     assert rec["rho"] == pytest.approx(0.5, abs=1e-6)
     for v in rec["identity_residuals"].values():
         assert abs(v) <= 1e-5
+
+
+def test_chord_subcommands_on_a_one_dimensional_oracle(capsys):
+    oracle = json.dumps({"kind": "weighted_l2_ball", "dim": 1})
+    rec = run_json(capsys, ["ratios", "--body", oracle, "--point", "0.2"])
+    assert rec["point_in_body"] is True and rec["mu"] is None
+    inside = run_json(capsys, ["oracle-check", "--body", oracle, "--point", "0.2"])
+    assert inside["ratios"] == {**rec, "n_chords": inside["ratios"]["n_chords"]}
+    assert inside["ratios"]["nu"] == inside["alpha"] == 0.282842712475
+    outside = run_json(capsys, ["oracle-check", "--body", oracle, "--point", "3"])
+    assert outside["ratios"]["point_in_body"] is False
+    assert outside["ratios"]["mu"] == outside["alpha"]
+    for rec in (inside, outside):
+        for v in rec["identity_residuals"].values():
+            assert abs(v) <= 1e-12
 
 
 def test_oracle_check_exterior_of_a_vertex_polygon_solves_no_lp(capsys, lp_solves):

@@ -11,7 +11,7 @@ from scipy.spatial import ConvexHull, QhullError
 from minkgauge import (Ball, BodyError, VPolytope, alpha, alpha_inf, beta,
                        brute_force_alpha, central_symm, centroid, contains, diameter,
                        dim, global_width, hausdorff, homothety, level_set, lp,
-                       make_box, make_simplex, make_sobczyk_prism,
+                       make_box, make_regular_polygon, make_simplex, make_sobczyk_prism,
                        make_weighted_l2_ball, max_chord, rho, sphere_dirs, support,
                        support_many, t_func, t_many, validate)
 from minkgauge import body, gauge
@@ -310,6 +310,35 @@ def _gaussian_vpolytopes(d):
     # minimiser, d + 1 tight rows of rank d
     for s in range(40):
         yield VPolytope(np.random.default_rng([0, s]).normal(size=(d + 2 + s % 12, d)))
+
+
+def _symmetric_vpolytopes(n=200, seed=1):
+    # c + s H and c - s H for Gaussian H in d = 2..4: centred at c
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        d = 2 + k % 3
+        H = rng.normal(size=(int(rng.integers(d, 2 * d + 2)), d))
+        c, s = rng.uniform(-10.0, 10.0, d), rng.uniform(0.1, 10.0)
+        yield VPolytope(np.vstack([c + s * H, c - s * H]))
+
+
+def _even_regular_polygons(n=300, seed=0):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield make_regular_polygon(2 * int(rng.integers(2, 10)), rng.uniform(0.1, 10.0),
+                                   rng.uniform(-10.0, 10.0, 2), rng.uniform(0.0, 2.0 * np.pi))
+
+
+@pytest.mark.parametrize("bodies", [_symmetric_vpolytopes, _even_regular_polygons])
+def test_symmetric_bodies_have_alpha_inf_zero_and_keep_their_minimiser(bodies):
+    # the symmetry LP's value rounds either side of 0 on these bodies; alpha
+    # is nonnegative, so the report is 0 or above and its critical body holds
+    # the minimiser
+    for K in bodies():
+        rep = alpha_inf(K)
+        assert 0.0 <= rep.alpha_inf <= 1e-9
+        assert rep.critical_body.lam == rep.alpha_inf
+        assert rep.critical_body.contains(rep.minimizer)
 
 
 def _scaled_prisms(scales, base=make_sobczyk_prism):
@@ -709,6 +738,8 @@ def test_alpha_rejects_dimension_mismatch(paper_triangle):
 
 CUBE_V = VPolytope(np.array(list(itertools.product((0.0, 1.0), repeat=3))))
 SUM_WITH_BALL = Sum((make_simplex(2), Ball(np.zeros(2), 1.0)))
+DISC = Ball(np.zeros(2), 1.0)
+SEGMENT = VPolytope(np.array([[0.0, 0.0], [1.0, 1.0]]))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -720,8 +751,13 @@ SUM_WITH_BALL = Sum((make_simplex(2), Ball(np.zeros(2), 1.0)))
     (lambda: level_set(make_weighted_l2_ball(3), 2.0),
      "level set needs polytope or ball structure"),
     (lambda: centroid(CUBE_V), "centroid supports planar bodies, simplices, balls"),
+    (lambda: centroid(SEGMENT), "^centroid needs polygon access in the plane$"),
+    (lambda: beta(DISC, np.array([3.0, 0.0])), "^beta is defined for x in K$"),
+    (lambda: rho(DISC, np.array([0.1, 0.0])), "^rho is defined for x outside K$"),
+    (lambda: rho(SUM_WITH_BALL, np.array([9.0, 9.0])), "^rho needs a polytope-backed body$"),
 ], ids=["alpha-sum", "alpha_inf-sum", "contains-sum", "beta-sum", "level-0.5-oracle",
-        "level-2-oracle", "centroid-3d-cube"])
+        "level-2-oracle", "centroid-3d-cube", "centroid-segment", "beta-outside-ball",
+        "rho-inside-ball", "rho-sum"])
 def test_unsupported_bodies_name_what_they_lack(call, message):
     with pytest.raises(BodyError, match=message):
         call()

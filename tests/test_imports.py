@@ -241,3 +241,15 @@ def test_alpha_inf_lives_in_gauge():
     assert len(support) == 1
     assert not [n for n in ast.walk(support[0]) if isinstance(n, ast.Name)
                 and n.id == "isinstance"]
+
+
+def test_validate_poses_no_lp_of_its_own():
+    # an H-polytope's extents are the support every query reads, and its
+    # inradius the cached Chebyshev centre; the stacked LP is posed for
+    # support rows and chords only
+    tree = ast.parse((ROOT / "src" / "minkgauge" / "body.py").read_text())
+    validate = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "validate"]
+    assert len(validate) == 1
+    assert not [n for n in ast.walk(validate[0]) if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == "lp"]
+    assert _callers("solve_stacked") == {("body.py", "_support_rows"), ("body.py", "section_lp")}

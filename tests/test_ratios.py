@@ -20,7 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 from minkgauge import (Ball, BodyError, HPolytope, Product, SupportOracle, VPolytope,
                        alpha, beta, brute_force_alpha, chord, contains, dim, far_radius,
                        inscribed_ball, interior_point,
-                       make_box, minkowski_phi, random_polygon, ratio_functionals, rho,
+                       make_box, make_weighted_l2_ball, minkowski_phi, random_polygon,
+                       ratio_functionals, rho,
                        support)
 from minkgauge.body import Sum, encoding_feasible, halfspaces, lp_encoding, vertex_candidates
 from minkgauge.geometry import sphere_dirs
@@ -94,6 +95,24 @@ def test_chord_rejects_plain_oracle():
     o = SupportOracle(lambda v: float(np.linalg.norm(v)), np.zeros(2), 1.0, 1.0)
     with pytest.raises(BodyError):
         chord(o, np.zeros(2), np.array([1.0, 0.0]))
+
+
+def test_one_dimensional_oracle_clips_chords_at_its_end_points():
+    # an oracle has no rows or encoding, but a 1-d body's two support
+    # values are its exact end points, and every chord ratio follows
+    K = make_weighted_l2_ball(1)
+    (lo,), (hi,) = K.extreme
+    c = chord(K, np.array([0.2]), np.array([1.0]))
+    npt.assert_allclose(sorted([c.a[0], c.b[0]]), [lo, hi], rtol=0, atol=1e-15)
+    inside = ratio_functionals(K, np.array([0.2]))
+    assert inside.point_in_body and inside.mu is None
+    assert inside.nu == pytest.approx(alpha(K, np.array([0.2])).alpha, abs=1e-12)
+    for x in (3.0, -5.0):
+        outside = ratio_functionals(K, np.array([x]))
+        assert not outside.point_in_body and outside.nu is None
+        assert outside.mu == pytest.approx(alpha(K, np.array([x])).alpha, rel=1e-12)
+        assert rho(K, np.array([x])) == pytest.approx(
+            (outside.mu - 1.0) / (outside.mu + 1.0), rel=1e-12)
 
 
 # beta

@@ -114,6 +114,11 @@ def test_random_polygon_deterministic():
         not np.allclose(random_polygon(8, 43).vertices, A.vertices)
 
 
+def test_random_polygon_needs_three_vertices():
+    with pytest.raises(BodyError, match="^random polygon needs n >= 3$"):
+        random_polygon(2, 0)
+
+
 def test_random_polygon_center_offset():
     A = random_polygon(6, 1)
     B = random_polygon(6, 1, center=(5.0, -2.0))
