@@ -25,9 +25,9 @@ on such a body says so in its result.  The image of a body under
 x -> s x + z (``homothety``) is again a body of its kind.  A product
 answers factor by factor, each factor on its block of coordinates
 (``Product.blocks``).  Every LP over copies of a body is posed here, on
-its linear encoding (``lp_encoding``): ``copies_lp`` for the level-set,
-beta and rho LPs, ``section_lp`` for the chords of bodies without facet
-rows; other modules read only an encoding's point map P u + q.
+its linear encoding (``lp_encoding``): ``copies_lp`` for the gauge's
+level-set LP, ``section_lp`` for the chords of bodies without facet rows;
+the gauge reads only an encoding's point map P u + q.
 
 Conventions used throughout the package:
 
@@ -798,16 +798,16 @@ def encoding_feasible(encs, couplings, rhs):
     return lp.feasible(A_ub=Aub, b_ub=bub, A_eq=Aeq, b_eq=beq, bounds=bounds)
 
 
-def copies_lp(e, coefs, C, rhs, bounds, sense="min"):
-    """Optimise a scale s over k copies of the encoded body U, as one LP.
+def copies_lp(e, coefs, C, rhs, bounds):
+    """Minimise a scale s over k copies of the encoded body U, as one LP.
 
     The columns are [s, u_1, ..., u_k], with u_j in (a_j s + b_j) U for the
     j-th pair (a_j, b_j) of ``coefs``: the perspective form of the copy,
     in which only the right-hand sides scale, since the encoding's bounds
     are homogeneous (free or nonnegative).  The coupling rows C [s, u] = rhs
-    follow the copies' own equality rows; ``bounds`` is the range of s and
-    ``sense`` the direction of its optimum.  Returns the LP result and the
-    duals of the coupling rows, None without an optimum.
+    follow the copies' own equality rows; ``bounds`` is the range of s.  Its
+    one caller is ``gauge._level_lp``.  Returns the LP result and the duals
+    of the coupling rows, None without an optimum.
     """
     a, b = np.array(coefs, dtype=float).T
     I = np.eye(a.size)
@@ -817,7 +817,7 @@ def copies_lp(e, coefs, C, rhs, bounds, sense="min"):
     res = lp.solve(c, A_ub=np.hstack([-np.kron(a, e.b_ub)[:, None], np.kron(I, e.A_ub)]),
                    b_ub=np.kron(b, e.b_ub), A_eq=np.vstack([copies_eq, C]),
                    b_eq=np.concatenate([np.kron(b, e.b_eq), rhs]),
-                   bounds=[bounds] + e.bounds * a.size, sense=sense)
+                   bounds=[bounds] + e.bounds * a.size)
     return res, (res.eq_duals[a.size * e.b_eq.size:] if res.optimal else None)
 
 

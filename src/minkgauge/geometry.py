@@ -43,8 +43,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lp
-from .body import (Ball, BodyError, Product, as_vector, dim, halfspaces, hull_points,
-                   lp_encoding, section_lp, sphere_dirs, support_many)
+from .body import (Ball, BodyError, Product, as_vector, contains, dim, halfspaces,
+                   hull_points, lp_encoding, section_lp, sphere_dirs, support_many)
 
 # absolute forward-difference step of the direction search (scipy's default
 # for finite-difference gradients)
@@ -242,7 +242,9 @@ def _line_sections(K, x, D):
     line within 1e-12 only decide whether it misses), and a 1-d body without
     rows clips against those of its exact end points ``extreme``; a ball
     solves its quadratic; other encodable bodies take one stacked LP per
-    line, for the largest and least t (``body.section_lp``).  The rest
+    line, for the largest and least t (``body.section_lp``).  A product that
+    no LP encodes intersects its factors' sections (a factor that a line
+    does not move keeps the line where it holds x's block).  The rest
     (support oracles above d = 1, sums with ball terms) raise BodyError.
     """
     if isinstance(K, Ball):
@@ -260,9 +262,20 @@ def _line_sections(K, x, D):
     if hs is not None:
         return _clip_sections(*hs, x, D)
     enc = lp_encoding(K)
-    if enc is None:
+    if enc is not None:
+        return section_lp(enc, x, D)
+    if not isinstance(K, Product):
         raise BodyError("chord needs a polytope-backed body")
-    return section_lp(enc, x, D)
+    lo, hi = np.full(len(D), -np.inf), np.full(len(D), np.inf)
+    for f, sl in K.blocks:
+        moved = np.any(D[:, sl] != 0.0, axis=1)
+        if np.any(moved):
+            f_lo, f_hi = _line_sections(f, x[sl], D[moved][:, sl])
+            lo[moved] = np.maximum(lo[moved], f_lo)
+            hi[moved] = np.minimum(hi[moved], f_hi)
+        if not np.all(moved) and not contains(f, x[sl]):
+            lo[~moved] = hi[~moved] = np.nan
+    return np.where(lo <= hi, lo, np.nan), np.where(lo <= hi, hi, np.nan)
 
 
 def _clip_sections(A, b, x, D):

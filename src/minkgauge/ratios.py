@@ -6,19 +6,15 @@ the gauge module.  The test suite holds them against alpha through the
 classical identities, so a bug in either side shows up as a broken
 identity rather than two computations agreeing on the same mistake.
 
-beta and rho on rows are not independent of alpha.  beta is the largest
-factor of the reflected copy of K about x that stays in K.  On K's rows
-(``_beta_rows``) it is alpha's row maximum s mapped by s -> (1 - s)/(1 + s):
-with p = h(K, a) - <a, x> and q = <a, x> + h(K, -a), a row's t is
-(q - p)/(q + p) and its ratio p/q.  So inside a polytope with rows,
-(1 - beta)/(1 + beta) = alpha holds by construction, and beta's LP
-(``_beta_lp``) is the independent reference.  rho, the least factor at
-which a homothet of K about x meets K, is on the cached rows of the
-central symmetrization C the gauge's maximum s over those rows under
-s -> (s - 1)/(s + 1).  Outside a polytope in dimension 3 or 4 that s is
-alpha itself, so there (1 + rho)/(1 - rho) = alpha holds by construction;
-only rho's LP (``_rho_lp``) and the tests' LP bisection check alpha
-independently.
+beta and rho are alpha in other coordinates, so neither checks it: at
+points of K alpha = (1 - beta)/(1 + beta), beta the largest factor of the
+reflected copy of K about x that stays in K; outside K
+alpha = (1 + rho)/(1 - rho), rho the least factor at which a homothet of K
+about x meets K.  Both read alpha's row maximum (on K's rows for beta, on
+those of the central symmetrization C for rho) or, without rows, the
+gauge's level-set LP (``gauge._level_lp``), under these maps.  The
+independent checks of alpha are the chord ratios, ``brute_force_alpha``
+and the tests' bisections.
 
 Chord conventions: for a line through x meeting the body in a segment
 [a, b], endpoints are named so that ||x - b|| <= ||x - a||.  Sampled
@@ -32,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import (Ball, BodyError, Product, SupportOracle, as_vector, contains,
-                   copies_lp, dim, halfspaces, hull_points, lp_encoding, rows_contain)
-from .gauge import _t_values, alpha, facet_profile, t_many
+from .body import (Ball, BodyError, Product, SupportOracle, as_vector, contains, dim,
+                   halfspaces, hull_points, rows_contain)
+from .gauge import _level_lp, _t_values, alpha, facet_profile, t_many
 from .geometry import _line_sections, _support_pm, sphere_dirs
 from .lp import LPStatus, NumericalError
 
@@ -86,10 +82,13 @@ def _chords(x, D, lo, hi):
 def beta(K, x):
     """Largest factor of the reflected copy -t(K - x) + x that stays in K.
 
-    Exact one-pass formula on the facet rows where K has them; one LP on
-    its extreme points for the other polytopal bodies; for support oracles
-    a sampled direction minimum (an upper bound of the true value).
-    Vanishes on the boundary, 1 at a symmetry center.
+    Exact one-pass formula on the facet rows where K has them; elsewhere on
+    polytopal bodies the erosion form of the level-set LP, one LP on K's
+    extreme points v_j: the least lam in [0, 1] with
+    x - ((1 - lam)/2) v_j in ((1 + lam)/2) K, which is x - beta (v_j - x)
+    in K at beta = (1 - lam)/(1 + lam).  For support oracles a sampled
+    direction minimum (an upper bound of the true value).  Vanishes on the
+    boundary, 1 at a symmetry center.
     """
     x = as_vector(x, dim(K))
     if isinstance(K, Product):
@@ -103,7 +102,14 @@ def beta(K, x):
         return (K.radius - delta) / (K.radius + delta)
     prof = facet_profile(K)
     if prof is None:
-        return _beta_lp(K, x)
+        if K.extreme is None:
+            raise BodyError("beta needs facet or vertex data")
+        res, _ = _level_lp(K, x, 0.0, 1.0)
+        if res.status is LPStatus.INFEASIBLE:
+            raise BodyError("beta is defined for x in K")
+        if not res.optimal:
+            raise NumericalError(f"beta LP ended with status {res.status.value}")
+        return (1.0 - res.value) / (1.0 + res.value)
     # membership on the tight rows, with the slack of contains(K, x, tol=1e-7)
     A, hp, _ = prof
     if not rows_contain(A, hp, x, tol=1e-7):
@@ -127,25 +133,6 @@ def _beta_sampled(K, x, n_dirs=2048, seed=7):
     return _beta_rows(dirs, *_support_pm(K, dirs), x)
 
 
-def _beta_lp(K, x):
-    """beta as one LP (``copies_lp``): the largest lam in [0, 1] with
-    x - lam (u_j - x) in K for every extreme point u_j of K, one unscaled
-    copy of K per u_j coupled by P w_j + q + lam (u_j - x) = x.  Infeasible
-    exactly when x is not in K.
-    """
-    e, U = lp_encoding(K), K.extreme
-    if e is None or U is None:
-        raise BodyError("beta needs facet or vertex data")
-    res, _ = copies_lp(e, [(0.0, 1.0)] * len(U),
-                       np.hstack([(U - x).reshape(-1, 1), np.kron(np.eye(len(U)), e.P)]),
-                       np.tile(x - e.q, len(U)), (0.0, 1.0), sense="max")
-    if res.status is LPStatus.INFEASIBLE:
-        raise BodyError("beta is defined for x in K")
-    if not res.optimal:
-        raise NumericalError(f"beta LP ended with status {res.status.value}")
-    return float(res.value)
-
-
 def rho(K, x):
     """Sup of factors t for which x + t(K - x) misses K (exterior x).
 
@@ -154,10 +141,13 @@ def rho(K, x):
     rho = max(0, max (<a, x> - h(K, a)) / (<a, x> + h(K, -a))) over the rows
     with a positive denominator.  That is (s - 1)/(s + 1) for the largest
     row value s of ``gauge._t_values`` on C's cached rows (``symm_profile``),
-    the value alpha reads there: no LP, and no check of alpha.  A ball has
-    its closed form; other polytope-backed bodies (flat ones, and above
-    MAX_VERTEX_DIM those that are not products of lower polytopes) take one
-    LP (``_rho_lp``).
+    the value alpha reads there: no LP.  A ball has its closed form.  Other
+    polytopal bodies take the sum form of the level-set LP, the least
+    lam >= 1 with x in ((lam + 1)/2) K - ((lam - 1)/2) K, which is
+    y = x + t (z - x) with y, z in K at t = (lam - 1)/(lam + 1); off the
+    affine hull of a flat K it is infeasible and rho is 1.  A product that
+    no LP encodes takes its factors' largest rho over the blocks of x
+    outside them.
     """
     x = as_vector(x, dim(K))
     if isinstance(K, Ball):
@@ -166,33 +156,30 @@ def rho(K, x):
         delta = np.linalg.norm(x - K.center)
         return (delta - K.radius) / (delta + K.radius)
     profile = K.symm_profile
-    if profile is None:
-        t = _rho_lp(K, x)
-    else:
+    if profile is not None:
         s = float(np.max(_t_values(profile, x)))
         t = max(0.0, (s - 1.0) / (s + 1.0))
+    else:
+        try:
+            res, _ = _level_lp(K, x, 1.0, None)
+        except BodyError:
+            if not isinstance(K, Product):
+                raise BodyError("rho needs a polytope-backed body") from None
+            # the homothet meets K exactly where it meets every factor
+            out = [rho(f, x[sl]) for f, sl in K.blocks if not contains(f, x[sl], tol=-1e-9)]
+            if not out:
+                raise BodyError("rho is defined for x outside K") from None
+            return max(out)
+        if res.status is LPStatus.INFEASIBLE:
+            return 1.0
+        if not res.optimal:
+            raise NumericalError(f"rho LP ended with status {res.status.value}")
+        t = (res.value - 1.0) / (res.value + 1.0)
     # t = 0 exactly when x is in K (on rows, up to rounding); the boundary
     # keeps its rho of 0
     if t <= 1e-9 and contains(K, x, tol=-1e-9):
         raise BodyError("rho is defined for x outside K")
     return t
-
-
-def _rho_lp(K, x):
-    """rho as one LP (``body.copies_lp``): the least t in [0, 1] at which the
-    homothet meets K, i.e. some y in K equals x + t (z - x) with z in K.
-    With w = t z, a perspective copy of K in which only the right-hand
-    sides scale, the coupling P u - P w + t (x - q) = x - q is linear in
-    (t, u, w).
-    """
-    e = lp_encoding(K)
-    if e is None:
-        raise BodyError("rho needs a polytope-backed body")
-    res, _ = copies_lp(e, [(0.0, 1.0), (1.0, 0.0)], np.hstack([(x - e.q)[:, None], e.P, -e.P]),
-                       x - e.q, (0.0, 1.0))
-    if not res.optimal:
-        raise NumericalError(f"rho LP ended with status {res.status.value}")
-    return float(res.value)
 
 
 @dataclass

@@ -196,6 +196,20 @@ def test_chord_subcommands_on_a_one_dimensional_oracle(capsys):
             assert abs(v) <= 1e-12
 
 
+def test_chord_subcommands_on_a_product_with_a_ball_factor(capsys):
+    # no LP encodes the product, so its chords and rho go factor by factor
+    body = json.dumps({"kind": "product", "factors": [
+        {"kind": "regular_polygon", "n": 6}, {"kind": "ball", "center": [0], "radius": 0.5}]})
+    rec = run_json(capsys, ["ratios", "--body", body, "--point", "0.1,0,0.1"])
+    assert rec["point_in_body"] is True and rec["n_chords"] > 0
+    inside = run_json(capsys, ["oracle-check", "--body", body, "--point", "0.1,0,0.1"])
+    outside = run_json(capsys, ["oracle-check", "--body", body, "--point", "3,0,0.1"])
+    assert outside["alpha"] == 3.0 and outside["rho"] == 0.5
+    for rec in (inside, outside):
+        for v in rec["identity_residuals"].values():
+            assert abs(v) <= 1e-12
+
+
 def test_oracle_check_exterior_of_a_vertex_polygon_solves_no_lp(capsys, lp_solves):
     # rho answers from the rows of C, alpha from K's rows in the plane
     rec = run_json(capsys, ["oracle-check", "--body", TRIANGLE, "--point", "20,5"])

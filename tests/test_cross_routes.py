@@ -20,11 +20,11 @@ from minkgauge.body import (_hull, halfspaces, interior_point, lp_encoding,
 from minkgauge.cli import run
 from minkgauge.gauge import _alpha_lp, _level_lp, _level_membership
 from minkgauge.geometry import _multistart_sphere, _sphere_starts, _widths
-from minkgauge.ratios import _beta_lp, _rho_lp
 
 from conftest import (MAX_SEED, POLYTOPE_KINDS, polytopes, polytopes_with_exterior,
                       polytopes_with_interior, seeded_polytope)
 from test_geometry import _two_copy_chord_lp
+from test_ratios import _rho_bisect
 
 
 @given(polytopes_with_interior())
@@ -47,12 +47,12 @@ def test_exterior_closed_form_matches_the_lp_and_rho(pair):
     ref = _alpha_lp(K, x)
     assert abs(res.alpha - ref.alpha) <= ref.tol * scale
     assert t_func(K, res.witness_dir, x) >= res.alpha - 1e-12 * scale
-    # rho, the homothety ratio on C's rows, and its LP each give alpha
-    # through (1 + rho) / (1 - rho)
+    # rho, the homothety ratio on C's rows, and its bisection on disjoint
+    # copies each give alpha through (1 + rho) / (1 - rho)
     r = rho(K, x)
     npt.assert_allclose((1.0 + r) / (1.0 - r), res.alpha, rtol=1e-7)
-    r_lp = _rho_lp(K, x)
-    npt.assert_allclose((1.0 + r_lp) / (1.0 - r_lp), res.alpha, rtol=1e-7)
+    r_ref = _rho_bisect(K, x)
+    npt.assert_allclose((1.0 + r_ref) / (1.0 - r_ref), res.alpha, rtol=1e-7)
 
 
 @given(polytopes_with_exterior(), st.floats(min_value=-0.5, max_value=0.5))
@@ -107,8 +107,10 @@ def test_brute_force_lower_bounds_alpha(pair):
 @given(polytopes_with_interior())
 @settings(max_examples=30)
 def test_facet_beta_matches_the_lp(pair):
+    # the erosion form of the level-set LP under lam -> (1 - lam)/(1 + lam)
     K, x = pair
-    npt.assert_allclose(beta(K, x), _beta_lp(K, x), atol=1e-9)
+    lam = _level_lp(K, x, 0.0, 1.0)[0].value
+    npt.assert_allclose(beta(K, x), (1.0 - lam) / (1.0 + lam), atol=1e-9)
 
 
 @given(polytopes(), st.integers(min_value=0, max_value=MAX_SEED))
@@ -174,9 +176,9 @@ def test_cli_symmetry_answers_for_a_vertex_cube(capsys):
 
 
 def test_each_copies_lp_is_one_lp_over_the_scale_and_the_copies(monkeypatch):
-    # rho's LP, beta's LP and both forms of the level-set LP each solve one LP:
-    # the scale in column 0, the objective's only entry, then n columns per
-    # copy of K for its encoding's n variables
+    # both forms of the level-set LP each solve one LP: the scale in column
+    # 0, the objective's only entry, minimised, then n columns per copy of K
+    # for its encoding's n variables; beta and rho without rows are that LP
     objectives = []
     solver = lp.linprog
 
@@ -191,17 +193,22 @@ def test_each_copies_lp_is_one_lp_over_the_scale_and_the_copies(monkeypatch):
         n = lp_encoding(K).n
         x_in = interior_point(K)
         x_out = x_in + 10.0
-        cases = [(lambda: _rho_lp(K, x_out), 2), (lambda: _level_lp(K, x_out, 1.0, None), 2)]
+        cases = [(lambda: _level_lp(K, x_out, 1.0, None), 2)]
+        if K.symm_profile is None:
+            cases.append((lambda: rho(K, x_out), 2))
         if K.extreme is not None:
             k = len(K.extreme)
-            cases += [(lambda: _beta_lp(K, x_in), k), (lambda: _level_lp(K, x_in, 0.0, 1.0), k)]
+            cases.append((lambda: _level_lp(K, x_in, 0.0, 1.0), k))
+            if halfspaces(K) is None:
+                cases.append((lambda: beta(K, x_in), k))
         for run_lp, copies in cases:
             objectives.clear()
             run_lp()
             assert len(objectives) == 1
             c = objectives[0]
             assert c.size == 1 + copies * n
-            # beta maximises, so its minimised objective is -1 in column 0
-            assert abs(c[0]) == 1.0 and not np.any(c[1:])
-    # the H-box in R^5 has no vertices, so only the sum form and rho's LP ran
+            assert c[0] == 1.0 and not np.any(c[1:])
+    # the H-box in R^5 has no vertices, so only the sum form and rho ran
     assert bodies[1].extreme is None
+    # the product has the rows of its factors, so beta and rho solve no LP
+    assert bodies[2].symm_profile is not None and halfspaces(bodies[2]) is not None

@@ -18,10 +18,10 @@ from minkgauge import body, gauge
 from minkgauge.body import (Product, Sum, _hull, encoding_feasible, halfspaces,
                             interior_point, lp_encoding, vertex_candidates)
 from minkgauge.gauge import _alpha_lp
-from minkgauge.ratios import _rho_lp
 
 from conftest import (counted_oracle, polygons, polygons_with_exterior, polygons_with_interior,
                       unit_dirs)
+from test_ratios import _rho_bisect
 
 
 @given(polygons(), unit_dirs(), st.integers(min_value=0, max_value=2**31 - 1))
@@ -464,8 +464,9 @@ def test_vertex_polytope_alpha_witness(d):
         assert res.tol <= 1e-8 * max(1.0, res.alpha)
         assert t_func(K, res.witness_dir, x) >= res.alpha - res.tol
         if not contains(K, x):
-            # independent value: rho's LP (rho itself reads alpha's C rows)
-            r = _rho_lp(K, x)
+            # independent value: rho's bisection on disjoint copies (rho
+            # itself reads alpha's C rows)
+            r = _rho_bisect(K, x)
             npt.assert_allclose(res.alpha, (1.0 + r) / (1.0 - r), rtol=1e-7)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from minkgauge import alpha_inf
-from minkgauge.body import Encoding
+from minkgauge.body import Encoding, copies_lp
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(
@@ -108,8 +108,9 @@ def test_one_qhull_entry_and_one_reader_of_the_vertex_gate():
 
 def test_only_body_reads_an_encodings_rows():
     # every LP over copies of K (``copies_lp``) and every chord LP
-    # (``section_lp``) is posed in ``body``; gauge and ratios couple copies
-    # through the point map P u + q alone
+    # (``section_lp``) is posed in ``body``; the gauge couples copies
+    # through the point map P u + q alone, and ratios reads the gauge's
+    # level-set LP, no encoding
     fields = {f.name for f in dataclasses.fields(Encoding)}
     read = {}
     for path in sorted((ROOT / "src" / "minkgauge").glob("*.py")):
@@ -117,7 +118,24 @@ def test_only_body_reads_an_encodings_rows():
                            if isinstance(n, ast.Attribute) and n.attr in fields}
     rows = {"A_ub", "b_ub", "A_eq", "b_eq", "bounds"}
     assert {name for name, attrs in read.items() if attrs & rows} == {"body.py"}
-    assert read["gauge.py"] == read["ratios.py"] == {"P", "q"}
+    assert read["gauge.py"] == {"P", "q"}
+    assert read["ratios.py"] == set()
+
+
+def test_one_lp_over_copies_of_k():
+    # the level-set LP is the one LP over copies of K: beta and rho without
+    # rows read it through the Moebius maps, and it always minimises
+    assert _callers("copies_lp") == {("gauge.py", "_level_lp")}
+    assert "sense" not in inspect.signature(copies_lp).parameters
+    ratios = (ROOT / "src" / "minkgauge" / "ratios.py").read_text()
+    assert "copies_lp" not in ratios and "lp_encoding" not in ratios
+
+
+def test_lp_solve_callers_are_pinned():
+    # every LP formulation of the package; a new one must be added here
+    assert _callers("solve") == {
+        ("body.py", "copies_lp"), ("gauge.py", "_symmetry_lp"), ("gauge.py", "_critical_dim"),
+        ("lp.py", "solve_stacked"), ("lp.py", "feasible"), ("lp.py", "chebyshev_center")}
 
 
 def test_one_seeded_direction_family():

@@ -1,11 +1,13 @@
 """Chord-ratio functionals: independent routes that must reproduce alpha.
 
-beta and the chord ratios are computed without the facet maximum that
-drives alpha, so their identity checks are genuine cross-validations, not
-tautologies.  rho is not: on the rows of the central symmetrization it is
-alpha's row maximum under a Moebius map in dimensions 3 and 4, so its
-references here are its LP (``_rho_lp``) and the LP bisection
-``_rho_bisect``.
+The chord ratios are computed from line sections, without the facet maximum
+or the level-set LP that drive alpha, so their identity checks are genuine
+cross-validations, not tautologies.  beta and rho are not: on rows they are
+alpha's row maxima under the Moebius maps, and without rows the gauge's
+level-set LP (``gauge._level_lp``) under the same maps.  Their references
+here are two bisections that use neither: ``_beta_bisect``, on containment
+of the reflected extreme points, and ``_rho_bisect``, on an LP
+disjointness test of two copies.
 Sampled quantities are one sided: inf-type ratios can only overshoot and
 sup-type ratios can only undershoot their true values.
 """
@@ -25,7 +27,8 @@ from minkgauge import (Ball, BodyError, HPolytope, Product, SupportOracle, VPoly
                        support)
 from minkgauge.body import Sum, encoding_feasible, halfspaces, lp_encoding, vertex_candidates
 from minkgauge.geometry import sphere_dirs
-from minkgauge.ratios import SAMPLING_SIDES, _beta_lp, _rho_lp
+from minkgauge.gauge import _level_lp
+from minkgauge.ratios import SAMPLING_SIDES
 
 from conftest import (POLYTOPE_KINDS, polygons_with_exterior, polygons_with_interior,
                       seeded_polytope)
@@ -150,13 +153,11 @@ def test_beta_alpha_identity(pair):
 
 
 def _beta_bisect(K, x):
-    # the bisection on lam with one containment test per generator that the
-    # beta LP replaced, kept as an independent cross-check; no membership
-    # slack, so the bracket converges to beta and not to the slack
-    gens = vertex_candidates(K)
-
-    def fits(lam):
-        return all(contains(K, x - lam * (u - x), tol=0.0) for u in gens)
+    # the bisection on s with one containment test per extreme point, an
+    # independent cross-check of beta; no membership slack, so the bracket
+    # converges to beta and not to the slack
+    def fits(s):
+        return all(contains(K, x - s * (u - x), tol=0.0) for u in K.extreme)
 
     lo, hi = 0.0, 1.0
     if fits(1.0):
@@ -211,7 +212,7 @@ def test_facet_beta_is_one_hull(qhull_calls):
         b = beta(K, x)
         # the first call builds the hull; later calls read the cached profile
         assert qhull_calls == ([12] if i == 0 else [])
-        npt.assert_allclose(b, _beta_lp(K, x), atol=1e-9)
+        npt.assert_allclose(b, _beta_bisect(K, x), atol=1e-9)
     qhull_calls.clear()
     with pytest.raises(BodyError, match="defined for x in K"):
         beta(K, 10.0 * np.ones(3))
@@ -262,6 +263,12 @@ def _rho_bisect(K, x):
     return 0.5 * (lo + hi)
 
 
+def _level_rho(K, x):
+    # the sum form of the level-set LP under lam -> (lam - 1)/(lam + 1)
+    lam = _level_lp(K, x, 1.0, None)[0].value
+    return (lam - 1.0) / (lam + 1.0)
+
+
 def _rho_bodies(d, rng):
     """V- and H-polytopes, a polytopal sum and products in dimension d, each
     with the rows of its central symmetrization."""
@@ -306,7 +313,7 @@ def test_rho_is_one_lp_and_matches_the_bisection(d, lp_solves):
             lp_solves.clear()
             r = rho(K, x)
             assert len(lp_solves) == 0
-            npt.assert_allclose(r, _rho_lp(K, x), rtol=1e-12)
+            npt.assert_allclose(r, _level_rho(K, x), rtol=1e-12)
             npt.assert_allclose(r, _rho_bisect(K, x), atol=1e-9)
             n_checked += 1
     assert n_checked >= 2 * len(bodies)
@@ -332,6 +339,84 @@ def test_rho_without_c_rows_is_one_lp(lp_solves):
         r = rho(K, x)
         assert len(lp_solves) == 1
         npt.assert_allclose(r, _rho_bisect(K, x), atol=1e-9)
+
+
+def _flat_polytope(d, rng):
+    # a V-polytope of affine dimension k < d in R^d
+    k = int(rng.integers(1, d))
+    return VPolytope(rng.normal(size=(k + 3, k)) @ rng.normal(size=(k, d)) + rng.normal(size=d))
+
+
+def test_beta_and_rho_on_a_flat_body_are_one_level_lp(lp_solves):
+    # a flat vertex set has no rows of K or of C: beta and rho each read one
+    # form of the level-set LP
+    rng = np.random.default_rng(17)
+    for d in (3, 3, 4, 4):
+        K = _flat_polytope(d, rng)
+        assert halfspaces(K) is None and K.symm_profile is None
+        c = K.extreme.mean(axis=0)
+        x_in = 0.7 * c + 0.3 * K.extreme[0]
+        lp_solves.clear()
+        b = beta(K, x_in)
+        assert len(lp_solves) == 1
+        npt.assert_allclose(b, _beta_bisect(K, x_in), atol=1e-9)
+        # beyond a vertex on the ray from c, in the affine hull
+        x_out = c + 3.0 * (K.extreme[0] - c)
+        lp_solves.clear()
+        r = rho(K, x_out)
+        assert len(lp_solves) == 1
+        npt.assert_allclose(r, _rho_bisect(K, x_out), atol=1e-9)
+
+
+def test_rho_off_the_affine_hull_of_a_flat_body_is_one(lp_solves):
+    # every level body of a flat K lies in its affine hull, so off it the
+    # sum-form LP is infeasible and the homothet meets K only at t = 1
+    rng = np.random.default_rng(23)
+    for i in range(300):
+        K = _flat_polytope(3 + i % 2, rng)
+        x = K.extreme.mean(axis=0) + rng.normal(size=dim(K))
+        lp_solves.clear()
+        assert rho(K, x) == 1.0
+        assert len(lp_solves) == 1
+
+
+HEX = VPolytope(np.array([[np.cos(a), np.sin(a)] for a in np.pi * np.arange(6) / 3]))
+# a ball factor leaves the product without an encoding and without rows of C
+HEX_ROD = Product((HEX, Ball(np.zeros(1), 0.5)))
+
+
+def test_rho_of_a_product_without_rows_is_its_largest_factor_rho():
+    assert HEX_ROD.symm_profile is None
+    for x in ([3.0, 0.0, 0.1], [0.1, 0.0, 1.5], [3.0, 0.0, 1.5], [1.0, 0.0, 0.1],
+              [0.2, -4.0, -2.0]):
+        x = np.array(x)
+        a = alpha(HEX_ROD, x).alpha
+        assert rho(HEX_ROD, x) == pytest.approx((a - 1.0) / (a + 1.0), abs=1e-12)
+    with pytest.raises(BodyError, match="^rho is defined for x outside K$"):
+        rho(HEX_ROD, np.array([0.1, 0.0, 0.1]))
+
+
+def test_chords_of_a_product_without_rows_intersect_its_factors_sections():
+    x, v = np.array([0.1, 0.0, 0.1]), np.array([1.0, 0.2, 0.3])
+    c = chord(HEX_ROD, x, v)
+    # the ends of a fine membership scan of the line, within one step
+    t = np.linspace(-3.0, 3.0, 200_001)
+    Y = x + t[:, None] * v
+    A, b = halfspaces(HEX)
+    held = t[np.all(Y[:, :2] @ A.T <= b, axis=1) & (np.abs(Y[:, 2]) <= 0.5)]
+    ends = sorted((e - x) @ v / (v @ v) for e in (c.a, c.b))
+    npt.assert_allclose(ends, [held[0], held[-1]], atol=t[1] - t[0])
+    # a line that does not move the ball keeps the hexagon's chord where the
+    # ball holds x's block, and misses the product where it does not
+    flat = chord(HEX_ROD, x, np.array([1.0, 0.2, 0.0]))
+    own = chord(HEX, x[:2], np.array([1.0, 0.2]))
+    npt.assert_array_equal(flat.a, np.r_[own.a, 0.1])
+    npt.assert_array_equal(flat.b, np.r_[own.b, 0.1])
+    assert chord(HEX_ROD, np.array([0.1, 0.0, 0.9]), np.array([1.0, 0.2, 0.0])) is None
+    rod = chord(HEX_ROD, x, np.array([0.0, 0.0, 1.0]))
+    assert sorted([rod.a[2], rod.b[2]]) == [-0.5, 0.5]
+    inside = ratio_functionals(HEX_ROD, x)
+    assert inside.nu == pytest.approx(alpha(HEX_ROD, x).alpha, abs=1e-9)
 
 
 @given(polygons_with_exterior())
