@@ -4,15 +4,17 @@ A body is one of the variants below.  Polytopes carry an exact vertex or
 halfspace description; composite variants (sums and products) recurse.
 Vertex bodies (V-polytopes and polytopal sums) up to MAX_VERTEX_DIM get
 their facet rows and exact extreme points from one hull of their vertex
-candidates (``_hull``, the one place that calls Qhull), H-polytopes their
-vertices from one ``_hull`` of their polar points, so every polytope there
-has both descriptions.  Every body is frozen and
-keeps what depends only on it (``_Prepared``), built once on first use and
-read-only: its extreme points, its facet rows and facet profile, its
-central symmetrization C (``symm_body``, a product's from its factors')
-with C's rows and their profile, the optimum of its symmetry LP and the
-critical set of ``gauge.alpha_inf`` with its dimension (``gauge`` poses
-both LPs of alpha_inf and builds these two values).  The
+candidates (``_hull``, the one place that calls Qhull), H-polytopes
+their vertices from one ``_hull`` of their polar points, so every
+polytope there has both descriptions.  Every set of distinct rows, in a
+hull and out of it, comes from one sort-based dedupe (``_unique_rows``).
+Every body is frozen and keeps what depends only on it (``_Prepared``),
+built once on first use and read-only: its extreme points, its facet
+rows and facet profile, its central symmetrization C (``symm_body``, a
+product's from its factors') with C's rows and their profile, the
+optimum of its symmetry LP and the critical set of ``gauge.alpha_inf``
+with its dimension (``gauge`` poses both LPs of alpha_inf and builds
+these two values).  The
 extreme points (``extreme``) are the one finite point set that stands for
 a body wherever one is needed: the two end points of every
 one-dimensional body, the cartesian product of the factors' for a
@@ -123,8 +125,9 @@ class _Prepared:
     ``alpha_inf`` its critical set too (``critical``), so a reused body
     solves no LP for it.  Those two keep their cache here and take their
     builders from ``gauge`` on first read, the module of alpha_inf.
-    Where a width has no exact route (support oracles, bodies with ball
-    terms, and bodies above MAX_VERTEX_DIM but products of lower polytopes),
+    Where a width has no exact route (support oracles, sums with ball
+    terms, products with such a factor, and bodies above MAX_VERTEX_DIM but
+    products of lower polytopes),
     ``global_width`` (and so ``bernstein_bound``) reads the direction sweep
     ``swept_width``, so a reused body runs it once.  Every reader of a finite
     point set for K reads ``extreme``: C of a body other than a product, the
@@ -222,8 +225,8 @@ class HPolytope(_Prepared):
     """Bounded intersection of halfspaces A x <= b.
 
     A and b are private read-only copies, so the cached derived values stay
-    valid: the Chebyshev centre (one LP), the vertex array and those of
-    ``_Prepared``.
+    valid: the Chebyshev centre (one LP, none for a box), the vertex array
+    and those of ``_Prepared``.
     """
 
     A: np.ndarray
@@ -241,7 +244,8 @@ class HPolytope(_Prepared):
 
     @cached_property
     def chebyshev(self):
-        """(centre, radius) of the largest inscribed ball, from one LP.
+        """(centre, radius) of the largest inscribed ball, from one LP, or
+        preset by ``shapes.make_box`` from the box's bounds.
 
         Raises lp.NumericalError for empty or unbounded systems (not cached).
         """
@@ -294,7 +298,7 @@ def _halfspace_vertices(K):
         # flat by validate's rule, which reads these extents as h(K, +-e_i)
         if not r > 1e-9 * np.max(np.ptp(V, axis=0)):
             return None
-        V = V[np.argsort(np.arctan2(n[:, 1], n[:, 0]))] if d == 2 else np.unique(V, axis=0)
+        V = V[np.argsort(np.arctan2(n[:, 1], n[:, 0]))] if d == 2 else _unique_rows(V)
     slack = VERTEX_TOL * max(1.0, float(np.max(np.abs(V)))) * np.linalg.norm(A, axis=1)
     if np.any(A @ V.T > (b + slack)[:, None]):
         return None
@@ -501,6 +505,19 @@ def _support_rows(K, D):
 # exact representation access
 
 
+def _unique_rows(X, return_index=False):
+    """The distinct rows of X in sorted order, with the index of each one's
+    first occurrence if asked: the arrays of ``np.unique(X, axis=0,
+    return_index=True)`` from one stable lexsort over the columns and one
+    comparison of adjacent rows.  Rows equal as numbers are one row, so of
+    rows differing only in the sign of a zero the first is kept."""
+    order = np.lexsort(X.T[::-1])
+    S = X[order]
+    first = np.ones(len(S), dtype=bool)
+    first[1:] = np.any(S[1:] != S[:-1], axis=1)
+    return (S[first], order[first]) if return_index else S[first]
+
+
 def _affine_rank(P, tol=1e-9):
     Q = P - P.mean(axis=0)
     if Q.shape[0] == 1:
@@ -524,21 +541,21 @@ def _hull(V):
     """
     d = V.shape[1]
     if d == 1:
-        E = np.unique(V[[np.argmin(V), np.argmax(V)]], axis=0)
+        E = _unique_rows(V[[np.argmin(V), np.argmax(V)]])
         rows = np.array([[1.0], [-1.0]]), np.array([E[-1, 0], -E[0, 0]])
         return (_readonly(*rows) if len(E) == 2 else None), E
     try:
         H = ConvexHull(V)
     except QhullError:
-        return None, np.unique(V, axis=0)
+        return None, _unique_rows(V)
     E = V[H.vertices]
     if d > 2:
-        E = np.unique(E, axis=0)
+        E = _unique_rows(E)
     # Qhull's rows n.x + c <= 0 have unit outward normals and pass through
     # their facet's vertices, so b = -c is tight; the triangulated output
     # repeats a facet once per simplex, and rounding merges the copies
     Eq = H.equations
-    _, keep = np.unique(np.round(Eq, 10), axis=0, return_index=True)
+    _, keep = _unique_rows(np.round(Eq, 10), return_index=True)
     Eq = Eq[np.sort(keep)]
     A, b = Eq[:, :-1], -Eq[:, -1]
     if d >= 5:
@@ -658,7 +675,7 @@ def _extreme(K):
         E = E[[0, 2, 3, 1]]       # (lo, lo), (hi, lo), (hi, hi), (lo, hi)
     else:
         # a factor with lo == hi repeats rows; a planar product is then flat
-        E = np.unique(E, axis=0)
+        E = _unique_rows(E)
     return _readonly(E)
 
 
@@ -893,7 +910,7 @@ def interior_point(K):
         return np.sum([interior_point(T) for T in K.terms], axis=0)
     if isinstance(K, HPolytope):
         return K.chebyshev[0].copy()
-    return np.unique(K.vertices, axis=0).mean(axis=0)
+    return _unique_rows(K.vertices).mean(axis=0)
 
 
 def inscribed_ball(K):
@@ -935,7 +952,8 @@ def validate(K):
     coordinate extent, a V-polytope's affine rank against 1e-9 of its
     largest singular value.  An H-polytope poses no LP here: its extents
     are h(K, +-e_i) from ``_support_rows``, which rejects unbounded and
-    empty systems, and its inradius is the cached ``chebyshev``.
+    empty systems, and its inradius is the cached ``chebyshev`` (one LP,
+    or none for a box from ``make_box``, whose ball is preset).
     Operations that tolerate lower-dimensional bodies (level sets may
     degenerate to a face) skip this check on their intermediate results.
     """
@@ -956,7 +974,7 @@ def validate(K):
         V = K.vertices
         if not np.all(np.isfinite(V)):
             raise BodyError("vertex data contains non-finite entries")
-        if _affine_rank(np.unique(V, axis=0)) < d:
+        if _affine_rank(_unique_rows(V)) < d:
             raise BodyError("vertex set is not full-dimensional")
         return
     if isinstance(K, Ball):

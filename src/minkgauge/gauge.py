@@ -48,8 +48,8 @@ import numpy as np
 
 from . import lp
 from .body import (Ball, BodyError, HPolytope, Product, SupportOracle, VPolytope,
-                   _hull_body, _readonly, as_vector, copies_lp, dim, lp_encoding,
-                   vertex_candidates)
+                   _hull_body, _readonly, _unique_rows, as_vector, copies_lp, dim,
+                   lp_encoding, vertex_candidates)
 from .geometry import _multistart_sphere, _support_pm, sphere_dirs
 
 T_MEMBER_TOL = 1e-9
@@ -358,7 +358,7 @@ def level_set(K, lam) -> LevelSet:
     def build():
         pairs = ((1.0 + lam) * V[:, None, :] - (lam - 1.0) * V[None, :, :]) / 2.0
         # distinct pairs, so _hull gives the vertices in its fixed order
-        return _hull_body(np.unique(pairs.reshape(-1, V.shape[1]), axis=0))
+        return _hull_body(_unique_rows(pairs.reshape(-1, V.shape[1])))
     return LevelSet(lam, None, False, K, build=build)
 
 

@@ -6,9 +6,11 @@ rows of the central symmetrization C, which every body builds once and
 keeps (``symm_rows``; a product's C is the product of its factors' C, its
 rows theirs stacked): the width extrema are attained on its facet normals,
 and the maximal chord in direction v is twice where the ray {t v} leaves
-C.  Every chord question is a section of a body by lines, answered by one
-routine batched over the line directions (``_line_sections``).  Support
-oracles, and widths of other polytopes above that dimension, fall back to
+C.  A ball's width is 2r, and a product whose factors all have exact
+widths has the least of them.  Every chord question is a section of a
+body by lines, answered by one routine batched over the line directions
+(``_line_sections``).  Support oracles, sums with ball terms, and widths of
+other polytopes above that dimension, fall back to
 seeded multi-start direction sweeps, and a width found so carries an
 ``exact`` flag set to False.  The width sweep (``_width_sweep``) depends on
 the body alone and runs once per body, which keeps its result
@@ -382,13 +384,27 @@ def global_width(K) -> WidthResult:
     polytope in dimension at most MAX_VERTEX_DIM, and every product of
     them, whose C rows stack its factors'): C is origin-symmetric
     with w(K, u) = 2 h(C, u), so the minimal width is twice the least
-    b_i / |a_i| over its facets.  A flagged multi-start upper bound
-    otherwise, swept once per body (``swept_width``).
+    b_i / |a_i| over its facets.  Exact too for a ball, 2r, and for a
+    product whose factors all have exact widths: for unit u = (u_i),
+    w(K, u) = sum w(K_i, u_i) >= sum w_i |u_i| >= min w_i, which the least
+    factor width w_i attains in its factor's block.  A flagged multi-start
+    upper bound otherwise, swept once per body (``swept_width``).
     """
+    exact = _exact_width(K)
+    if exact is not None:
+        return exact
+    val, v = K.swept_width
+    return WidthResult(val, v.copy(), False)
+
+
+def _exact_width(K):
+    """``global_width`` on its exact routes, or None where it sweeps."""
     d = dim(K)
     if d == 1:
         w = width_dir(K, np.ones(1))
         return WidthResult(float(w), np.ones(1), True)
+    if isinstance(K, Ball):
+        return WidthResult(2.0 * K.radius, np.eye(d)[0], True)
     hs = K.symm_rows
     if hs is not None:
         A, b = hs
@@ -396,8 +412,15 @@ def global_width(K) -> WidthResult:
         vals = 2.0 * b / norms
         i = int(np.argmin(vals))
         return WidthResult(float(vals[i]), A[i] / norms[i], True)
-    val, v = K.swept_width
-    return WidthResult(val, v.copy(), False)
+    if not isinstance(K, Product):
+        return None
+    parts = [(_exact_width(f), block) for f, block in K.blocks]
+    if any(w is None for w, _ in parts):
+        return None
+    w, block = min(parts, key=lambda p: p[0].value)
+    u = np.zeros(d)
+    u[block] = w.direction
+    return WidthResult(w.value, u, True)
 
 
 def diameter(K) -> float:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .body import (Ball, BodyError, HPolytope, Product, Sum, SupportOracle,
-                   VPolytope, _hull, dim, homothety, validate)
+                   VPolytope, _hull, _readonly, _unique_rows, dim, homothety,
+                   validate)
 
 
 class SchemaError(BodyError):
@@ -32,7 +33,15 @@ def make_simplex(d):
 
 
 def make_box(low, high):
-    """Axis-aligned box [low_1, high_1] x ... as a halfspace system."""
+    """Axis-aligned box [low_1, high_1] x ... as a halfspace system.
+
+    Its cached ``chebyshev`` is preset from the bounds: the largest
+    inscribed ball has the centre (low + high)/2 and the radius
+    min(high - low)/2, so the box solves no Chebyshev LP.  Both are taken
+    from the halved bounds: the same bits as those formulas wherever the
+    sum and difference neither overflow nor fall to subnormals, and finite
+    for every finite box.
+    """
     low = np.atleast_1d(np.asarray(low, dtype=float))
     high = np.atleast_1d(np.asarray(high, dtype=float))
     if low.shape != high.shape:
@@ -41,7 +50,10 @@ def make_box(low, high):
         raise BodyError("box needs low < high in every coordinate")
     d = low.size
     A = np.vstack([np.eye(d), -np.eye(d)])
-    return HPolytope(A, np.concatenate([high, -low]))
+    K = HPolytope(A, np.concatenate([high, -low]))
+    lo, hi = low / 2.0, high / 2.0
+    K.__dict__["chebyshev"] = _readonly(lo + hi), np.min(hi - lo)
+    return K
 
 
 def make_ball(center, radius):
@@ -123,7 +135,7 @@ def random_polygon(n, seed, radius=1.0, center=(0.0, 0.0)):
         r = radius * np.sqrt(rng.uniform(size=n))
         th = rng.uniform(0.0, 2.0 * np.pi, size=n)
         P = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-        rows, W = _hull(np.unique(P, axis=0))
+        rows, W = _hull(_unique_rows(P))
         if rows is not None:
             return VPolytope(W + np.asarray(center, dtype=float))
     raise BodyError("failed to draw a nondegenerate polygon")

@@ -11,17 +11,18 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from minkgauge import (Ball, BodyError, HPolytope, Product, Sum, SupportOracle,
                        VPolytope, alpha, beta, contains, dim, global_width, homothety,
                        inscribed_ball, interior_point, lp, make_box,
                        make_weighted_l2_ball, max_chord, parse_body, support,
                        support_many, vertex_candidates, width_dir)
-from minkgauge.body import (Encoding, as_vector, encoding_feasible, halfspaces, lp_encoding,
-                            validate)
+from minkgauge.body import (MAX_VERTEX_DIM, VERTEX_TOL, Encoding, _hull, _unique_rows,
+                            as_vector, encoding_feasible, halfspaces, lp_encoding, validate)
 from minkgauge.geometry import central_symm, sphere_dirs
 
-from conftest import polygons, unit_dirs
+from conftest import polygons, polytopes, unit_dirs
 
 
 SQ = VPolytope(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]]))
@@ -397,25 +398,57 @@ def test_vpolytope_data_is_private_and_read_only():
 
 
 def test_validate_hpolytope_prepares_with_one_lp(lp_solves):
-    B = make_box(-np.ones(3), np.array([1.0, 2.0, 3.0]))
-    validate(B)
+    ang = np.pi / 3.0 * np.arange(6)
+    H = HPolytope(np.stack([np.cos(ang), np.sin(ang)], axis=1), np.ones(6))
+    validate(H)
     # the Chebyshev centre behind the prepared vertices, whose support gives
     # validate its extents; shared from then on
     assert len(lp_solves) == 1
     lp_solves.clear()
-    assert B.vertices.shape == (8, 3)
-    c, r = inscribed_ball(B)
-    npt.assert_allclose(interior_point(B), c)
+    assert H.vertices.shape == (6, 2)
+    c, r = inscribed_ball(H)
+    npt.assert_allclose(interior_point(H), c)
     assert r == pytest.approx(1.0, abs=1e-9)
     assert not lp_solves
 
 
-@pytest.mark.parametrize("d, counts", [(1, (1, 1, 1)), (2, (1, 1, 1)), (3, (1, 1, 1)),
-                                      (4, (1, 1, 1)), (5, (3, 3, 5))])
+def test_a_parsed_box_validates_and_prepares_with_no_lp(lp_solves):
+    B = parse_body({"kind": "box", "low": [-1.0, -1.0, -1.0], "high": [1.0, 2.0, 3.0]})
+    assert B.vertices.shape == (8, 3)
+    c, r = inscribed_ball(B)
+    assert np.array_equal(interior_point(B), c)
+    # the ball preset from the bounds, exact: the centre and the least half side
+    assert np.array_equal(c, [0.0, 0.5, 1.0]) and r == 1.0
+    assert not lp_solves
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_box_presets_a_largest_inscribed_ball(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 6))
+    lo = rng.uniform(-3.0, 1.0, d)
+    B = make_box(lo, lo + rng.uniform(1e-3, 4.0, d))
+    c, r = B.chebyshev
+    assert not c.flags.writeable
+    # the ball lies in the box and its radius is the LP's optimum
+    assert np.all(B.A @ c + r <= B.b + 1e-12 * np.abs(B.b))
+    assert r == pytest.approx(lp.chebyshev_center(B.A, B.b)[1], rel=1e-9, abs=1e-12)
+
+
+def test_a_box_preset_is_finite_up_to_the_float_range():
+    # the sum and difference of these bounds overflow; their halves do not
+    with np.errstate(over="raise"):
+        c, r = make_box([-1.7e308, 1e308], [1.7e308, 1.7e308]).chebyshev
+    assert np.array_equal(c, [0.0, 0.5e308 + 0.85e308]) and r == 0.85e308 - 0.5e308
+
+
+@pytest.mark.parametrize("d, counts", [(1, (0, 0, 0)), (2, (0, 0, 0)), (3, (0, 0, 0)),
+                                      (4, (0, 0, 0)), (5, (2, 2, 4))])
 def test_a_parsed_box_counts_the_lps_of_validation_and_one_query(d, counts, lp_solves):
-    # up to d = 4 the Chebyshev LP behind the vertices is the only LP: validate
-    # and the query read the vertices' support.  In d = 5 validate's extents
-    # take the stacked support LP, then the Chebyshev LP, then the query's own
+    # a box's Chebyshev ball is preset from its bounds, so up to d = 4 neither
+    # validate nor the query solves an LP: both read the vertices' support.
+    # In d = 5 validate's extents take the stacked support LP, then the query
+    # its own
     spec = {"kind": "box", "low": [-1.0] * d, "high": list(np.arange(1.0, d + 1.0))}
     queries = (lambda K: support(K, np.ones(d)), lambda K: alpha(K, np.full(d, 0.3)),
                lambda K: alpha(K, np.full(d, 5.0)))
@@ -799,3 +832,83 @@ def test_validate_rejects_a_zero_ball_and_crossed_oracle_radii():
     o = SupportOracle(lambda v: float(np.linalg.norm(v)), np.zeros(2), 2.0, 1.0)
     with pytest.raises(BodyError, match="oracle needs 0 < inner_radius <= outer_radius"):
         validate(o)
+
+
+# ---------------------------------------------------------------------------
+# the one row dedupe
+
+
+@st.composite
+def row_arrays(draw):
+    """(n, d) float arrays, d = 1..5, with duplicate rows injected and
+    entries drawn from any finite float or from a pool with both zeros."""
+    d = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=24))
+    entry = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 5e-324]) | st.floats(
+        allow_nan=False, allow_infinity=False)
+    X = np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                               min_size=n, max_size=n)), dtype=float)
+    dup = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=n))
+    X = np.vstack([X, X[dup]])
+    # a duplicate with its zeros negated equals its row as numbers
+    flip = draw(st.lists(st.integers(min_value=0, max_value=len(X) - 1), max_size=4))
+    X = np.vstack([X, np.where(X[flip] == 0.0, -X[flip], X[flip])])
+    return X[draw(st.permutations(range(len(X))))]
+
+
+def _bits(*arrays):
+    return [(a.shape, a.dtype, a.tobytes()) for a in arrays]
+
+
+@given(row_arrays())
+@settings(max_examples=300)
+def test_unique_rows_is_np_unique_bit_for_bit(X):
+    want = np.unique(X, axis=0, return_index=True)
+    assert _bits(*_unique_rows(X, return_index=True)) == _bits(*want)
+    assert _bits(_unique_rows(X)) == _bits(want[0])
+    assert _bits(*_unique_rows(X[:1], return_index=True)) == _bits(
+        *np.unique(X[:1], axis=0, return_index=True))
+
+
+def _np_unique_hull(V):
+    """``body._hull`` with every row dedupe done by ``np.unique``."""
+    d = V.shape[1]
+    if d == 1:
+        E = np.unique(V[[np.argmin(V), np.argmax(V)]], axis=0)
+        rows = np.array([[1.0], [-1.0]]), np.array([E[-1, 0], -E[0, 0]])
+        return (rows if len(E) == 2 else None), E
+    try:
+        H = ConvexHull(V)
+    except QhullError:
+        return None, np.unique(V, axis=0)
+    E = V[H.vertices]
+    if d > 2:
+        E = np.unique(E, axis=0)
+    Eq = H.equations
+    _, keep = np.unique(np.round(Eq, 10), axis=0, return_index=True)
+    Eq = Eq[np.sort(keep)]
+    A, b = Eq[:, :-1], -Eq[:, -1]
+    if d >= 5:
+        T = (np.abs(E @ A.T - b) <= VERTEX_TOL * max(1.0, float(np.max(np.abs(E))))).astype(float)
+        C = T @ T.T
+        n = np.diag(C)
+        E = E[~np.any((C == n[:, None]) & (n[None, :] > n[:, None]), axis=1)]
+    return ((A, b) if d <= MAX_VERTEX_DIM else None), E
+
+
+@given(polytopes(d_min=1, d_max=5))
+@settings(max_examples=120)
+def test_hull_matches_the_np_unique_reference(K):
+    # a vertex body's candidates, an H-polytope's polar points about its
+    # Chebyshev centre: the two inputs the package hulls
+    if isinstance(K, HPolytope):
+        c = K.chebyshev[0]
+        V = K.A / (K.b - K.A @ c)[:, None]
+    else:
+        V = vertex_candidates(K)
+    rows, E = _hull(V)
+    want_rows, want_E = _np_unique_hull(V)
+    assert _bits(E) == _bits(want_E)
+    assert (rows is None) == (want_rows is None)
+    if rows is not None:
+        assert _bits(*rows) == _bits(*want_rows)

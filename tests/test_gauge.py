@@ -230,14 +230,14 @@ def test_alpha_inf_of_a_product_with_a_ball_counts_its_lps(lp_solves):
                  make_sobczyk_prism()))
     lp_solves.clear()
     rep = alpha_inf(K)
-    # the box: its vertices' Chebyshev LP and its symmetry LP; the prism: its
-    # symmetry LP on its merged rows; the dimension: one critical-set LP per
-    # factor with rows (box, prism), centred at their cached minimisers.  The
-    # prism's critical body is the erosion of its merged rows, so its own
-    # factors solve nothing; no factor's critical-set LP at its own
-    # alpha_inf is solved, and no Chebyshev LP tests an erosion that holds
-    # its factor's minimiser
-    assert len(lp_solves) == 5
+    # the box: its symmetry LP (its vertices' Chebyshev ball is preset from
+    # its bounds); the prism: its symmetry LP on its merged rows; the
+    # dimension: one critical-set LP per factor with rows (box, prism),
+    # centred at their cached minimisers.  The prism's critical body is the
+    # erosion of its merged rows, so its own factors solve nothing; no
+    # factor's critical-set LP at its own alpha_inf is solved, and no
+    # Chebyshev LP tests an erosion that holds its factor's minimiser
+    assert len(lp_solves) == 4
     npt.assert_allclose(rep.alpha_inf, 1.0 / 3.0, atol=1e-9)
     # the box and the ball are full at lam = 1/3, the prism a segment
     assert rep.critical_dim_estimate == 3 + 1 + 1

@@ -411,6 +411,47 @@ def test_product_above_max_vertex_dim_has_an_exact_width():
     assert width_dir(K, w.direction) == pytest.approx(w.value, abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_ball_width_is_its_diameter_with_no_sweep(d):
+    K = Ball(np.linspace(-1.0, 1.0, d), 0.5)
+    w = global_width(K)
+    assert w.exact and w.value == 1.0
+    assert width_dir(K, w.direction) == 1.0
+    assert "swept_width" not in K.__dict__
+
+
+def _sampled_width(K, n=4000, seed=5):
+    return float(np.min([width_dir(K, u) for u in sphere_dirs(dim(K), n, seed)]))
+
+
+@pytest.mark.parametrize("ball_dim", [1, 2])
+def test_product_with_a_ball_factor_has_the_least_factor_width(ball_dim):
+    # hexagon x B(0, 1/2): the factor widths are sqrt(3) and 1, the least is
+    # taken in the ball's block, and no direction gives less
+    hexagon = make_regular_polygon(6)
+    K = Product((hexagon, Ball(np.zeros(ball_dim), 0.5)))
+    w = global_width(K)
+    assert w.exact and w.value == 1.0
+    assert np.all(w.direction[:2] == 0.0) and np.linalg.norm(w.direction) == 1.0
+    assert width_dir(K, w.direction) == pytest.approx(1.0, abs=1e-15)
+    assert "swept_width" not in K.__dict__
+    assert _sampled_width(K) >= 1.0 - 1e-12
+    # the hexagon's width is the least once the ball is wide enough
+    L = Product((Ball(np.zeros(ball_dim), 2.0), hexagon))
+    w = global_width(L)
+    assert w.exact and w.value == pytest.approx(np.sqrt(3.0), rel=1e-15)
+    assert np.all(w.direction[:ball_dim] == 0.0)
+    assert width_dir(L, w.direction) == pytest.approx(w.value, rel=1e-15)
+
+
+def test_product_with_an_oracle_factor_keeps_the_sweep():
+    oracle, counts = counted_oracle(2)
+    K = Product((oracle, Ball(np.zeros(1), 0.5)))
+    w = global_width(K)
+    assert not w.exact and counts["h_many"] > 0
+    assert K.swept_width[0] == w.value
+
+
 def test_central_symm_of_a_product_is_the_product_of_its_factors_c():
     factors = (make_regular_polygon(5), VPolytope(np.array([[0.0], [2.0]])))
     K = Product(factors)

@@ -106,6 +106,21 @@ def test_one_qhull_entry_and_one_reader_of_the_vertex_gate():
     assert readers == {"body.py"}
 
 
+def test_one_row_dedupe():
+    # ``body._unique_rows`` is the one dedupe of rows: no ``unique`` call in
+    # the package names an axis, the structured-dtype sort of np.unique
+    found = []
+    for path in sorted((ROOT / "src" / "minkgauge").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "unique" and (len(node.args) >= 5
+                                     or any(k.arg == "axis" for k in node.keywords)):
+                found.append((path.name, node.lineno))
+    assert found == []
+
+
 def test_only_body_reads_an_encodings_rows():
     # every LP over copies of K (``copies_lp``) and every chord LP
     # (``section_lp``) is posed in ``body``; the gauge couples copies
