@@ -42,6 +42,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -57,11 +58,24 @@ class BodyError(ValueError):
     """Invalid or degenerate body description."""
 
 
+_F64 = np.dtype(np.float64)
+
+
 def as_vector(x, d=None):
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1:
-        raise BodyError(f"expected a flat vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    """x as a finite 1-d float array of dimension d (any, without d).
+
+    A 1-d float64 ndarray is returned as it is, the object that
+    ``np.asarray`` would return, and checked with one ``isfinite``; other
+    input is converted first.  Raises BodyError for other shapes,
+    non-finite entries and a dimension other than d.
+    """
+    if type(x) is np.ndarray and x.ndim == 1 and x.dtype == _F64:
+        v = x
+    else:
+        v = np.atleast_1d(np.asarray(x, dtype=float))
+        if v.ndim != 1:
+            raise BodyError(f"expected a flat vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
         raise BodyError("vector contains non-finite entries")
     if d is not None and v.size != d:
         raise BodyError(f"vector has dimension {v.size}, expected {d}")
@@ -120,20 +134,24 @@ class _Prepared:
     ``profile``; ``geometry.central_symm`` returns ``symm_body`` (for a
     product, the product of its factors' ``symm_body``), whose rows the
     gauge outside K, ``ratios.rho``, level membership above 1, widths and
-    maximal chords read (``symm_rows``, ``symm_profile``); ``alpha_inf``
-    and the emptiness rule of ``gauge.level_set`` read ``symmetry``, and
-    ``alpha_inf`` its critical set too (``critical``), so a reused body
-    solves no LP for it.  Those two keep their cache here and take their
+    maximal chords read (``symm_rows``, ``symm_profile``).  Rows come as
+    ``Rows`` and profiles as ``Profile``, which keep the row constants that
+    every per-point query would otherwise rebuild: the widths hplus + hminus
+    that divide t, the relaxations max(|a_i|, 1) of the membership tests,
+    and C's row norms, which the chord exit and the exact width read.
+    ``alpha_inf`` and the emptiness rule of ``gauge.level_set`` read
+    ``symmetry``, and ``alpha_inf`` its critical set too (``critical``), so
+    a reused body solves no LP for it.  Those two keep their cache here and take their
     builders from ``gauge`` on first read, the module of alpha_inf.
-    Where a width has no exact route (support oracles, sums with ball
-    terms, products with such a factor, and bodies above MAX_VERTEX_DIM but
-    products of lower polytopes),
-    ``global_width`` (and so ``bernstein_bound``) reads the direction sweep
-    ``swept_width``, so a reused body runs it once.  Every reader of a finite
-    point set for K reads ``extreme``: C of a body other than a product, the
-    LPs, the level body above 1, ``centroid``, ``diameter`` and the planar
-    routes; the far radius, chord directions and Chebyshev samples through
-    ``hull_points``.  A vertex body gets its rows and extreme points from one
+    ``global_width`` (and so ``bernstein_bound``) reads the exact width
+    (``exact_width``) and, where a width has no exact route (support
+    oracles, sums with ball terms, products with such a factor, and bodies
+    above MAX_VERTEX_DIM but products of lower polytopes), the direction
+    sweep ``swept_width``, so a reused body finds its width once.  Every
+    reader of a finite point set for K reads ``extreme``: C of a body other
+    than a product, the LPs, the level body above 1, ``centroid``,
+    ``diameter`` and the planar routes; the far radius, chord directions
+    and Chebyshev samples through ``hull_points``.  A vertex body gets its rows and extreme points from one
     ``_hull`` of its candidates (``_candidate_hull``), preset by
     ``_hull_body``.
     """
@@ -145,12 +163,12 @@ class _Prepared:
 
     @cached_property
     def facet_rows(self):
-        """Read-only facet rows (A, b), or None; ``halfspaces`` returns them."""
+        """Facet rows (A, b) as ``Rows``, or None; ``halfspaces`` returns them."""
         return _facet_rows(self)
 
     @cached_property
     def profile(self):
-        """Read-only (A, hplus, hminus) of ``gauge.facet_profile``, or None."""
+        """(A, hplus, hminus) of ``gauge.facet_profile`` as a ``Profile``, or None."""
         return _facet_profile(self)
 
     @cached_property
@@ -160,7 +178,7 @@ class _Prepared:
 
     @cached_property
     def symm_rows(self):
-        """C's facet rows (A, b), those of ``symm_body``, or None."""
+        """C's facet rows (A, b), those of ``symm_body`` with their norms, or None."""
         return self.symm_body.facet_rows
 
     @cached_property
@@ -197,6 +215,13 @@ class _Prepared:
         return _width_sweep(self)
 
     @cached_property
+    def exact_width(self):
+        """(least width, read-only unit direction) on ``geometry.global_width``'s
+        exact routes, or None where it sweeps (``geometry._exact_width``)."""
+        from .geometry import _exact_width
+        return _exact_width(self)
+
+    @cached_property
     def _candidate_hull(self):
         """(facet rows, read-only extreme points) of ``_hull`` of a vertex
         body's candidates, or None without candidates."""
@@ -211,6 +236,56 @@ def _readonly(*arrays):
     for a in arrays:
         a.setflags(write=False)
     return arrays if len(arrays) > 1 else arrays[0]
+
+
+def _unit(a):
+    """a / |a| for a 1-d array, the bits of ``a / np.linalg.norm(a)`` at a
+    third of its cost: that norm is sqrt(a . a) over a raveled a, and a dot
+    over a strided a can round differently."""
+    a = a.ravel()
+    return a / math.sqrt(a.dot(a))
+
+
+class _RowData(tuple):
+    """A tuple of read-only arrays whose subclasses keep the per-body
+    constants derived from them: each a cached property, built on its
+    first read, read-only."""
+
+    def __new__(cls, *arrays):
+        return super().__new__(cls, _readonly(*arrays))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+
+class Rows(_RowData):
+    """Facet rows (A, b), as ``halfspaces`` returns them, with the row
+    constants that the per-point queries read: ``norms``, the row norms of
+    ``np.linalg.norm(A, axis=1)``, which the chord exit and the exact width
+    read on C's rows, and ``relax``, max(|a_i|, 1), of ``contains``."""
+
+    @cached_property
+    def norms(self):
+        return _readonly(np.linalg.norm(self[0], axis=1))
+
+    @cached_property
+    def relax(self):
+        return _readonly(np.maximum(self.norms, 1.0))
+
+
+class Profile(_RowData):
+    """A facet profile (A, hplus, hminus), as ``gauge.facet_profile`` returns
+    it, with the row constants that the per-point queries read: ``w``, the
+    widths hplus + hminus that divide every t, and ``relax``,
+    max(|a_i|, 1), of ``ratios.beta``'s membership test."""
+
+    @cached_property
+    def w(self):
+        return _readonly(self[1] + self[2])
+
+    @cached_property
+    def relax(self):
+        return _readonly(np.maximum(np.linalg.norm(self[0], axis=1), 1.0))
 
 
 # Polytopes above this dimension keep the LP routes: the vertex count of an
@@ -398,7 +473,9 @@ def homothety(K, s, z=None):
     """The image s K + z of K under x -> s x + z, as a body of K's kind.
 
     ``s`` is a nonzero scalar (s = -1 is the point reflection) and ``z`` an
-    optional offset.  Polytopes and balls map their data; a support oracle
+    optional offset.  Polytopes and balls map their data, and an H-polytope
+    whose Chebyshev ball is cached (a box's is preset) maps that ball too,
+    so its image solves no Chebyshev LP; a support oracle
     gets h'(v) = h(s v) + <z, v>; a sum maps every term and moves the first
     by z; a product maps each factor with its own block of z.
     """
@@ -411,7 +488,12 @@ def homothety(K, s, z=None):
         return VPolytope(s * K.vertices + z)
     if isinstance(K, HPolytope):
         A = np.sign(s) * K.A
-        return HPolytope(A, abs(s) * K.b + A @ z)
+        image = HPolytope(A, abs(s) * K.b + A @ z)
+        if "chebyshev" in K.__dict__:
+            # the image of the largest inscribed ball is the image's
+            c, r = K.chebyshev
+            image.__dict__["chebyshev"] = _readonly(s * c + z), abs(s) * r
+        return image
     if isinstance(K, Ball):
         return Ball(s * K.center + z, abs(s) * K.radius)
     if isinstance(K, SupportOracle):
@@ -542,8 +624,8 @@ def _hull(V):
     d = V.shape[1]
     if d == 1:
         E = _unique_rows(V[[np.argmin(V), np.argmax(V)]])
-        rows = np.array([[1.0], [-1.0]]), np.array([E[-1, 0], -E[0, 0]])
-        return (_readonly(*rows) if len(E) == 2 else None), E
+        return (Rows(np.array([[1.0], [-1.0]]), np.array([E[-1, 0], -E[0, 0]]))
+                if len(E) == 2 else None), E
     try:
         H = ConvexHull(V)
     except QhullError:
@@ -565,7 +647,7 @@ def _hull(V):
         C = T @ T.T
         n = np.diag(C)
         E = E[~np.any((C == n[:, None]) & (n[None, :] > n[:, None]), axis=1)]
-    return (_readonly(A, b) if d <= MAX_VERTEX_DIM else None), E
+    return (Rows(A, b) if d <= MAX_VERTEX_DIM else None), E
 
 
 def _hull_body(P):
@@ -632,13 +714,13 @@ def halfspaces(K):
 
 def _facet_rows(K):
     if isinstance(K, HPolytope):
-        return K.A, K.b
+        return Rows(K.A, K.b)
     if isinstance(K, Product):
         parts = [f.facet_rows for f in K.factors]
         if any(p is None for p in parts):
             return None
         As, bs = zip(*parts)
-        return _readonly(_block_diag(As), np.concatenate(bs))
+        return Rows(_block_diag(As), np.concatenate(bs))
     if not isinstance(K, (VPolytope, Sum)) or dim(K) > MAX_VERTEX_DIM:
         return None
     hull = K._candidate_hull
@@ -683,13 +765,13 @@ def _row_profile(K, A):
     """(A, hplus, hminus): the support values of K in the rows of A and in
     their negations, from one batched evaluation."""
     H = _support_rows(K, np.vstack([A, -A]))
-    return _readonly(A, H[:len(A)], H[len(A):])
+    return Profile(A, H[:len(A)], H[len(A):])
 
 
 def _facet_profile(K):
     if dim(K) == 1:
         (lo,), (hi,) = K.extreme
-        return _readonly(np.array([[1.0], [-1.0]]), np.array([hi, -lo]), np.array([-lo, hi]))
+        return Profile(np.array([[1.0], [-1.0]]), np.array([hi, -lo]), np.array([-lo, hi]))
     rows = K.facet_rows
     return None if rows is None else _row_profile(K, rows[0])
 
@@ -863,9 +945,11 @@ def section_lp(e, x, D):
 MEMBERSHIP_TOL = 1e-9
 
 
-def rows_contain(A, b, x, tol=MEMBERSHIP_TOL):
-    """Membership of x in {y : A y <= b}, each row relaxed by tol max(|a_i|, 1)."""
-    return bool(np.all(A @ x <= b + tol * np.maximum(np.linalg.norm(A, axis=1), 1.0)))
+def rows_contain(rows, x, tol=MEMBERSHIP_TOL):
+    """Membership of x in {y : A y <= b} for ``Rows`` (A, b), each row relaxed
+    by tol max(|a_i|, 1), the rows' cached ``relax``."""
+    A, b = rows
+    return bool((A @ x <= b + tol * rows.relax).all())
 
 
 def contains(K, x, tol=MEMBERSHIP_TOL):
@@ -881,7 +965,7 @@ def contains(K, x, tol=MEMBERSHIP_TOL):
         return all(contains(f, x[sl], tol) for f, sl in K.blocks)
     hs = halfspaces(K)
     if hs is not None:
-        return rows_contain(*hs, x, tol)
+        return rows_contain(hs, x, tol)
     e = lp_encoding(K)
     if e is not None:
         return lp.feasible(A_ub=e.A_ub, b_ub=e.b_ub, A_eq=np.vstack([e.A_eq, e.P]),

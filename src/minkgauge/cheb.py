@@ -22,18 +22,22 @@ import numpy as np
 
 from .body import BodyError, _keep, as_vector, dim, hull_points, inscribed_ball
 from .gauge import alpha
-from .geometry import _max_chord, _support_pm, global_width
+from .geometry import _exit_row, _max_chord, _pow2_scaled, _support_pm, global_width
 
 def cheb_T(n, x):
     """T_n(x) by the stable branch for the argument's region.
 
-    Elementwise over an array argument, a float for a scalar one.
+    Elementwise over an array argument, a float for a scalar one.  A degree
+    past float range gives +-inf at |x| > 1 and raises at |x| <= 1
+    (``_past_float_range``).
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
     t = np.asarray(x, dtype=float)
     if n == 0:
         out = np.ones_like(t)
+    elif _as_float(n) == np.inf:
+        out = _past_float_range(n, t, 0)
     else:
         s = np.sqrt(np.maximum(t * t - 1.0, 0.0))
         with np.errstate(over="ignore"):
@@ -43,12 +47,15 @@ def cheb_T(n, x):
 
 
 def cheb_T_prime(n, x):
-    """Derivative of T_n, stable in both regions; inf beyond float range."""
+    """Derivative of T_n, stable in both regions; inf beyond float range,
+    and for a degree past float range as ``cheb_T``."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     x = float(x)
     if n == 0:
         return 0.0
+    if _as_float(n) == np.inf:
+        return float(_past_float_range(n, np.asarray(x), 1))
     if abs(x) <= 1.0:
         th = np.arccos(x)
         sn = np.sin(th)
@@ -58,6 +65,19 @@ def cheb_T_prime(n, x):
     s = np.sqrt(x * x - 1.0)
     with np.errstate(over="ignore"):
         return float(n * ((x + s) ** n - (x - s) ** n) / (2.0 * s))
+
+
+def _past_float_range(n, t, k):
+    """T_n (k = 0) or T_n' (k = 1) at t for an int degree n past float
+    range: inf at t > 1, and (-1)^(n - k) inf at t < -1, the sign of the
+    value there; NaN stays NaN.  Raises ValueError naming n where some
+    |t| <= 1, since cos(n theta) there needs n mod 2 pi, which no float
+    degree holds."""
+    if np.any(np.abs(t) <= 1.0):
+        raise ValueError(f"T_n and T_n' at |t| <= 1 are not computed for the degree "
+                         f"n = {n}, past float range")
+    low = -np.inf if (n - k) % 2 else np.inf
+    return np.where(t > 1.0, np.inf, np.where(t < -1.0, low, np.nan))
 
 
 def _layer_coordinate(K, v):
@@ -209,9 +229,12 @@ def leading_growth(K, v, n):
     v = as_vector(v, dim(K))
     if not np.any(v):
         raise BodyError("direction must be nonzero")
-    tau, wdir = _max_chord(K, v)
+    tau = _max_chord(K, v)
     with np.errstate(over="ignore", divide="ignore"):
         value = 0.5 * (4.0 / np.float64(tau)) ** _as_float(n)
+    # the row that stops the ray at v as the chord clip scales it
+    hs = K.symm_rows
+    wdir = None if hs is None else _exit_row(hs, _pow2_scaled(v)[0])
     P = None if wdir is None else extremal_polynomial(K, wdir, n)
     return LeadingGrowthReport(n, float(value), float(tau), wdir, P)
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import lp
 from .body import (Ball, BodyError, HPolytope, Product, SupportOracle, VPolytope,
-                   _hull_body, _readonly, _unique_rows, as_vector, copies_lp, dim,
+                   _hull_body, _readonly, _unique_rows, _unit, as_vector, copies_lp, dim,
                    lp_encoding, vertex_candidates)
 from .geometry import _multistart_sphere, _support_pm, sphere_dirs
 
@@ -134,24 +134,32 @@ def facet_profile(K):
     one), and hplus/hminus are the support values in the row directions
     and their negations, so each row is supporting.  None when K has no
     rows.  Built on the first call and cached on the body (``profile``),
-    read-only.
+    read-only, as a ``body.Profile``: it unpacks to the three arrays and
+    keeps the widths hplus + hminus (``w``) and the membership relaxations
+    max(|a_i|, 1) (``relax``), built on their first read, so a reused body's
+    per-point queries rebuild neither.
     """
     return K.profile
 
 
 def _t_values(profile, x):
+    """t at x for every row of a ``Profile``, over its cached widths: the
+    same bits as dividing by hplus + hminus on every call."""
     A, hp, hm = profile
-    return (2.0 * (A @ x) - hp + hm) / (hp + hm)
+    return (2.0 * (A @ x) - hp + hm) / profile.w
 
 
 def _facet_max(profile, x):
     """The largest |t| over the profile's rows, with the signed unit row that
     attains it."""
     tv = _t_values(profile, x)
-    i = int(np.argmax(np.abs(tv)))
-    A = profile[0]
-    w = A[i] * np.sign(tv[i]) if tv[i] != 0 else A[i]
-    return float(abs(tv[i])), w / np.linalg.norm(w)
+    i = int(np.abs(tv).argmax())
+    t, row = tv[i], profile[0][i]
+    if t < 0.0:
+        row = -row
+    elif t != t:                # NaN where A @ x overflows: a NaN witness
+        row = row * t
+    return float(abs(t)), _unit(row)
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +210,11 @@ def _level_membership(K, x, lam):
     if lam <= 1.0:
         profile = facet_profile(K)
         if profile is not None:
-            return bool(np.max(_t_values(profile, x)) <= lam + T_MEMBER_TOL)
+            return bool(_t_values(profile, x).max() <= lam + T_MEMBER_TOL)
     else:
         profile = K.symm_profile
         if profile is not None:
-            return _facet_max(profile, x)[0] <= lam + T_MEMBER_TOL
+            return bool(np.abs(_t_values(profile, x)).max() <= lam + T_MEMBER_TOL)
     return _level_lp(K, x, lam + T_MEMBER_TOL, lam + T_MEMBER_TOL)[0].optimal
 
 

@@ -45,8 +45,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lp
-from .body import (Ball, BodyError, Product, as_vector, contains, dim, halfspaces,
-                   hull_points, lp_encoding, section_lp, sphere_dirs, support_many)
+from .body import (Ball, BodyError, Product, _readonly, _unit, as_vector, contains, dim,
+                   halfspaces, hull_points, lp_encoding, section_lp, sphere_dirs,
+                   support_many)
 
 # absolute forward-difference step of the direction search (scipy's default
 # for finite-difference gradients)
@@ -292,25 +293,30 @@ def _clip_sections(A, b, x, D):
     return np.where(miss, np.nan, lo), np.where(miss, np.nan, hi)
 
 
-def _row_exit(A, b, v):
-    """Where the ray {t v} leaves {y : A y <= b} with b > 0, and the unit
-    row that stops it.
+def _row_exit(rows, v):
+    """Where the ray {t v} leaves {y : A y <= b} with b > 0, for ``Rows``.
 
     ``_clip_sections`` for the one line through the origin, upper end only:
-    the origin is inside, so the line never misses and b - A 0 = b.  Kept
-    apart from it on purpose: a prototype that called ``_clip_sections`` for
-    this ray cut polytope_lp's throughput from 29.5-30.0k to 23.8-26.2k
-    queries/s and raised its p90 latency from 0.061 to 0.088-0.093 ms
-    (paired 8 s runs of ``perfbench``, shared 2-core x86_64 host).
+    the origin is inside, so the line never misses and b - A 0 = b.  The
+    products, norms and parallel test are taken as ``_clip_sections`` takes
+    them, to the bit: the row norms are the rows' cached ``norms``, v's
+    norm is its one-row norm, a sum of squares, and a row counts where
+    <a_i, v> exceeds 1e-12 |v| |a_i|, which is "not parallel and
+    positive".  Kept apart from ``_clip_sections`` on purpose: for a
+    reused body it costs the product of v with the rows and a few array
+    operations, no norm of C's rows (per-query timings in BENCH_32.json).
     """
+    A, b = rows
     den = (v[None, :] @ A.T)[0]
-    # norms and products taken as _clip_sections takes them, to the bit
-    nv = np.linalg.norm(v[None, :], axis=1)[0]
-    par = np.abs(den) <= 1e-12 * (nv * np.linalg.norm(A, axis=1))
-    with np.errstate(divide="ignore"):
-        hi = np.where(~par & (den > 0.0), b / den, np.inf).min()
-    i = int(np.argmax(den / b))
-    return float(hi), A[i] / np.linalg.norm(A[i])
+    ok = den > 1e-12 * (math.sqrt((v * v).sum()) * rows.norms)
+    return float((b[ok] / den[ok]).min(initial=np.inf))
+
+
+def _exit_row(rows, v):
+    """The unit row of ``Rows`` (A, b) that stops the ray {t v}, the one
+    with the largest <a_i, v> / b_i (the first on ties)."""
+    A, b = rows
+    return _unit(A[int(((v[None, :] @ A.T)[0] / b).argmax())])
 
 
 def max_chord(K, v) -> float:
@@ -325,38 +331,42 @@ def max_chord(K, v) -> float:
     direction sweep.
     """
     v = as_vector(v, dim(K))
-    if not np.any(v):
+    if not v.any():
         raise ValueError("direction must be nonzero")
-    return _max_chord(K, v)[0]
+    return _max_chord(K, v)
+
+
+def _pow2_scaled(v):
+    """(2^-e v, e) for the power of two that puts max |v_i| in [1/2, 1): an
+    exact scaling, so no length of v underflows, overflows or meets an
+    absolute tolerance."""
+    e = math.frexp(max(map(abs, v.tolist())))[1]
+    return np.ldexp(v, -e), e
 
 
 def _max_chord(K, v):
-    """(tau(K, v), the unit facet row of C that sets it or None), from one C.
+    """tau(K, v) from one C.
 
-    The row clip, the ball quadratic and the section LP see v scaled by the
-    power of two 2^-e that puts max |v_i| in [1/2, 1), and tau(K, v) =
-    2^-e tau(K, 2^-e v) after; the scaling is exact, so no length of v
-    underflows, overflows or meets the LP's absolute tolerances.  The
-    oracle sweep keeps the v it is given.
+    The row clip, the ball quadratic and the section LP see v scaled by a
+    power of two (``_pow2_scaled``), and tau(K, v) = 2^-e tau(K, 2^-e v)
+    after.  The oracle sweep keeps the v it is given.
     """
     hs = K.symm_rows
     if hs is None and isinstance(K, Product):
         # the least chord over the factors that v moves, inf if it moves none
         return float(min([np.inf] + [max_chord(f, v[sl]) for f, sl in K.blocks
-                                     if np.any(v[sl])])), None
-    e = math.frexp(max(map(abs, v.tolist())))[1]
-    u = np.ldexp(v, -e)
+                                     if np.any(v[sl])]))
+    u, e = _pow2_scaled(v)
     if hs is not None:
-        hi, row = _row_exit(*hs, u)
-        return float(np.ldexp(2.0 * hi, -e)), row
+        return float(np.ldexp(2.0 * _row_exit(hs, u), -e))
     try:
         hi = _line_sections(central_symm(K), np.zeros(u.size), u[None, :])[1][0]
     except BodyError:           # no encoding: support oracles, sums with ball terms
-        return _swept_chord(K, v), None
+        return _swept_chord(K, v)
     if np.isnan(hi):
         raise lp.NumericalError("chord LP ended without a section")
     # a chord is never negative: a flat body's section LP can end at -0.0
-    return float(np.ldexp(2.0 * max(0.0, hi), -e)), None
+    return float(np.ldexp(2.0 * max(0.0, hi), -e))
 
 
 def _swept_chord(K, v):
@@ -388,39 +398,39 @@ def global_width(K) -> WidthResult:
     product whose factors all have exact widths: for unit u = (u_i),
     w(K, u) = sum w(K_i, u_i) >= sum w_i |u_i| >= min w_i, which the least
     factor width w_i attains in its factor's block.  A flagged multi-start
-    upper bound otherwise, swept once per body (``swept_width``).
+    upper bound otherwise, swept once per body (``swept_width``).  The
+    exact width is kept per body too (``exact_width``), so a reused body
+    reads both from its cache.
     """
-    exact = _exact_width(K)
-    if exact is not None:
-        return exact
-    val, v = K.swept_width
-    return WidthResult(val, v.copy(), False)
+    exact = K.exact_width
+    val, v = exact if exact is not None else K.swept_width
+    return WidthResult(val, v.copy(), exact is not None)
 
 
 def _exact_width(K):
-    """``global_width`` on its exact routes, or None where it sweeps."""
+    """(least width, read-only unit direction) on ``global_width``'s exact
+    routes, or None where it sweeps; the body keeps it (``exact_width``).
+    C's rows give twice the least b_i / |a_i| over their cached norms, and
+    a product the least of its factors' kept widths."""
     d = dim(K)
     if d == 1:
-        w = width_dir(K, np.ones(1))
-        return WidthResult(float(w), np.ones(1), True)
+        return width_dir(K, np.ones(1)), _readonly(np.ones(1))
     if isinstance(K, Ball):
-        return WidthResult(2.0 * K.radius, np.eye(d)[0], True)
+        return 2.0 * K.radius, _readonly(np.eye(d)[0])
     hs = K.symm_rows
     if hs is not None:
-        A, b = hs
-        norms = np.linalg.norm(A, axis=1)
-        vals = 2.0 * b / norms
+        vals = 2.0 * hs[1] / hs.norms
         i = int(np.argmin(vals))
-        return WidthResult(float(vals[i]), A[i] / norms[i], True)
+        return float(vals[i]), _readonly(hs[0][i] / hs.norms[i])
     if not isinstance(K, Product):
         return None
-    parts = [(_exact_width(f), block) for f, block in K.blocks]
+    parts = [(f.exact_width, block) for f, block in K.blocks]
     if any(w is None for w, _ in parts):
         return None
-    w, block = min(parts, key=lambda p: p[0].value)
+    (w, v), block = min(parts, key=lambda p: p[0][0])
     u = np.zeros(d)
-    u[block] = w.direction
-    return WidthResult(w.value, u, True)
+    u[block] = v
+    return w, _readonly(u)
 
 
 def diameter(K) -> float:
@@ -576,7 +586,7 @@ def chord_witness_dir(K, v):
     other than products of lower factors).
     """
     v = as_vector(v, dim(K))
-    if not np.any(v):
+    if not v.any():
         raise ValueError("direction must be nonzero")
     hs = K.symm_rows
-    return None if hs is None else _row_exit(*hs, v)[1]
+    return None if hs is None else _exit_row(hs, v)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .body import (Ball, BodyError, Product, SupportOracle, as_vector, contains, dim,
-                   halfspaces, hull_points, rows_contain)
+                   halfspaces, hull_points)
 from .gauge import _level_lp, _t_values, alpha, facet_profile, t_many
 from .geometry import _line_sections, _support_pm, sphere_dirs
 from .lp import LPStatus, NumericalError
@@ -111,26 +111,29 @@ def beta(K, x):
             raise NumericalError(f"beta LP ended with status {res.status.value}")
         return (1.0 - res.value) / (1.0 + res.value)
     # membership on the tight rows, with the slack of contains(K, x, tol=1e-7)
-    A, hp, _ = prof
-    if not rows_contain(A, hp, x, tol=1e-7):
+    A, hp, hm = prof
+    Ax = A @ x
+    if not (Ax <= hp + 1e-7 * prof.relax).all():
         raise BodyError("beta is defined for x in K")
-    return _beta_rows(*prof, x)
+    return _beta_rows(Ax, hp, hm)
 
 
-def _beta_rows(A, hp, hm, x):
-    num = hp - A @ x
-    den = A @ x + hm
+def _beta_rows(Ax, hp, hm):
+    """min over the rows of (hplus - <a, x>)_+ / (<a, x> + hminus), capped at
+    1, from the products Ax = A @ x."""
+    num = hp - Ax
+    den = Ax + hm
     # den > 0 for interior x; boundary rows force the minimum to 0 anyway
     ok = den > 1e-12
-    if not np.any(ok):
+    if not ok.any():
         raise NumericalError("degenerate reflected-containment system")
-    return min(float(np.min(np.maximum(num[ok], 0.0) / den[ok])), 1.0)
+    return min(float((np.maximum(num[ok], 0.0) / den[ok]).min()), 1.0)
 
 
 def _beta_sampled(K, x, n_dirs=2048, seed=7):
     d = dim(K)
     dirs = sphere_dirs(d, n_dirs, seed)
-    return _beta_rows(dirs, *_support_pm(K, dirs), x)
+    return _beta_rows(dirs @ x, *_support_pm(K, dirs))
 
 
 def rho(K, x):
@@ -157,7 +160,7 @@ def rho(K, x):
         return (delta - K.radius) / (delta + K.radius)
     profile = K.symm_profile
     if profile is not None:
-        s = float(np.max(_t_values(profile, x)))
+        s = float(_t_values(profile, x).max())
         t = max(0.0, (s - 1.0) / (s + 1.0))
     else:
         try:

@@ -156,6 +156,20 @@ def lp_solves(monkeypatch):
 
 
 @pytest.fixture
+def norm_calls(monkeypatch):
+    """List that grows by one entry per ``np.linalg.norm`` call anywhere,
+    the entry being the shape of its argument."""
+    calls = []
+    norm = np.linalg.norm
+
+    def counted(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return norm(x, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    return calls
+
+
+@pytest.fixture
 def qhull_calls(monkeypatch):
     """List that grows by one entry per Qhull hull that ``minkgauge.body``
     builds (extreme points, facet rows, planar hulls, and the polar hull

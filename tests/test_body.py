@@ -435,6 +435,37 @@ def test_a_box_presets_a_largest_inscribed_ball(seed):
     assert r == pytest.approx(lp.chebyshev_center(B.A, B.b)[1], rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("wrap", [
+    {"kind": "scaled", "factor": 2.5},
+    {"kind": "translated", "offset": [0.5, -1.0, 2.0]},
+    {"kind": "reflected"},
+])
+def test_a_box_image_keeps_its_chebyshev_ball(wrap, lp_solves):
+    # homothety maps a cached Chebyshev ball to the image's: s c + z, |s| r
+    box = {"kind": "box", "low": [-1.0, -1.0, -1.0], "high": [1.0, 2.0, 3.0]}
+    K = parse_body(dict(wrap, body=box))
+    validate(K)
+    assert not lp_solves
+    c, r = K.chebyshev
+    assert not c.flags.writeable
+    s = {"scaled": 2.5, "reflected": -1.0}.get(wrap["kind"], 1.0)
+    z = np.array(wrap.get("offset", np.zeros(3)))
+    assert np.array_equal(c, s * np.array([0.0, 0.5, 1.0]) + z) and r == abs(s) * 1.0
+    # it is the largest inscribed ball of the image, the LP's optimum
+    assert r == pytest.approx(lp.chebyshev_center(K.A, K.b)[1], rel=1e-9)
+
+
+def test_homothety_maps_only_a_cached_chebyshev_ball(lp_solves):
+    K = HPolytope(np.vstack([np.eye(2), -np.eye(2), [[1.0, 1.0]]]), [1.0, 1.0, 1.0, 1.0, 1.5])
+    assert "chebyshev" not in homothety(K, 2.0).__dict__
+    c, r = K.chebyshev
+    assert len(lp_solves) == 1
+    H = homothety(K, -2.0, [1.0, 0.0])
+    assert np.array_equal(H.chebyshev[0], -2.0 * c + [1.0, 0.0]) and H.chebyshev[1] == 2.0 * r
+    assert len(lp_solves) == 1
+    assert H.chebyshev[1] == pytest.approx(lp.chebyshev_center(H.A, H.b)[1], rel=1e-9)
+
+
 def test_a_box_preset_is_finite_up_to_the_float_range():
     # the sum and difference of these bounds overflow; their halves do not
     with np.errstate(over="raise"):
@@ -794,6 +825,48 @@ def test_as_vector_rejects_a_matrix_and_non_finite_entries():
         as_vector(np.zeros((2, 2)))
     with pytest.raises(BodyError, match="vector contains non-finite entries"):
         as_vector([1.0, np.inf])
+
+
+def _as_vector_reference(x, d=None):
+    # as_vector as it was before its fast path for 1-d float64 arrays
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if v.ndim != 1:
+        raise BodyError(f"expected a flat vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise BodyError("vector contains non-finite entries")
+    if d is not None and v.size != d:
+        raise BodyError(f"vector has dimension {v.size}, expected {d}")
+    return v
+
+
+def _as_vector_inputs():
+    ro = np.array([1.0, -2.0, 3.5])
+    ro.setflags(write=False)
+    grid = np.arange(12.0).reshape(3, 4)
+    yield from ([1.0, 2.0], [1, 2, 3], (4.5,), 7, 2.5, np.float64(3.0), np.array(2.0),
+                np.array([[1.0, 2.0]]), grid, np.zeros((0, 2)), [], np.zeros(0),
+                np.array([1.0, 2.0], dtype=np.float32), np.array([1, 2]), ro, grid[:, 1],
+                grid[1, ::2], np.array([1.0, 2.0], dtype=">f8"), np.array([1.0, np.nan]),
+                np.array([np.inf, 0.0]), [1.0, -np.inf], np.array([[np.nan]]), [np.nan],
+                np.ma.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("d", [None, 1, 2, 3])
+def test_as_vector_matches_its_reference(d):
+    # the fast path returns the same object, values and messages as the
+    # general one
+    for x in _as_vector_inputs():
+        try:
+            want = _as_vector_reference(x, d)
+        except BodyError as exc:
+            with pytest.raises(BodyError) as got:
+                as_vector(x, d)
+            assert str(got.value) == str(exc), x
+            continue
+        got = as_vector(x, d)
+        assert type(got) is type(want) and got.dtype == want.dtype, x
+        assert np.array_equal(got, want) and (got is x) == (want is x), x
+        assert got.flags.writeable == want.flags.writeable, x
 
 
 def test_empty_product_and_sum_raise():

@@ -357,6 +357,36 @@ def test_values_past_float_range_are_inf():
     assert rep.width == 2.0
 
 
+def test_degrees_past_float_range_are_inf_outside_and_raise_inside():
+    # n = 10**400 has no float; past |t| = 1 the values keep the inf
+    # convention above, with the sign of T_n and T_n' there, and inside,
+    # where cos(n theta) needs n mod 2 pi, they raise naming the degree
+    n = 10**400
+    for t, T, dT in ((2.0, np.inf, np.inf), (-2.0, np.inf, -np.inf)):
+        assert cheb_T(n, t) == T and cheb_T_prime(n, t) == dT
+        assert cheb_T(n + 1, t) == np.sign(t) * np.inf
+        assert cheb_T_prime(n + 1, t) == np.inf
+    assert np.array_equal(cheb_T(n, np.array([3.0, -1.5])), [np.inf, np.inf])
+    for t in (0.5, -1.0, 1.0):
+        for f in (cheb_T, cheb_T_prime):
+            with pytest.raises(ValueError, match=f"degree n = {n}"):
+                f(n, t)
+    with pytest.raises(ValueError, match=f"degree n = {n}"):
+        cheb_T(n, np.array([3.0, 0.2]))
+    # the same convention at a degree a float holds
+    assert cheb_T(701, -3.0) == -np.inf and cheb_T_prime(700, -3.0) == -np.inf
+    box = make_box([-1.0, -1.0], [1.0, 1.0])
+    rep = leading_growth(box, (1.0, 0.0), n)
+    assert rep.value == np.inf and rep.tau == 2.0
+    P = rep.extremal_eval
+    assert P.n == n and P([3.0, 0.5]) == np.inf and P([-3.0, 0.5]) == np.inf
+    for y in ([0.0, 0.0], [0.5, -0.9], [1.0, 1.0], [0.2, 5.0]):
+        with pytest.raises(ValueError, match="past float range"):
+            P(y)
+        with pytest.raises(ValueError, match="past float range"):
+            P.grad(y)
+
+
 def test_leading_growth_rejects_zero_direction():
     with pytest.raises(BodyError):
         leading_growth(SQ, np.zeros(2), 2)

@@ -99,7 +99,7 @@ def test_hull_gives_exact_extreme_points(name):
         assert rows is None
         return
     A, b = rows
-    assert all(rows_contain(A, b, p) for p in V)
+    assert all(rows_contain(rows, p) for p in V)
     # every row is a facet: tight at d or more of the extreme points
     assert np.all(np.sum(np.abs(E @ A.T - b) <= MEMBERSHIP_TOL, axis=0) >= d)
     # and both are bit for bit those of the routines _hull replaced

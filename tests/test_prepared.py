@@ -10,14 +10,16 @@ rule lam < alpha_inf(K) against the Chebyshev-LP decision it replaced.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minkgauge import (HPolytope, Product, Sum, VPolytope, alpha, alpha_inf, beta, cli,
-                       contains, global_width, level_set, lp)
-from minkgauge.body import MAX_VERTEX_DIM, vertex_candidates
+from minkgauge import (HPolytope, Product, Sum, VPolytope, alpha, alpha_inf, beta,
+                       chord_witness_dir, cli, contains, global_width, leading_growth,
+                       level_set, lp, max_chord, rho, width_dir)
+from minkgauge.body import MAX_VERTEX_DIM, dim, vertex_candidates
 from minkgauge.gauge import EMPTY_BAND, facet_profile
 from minkgauge.shapes import (make_half_disc, make_regular_polygon, parse_body,
                               random_polygon)
@@ -65,7 +67,12 @@ def _answers(make, inside, points):
 
 def _cached_arrays(K):
     values = [K.extreme, K.facet_rows, K.profile, K.symm_rows, K.symm_profile,
-              K.symmetry]
+              K.symmetry, K.exact_width]
+    # the row constants that the per-point queries read
+    values += [c for rows in (K.facet_rows, K.symm_rows) if rows is not None
+               for c in (rows.norms, rows.relax)]
+    values += [c for prof in (K.profile, K.symm_profile) if prof is not None
+               for c in (prof.w, prof.relax)]
     if isinstance(K, HPolytope):
         values += [K.vertices, K.chebyshev]
     flat = []
@@ -102,6 +109,159 @@ def test_reused_polytope_answers_bit_identically(K, seed):
 @settings(max_examples=25)
 def test_reused_polygon_answers_bit_identically(K, seed):
     _assert_reuse_is_bit_identical(K, seed)
+
+
+# The closed forms as they were before the bodies kept their row constants,
+# copied here: every kernel answer must keep these bits.
+
+
+def _ref_t(profile, x):
+    A, hp, hm = profile
+    return (2.0 * (A @ x) - hp + hm) / (hp + hm)
+
+
+def _ref_facet_max(profile, x):
+    tv = _ref_t(profile, x)
+    i = int(np.argmax(np.abs(tv)))
+    A = profile[0]
+    w = A[i] * np.sign(tv[i]) if tv[i] != 0 else A[i]
+    return float(abs(tv[i])), w / np.linalg.norm(w)
+
+
+def _ref_alpha(K, x):
+    if isinstance(K, Product):
+        parts = [(_ref_alpha(f, x[sl]), sl) for f, sl in K.blocks]
+        (a, w, _), sl = max(parts, key=lambda p: p[0][0])
+        u = np.zeros(x.size)
+        u[sl] = w
+        return a, u, max(p[0][2] for p in parts)
+    a, w = _ref_facet_max(K.profile, x)
+    if x.size <= 2 or a <= 1.0 + 1e-12:
+        return a, w, 1e-12
+    a, w = _ref_facet_max(K.symm_profile, x)
+    return a, w, 1e-12 * a
+
+
+def _ref_beta(K, x):
+    if isinstance(K, Product):
+        return min(_ref_beta(f, x[sl]) for f, sl in K.blocks)
+    A, hp, hm = K.profile
+    assert np.all(A @ x <= hp + 1e-7 * np.maximum(np.linalg.norm(A, axis=1), 1.0))
+    num = hp - A @ x
+    den = A @ x + hm
+    ok = den > 1e-12
+    return min(float(np.min(np.maximum(num[ok], 0.0) / den[ok])), 1.0)
+
+
+def _ref_member(K, x, lam):
+    if isinstance(K, Product):
+        return all(_ref_member(f, x[sl], lam) for f, sl in K.blocks)
+    if lam <= 1.0:
+        return bool(np.max(_ref_t(K.profile, x)) <= lam + 1e-9)
+    return _ref_facet_max(K.symm_profile, x)[0] <= lam + 1e-9
+
+
+def _ref_row_exit(A, b, v):
+    den = (v[None, :] @ A.T)[0]
+    nv = np.linalg.norm(v[None, :], axis=1)[0]
+    par = np.abs(den) <= 1e-12 * (nv * np.linalg.norm(A, axis=1))
+    with np.errstate(divide="ignore"):
+        hi = np.where(~par & (den > 0.0), b / den, np.inf).min()
+    i = int(np.argmax(den / b))
+    return float(hi), A[i] / np.linalg.norm(A[i])
+
+
+def _ref_max_chord(K, v):
+    e = math.frexp(max(map(abs, v.tolist())))[1]
+    hi, row = _ref_row_exit(*K.symm_rows, np.ldexp(v, -e))
+    return float(np.ldexp(2.0 * hi, -e)), row
+
+
+def _ref_width(K):
+    if dim(K) == 1:
+        return float(width_dir(K, np.ones(1))), np.ones(1)
+    A, b = K.symm_rows
+    norms = np.linalg.norm(A, axis=1)
+    vals = 2.0 * b / norms
+    i = int(np.argmin(vals))
+    return float(vals[i]), A[i] / norms[i]
+
+
+@st.composite
+def kernel_bodies(draw):
+    """Polytopes in d = 1-4, and products of two in d = 1-2 each."""
+    if draw(st.booleans()):
+        return draw(polytopes(1, 4))
+    return Product((draw(polytopes(1, 2)), draw(polytopes(1, 2))))
+
+
+def _same_float(got, want):
+    assert float(got).hex() == float(want).hex(), (got, want)
+
+
+def _same_array(got, want):
+    assert got.dtype == want.dtype and np.array_equal(got, want), (got, want)
+
+
+@given(K=kernel_bodies(), seed=st.integers(min_value=0, max_value=MAX_SEED),
+       scale=st.sampled_from([1.0, 3.7e-5, 2.3e6, 1e-150, 1e150]))
+@settings(max_examples=40)
+def test_row_kernel_keeps_the_bits_of_the_closed_forms(K, seed, scale):
+    inside, points = _points(K, seed)
+    # every query twice: the first builds the body's constants, the second
+    # reads them
+    for _ in range(2):
+        for x in points:
+            r, (a, w, tol) = alpha(K, x), _ref_alpha(K, x)
+            _same_float(r.alpha, a)
+            _same_array(r.witness_dir, w)
+            _same_float(r.tol, tol)
+            for lam in (0.3, 1.0, 1.5, 3.0):
+                L = level_set(K, lam)
+                assert L.contains(x) == (not L.empty and _ref_member(K, x, lam))
+        for x in points[len(inside):]:
+            s = float(np.max(_ref_t(K.symm_profile, x)))
+            if s > 1.0 + 1e-6:
+                _same_float(rho(K, x), max(0.0, (s - 1.0) / (s + 1.0)))
+        for x in inside:
+            _same_float(beta(K, x), _ref_beta(K, x))
+        u = np.random.default_rng(seed).normal(size=dim(K))
+        for v in (u / np.linalg.norm(u), scale * u):
+            tau, row = _ref_max_chord(K, v)
+            _same_float(max_chord(K, v), tau)
+            _same_array(leading_growth(K, v, 3).witness_dir, row)
+            _same_array(chord_witness_dir(K, v), _ref_row_exit(*K.symm_rows, v)[1])
+        w = global_width(K)
+        want, direction = _ref_width(K)
+        _same_float(w.value, want)
+        _same_array(w.direction, direction)
+        assert w.exact
+
+
+@pytest.mark.parametrize("make", [lambda: random_polygon(9, 4),
+                                  lambda: seeded_polytope("vpolytope", 3,
+                                                          np.random.default_rng(2))],
+                         ids=["planar", "R3"])
+def test_reused_body_queries_take_no_norm(make, norm_calls):
+    K = make()
+    inside, points = _points(K, 3)
+    v = np.linspace(0.3, -0.8, dim(K))
+    sets = [level_set(K, lam) for lam in (0.7, 2.0)]
+
+    def queries():
+        for x in points:
+            alpha(K, x)
+            for L in sets:
+                L.contains(x)
+        for x in inside:
+            beta(K, x)
+        max_chord(K, v)
+        global_width(K)
+
+    queries()                   # builds the body's constants
+    norm_calls.clear()
+    queries()
+    assert norm_calls == []
 
 
 def test_reused_sum_exterior_alpha_builds_nothing(lp_solves, qhull_calls):
