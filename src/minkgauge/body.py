@@ -151,9 +151,14 @@ class _Prepared:
     reader of a finite point set for K reads ``extreme``: C of a body other
     than a product, the LPs, the level body above 1, ``centroid``,
     ``diameter`` and the planar routes; the far radius, chord directions
-    and Chebyshev samples through ``hull_points``.  A vertex body gets its rows and extreme points from one
-    ``_hull`` of its candidates (``_candidate_hull``), preset by
-    ``_hull_body``.
+    and Chebyshev samples through ``hull_points``.  A planar body keeps its
+    edge kernel (``edges``): its counterclockwise vertices from ``extreme``
+    (the end points of a flat set), their edges, squared edge lengths and,
+    for a polygon, the outward edge rows with their slackened bounds, which
+    ``geometry.hausdorff`` reads for both bodies, so a call does only the
+    work that depends on the other body's points.  A vertex body gets its
+    rows and extreme points from one ``_hull`` of its candidates
+    (``_candidate_hull``), preset by ``_hull_body``.
     """
 
     @cached_property
@@ -220,6 +225,14 @@ class _Prepared:
         exact routes, or None where it sweeps (``geometry._exact_width``)."""
         from .geometry import _exact_width
         return _exact_width(self)
+
+    @cached_property
+    def edges(self):
+        """The planar edge kernel ``geometry.Edges`` that ``hausdorff`` and
+        ``polygon_vertices`` read, or None for a body with no planar point
+        set (``geometry._planar_edges``)."""
+        from .geometry import _planar_edges
+        return _planar_edges(self)
 
     @cached_property
     def _candidate_hull(self):

@@ -16,6 +16,7 @@ numpy's ``Chebyshev.basis(n)`` as the independent reference in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,8 +115,15 @@ class SlabPolynomial:
         return cheb_T(self.n, self._t(y))
 
     def grad(self, y):
-        """The exact gradient T_n'(g . y + c0) g."""
-        return cheb_T_prime(self.n, self._t(y)) * self.g
+        """The exact gradient T_n'(g . y + c0) g.  Where T_n' overflows to
+        inf, a coordinate with g = 0 is 0, not inf * 0."""
+        d = cheb_T_prime(self.n, self._t(y))
+        if not math.isinf(d):
+            return d * self.g
+        out = np.zeros_like(self.g)
+        live = self.g != 0.0
+        out[live] = d * self.g[live]
+        return out
 
 
 def extremal_polynomial(K, v, n):

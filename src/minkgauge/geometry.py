@@ -30,11 +30,14 @@ a fresh inverse Hessian and the restart run only when some start takes
 them, and the first iteration, whose trial points are the starts
 themselves, accepts all of them with no update.
 
-The diameter and the Hausdorff distance of intervals and planar pairs read
-every body's cached extreme points (``extreme``), the far radius
-``body.hull_points``.  A planar pair's Hausdorff distance takes one exact
-route, the set-distance definition, a fixed number of array operations
-over all vertices and edges.
+The diameter and the Hausdorff distance of intervals read every body's
+cached extreme points (``extreme``), the far radius ``body.hull_points``.
+A planar pair's Hausdorff distance takes one exact route, the set-distance
+definition, a fixed number of array operations over all vertices and
+edges.  Its edge data depend on one body alone, so each planar body keeps
+them as its edge kernel (``edges``, an ``Edges`` built from the cached
+extreme points on first read), and a call does only the work that depends
+on the other body's vertices.
 """
 
 from __future__ import annotations
@@ -507,51 +510,98 @@ def _planar_points(K):
     if area2 > FLAT_TOL * float(np.max(np.sum(R * R, axis=1))):
         return E
     t = E @ (E[-1] - E[0])
-    return E[[int(np.argmin(t)), int(np.argmax(t))]]
+    return _readonly(E[[int(np.argmin(t)), int(np.argmax(t))]])
 
 
 def polygon_vertices(K):
     """Counterclockwise vertices of a planar body with vertex access, exact.
 
-    A copy of the body's cached extreme points; H-polytopes qualify through
-    their prepared vertices.  Flat bodies (segments, points) raise.
+    A copy of the vertices of the body's cached edge kernel (``edges``),
+    which are its cached extreme points; H-polytopes qualify through their
+    prepared vertices.  Flat bodies (segments, points) raise.
     """
     if dim(K) != 2:
         raise BodyError("polygon_vertices needs a planar body")
-    W = _planar_points(K)
-    if W is None:
+    k = K.edges
+    if k is None:
         raise BodyError("planar body without polygon access")
-    if len(W) < 3:
+    if k.A is None:
         raise BodyError("flat planar body has no polygon")
-    return W.copy()
+    return k.W.copy()
 
 
-def _vertex_distances(P, W):
-    """Distance from every row of P to the polygon, segment or point whose
-    counterclockwise vertices are the rows of W.
+class Edges(NamedTuple):
+    """The edge kernel of a polygon, segment or point, read-only arrays that
+    depend on its vertices alone.
+
+    W holds the counterclockwise vertices (the end points of a segment, the
+    one point), E the edges W_j -> W_j+1, L2 their squared lengths and
+    ``live`` the mask L2 > 0.  A polygon has its outward edge normals A and
+    the bounds of its inside test, sum(A * W) plus a slack of
+    1e-12 * max(sqrt(L2), 1); a flat set has None for both.
+    """
+    W: np.ndarray
+    E: np.ndarray
+    L2: np.ndarray
+    live: np.ndarray
+    A: np.ndarray | None
+    bound: np.ndarray | None
+
+
+def _edges(W):
+    """The ``Edges`` of the polygon, segment or point whose counterclockwise
+    vertices are the rows of W, which it keeps as given: the cached kernel's
+    W is ``_planar_points``' read-only array."""
+    E = np.roll(W, -1, axis=0) - W
+    L2 = np.sum(E * E, axis=1)
+    A = bound = None
+    if len(W) > 2:
+        A = np.stack([E[:, 1], -E[:, 0]], axis=1)   # outward edge normals
+        bound = np.sum(A * W, axis=1) + 1e-12 * np.maximum(np.sqrt(L2), 1.0)
+        _readonly(A, bound)
+    return Edges(W, *_readonly(E, L2, L2 > 0.0), A, bound)
+
+
+def _planar_edges(K):
+    """K's edge kernel from ``_planar_points``, or None where K is not planar
+    or has no vertex access; kept per body (``edges``)."""
+    if dim(K) != 2:
+        return None
+    W = _planar_points(K)
+    return None if W is None else _edges(W)
+
+
+def _edge_distances(P, k):
+    """Distance from every row of P to the polygon, segment or point of the
+    edge kernel k.
 
     One clamped point-to-segment array over all (point, edge) pairs, set to
     0 where the polygon's edge rows put the point inside.
     """
-    E = np.roll(W, -1, axis=0) - W                   # the edge W_j -> W_j+1
-    L2 = np.sum(E * E, axis=1)
+    W, E, L2, live, A, bound = k
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.einsum("nmk,mk->nm", P[:, None, :] - W, E) / L2
-    t = np.where(L2 > 0.0, np.clip(t, 0.0, 1.0), 0.0)
-    D = np.linalg.norm(P[:, None, :] - (W + t[:, :, None] * E), axis=2).min(axis=1)
-    if len(W) > 2:
-        A = np.stack([E[:, 1], -E[:, 0]], axis=1)   # outward edge normals
-        slack = 1e-12 * np.maximum(np.sqrt(L2), 1.0)
-        D[np.all(P @ A.T <= np.sum(A * W, axis=1) + slack, axis=1)] = 0.0
+    t = np.where(live, np.minimum(np.maximum(t, 0.0), 1.0), 0.0)
+    R = P[:, None, :] - (W + t[:, :, None] * E)
+    D = np.sqrt(np.add.reduce(R * R, axis=2)).min(axis=1)
+    if A is not None:
+        D[(P @ A.T <= bound).all(axis=1)] = 0.0
     return D
+
+
+def _vertex_distances(P, W):
+    """Distance from every row of P to the polygon, segment or point whose
+    counterclockwise vertices are the rows of W (``_edge_distances`` on the
+    edge kernel of W)."""
+    return _edge_distances(P, _edges(W))
 
 
 def hausdorff(K, M, n_dirs=4096, seed=0) -> HausdorffResult:
     """Hausdorff distance between two convex bodies.
 
-    Planar pairs with vertex access are exact from their cached extreme
-    points by the set-distance definition, the larger of the two
-    vertex-to-body maxima, in one batch of array operations.  Flat planar
+    Planar pairs with vertex access are exact from their cached edge
+    kernels (``edges``) by the set-distance definition, the larger of the
+    two vertex-to-body maxima, in one batch of array operations.  Flat planar
     sets are reduced to their end points.  Intervals and balls against
     balls are closed form.  Everything else is a sampled support-difference
     lower bound over a nested direction family, flagged inexact.
@@ -564,10 +614,10 @@ def hausdorff(K, M, n_dirs=4096, seed=0) -> HausdorffResult:
     if dim(K) == 1:
         return HausdorffResult(float(np.max(np.abs(K.extreme - M.extreme))), True)
     if dim(K) == 2:
-        WK, WM = _planar_points(K), _planar_points(M)
-        if WK is not None and WM is not None:
-            return HausdorffResult(float(max(_vertex_distances(WK, WM).max(),
-                                             _vertex_distances(WM, WK).max())), True)
+        kK, kM = K.edges, M.edges
+        if kK is not None and kM is not None:
+            return HausdorffResult(float(max(_edge_distances(kK.W, kM).max(),
+                                             _edge_distances(kM.W, kK).max())), True)
     dirs = sphere_dirs(dim(K), n_dirs, seed)
     if not len(dirs):
         raise ValueError("n_dirs must be positive for a sampled Hausdorff distance")

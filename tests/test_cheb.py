@@ -1,5 +1,7 @@
 """Chebyshev machinery: stable evaluation, slab polynomials, growth bounds."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -385,6 +387,36 @@ def test_degrees_past_float_range_are_inf_outside_and_raise_inside():
             P(y)
         with pytest.raises(ValueError, match="past float range"):
             P.grad(y)
+
+
+def test_grad_past_overflow_is_zero_where_g_is_zero():
+    # T_n'(3) overflows at n = 700, so grad is T_n' g with inf in g's nonzero
+    # coordinates and 0, not inf * 0 = NaN, in its zero ones, with no warning
+    box = make_box([-1.0, -1.0], [1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, y, want in ((700, [3.0, 0.0], [np.inf, 0.0]), (700, [-3.0, 0.0], [-np.inf, 0.0]),
+                           (701, [-3.0, 0.0], [np.inf, 0.0]), (10**400, [3.0, 0.0], [np.inf, 0.0])):
+            P = leading_growth(box, (1.0, 0.0), n).extremal_eval
+            assert P.g[1] == 0.0
+            npt.assert_array_equal(P.grad(y), want)
+        P = SlabPolynomial(np.array([0.5, 0.0, -2.0]), 0.25, 700)
+        npt.assert_array_equal(P.grad([9.0, 1.0, -3.0]), [np.inf, 0.0, -np.inf])
+
+
+def test_grad_keeps_the_bits_of_T_n_prime_times_g_where_finite():
+    rng = np.random.default_rng(330)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(400):
+            d = int(rng.integers(1, 5))
+            g = rng.normal(size=d) * np.where(rng.uniform(size=d) < 0.3, 0.0, 1.0)
+            P = SlabPolynomial(g, float(rng.normal()), int(rng.integers(0, 40)))
+            y = rng.normal(size=d) * rng.uniform(0.1, 3.0)
+            want = cheb_T_prime(P.n, float(P.g @ y) + P.c0) * P.g
+            got = P.grad(y)
+            assert np.all(np.isfinite(got))
+            assert got.tobytes() == want.tobytes()
 
 
 def test_leading_growth_rejects_zero_direction():

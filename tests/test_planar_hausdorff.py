@@ -11,10 +11,12 @@ difference-body and diameter routes that read the same cache are counted
 here too.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from minkgauge import (HPolytope, Product, SupportOracle, VPolytope, central_symm, diameter,
+from minkgauge import (Ball, HPolytope, Product, SupportOracle, VPolytope, central_symm, diameter,
                        geometry, hausdorff, homothety, polygon_vertices)
 from minkgauge.body import (BodyError, Sum, _halved_differences, _hull,
                             vertex_candidates)
@@ -290,6 +292,118 @@ def test_oracle_pair_stays_sampled():
     # the hexagon inscribed in the unit circle is 1 - cos(pi/6) from it
     assert not res.exact
     assert 0.0 < res.value <= 1.0 - np.cos(np.pi / 6.0) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the edge kernel: built once per body, and the answers keep their bits
+
+
+def _pinned_pairs():
+    rng = np.random.default_rng(33)
+    seg = VPolytope(np.array([[-1.0, -0.5], [0.25, 0.125], [2.0, 1.0]]))
+    pt = VPolytope(np.array([[0.3, 0.7]]))
+    out = []
+    for s in range(4):
+        K = random_polygon(int(rng.integers(3, 14)), 500 + s, radius=1.5,
+                           center=rng.uniform(-1, 1, 2))
+        M = random_polygon(int(rng.integers(3, 14)), 600 + s, center=rng.uniform(-1, 1, 2))
+        out.append((f"v-v-{s}", K, M))
+    out += [
+        ("h-v", _hpolygon(700), random_polygon(9, 701)),
+        ("h-h", _hpolygon(702), _hpolygon(703)),
+        ("nested", random_polygon(12, 704),
+         homothety(random_polygon(12, 704), 1.7, [0.05, -0.02])),
+        ("regular-v", make_regular_polygon(20, radius=1.2, center=(0.1, 0.2)),
+         random_polygon(8, 705)),
+        ("half-disc-h", make_half_disc(40), _hpolygon(706)),
+        ("half-disc-regular", make_half_disc(64), make_regular_polygon(7, phase=0.4)),
+        ("segment-v", seg, random_polygon(6, 707)),
+        ("point-v", pt, random_polygon(10, 708)),
+        ("segment-point", seg, pt),
+        ("segment-segment", seg, VPolytope(np.array([[0.0, 1.0], [2.0, 0.0]]))),
+    ]
+    return out
+
+
+# hausdorff(K, M).value.hex() of the route that rebuilt every edge per call
+PINNED_HEX = {
+    "v-v-0": "0x1.6e5fe7df25c7cp+0",
+    "v-v-1": "0x1.1abd2f8f08d09p+1",
+    "v-v-2": "0x1.47f1bbadb6191p+0",
+    "v-v-3": "0x1.ea150baaffc86p+0",
+    "h-v": "0x1.b5387ca8c3137p-1",
+    "h-h": "0x1.539762b975d25p-1",
+    "nested": "0x1.43d5b379b5583p-1",
+    "regular-v": "0x1.167a9694daf8fp+0",
+    "half-disc-h": "0x1.8bc74a64fdc78p+0",
+    "half-disc-regular": "0x1.f8205967b6c73p-1",
+    "segment-v": "0x1.86ff65d98c2e4p+0",
+    "point-v": "0x1.a12493eed5054p+0",
+    "segment-point": "0x1.c4e90517480adp+0",
+    "segment-segment": "0x1.cd82b446159f3p+0",
+}
+# sha256 over every pair of the bytes of _vertex_distances(WK, WM) and then
+# of _vertex_distances(WM, WK), little-endian float64
+PINNED_DISTANCES = "f94ddf9e1b2e7dae061fca51131df21cb6d8c28087df06c100f01217dae4c613"
+
+
+def test_answers_keep_their_pinned_bits():
+    pairs = _pinned_pairs()
+    assert [p[0] for p in pairs] == list(PINNED_HEX)
+    h = hashlib.sha256()
+    for name, K, M in pairs:
+        for A, B in ((K, M), (M, K), (K, M)):
+            res = hausdorff(A, B)
+            assert res.exact and res.value.hex() == PINNED_HEX[name], name
+        WK, WM = geometry._planar_points(K), geometry._planar_points(M)
+        for D in (geometry._vertex_distances(WK, WM), geometry._vertex_distances(WM, WK)):
+            h.update(D.astype("<f8").tobytes())
+    assert h.hexdigest() == PINNED_DISTANCES
+
+
+@pytest.fixture
+def edge_builds(monkeypatch):
+    """The vertex counts of the edge kernels built while the test runs."""
+    built, real = [], geometry._edges
+    monkeypatch.setattr(geometry, "_edges", lambda W: built.append(len(W)) or real(W))
+    return built
+
+
+def test_each_body_builds_its_edge_kernel_once(edge_builds):
+    K, M = _hpolygon(41), random_polygon(9, 42)
+    F = VPolytope(np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]]))
+    first = hausdorff(K, M).value
+    assert edge_builds == [len(K.extreme), len(M.extreme)]
+    edge_builds.clear()
+    assert hausdorff(K, M).value == first and hausdorff(M, K).value == first
+    assert not edge_builds
+    hausdorff(M, F)
+    assert edge_builds == [2]
+    edge_builds.clear()
+    hausdorff(F, M)
+    hausdorff(F, K)
+    assert not edge_builds
+    for k in (K.edges, M.edges, F.edges):
+        assert not any(a.flags.writeable for a in k if a is not None)
+    assert F.edges.A is None and F.edges.bound is None
+    assert K.edges.W is K.extreme
+
+
+def test_polygon_vertices_reads_the_edge_kernel(edge_builds):
+    K, M = random_polygon(11, 43), random_polygon(7, 44)
+    W = polygon_vertices(K)
+    assert edge_builds == [len(W)]
+    assert np.array_equal(W, K.edges.W) and not np.shares_memory(W, K.edges.W)
+    hausdorff(K, M)
+    assert edge_builds == [len(W), len(M.extreme)]
+
+
+def test_bodies_without_planar_points_have_no_edge_kernel(edge_builds):
+    disc = SupportOracle(lambda v: float(np.linalg.norm(v)), np.zeros(2), 1.0, 1.0)
+    for K in (disc, Ball(np.zeros(2), 1.0), make_box([0.0] * 3, [1.0] * 3)):
+        assert K.edges is None
+    assert not hausdorff(disc, Ball(np.ones(2), 0.5)).exact
+    assert not edge_builds
 
 
 # ---------------------------------------------------------------------------
